@@ -195,15 +195,27 @@ _BENCH_COLUMNS = ("topology", "power_avg_w", "power_static_avg_w", "delay_max_s"
                   "swing_hi_v", "swing_lo_v", "reduction_ratio", "status", "note")
 
 
+def _classify(rep: Report, vddh: float) -> tuple[str, str]:
+    """(status, note) of a characterized shifter: "ok" only when its output
+    swings past the 1% and 99% marks of vddh, else "non-functional"."""
+    if rep.swing_hi >= 0.99 * vddh and rep.swing_lo <= 0.01 * vddh:
+        return "ok", ""
+    return "non-functional", (f"swing {rep.swing_lo:.4g}/{rep.swing_hi:.4g} V misses "
+                              f"the 1%/99% marks of vddh={vddh:g} V")
+
+
 def _bench_rows(topologies, seed) -> list:
     rows = {}
+    vddh = TopoParams().vddh
     for topo in topologies:  # enumeration order; rows land in request order
         try:
             rep = characterize(elaborate(gen(topo), base_models=seed))
+            status, note = _classify(rep, vddh)
             rows[topo] = BenchRow(
                 topo, rep.power_avg,
                 0.5 * (rep.power_static_lo + rep.power_static_hi),
                 rep.delay_max, rep.swing_hi, rep.swing_lo,
+                status=status, note=note,
             )
         except (SolverError, MeasureError, ElaborationError, ValueError) as e:
             rows[topo] = BenchRow(topo, status="failed", note=str(e))
@@ -224,6 +236,8 @@ def _bench_pairs(rows) -> list:
                 "baseline": base,
                 "stacked": base + "_stacked",
                 "reduction_ratio": rs.reduction_ratio,
+                "static_ratio": rb.power_static_avg / rs.power_static_avg,
+                "delay_ratio": rs.delay_max / rb.delay_max,
                 "power_reduced": rs.power_avg < rb.power_avg,
                 "delay_increased": rs.delay_max >= rb.delay_max,
             })
@@ -271,8 +285,11 @@ def _emit_bench_table(fh, rows, pairs) -> None:
     for p in pairs:
         fh.write(f"{p['baseline']}/{p['stacked']}: power reduced "
                  f"{'yes' if p['power_reduced'] else 'NO'} "
-                 f"({p['reduction_ratio']:.3f}x), delay increased "
-                 f"{'yes' if p['delay_increased'] else 'no'}\n")
+                 f"({p['reduction_ratio']:.3f}x, static {p['static_ratio']:.3f}x), "
+                 f"delay increased {'yes' if p['delay_increased'] else 'no'} "
+                 f"({p['delay_ratio']:.3f}x)\n")
+    if pairs:
+        fh.write("ratios > 1 mean the stacked variant wins on power / loses on delay\n")
 
 
 def cmd_bench(args) -> int:
@@ -351,10 +368,7 @@ def cmd_sweep(args) -> int:
         row.power_static_avg = 0.5 * (rep.power_static_lo + rep.power_static_hi)
         row.delay_max = rep.delay_max
         row.swing_hi, row.swing_lo = rep.swing_hi, rep.swing_lo
-        if not (rep.swing_hi >= 0.99 * p.vddh and rep.swing_lo <= 0.01 * p.vddh):
-            row.status = "non-functional"
-            row.note = (f"swing {rep.swing_lo:.4g}/{rep.swing_hi:.4g} V misses the "
-                        f"1%/99% marks of vddh={p.vddh:g} V")
+        row.status, row.note = _classify(rep, p.vddh)
         rows.append((v, row))
 
     fh = _out_stream(args.out)

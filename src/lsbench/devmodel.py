@@ -31,7 +31,7 @@ Capacitances are bias-independent lumps:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,24 @@ class MosParams:
     cox_a: float = 4.6e-3   # F/m^2, gate oxide capacitance per area
     cov_w: float = 1.2e-10  # F/m, gate overlap capacitance per width
     cj_w: float = 9e-10     # F/m, junction capacitance per width
+
+    def __post_init__(self):
+        """Reject parameters the model cannot evaluate: every value must be
+        finite, kp, n_slope and phi_s positive, and all but vth0 non-negative.
+        The ValueError names the .model key."""
+        if self.polarity not in ("nmos", "pmos"):
+            raise ValueError(f"polarity must be 'nmos' or 'pmos', got {self.polarity!r}")
+        for f in fields(self)[1:]:
+            x = getattr(self, f.name)
+            if not math.isfinite(x):
+                why = "must be finite"
+            elif f.name in ("kp", "n_slope", "phi_s") and x <= 0:
+                why = "must be positive"
+            elif f.name != "vth0" and x < 0:
+                why = "must not be negative"
+            else:
+                continue
+            raise ValueError(f"{model_key_for(f.name)}={x!r} {why}")
 
 
 # Default 0.35 um-class parameter set.  Chosen so that the bundled shifter
@@ -131,46 +149,59 @@ def effective_vth(p: MosParams, vds: float = 0.0, vsb: float = 0.0) -> float:
 
 
 def _q_sigma(x):
-    """q(x) = ln(1+exp(x)) and its logistic derivative, with the positive
-    branch clamped at x = 40 where q(x) = x to machine precision.  The
-    derivative uses the identity sigma = 1 - exp(-q), exact in both branches."""
-    x = np.asarray(x, dtype=float)
-    # asarray again: ufuncs collapse 0-d inputs to scalars, copyto needs an array
-    q = np.asarray(np.log1p(np.exp(np.minimum(x, _QCLAMP))))
+    """q(x) = ln(1+exp(x)) and its logistic derivative for an array x of one
+    or more dimensions, with the positive branch clamped at x = 40 where
+    q(x) = x to machine precision.  The derivative uses the identity
+    sigma = 1 - exp(-q), exact in both branches."""
+    q = np.log1p(np.exp(np.minimum(x, _QCLAMP)))
     np.copyto(q, x, where=x > _QCLAMP)
     return q, 1.0 - np.exp(-q)
 
 
-def _core_eval(vgs, vds, vsb, vth0, n, kp, lam, eta, gamma, phi, w, l,
-               a=None, ispec=None):
+def _eval_consts(n, kp, lam, eta, gamma, phi, w, l):
+    """The bias-independent terms of _core_eval, for computing once per
+    compiled circuit: (-phi/2, sqrt(phi), a = 1/(2 n VT), 2a, the DIBL
+    factors (eta, eta - n) of the forward and reverse channel ends stacked
+    on a leading axis of 2, ispec = 2 n kp (w/l) VT^2, ispec*lam)."""
+    a = 1.0 / (2.0 * n * VT)
+    ispec = 2.0 * n * kp * (w / l) * VT * VT
+    return (-0.5 * phi, np.sqrt(phi), a, 2.0 * a, np.array((eta, eta - n)),
+            ispec, ispec * lam)
+
+
+def _core_eval(vgs, vds, vsb, vth0, n, kp, lam, eta, gamma, phi, w, l, c=None):
     """Vectorized current and exact partials in the normalized frame.
 
     Returns (id, gm, gds, gmb) as arrays broadcast over the inputs.  All vte
     dependencies (body effect on vsb, DIBL on vds) are differentiated, so a
     central-difference probe of id agrees with gm/gds/gmb to roundoff.
-    Callers in the hot path may pass precomputed a = 1/(2 n VT) and
-    ispec = 2 n kp (w/l) VT^2.
+    Callers in the hot path pass c = _eval_consts(...) of parameter arrays
+    shaped like the bias arrays; without it every input is broadcast to one
+    shape and the terms are computed here.
+    The forward and reverse channel ends are evaluated stacked, as the rows
+    of one (2, ...) array.
     """
-    vsb_c = np.maximum(vsb, -0.5 * phi)
+    if c is None:
+        vgs, vds, vsb, vth0, n, kp, lam, eta, gamma, phi, w, l = np.broadcast_arrays(
+            vgs, vds, vsb, vth0, n, kp, lam, eta, gamma, phi, w, l)
+        c = _eval_consts(n, kp, lam, eta, gamma, phi, w, l)
+    nhphi, sqphi, a, a2, etas, ispec, ispec_lam = c
+    vsb_c = np.maximum(vsb, nhphi)
     sphi = np.sqrt(phi + vsb_c)
-    vte = vth0 + gamma * (sphi - np.sqrt(phi)) - eta * vds
-    if a is None:
-        a = 1.0 / (2.0 * n * VT)
-    if ispec is None:
-        ispec = 2.0 * n * kp * (w / l) * VT * VT
+    vte = vth0 + gamma * (sphi - sqphi) - eta * vds
     uf = (vgs - vte) * a
-    ur = uf - vds / (2.0 * VT)  # a * n * vds
-    qf, sf = _q_sigma(uf)
-    qr, sr = _q_sigma(ur)
-    qq = qf * qf - qr * qr
+    # rows: forward end u, reverse end u - a * n * vds
+    q, s = _q_sigma(np.array((uf, uf - vds / (2.0 * VT))))
+    qsq = q * q
+    qq = qsq[0] - qsq[1]
     mlam = 1.0 + lam * vds
     idrain = ispec * qq * mlam
-    common = ispec * mlam * 2.0 * a
-    fs = qf * sf
-    rs = qr * sr
-    gm = common * (fs - rs)
-    gds = common * (fs * eta - rs * (eta - n)) + ispec * lam * qq
-    dvte_dvsb = np.where(vsb > -0.5 * phi, gamma / (2.0 * sphi), 0.0)
+    common = ispec * mlam * a2
+    qs = q * s
+    qse = qs * etas
+    gm = common * (qs[0] - qs[1])
+    gds = common * (qse[0] - qse[1]) + ispec_lam * qq
+    dvte_dvsb = np.where(vsb > nhphi, gamma / (sphi + sphi), 0.0)
     gmb = gm * dvte_dvsb
     return idrain, gm, gds, gmb
 

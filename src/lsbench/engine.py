@@ -18,6 +18,29 @@ with halved substeps, up to 8 halvings deep; substeps always land back on the
 uniform output grid, so every emitted sample is a converged solver state.
 All capacitances here are constant, so companions reduce to a fixed matrix
 alpha*C plus a history current.
+
+Stamp plan.  `_System` compiles each circuit once into flat arrays.  Per
+Newton iteration, `mos_currents` evaluates every MOSFET with one
+`_core_eval` call and writes a (5, M) buffer: the drain->source currents,
+then the conductance columns for the drain, gate, source and body nodes.
+`assemble` gathers that buffer through one precomputed index, multiplies by
+a sign vector, and scatters everything with a single `bincount` over
+n + N*N bins.  The first n bins are the device KCL currents of f; the rest
+is the device part of J, row-major, so J = base + bins[n:].reshape(N, N).
+The f entries come first and the J entries second, each in device order, so
+every bin sums its terms in a fixed order.
+
+Exact rewrites only.  The transient output, and hence `bench --format csv`,
+is byte-deterministic and compared across versions, so edits to this hot
+path (`_core_eval`, `mos_currents`, `assemble`, `newton`) must perform the
+same floating-point operations in the same order.  Allowed: hoisting a
+left-to-right leading product (`ispec*lam*qq` -> `(ispec*lam)*qq`),
+`2.0*x` -> `x+x`, `(y*2.0)*a` -> `y*(2a)`, stacking elementwise operations
+into one array, and skipping an operation that is the identity on the values
+it meets (clipping an update already inside the clamp).  Not allowed:
+reordering sums or products (`ispec*qq*mlam` -> `(ispec*mlam)*qq`),
+algebraic identities that change rounding (sigma as e/(1+e)), or BLAS for
+the scatter.
 """
 
 from __future__ import annotations
@@ -26,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devmodel import VT, _core_eval, mosfet_caps, source_value
+from .devmodel import _core_eval, _eval_consts, mosfet_caps, source_value
 from .netlist import Circuit
 
 GMIN_DEFAULT = 1e-12
@@ -102,7 +125,6 @@ class _System:
                 G[s.m, row] -= 1.0
                 G[row, s.m] -= 1.0
         self.G = G
-        self.src_rows = np.arange(n, N)
         self.waves = [s.wave for s in circuit.sources]
 
         C = np.zeros((n, n))
@@ -149,50 +171,50 @@ class _System:
         self.p_phi = getp("phi_s")
         self.m_w = np.array([m.w for m in mos])
         self.m_l = np.array([m.l for m in mos])
-        self.c_a = 1.0 / (2.0 * self.p_n * VT)
-        self.c_ispec = 2.0 * self.p_n * self.p_kp * (self.m_w / self.m_l) * VT * VT
+        self.c_eval = _eval_consts(self.p_n, self.p_kp, self.p_lam, self.p_eta,
+                                   self.p_gamma, self.p_phi, self.m_w, self.m_l)
         self._vbuf = np.zeros(n + 1)
-        self._gbuf = np.zeros((4, M))
+        self._mbuf = np.zeros((5, M))
         self._src_cache = (None, None, None)
 
-        # current (f) stamp plan: +i at drain row, -i at source row
-        fi, fd, fs = [], [], []
+        # One stamp plan over the flattened (5, M) device buffer and n + N*N
+        # accumulator bins (f rows, then J row-major).  The f part comes
+        # first: +i at the drain row, -i at the source row.  The J part
+        # follows: rows (d,+1),(s,-1) x cols (d,g,s,b) -> buffer rows 1..4.
+        gather, bins, sgn = [], [], []
         for k, m in enumerate(mos):
-            if m.d >= 0:
-                fi.append(m.d); fd.append(k); fs.append(1.0)
-            if m.s >= 0:
-                fi.append(m.s); fd.append(k); fs.append(-1.0)
-        self.f_idx = np.array(fi, dtype=np.intp)
-        self.f_dev = np.array(fd, dtype=np.intp)
-        self.f_sgn = np.array(fs)
-
-        # Jacobian stamp plan: rows (d,+1),(s,-1) x cols (d,g,s,b) -> comps 0..3
-        ji, jd, jc, js = [], [], [], []
+            for row, rs in ((m.d, 1.0), (m.s, -1.0)):
+                if row >= 0:
+                    gather.append(k); bins.append(row); sgn.append(rs)
         for k, m in enumerate(mos):
-            cols = ((m.d, 0), (m.g, 1), (m.s, 2), (m.b, 3))
+            cols = ((m.d, 1), (m.g, 2), (m.s, 3), (m.b, 4))
             for row, rs in ((m.d, 1.0), (m.s, -1.0)):
                 if row < 0:
                     continue
                 for col, comp in cols:
                     if col < 0:
                         continue
-                    ji.append(row * N + col); jd.append(k); jc.append(comp); js.append(rs)
-        self.j_flat = np.array(ji, dtype=np.intp)
-        self.j_sgn = np.array(js)
-        # linear index into the flattened (4, M) conductance buffer
-        self.j_lin = np.array(jc, dtype=np.intp) * max(M, 1) + np.array(jd, dtype=np.intp)
+                    gather.append(comp * M + k); bins.append(n + row * N + col)
+                    sgn.append(rs)
+        self.s_gather = np.array(gather, dtype=np.intp)
+        self.s_bin = np.array(bins, dtype=np.intp)
+        self.s_sgn = np.array(sgn)
+        self.n_bins = n + N * N
 
     # -- device evaluation ------------------------------------------------
 
-    def mos_currents(self, v: np.ndarray):
-        """Evaluate all MOSFETs at node voltages v.  Returns the physical
-        drain->source currents and the (4, M) conductance components (w.r.t.
-        the drain, gate, source, body node voltages)."""
+    def mos_currents(self, v: np.ndarray) -> np.ndarray:
+        """Evaluate all MOSFETs at node voltages v.  Returns a (5, M) buffer,
+        overwritten by the next call: row 0 holds the physical drain->source
+        currents, rows 1..4 the conductances w.r.t. the drain, gate, source
+        and body node voltages."""
+        out = self._mbuf
         if self.M == 0:
-            return np.zeros(0), self._gbuf
+            return out
         buf = self._vbuf
         buf[: self.n] = v
-        vd, vg, vs, vb = buf[self.g_idx4] * self.m_sgn
+        vt = buf[self.g_idx4] * self.m_sgn
+        vd, vg, vs, vb = vt[0], vt[1], vt[2], vt[3]
         hi = np.maximum(vd, vs)
         lo = np.minimum(vd, vs)
         swap = vd < vs
@@ -200,21 +222,19 @@ class _System:
             vg - lo, hi - lo, lo - vb,
             self.p_vth0, self.p_n, self.p_kp, self.p_lam,
             self.p_eta, self.p_gamma, self.p_phi, self.m_w, self.m_l,
-            a=self.c_a, ispec=self.c_ispec,
+            c=self.c_eval,
         )
         # conductances are reflection-invariant; swapping exchanges the roles
         # of the drain and source columns and flips the gate/body signs
         gmb_gm = gm + gmb
-        gsum = gmb_gm + gds
         msw = swap * gmb_gm
         sflip = 1.0 - 2.0 * swap
-        g = self._gbuf
-        g[0] = gds + msw          # d column: gds | gsum
-        g[1] = gm * sflip         # g column: gm | -gm
-        g[2] = msw - gsum         # s column: -gsum | -gds
-        g[3] = gmb * sflip        # b column: gmb | -gmb
-        i_phys = idn * (sflip * self.m_sgn)
-        return i_phys, g
+        np.multiply(idn, sflip * self.m_sgn, out=out[0])
+        np.add(gds, msw, out=out[1])                # d column: gds | gsum
+        np.multiply(gm, sflip, out=out[2])          # g column: gm | -gm
+        np.subtract(msw, gmb_gm + gds, out=out[3])  # s column: -gsum | -gds
+        np.multiply(gmb, sflip, out=out[4])         # b column: gmb | -gmb
+        return out
 
     # -- assembly ----------------------------------------------------------
 
@@ -236,21 +256,20 @@ class _System:
                  src_scale=1.0):
         """Return (J, f) at state vector x.  `base` must be
         base_matrix(gmin, alpha); alpha=0 means no companion (DC)."""
-        n, N = self.n, self.N
-        v = x[:n]
+        n = self.n
         f = base.dot(x)
-        f[self.src_rows] -= self.source_vector(t, src_scale)
+        f[n:] -= self.source_vector(t, src_scale)
         if alpha != 0.0:
             f[:n] -= alpha * self.C.dot(v_prev)
             if ic_prev is not None:
                 f[:n] -= ic_prev
-        i_phys, gstack = self.mos_currents(v)
-        J = base.copy()
-        if self.M:
-            f[:n] += np.bincount(self.f_idx, weights=self.f_sgn * i_phys[self.f_dev], minlength=n)
-            jvals = self.j_sgn * gstack.ravel()[self.j_lin]
-            J.ravel()[: N * N] += np.bincount(self.j_flat, weights=jvals, minlength=N * N)
-        return J, f
+        if not self.M:
+            return base.copy(), f
+        dev = self.mos_currents(x[:n]).ravel()
+        acc = np.bincount(self.s_bin, weights=self.s_sgn * dev[self.s_gather],
+                          minlength=self.n_bins)
+        f[:n] += acc[:n]
+        return base + acc[n:].reshape(self.N, self.N), f
 
     def cap_current(self, alpha, v_new, v_prev, ic_prev):
         ic = alpha * self.C.dot(v_new - v_prev)
@@ -271,20 +290,21 @@ class _System:
         resmax = np.inf
         for it in range(1, limit + 1):
             J, f = self.assemble(x, t, gmin, base, alpha, v_prev, ic_prev, src_scale)
-            resmax = float(np.max(np.abs(f[:n]))) if n else 0.0
+            resmax = float(np.maximum.reduce(np.abs(f[:n]))) if n else 0.0
             if dv_ok and resmax < opts.abstol:
                 return x, it, resmax, True, ""
             try:
                 dx = np.linalg.solve(J, -f)
             except np.linalg.LinAlgError:
                 return x, it, resmax, False, "singular Jacobian (check for floating nodes)"
-            if not np.all(np.isfinite(dx)):
+            if not np.logical_and.reduce(np.isfinite(dx)):
                 return x, it, resmax, False, "non-finite Newton update"
-            dvmax = float(np.max(np.abs(dx[:n]))) if n else 0.0
+            dvmax = float(np.maximum.reduce(np.abs(dx[:n]))) if n else 0.0
             if resmax < opts.abstol and dvmax < opts.vntol:
                 x += dx  # residual and update both inside tolerance: accept now
                 return x, it, resmax, True, ""
-            np.clip(dx[:n], -opts.vclamp, opts.vclamp, out=dx[:n])
+            if dvmax > opts.vclamp:
+                np.clip(dx[:n], -opts.vclamp, opts.vclamp, out=dx[:n])
             x += dx
             dv_ok = dvmax < opts.vntol
         return x, limit, resmax, False, "iteration limit"

@@ -414,7 +414,11 @@ def elaborate(doc: NetlistDoc, base_models: dict | None = None) -> Circuit:
     params_by_model: dict[str, MosParams] = {}
     for mc in doc.models:
         base = base_models.get(mc.polarity) or default_params(mc.polarity)
-        params_by_model[mc.name] = replace(base, **dict(mc.overrides), polarity=mc.polarity)
+        try:
+            params_by_model[mc.name] = replace(base, **dict(mc.overrides),
+                                               polarity=mc.polarity)
+        except ValueError as e:
+            raise ElaborationError(f"line {mc.lineno}: model {mc.name}: {e}") from None
 
     circ = Circuit(title=doc.title, tran=doc.tran)
     touch_count: dict[int, int] = {}
@@ -483,7 +487,10 @@ def parse_seed_models(text: str) -> dict:
         card = _parse_model(lineno - 1, tok, line.split(None, 3)[3] if len(tok) > 3 else "")
         if card.polarity in base:
             raise ParseError(lineno - 1, f"duplicate {card.polarity.upper()} seed model")
-        base[card.polarity] = replace(
-            default_params(card.polarity), polarity=card.polarity, **dict(card.overrides)
-        )
+        try:
+            base[card.polarity] = replace(
+                default_params(card.polarity), polarity=card.polarity, **dict(card.overrides)
+            )
+        except ValueError as e:
+            raise ParseError(lineno - 1, f"model {card.name}: {e}") from None
     return base

@@ -1,12 +1,14 @@
 """Command line interface, exercised in-process through main(argv), plus one
 child-process run of `python -m lsbench` for its exit code."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from lsbench.cli import main
+from lsbench.cli import BenchRow, _bench_pairs, _classify, _emit_bench_table, main
+from lsbench.measure import Report
 from lsbench.netlist import MosCard, parse_netlist
 
 REPORT_KEYS = {
@@ -98,6 +100,17 @@ def test_run_explicit_paths(tmp_path, capsys):
     assert csv_p.exists() and json_p.exists()
 
 
+def test_run_invalid_model_exits_usage(tmp_path, capsys):
+    # N=0 and PHI=-1 used to fail only after every DC homotopy stage, and
+    # KP=-1 simulated with the output above the rail
+    for override in ("N=0", "KP=-1", "PHI=-1"):
+        src = tmp_path / "bad_model.sp"
+        src.write_text(LEAKAGE_NETLIST.replace("NMOS ()", f"NMOS ({override})"))
+        assert main(["run", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: model NCH: " + override.split("=")[0])
+
+
 def test_run_dc_only_skips_report(tmp_path):
     path = tmp_path / "dc.sp"
     path.write_text("dc only\nVIN a 0 DC 1\nR1 a 0 1k\n.tran 1n 20n\n.end\n")
@@ -153,8 +166,46 @@ def test_bench_subset_pairs_and_order(tmp_path):
     assert pair["baseline"] == "ssls" and pair["stacked"] == "ssls_stacked"
     assert pair["power_reduced"] is True
     assert pair["reduction_ratio"] > 1.0
-    stacked_row = payload["rows"][1]
+    base_row, stacked_row = payload["rows"]
     assert stacked_row["reduction_ratio"] == pytest.approx(pair["reduction_ratio"])
+    assert pair["static_ratio"] == (base_row["power_static_avg_w"]
+                                    / stacked_row["power_static_avg_w"])
+    assert pair["delay_ratio"] == stacked_row["delay_max_s"] / base_row["delay_max_s"]
+    assert pair["delay_ratio"] > 1.0
+
+
+def _report(swing_lo, swing_hi):
+    return Report("fabricated", 1e-5, 1e-9, 1e-9, 1e-9, 1e-9, 1e-9,
+                  swing_lo=swing_lo, swing_hi=swing_hi)
+
+
+@pytest.mark.parametrize("lo,hi,status", [
+    (0.0, 3.3, "ok"),
+    (0.033, 3.267, "ok"),           # exactly on the 1% and 99% marks
+    (0.0, 3.2, "non-functional"),   # never reaches 99% of vddh
+    (0.05, 3.3, "non-functional"),  # never falls below 1% of vddh
+    (0.0, float("nan"), "non-functional"),
+])
+def test_classify_swing_marks(lo, hi, status):
+    got, note = _classify(_report(lo, hi), 3.3)
+    assert got == status
+    assert (note == "") == (status == "ok")
+    if status != "ok":
+        assert "1%/99% marks of vddh=3.3 V" in note
+
+
+def test_bench_pairs_table_ratios():
+    rows = [BenchRow("cls", 4e-5, 6e-10, 1.6e-9, 3.3, 0.0),
+            BenchRow("cls_stacked", 2e-5, 4e-10, 2.0e-9, 3.3, 0.0, 2.0),
+            BenchRow("ssls", 1e-4, 1e-4, 6e-10, 3.3, 0.0),
+            BenchRow("ssls_stacked", status="non-functional", note="swing")]
+    (pair,) = _bench_pairs(rows)  # a pair with a non-ok side is left out
+    assert pair["static_ratio"] == 1.5
+    assert pair["delay_ratio"] == 1.25
+    out = io.StringIO()
+    _emit_bench_table(out, rows, [pair])
+    assert ("cls/cls_stacked: power reduced yes (2.000x, static 1.500x), "
+            "delay increased yes (1.250x)") in out.getvalue()
 
 
 def test_bench_unknown_topology(capsys):

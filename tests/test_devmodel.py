@@ -1,6 +1,7 @@
 """MOSFET model: threshold shifts, current, derivatives, caps, sources."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,26 @@ def test_off_stack_splits_the_drop_and_cuts_leakage():
 
 # ---------------------------------------------------------------------------
 # capacitances
+
+@pytest.mark.parametrize("field,value,why", [
+    ("vth0", float("nan"), "VTH0=nan must be finite"),
+    ("kp", float("inf"), "KP=inf must be finite"),
+    ("n_slope", 0.0, "N=0.0 must be positive"),
+    ("phi_s", -0.8, "PHI=-0.8 must be positive"),
+    ("eta_dibl", -0.01, "ETA=-0.01 must not be negative"),
+    ("cj_w", -1e-10, "CJW=-1e-10 must not be negative"),
+])
+def test_invalid_params_rejected(field, value, why):
+    with pytest.raises(ValueError, match=why):
+        replace(NMOS, **{field: value})
+
+
+def test_param_bounds_edges():
+    with pytest.raises(ValueError, match="polarity"):
+        replace(NMOS, polarity="xmos")
+    # a negative threshold and zero lambda/body effect are valid devices
+    assert replace(NMOS, vth0=-0.2, lam=0.0, gamma_body=0.0).vth0 == -0.2
+
 
 def test_cap_values():
     c = mosfet_caps(NMOS, W, L)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import refmodel as rm
-from lsbench.devmodel import default_params
-from lsbench.engine import (GMIN_DEFAULT, SolverError, SysState, assemble,
-                            dc_operating_point, transient)
+from lsbench.devmodel import (VT, MosBias, default_params, effective_vth,
+                              mosfet_eval)
+from lsbench.engine import (GMIN_DEFAULT, SolverError, SysState, _System,
+                            assemble, dc_operating_point, transient)
 from lsbench.netlist import elaborate, parse_netlist
-from lsbench.topologies import gen, stack_leakage_fixture
+from lsbench.topologies import TOPOLOGY_IDS, gen, stack_leakage_fixture
 
 GMIN = GMIN_DEFAULT
 
@@ -70,6 +71,76 @@ def test_assemble_vanishes_at_stack_equilibrium():
     st = SysState(v=v, i_branch=np.array([-(i_top + GMIN * 3.3)]))
     _, f = assemble(circ, st)
     assert np.max(np.abs(f)) < 1e-12
+
+
+@pytest.mark.parametrize("topo", TOPOLOGY_IDS)
+def test_assemble_jacobian_matches_central_differences(topo):
+    # J and f come out of one scatter over a shared stamp plan; a misplaced
+    # bin, gather index or sign shows up as a J entry that is not the
+    # derivative of f.  Random states put drain below source on devices of
+    # both polarities, so the swapped branch of every column is exercised.
+    # Tolerance per entry: 1e-4 relative plus 2e-9 S, against a worst
+    # central-difference roundoff of ~3e-10 S at h = 1 uV and on-device
+    # conductances of 1e-5..1e-3 S.
+    s = _System(elaborate(gen(topo)))
+    rng = np.random.default_rng(20261018)
+    h = 1e-6
+    swapped = {1.0: set(), -1.0: set()}
+    for _ in range(4):
+        x = np.concatenate([rng.uniform(-0.5, 4.0, s.n),
+                            rng.uniform(-1e-3, 1e-3, s.ns)])
+        vt = np.append(x[: s.n], 0.0)[s.g_idx4] * s.m_sgn
+        for pol in swapped:
+            swapped[pol].update(vt[0][s.m_sgn == pol] < vt[2][s.m_sgn == pol])
+        v_prev = rng.uniform(-0.5, 4.0, s.n)
+        ic_prev = rng.uniform(-1e-4, 1e-4, s.n)
+        for alpha, hist in ((0.0, ()), (2.0 / 10e-12, (v_prev, ic_prev))):
+            base = s.base_matrix(GMIN, alpha)
+            J = s.assemble(x, 1e-9, GMIN, base, alpha, *hist)[0]
+            jfd = np.empty_like(J)
+            for j in range(s.N):
+                e = np.zeros(s.N)
+                e[j] = h
+                fp = s.assemble(x + e, 1e-9, GMIN, base, alpha, *hist)[1]
+                fm = s.assemble(x - e, 1e-9, GMIN, base, alpha, *hist)[1]
+                jfd[:, j] = (fp - fm) / (2 * h)
+            bad = np.abs(J - jfd) > 1e-4 * np.abs(J) + 2e-9
+            assert not bad.any(), (alpha, np.argwhere(bad))
+    assert swapped == {1.0: {False, True}, -1.0: {False, True}}
+
+
+def test_mos_currents_match_scalar_model():
+    # the vectorized device path against mosfet_eval, one device at a time,
+    # after the caller-side polarity reflection and drain/source swap
+    rng = np.random.default_rng(7)
+    seen = {"swap_nmos": 0, "swap_pmos": 0, "vsb_clamped": 0, "u_over_40": 0}
+    for topo in TOPOLOGY_IDS:
+        circ = elaborate(gen(topo))
+        s = _System(circ)
+        for _ in range(10):
+            v = rng.uniform(-1.5, 5.0, s.n)
+            got = s.mos_currents(v)
+            vx = np.append(v, 0.0)  # index -1 is ground
+            for k, m in enumerate(circ.mosfets):
+                sg = 1.0 if m.params.polarity == "nmos" else -1.0
+                vd, vg, vs, vb = (sg * vx[i] for i in (m.d, m.g, m.s, m.b))
+                swap = vd < vs
+                if swap:
+                    vd, vs = vs, vd
+                    seen["swap_nmos" if sg > 0 else "swap_pmos"] += 1
+                bias = MosBias(vgs=vg - vs, vds=vd - vs, vsb=vs - vb)
+                e = mosfet_eval(m.params, bias, m.w, m.l)
+                gsum = e.gm + e.gds + e.gmb
+                if swap:  # rows: current, then d, g, s, b columns
+                    want = [-sg * e.id, gsum, -e.gm, -e.gds, -e.gmb]
+                else:
+                    want = [sg * e.id, e.gds, e.gm, -gsum, e.gmb]
+                np.testing.assert_allclose(got[:, k], want, rtol=1e-12, atol=0)
+                p = m.params
+                seen["vsb_clamped"] += bias.vsb < -0.5 * p.phi_s
+                vte = effective_vth(p, bias.vds, bias.vsb)
+                seen["u_over_40"] += (bias.vgs - vte) / (2 * p.n_slope * VT) > 40
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

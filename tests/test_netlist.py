@@ -146,6 +146,19 @@ def test_undeclared_model():
         elaborate(_doc("M1 a b 0 0 NOPE W=1u L=1u\nV1 a 0 DC 1\n"))
 
 
+@pytest.mark.parametrize("override,key", [
+    ("N=0", "N=0.0 must be positive"),
+    ("KP=-1", "KP=-1.0 must be positive"),
+    ("PHI=-1", "PHI=-1.0 must be positive"),
+    ("LAMBDA=-0.1", "LAMBDA=-0.1 must not be negative"),
+])
+def test_invalid_model_parameters_rejected(override, key):
+    doc = _doc(f".model WEAK NMOS ({override})\nM1 a b 0 0 WEAK W=1u L=1u\n"
+               "V1 a 0 DC 1\nV2 b 0 DC 1\n")
+    with pytest.raises(ElaborationError, match=f"line 2: model WEAK: {key}"):
+        elaborate(doc)
+
+
 def test_rc_same_node_rejected():
     with pytest.raises(ElaborationError, match="R1"):
         elaborate(_doc("R1 a a 1k\nV1 a 0 DC 1\n"))
@@ -190,3 +203,5 @@ def test_seed_models_reject_devices():
         parse_seed_models("M1 a b c d NCH W=1u L=1u\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_seed_models(".model A NMOS (VTH0=0.5)\n.model B NMOS (VTH0=0.6)\n")
+    with pytest.raises(ParseError, match="line 2: model B: GAMMA=-0.5 must not be negative"):
+        parse_seed_models("* corner\n.model B PMOS (GAMMA=-0.5)\n")
