@@ -50,10 +50,6 @@ _PARAM_FLAGS = ("vddh", "vddl", "vin_hi", "l", "w_p", "w_n", "w_n_stacked", "clo
 _SINGLE_SUPPLY = ("ssls", "ssls_stacked")
 
 
-def _eng_value(s: str) -> float:
-    return parse_value(s)
-
-
 def _seed_models():
     path = os.environ.get("LS_SEED_MODEL")
     if not path:
@@ -152,8 +148,6 @@ def cmd_run(args) -> int:
     tstop = args.tstop if args.tstop is not None else (doc.tran.tstop if doc.tran else None)
     if tstep is None or tstop is None:
         raise UsageError("netlist has no .tran directive; give --tstep and --tstop")
-    if tstop < 10 * tstep:
-        raise UsageError(f"tstop must cover at least 10 steps (tstep={tstep:g}, tstop={tstop:g})")
 
     waves = transient(circ, tstep, tstop, scheme=args.scheme)
     stem = os.path.splitext(args.netlist)[0]
@@ -398,7 +392,7 @@ def _add_param_flags(sp) -> None:
         "cload": "output load capacitance (F)",
     }
     for f in _PARAM_FLAGS:
-        sp.add_argument("--" + f.replace("_", "-"), dest=f, type=_eng_value,
+        sp.add_argument("--" + f.replace("_", "-"), dest=f, type=parse_value,
                         default=None, metavar="V", help=helps[f])
 
 
@@ -417,12 +411,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="simulate a netlist")
     r.add_argument("netlist", help="netlist file")
-    r.add_argument("--tstep", type=_eng_value, default=None,
+    r.add_argument("--tstep", type=parse_value, default=None,
                    help="time step (overrides .tran)")
-    r.add_argument("--tstop", type=_eng_value, default=None,
+    r.add_argument("--tstop", type=parse_value, default=None,
                    help="stop time (overrides .tran)")
     r.add_argument("--scheme", choices=("trap", "be"), default="trap",
-                   help="integration scheme (default trap)")
+                   help="scheme of single-interval steps (default trap); "
+                        "longer steps are always backward Euler")
     r.add_argument("-o", "--out-csv", default=None,
                    help="waveform CSV path (default <netlist>.csv)")
     r.add_argument("--report-json", default=None,
@@ -441,9 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="characterize one topology across a range")
     s.add_argument("topology", help=f"one of: {', '.join(TOPOLOGY_IDS)}")
     s.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
-    s.add_argument("--from", dest="sweep_from", type=_eng_value, required=True,
+    s.add_argument("--from", dest="sweep_from", type=parse_value, required=True,
                    metavar="A", help="range start")
-    s.add_argument("--to", dest="sweep_to", type=_eng_value, required=True,
+    s.add_argument("--to", dest="sweep_to", type=parse_value, required=True,
                    metavar="B", help="range end")
     s.add_argument("--steps", type=int, required=True, help="number of points (>= 2)")
     s.add_argument("-o", "--out", default=None, help="output CSV (default stdout)")

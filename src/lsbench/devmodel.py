@@ -253,6 +253,32 @@ class SourceWave:
     pw: float = 0.0
     per: float = 0.0
 
+    def __post_init__(self):
+        """Reject waves that cannot be evaluated: every value must be finite,
+        and a pulse needs positive tr, tf, pw and per, a non-negative td, and
+        edges plus width that fit in the period.  The ValueError names the
+        field."""
+        # whole-tuple tests first: sources are built on every parse and DC
+        # solve, and a per-field loop doubled the construction time
+        if self.kind not in ("dc", "pulse"):
+            raise ValueError(f"source kind must be 'dc' or 'pulse', got {self.kind!r}")
+        vals = (self.v1, self.v2, self.td, self.tr, self.tf, self.pw, self.per)
+        if not all(map(math.isfinite, vals)):
+            name = next(f.name for f in fields(self)[1:]
+                        if not math.isfinite(getattr(self, f.name)))
+            raise ValueError(f"{self.kind.upper()} {name}={getattr(self, name)!r} "
+                             f"must be finite")
+        if self.kind == "dc":
+            return
+        if min(self.tr, self.tf, self.pw, self.per) <= 0:
+            name = next(nm for nm in ("tr", "tf", "pw", "per") if getattr(self, nm) <= 0)
+            raise ValueError(f"PULSE {name}={getattr(self, name)!r} must be positive")
+        if self.td < 0:
+            raise ValueError(f"PULSE td={self.td!r} must not be negative")
+        if self.tr + self.pw + self.tf > self.per:
+            raise ValueError(f"PULSE edges and width (tr+pw+tf={self.tr + self.pw + self.tf:g}) "
+                             f"exceed the period per={self.per:g}")
+
 
 def source_value(wave: SourceWave, t: float) -> float:
     """Instantaneous source voltage at time t (t in seconds, >= 0)."""

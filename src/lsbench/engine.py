@@ -1,4 +1,4 @@
-"""Modified nodal analysis, Newton DC solves, and fixed-step implicit transient.
+"""Modified nodal analysis, Newton DC solves, and error-controlled implicit transient.
 
 Unknown vector layout: x = [node voltages (n), source branch currents (ns)].
 KCL rows hold the sum of currents leaving each node (a gmin conductance from
@@ -12,12 +12,27 @@ below abstol.  On failure the solver falls back to gmin stepping (1e-3 S down
 to the 1e-12 S floor in decade steps) and then to source stepping (all source
 values scaled 0 -> 1 in 20 increments), each stage warm-starting the next.
 
-Transient uses trapezoidal companions by default (one backward-Euler startup
-step) or backward Euler throughout.  Steps that fail to converge are retried
-with halved substeps, up to 8 halvings deep; substeps always land back on the
-uniform output grid, so every emitted sample is a converged solver state.
-All capacitances here are constant, so companions reduce to a fixed matrix
-alpha*C plus a history current.
+Transient samples the uniform grid 0, tstep, ..., tstop through one
+step-size controller.  Every step spans m grid intervals, m a power of two
+from 1 to 64, so every solved point is a grid sample.  A grid interval that
+holds a PULSE corner is always a single step, and m restarts at 1 after it.
+Single-interval steps use the requested scheme: trapezoidal companions after
+one backward-Euler startup step (default), or backward Euler throughout.
+Longer steps are always backward Euler: trapezoid on 640 ps steps leaves
+supply currents ringing at the uA level through quiet stretches, which
+L-stable backward Euler damps.  After each solve,
+r = h^2 max|DD2(v)| / 1e-5 V, where DD2 is the second divided difference of
+the node voltages over the last three solved points since the last corner
+(h^2 DD2 estimates backward Euler's local error h^2 v''/2).  A step with
+r > 1 and m > 1 is rejected and retried with m halved; otherwise the next m
+is the largest power of two <= m sqrt(0.5/r), at most 2m.  Samples between
+solved points are linear interpolations; `Waveforms.solved` lists the solved
+grid indices, and an interpolated sample's `resid_max` is the larger
+residual of the two solves around it.  Steps that fail to converge are
+retried with halved substeps, up to 8 halvings deep.  The grid is capped at
+1,000,000 intervals, checked before anything is allocated.  All capacitances
+here are constant, so companions reduce to a fixed matrix alpha*C plus a
+history current.
 
 Stamp plan.  `_System` compiles each circuit once into flat arrays.  Per
 Newton iteration, `mos_currents` evaluates every MOSFET with one
@@ -45,6 +60,7 @@ the scatter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +108,11 @@ class Waveforms:
     supply_i: dict        # source name -> branch current (into + terminal)
     source_nodes: dict    # source name -> (plus node name, minus node name), "0" = ground
     tstep: float = 0.0
-    resid_max: np.ndarray | None = None  # accepted KCL residual per grid point
+    # KCL residual per grid point: a solver state's own, or for an
+    # interpolated sample the larger of its two bracketing solves'
+    resid_max: np.ndarray | None = None
     gmin: float = GMIN_DEFAULT           # shunt used in the run; power corrections need it
+    solved: np.ndarray | None = None     # grid indices that are solver states
 
 
 class _System:
@@ -398,24 +417,53 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
 
 
 _MAX_HALVINGS = 8
+_MAX_GRID_STEPS = 1_000_000  # grid intervals; bounds every waveform allocation
+_MAX_MULT = 64               # longest step, in grid intervals
+_LTE_TOL = 1e-5              # V, per-step error target of the step control
+
+
+def _corner_intervals(waves, n_steps: int, tstep: float, tstop: float) -> list:
+    """Sorted indices j of the grid intervals [t[j], t[j+1]] that hold a PULSE
+    corner (td + k*per + {0, tr, tr+pw, tr+pw+tf}), then n_steps as a
+    sentinel.  A corner on a grid point marks the interval that starts there.
+    The work is O(grid size): a period no longer than tstep puts a corner
+    into every interval from td on, and a longer one repeats fewer times
+    than there are intervals."""
+    marks = [np.array([n_steps])]
+    for w in waves:
+        if w.kind != "pulse" or w.td > tstop:
+            continue
+        if w.per <= tstep:
+            marks.append(np.arange(min(int(w.td / tstep), n_steps - 1), n_steps))
+            continue
+        starts = w.td + w.per * np.arange(int((tstop - w.td) / w.per) + 1)
+        c = (starts[:, None] + [0.0, w.tr, w.tr + w.pw, w.tr + w.pw + w.tf]).ravel()
+        marks.append(np.minimum((c[c <= tstop] / tstep).astype(np.intp), n_steps - 1))
+    return np.unique(np.concatenate(marks)).tolist()
 
 
 def transient(circuit: Circuit, tstep: float, tstop: float,
               scheme: str = "trap", ic: OpPoint | str = "auto",
               opts: SolveOptions | None = None,
               gmin: float = GMIN_DEFAULT) -> Waveforms:
-    """Fixed-grid implicit transient analysis.
+    """Implicit transient analysis on the uniform grid 0, tstep, ..., tstop.
 
-    Samples are emitted on the uniform grid 0, tstep, ..., tstop.  The
-    initial condition is the DC operating point at the sources' initial
-    values unless an OpPoint is passed explicitly.
+    Steps span 1 to 64 grid intervals under local-error control (see the
+    module docstring); samples between solved points are linear
+    interpolations, and `Waveforms.solved` lists the grid indices that are
+    solver states.  The initial condition is the DC operating point at the
+    sources' initial values unless an OpPoint is passed explicitly.
     """
     if scheme not in ("trap", "be"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if tstep <= 0 or tstop <= 0:
-        raise ValueError("tstep and tstop must be positive")
+    if not (math.isfinite(tstep) and math.isfinite(tstop)) or tstep <= 0 or tstop <= 0:
+        raise ValueError("tstep and tstop must be positive and finite")
     if tstop < 10 * tstep:
-        raise ValueError("tstop must be at least 10*tstep")
+        raise ValueError(f"tstop must cover at least 10 steps (tstep={tstep:g}, "
+                         f"tstop={tstop:g})")
+    if tstop > _MAX_GRID_STEPS * tstep:
+        raise ValueError(f"grid of {tstop / tstep:.3g} steps exceeds the limit of "
+                         f"{_MAX_GRID_STEPS:,} (tstep={tstep:g}, tstop={tstop:g})")
     opts = opts or SolveOptions()
     sys_ = _System(circuit)
     n = sys_.n
@@ -428,12 +476,9 @@ def transient(circuit: Circuit, tstep: float, tstop: float,
         raise ValueError("ic must be 'auto' or an OpPoint")
 
     n_steps = int(round(tstop / tstep))
-    vrec = np.empty((n_steps + 1, n))
-    irec = np.empty((n_steps + 1, sys_.ns))
-    x = op.state.as_vector()
-    vrec[0] = x[:n]
-    irec[0] = x[n:]
-    ic_cur = np.zeros(n)  # capacitor currents at the current accepted point
+    t = np.arange(n_steps + 1) * tstep
+    t[-1] = tstop
+    corners = _corner_intervals(sys_.waves, n_steps, tstep, tstop)
 
     base_cache: dict = {}
 
@@ -472,31 +517,61 @@ def transient(circuit: Circuit, tstep: float, tstop: float,
         x_new, ic_new, r2 = step(x_mid, ic_mid, tm, t1, use_trap, depth + 1)
         return x_new, ic_new, max(r1, r2)
 
+    rec = np.empty((n_steps + 1, sys_.N))  # one row per grid sample
     rrec = np.empty(n_steps + 1)
-    rrec[0] = op.residual_max
-    x_prev_grid = x.copy()
-    for i in range(1, n_steps + 1):
-        t0 = (i - 1) * tstep
-        t1 = i * tstep if i < n_steps else tstop
-        use_trap = scheme == "trap" and i > 1
-        guess = None
-        if i > 1:
-            guess = 2.0 * x - x_prev_grid  # linear predictor on the uniform grid
-        x_prev_grid = x
-        x, ic_cur, rrec[i] = step(x, ic_cur, t0, t1, use_trap, 0, guess)
-        vrec[i] = x[:n]
-        irec[i] = x[n:]
+    x = op.state.as_vector()
+    rec[0], rrec[0] = x, op.residual_max
+    ic_cur = np.zeros(n)  # capacitor currents at the current solved point
+    solved = [0]
+    hist = [(0.0, x[:n])]  # (t, v) of the last solved points since the last corner
+    x_last, h_last = None, 0.0
+    i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
+    while i < n_steps:
+        while corners[c] < i:
+            c += 1
+        at_corner = corners[c] == i
+        k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
+        t0, t1 = t[i], t[i + k]
+        guess = None if x_last is None else x + (x - x_last) * ((t1 - t0) / h_last)
+        x_new, ic_new, res = step(x, ic_cur, t0, t1,
+                                  k == 1 and scheme == "trap" and i > 0, 0, guess)
+        v = x_new[:n]
+        if at_corner:
+            hist, m = [(t1, v)], 1
+        else:
+            grow = k  # no estimate yet: hold the step
+            if len(hist) == 2 and n:
+                (ta, va), (tb, vb) = hist
+                dd2 = ((v - vb) / (t1 - tb) - (vb - va) / (tb - ta)) / (t1 - ta)
+                r = (t1 - t0) ** 2 * float(np.max(np.abs(dd2))) / _LTE_TOL
+                if r > 1.0 and k > 1:
+                    m = k // 2  # reject: retry from the same point, half the step
+                    continue
+                grow = min(2 * k, _MAX_MULT,
+                           k * math.sqrt(0.5 / r) if r > 0.0 else math.inf)
+            hist = [*hist[-1:], (t1, v)]
+            m = 1 << max(int(grow).bit_length() - 1, 0)
+        if k > 1:  # samples inside the step lie on the line between its ends
+            w = ((t[i + 1:i + k] - t0) / (t1 - t0))[:, None]
+            rec[i + 1:i + k] = x + w * (x_new - x)
+            rrec[i + 1:i + k] = max(rrec[i], res)
+        x_last, h_last = x, t1 - t0
+        x, ic_cur, i = x_new, ic_new, i + k
+        rec[i], rrec[i] = x, res
+        solved.append(i)
 
-    t = np.arange(n_steps + 1) * tstep
-    t[-1] = tstop
+    # `step` refers to itself, a reference cycle that would keep the compiled
+    # system for the cyclic collector; repeated runs then fragmented the heap
+    del step
     names = circuit.node_names
     gname = lambda i: "0" if i < 0 else names[i]
     return Waveforms(
         t=t,
-        node_v={nm: vrec[:, j] for j, nm in enumerate(names)},
-        supply_i={s.name: irec[:, k] for k, s in enumerate(circuit.sources)},
+        node_v={nm: rec[:, j] for j, nm in enumerate(names)},
+        supply_i={s.name: rec[:, n + k] for k, s in enumerate(circuit.sources)},
         source_nodes={s.name: (gname(s.p), gname(s.m)) for s in circuit.sources},
         tstep=tstep,
         resid_max=rrec,
         gmin=gmin,
+        solved=np.array(solved),
     )

@@ -204,24 +204,20 @@ def _parse_source(lineno: int, tok: list[str], rest: str) -> SourceCard:
     name, p, m = tok[0].upper(), _node(tok[1]), _node(tok[2])
     spec = rest.strip()
     mdc = _DC_RE.match(spec)
-    if mdc:
-        return SourceCard(name, p, m, SourceWave(kind="dc", v1=_value(lineno, mdc.group(1))), lineno)
     mp = _PULSE_RE.match(spec)
-    if mp:
-        vals = [_value(lineno, t) for t in mp.group(1).split()]
-        if len(vals) != 7:
-            raise ParseError(lineno, f"PULSE takes exactly 7 values (v1 v2 td tr tf pw per), got {len(vals)}")
-        v1, v2, td, tr, tf, pw, per = vals
-        if tr <= 0 or tf <= 0:
-            raise ParseError(lineno, "PULSE rise and fall times must be positive")
-        if pw <= 0 or per <= 0:
-            raise ParseError(lineno, "PULSE width and period must be positive")
-        if td < 0:
-            raise ParseError(lineno, "PULSE delay must be non-negative")
-        if tr + pw + tf > per:
-            raise ParseError(lineno, "PULSE edges and width exceed the period")
-        return SourceCard(name, p, m, SourceWave("pulse", v1, v2, td, tr, tf, pw, per), lineno)
-    raise ParseError(lineno, f"unrecognized source spec {spec!r} (expected DC or PULSE)")
+    if mdc:
+        args = ("dc", _value(lineno, mdc.group(1)))
+    elif mp:
+        args = [_value(lineno, t) for t in mp.group(1).split()]
+        if len(args) != 7:
+            raise ParseError(lineno, f"PULSE takes exactly 7 values (v1 v2 td tr tf pw per), got {len(args)}")
+        args = ("pulse", *args)
+    else:
+        raise ParseError(lineno, f"unrecognized source spec {spec!r} (expected DC or PULSE)")
+    try:
+        return SourceCard(name, p, m, SourceWave(*args), lineno)
+    except ValueError as e:
+        raise ParseError(lineno, str(e)) from None
 
 
 def _parse_model(lineno: int, tok: list[str], rest: str) -> ModelCard:

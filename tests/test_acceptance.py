@@ -18,6 +18,9 @@ Each test verifies one shipped guarantee and prints a single PASS/FAIL line
     waveform-for-waveform
  8. `lsbench bench all --format csv` is byte-deterministic and fast (run in
     a child process as `python -m lsbench`, so no install is needed)
+
+Beside them, every figure of the six reports must sit within 1e-3 of a
+2.5 ps-grid reference, which bounds the time-discretization error.
 """
 
 import math
@@ -57,6 +60,25 @@ def six_runs():
 
 PAIRS = (("cls", "cls_stacked"), ("ssls", "ssls_stacked"), ("cmls", "cmls_stacked"))
 
+# The six reports at the default 300 ns window on a 2.5 ps grid (4x finer
+# than the shipped 10 ps), from perfbench/refs/bench_six.json at commit
+# 55ff20f: power_avg, static power (mean of lo and hi), delay_max,
+# swing_hi, swing_lo.
+FINE_GRID_REFS = {
+    "cls": (5.602011601627097e-05, 6.087430834265452e-10, 1.6044099112640979e-09,
+            3.2999999810475154, 1.551725171268636e-13),
+    "cls_stacked": (4.258313958649925e-05, 5.806049988071261e-10, 1.8392999277581387e-09,
+                    3.299998375602988, 6.87670940497005e-13),
+    "ssls": (0.00015824415129012063, 0.00015525058667865166, 6.031156445340138e-10,
+             3.299999981047515, 1.5532122533861486e-13),
+    "ssls_stacked": (0.00015281759465089905, 0.00015147906939932636, 9.334635574119392e-10,
+                     3.299998397295173, 1.0822499687986701e-12),
+    "cmls": (1.0378103613586916e-05, 6.087430829771594e-10, 7.796597601221174e-10,
+             3.299999981047513, 1.552007839600877e-13),
+    "cmls_stacked": (9.852234529861323e-06, 5.512979745744398e-10, 1.0716022619984378e-09,
+                     3.2999984252578796, 8.668657528290149e-10),
+}
+
 
 def test_criterion_1_full_swing_all_topologies(six_runs):
     runs, elapsed = six_runs
@@ -93,6 +115,29 @@ def test_criterion_3_stacking_never_faster(six_runs):
         ok &= rs.delay_max >= 0.99 * rb.delay_max
         details.append(f"{base} x{rs.delay_max / rb.delay_max:.3f}")
     _verdict(3, ok, "delay_max(stacked)/delay_max(baseline): " + ", ".join(details))
+
+
+def test_figures_match_fine_grid_reference(six_runs):
+    # bounds the time-discretization error of every reported figure: powers
+    # relative to themselves, delay relative to the reference delay_max,
+    # swings relative to vddh.  The fixed 10 ps trapezoidal grid read 6.96e-4
+    # at worst (cls_stacked power_avg).
+    runs, _ = six_runs
+    worst, where = 0.0, ""
+    for topo, (p_avg, p_static, d_max, s_hi, s_lo) in FINE_GRID_REFS.items():
+        r = runs[topo][2]
+        static = 0.5 * (r.power_static_lo + r.power_static_hi)
+        errs = {
+            "power_avg": abs(r.power_avg - p_avg) / p_avg,
+            "power_static": abs(static - p_static) / p_static,
+            "delay_max": abs(r.delay_max - d_max) / d_max,
+            "swing_hi": abs(r.swing_hi - s_hi) / VDDH,
+            "swing_lo": abs(r.swing_lo - s_lo) / VDDH,
+        }
+        for name, e in errs.items():
+            if not e <= worst:
+                worst, where = e, f"{topo} {name}"
+    assert worst <= 1e-3, f"{where} is {worst:.3e} from its 2.5 ps reference"
 
 
 def test_criterion_4_stack_leakage_fixture():

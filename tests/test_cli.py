@@ -3,6 +3,7 @@ child-process run of `python -m lsbench` for its exit code."""
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ def test_run_invalid_model_exits_usage(tmp_path, capsys):
         assert main(["run", str(src)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: model NCH: " + override.split("=")[0])
+
+
+def test_run_oversized_grid_exits_before_allocating(tmp_path, capsys):
+    # .tran 1p 1m asks for 1e9 grid samples; the grid cap must refuse it
+    # before the waveform arrays (about 8 GB per node) are allocated
+    src = tmp_path / "huge.sp"
+    src.write_text(LEAKAGE_NETLIST.replace(".tran 1n 20n", ".tran 1p 1m"))
+    tracemalloc.start()
+    try:
+        rc = main(["run", str(src)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert peak < 4 * 2**20
+    assert not (tmp_path / "huge.csv").exists()
 
 
 def test_run_dc_only_skips_report(tmp_path):

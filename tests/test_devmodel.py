@@ -190,6 +190,23 @@ def test_caps_scale_linearly_with_width():
 PULSE = SourceWave("pulse", 0.0, 1.6, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9)
 
 
+@pytest.mark.parametrize("args,why", [
+    (("pulse", 0.0, 1.6, 1e-9, 1e-9, 1e-9, 48e-9, 0.0), "PULSE per=0.0 must be positive"),
+    (("pulse", 0.0, 1.6, 1e-9, 0.0, 1e-9, 48e-9, 1e-7), "PULSE tr=0.0 must be positive"),
+    (("pulse", 0.0, 1.6, -1e-9, 1e-9, 1e-9, 48e-9, 1e-7), "PULSE td=-1e-09 must not be negative"),
+    (("pulse", 0.0, 1.6, 1e-9, 1e-9, 1e-9, 99e-9, 1e-7), "exceed the period"),
+    (("pulse", 0.0, math.nan, 1e-9, 1e-9, 1e-9, 48e-9, 1e-7), "PULSE v2=nan must be finite"),
+    (("pulse", 0.0, 1.6, 1e-9, 1e-9, 1e-9, 48e-9, math.inf), "PULSE per=inf must be finite"),
+    (("dc", math.inf), "DC v1=inf must be finite"),
+    (("sin", 0.0), "kind"),
+])
+def test_invalid_source_waves_rejected(args, why):
+    # the library path meets the same checks as the parser; per=0 used to
+    # fail only when evaluated, with a bare "math domain error"
+    with pytest.raises(ValueError, match=why):
+        SourceWave(*args)
+
+
 def test_pulse_sample_points():
     assert source_value(PULSE, 0.0) == 0.0
     assert source_value(PULSE, 1.5e-9) == pytest.approx(0.8)

@@ -1,11 +1,13 @@
 """MNA assembly, DC operating point, and implicit transient integration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import refmodel as rm
 from lsbench.devmodel import (VT, MosBias, default_params, effective_vth,
-                              mosfet_eval)
+                              mosfet_eval, source_value)
 from lsbench.engine import (GMIN_DEFAULT, SolverError, SysState, _System,
                             assemble, dc_operating_point, transient)
 from lsbench.netlist import elaborate, parse_netlist
@@ -224,9 +226,12 @@ def test_transient_is_deterministic():
 
 
 def test_companion_replay_satisfies_kcl():
-    # rebuild every accepted step from the recorded waveforms with an
-    # independently coded BE-then-trapezoid companion recurrence; the KCL
-    # residual of each replayed step must sit inside the solver tolerance
+    # rebuild every solved step from the recorded waveforms with an
+    # independently coded companion recurrence: backward Euler for the first
+    # step and for every step spanning several grid intervals, trapezoid for
+    # the other single-interval steps.  The KCL residual of each replayed
+    # step must sit inside the solver tolerance, and every sample between
+    # two solves must lie on the straight line joining them.
     circ = _circ(RC_STEP)
     waves = transient(circ, 10e-12, 5e-9)
     names = circ.node_names
@@ -235,23 +240,90 @@ def test_companion_replay_satisfies_kcl():
     Cm = np.zeros((2, 2))
     Cm[circ.node_index["out"], circ.node_index["out"]] = 1e-12
 
+    solved = waves.solved
+    assert solved[0] == 0 and solved[-1] == len(waves.t) - 1
+    assert np.all(np.diff(solved) >= 1)
     ic = np.zeros(2)
     worst = 0.0
-    for i in range(1, len(waves.t)):
-        h = float(waves.t[i] - waves.t[i - 1])
-        scheme = "be" if i == 1 else "trap"
-        comp = {"h": h, "prev": SysState(v=vn[i - 1], i_branch=ib[i - 1]),
+    schemes = set()
+    for a, b in zip(solved[:-1], solved[1:]):
+        h = float(waves.t[b] - waves.t[a])
+        scheme = "be" if a == 0 or b - a > 1 else "trap"
+        schemes.add(scheme)
+        comp = {"h": h, "prev": SysState(v=vn[a], i_branch=ib[a]),
                 "scheme": scheme}
         if scheme == "trap":
             comp["ic_prev"] = ic
-        _, f = assemble(circ, SysState(v=vn[i], i_branch=ib[i]),
-                        companion=comp, t=float(waves.t[i]))
+        _, f = assemble(circ, SysState(v=vn[b], i_branch=ib[b]),
+                        companion=comp, t=float(waves.t[b]))
         worst = max(worst, float(np.max(np.abs(f[:2]))))
         alpha = (1.0 if scheme == "be" else 2.0) / h
-        step_ic = alpha * Cm.dot(vn[i] - vn[i - 1])
+        step_ic = alpha * Cm.dot(vn[b] - vn[a])
         ic = step_ic - ic if scheme == "trap" else step_ic
+        w = (waves.t[a:b + 1] - waves.t[a]) / h
+        for rec in (vn, ib):
+            line = rec[a] + w[:, None] * (rec[b] - rec[a])
+            np.testing.assert_allclose(rec[a:b + 1], line, rtol=1e-12, atol=1e-15)
+        assert np.all(waves.resid_max[a + 1:b]
+                      == max(waves.resid_max[a], waves.resid_max[b]))
+    assert schemes == {"be", "trap"}
     assert worst < 1e-9
     assert waves.resid_max.max() < 1e-9
+
+
+def test_stepper_solves_few_samples_on_a_quiet_grid():
+    circ = elaborate(gen("cls"))
+    waves = transient(circ, circ.tran.tstep, circ.tran.tstop)
+    assert len(waves.t) == 30001
+    assert len(waves.solved) < len(waves.t) / 5
+    assert np.max(np.diff(waves.solved)) == 64
+
+
+def test_off_grid_corner_gets_a_single_step():
+    # td = 1.005 ns lies inside the grid interval [1.00, 1.01] ns; the rise
+    # corner at 1.505 ns and the fall corners sit inside intervals too.  The
+    # 1 uV pulse is too small for the error control to see its corners, so
+    # only the corner enumeration keeps the long steps from spanning them.
+    circ = _circ("rc, corners between grid points\n"
+                 "VIN in 0 PULSE(0 1u 1.005n 0.5n 0.5n 3n 10n)\n"
+                 "R1 in out 1k\nC1 out 0 1p\n.end\n")
+    waves = transient(circ, 10e-12, 30e-9)
+    solved = set(waves.solved.tolist())
+    for k in range(3):
+        for corner in (1.005, 1.505, 4.505, 5.005):
+            j = int((corner + 10 * k) * 100)  # interval [j, j+1] holds it
+            assert j in solved and j + 1 in solved, (k, corner)
+    # the source is exact at solved points and linear between them
+    vin = waves.node_v["in"]
+    want = [source_value(circ.sources[0].wave, float(t)) for t in waves.t]
+    np.testing.assert_allclose(vin, want, rtol=0, atol=1e-12)
+    assert np.max(np.diff(waves.solved)) == 64
+
+
+def test_pulse_faster_than_the_grid_steps_singly():
+    # a 1 fs period puts corners into every 10 ps interval; the enumeration
+    # must see that without listing the 200,000 periods (6.4 MB of corner
+    # times) and step one interval at a time
+    circ = _circ("rc, period far below the grid step\n"
+                 "VIN in 0 PULSE(0 1 0 0.2f 0.2f 0.2f 1f)\n"
+                 "R1 in out 1k\nC1 out 0 1p\n.end\n")
+    tracemalloc.start()
+    try:
+        waves = transient(circ, 10e-12, 200e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(waves.solved, np.arange(len(waves.t)))
+    assert peak < 2 * 2**20
+
+
+def test_backward_euler_scheme_keeps_the_grid():
+    circ = _circ(RC_STEP)
+    tr = transient(circ, 10e-12, 5e-9)
+    be = transient(circ, 10e-12, 5e-9, scheme="be")
+    assert np.array_equal(be.t, tr.t)
+    assert be.solved[0] == 0 and be.solved[-1] == len(be.t) - 1
+    assert be.resid_max.max() < 1e-9
 
 
 def test_inverter_switches_once_per_edge(inverter_power_run):
@@ -271,3 +343,7 @@ def test_transient_validation():
         transient(circ, 1e-9, 5e-9)
     with pytest.raises(ValueError, match="positive"):
         transient(circ, -1e-12, 1e-9)
+    with pytest.raises(ValueError, match="finite"):
+        transient(circ, 1e-12, float("inf"))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        transient(circ, 1e-12, 1e-3)

@@ -72,6 +72,8 @@ def test_pulse_source_parsing():
     ("M1 a b c d NCH W=1u L=1u Q=2", 4),     # unknown card parameter
     ("R1 a b -1k", 4),                       # non-positive value
     ("V1 in 0 PULSE(0 1 0 1n 1n 60n 50n)", 4),  # edges exceed period
+    ("V1 in 0 PULSE(0 1 0 1n 1n 1n 0)", 4),     # zero period
+    ("V1 in 0 DC 1e999", 4),                    # non-finite level
 ])
 def test_parse_errors_carry_line_numbers(line, lineno):
     text = "title\n" + MODELS + line + "\n.end\n"
