@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import SolverError, Waveforms, transient
+from .engine import SolverError, Waveforms, transient, transient_many
 from .measure import MeasureError, Report, characterize
 from .netlist import (ElaborationError, ParseError, elaborate, parse_netlist,
                       parse_seed_models, parse_value, serialize_netlist)
@@ -322,6 +322,26 @@ _SWEEP_PARAMS = ("vddh", "vddl", "vin_hi", "cload", "w_n_stacked")
 _SWEEP_COLUMNS = ("topology", "param", "value") + _BENCH_COLUMNS[1:]
 
 
+def _fill_sweep_row(row: BenchRow, p: TopoParams, circ, waves) -> None:
+    """Characterize one simulated sweep point (its Waveforms, or the
+    SolverError its transient failed with) into its row."""
+    try:
+        if isinstance(waves, SolverError):
+            raise waves
+        rep = characterize(circ, waves=waves)
+    except MeasureError as e:
+        row.status, row.note = "non-functional", str(e)
+        return
+    except SolverError as e:
+        row.status, row.note = "failed", str(e)
+        return
+    row.power_avg = rep.power_avg
+    row.power_static_avg = 0.5 * (rep.power_static_lo + rep.power_static_hi)
+    row.delay_max = rep.delay_max
+    row.swing_hi, row.swing_lo = rep.swing_hi, rep.swing_lo
+    row.status, row.note = _classify(rep, p.vddh)
+
+
 def cmd_sweep(args) -> int:
     topo = args.topology
     if topo not in TOPOLOGY_IDS:
@@ -337,33 +357,25 @@ def cmd_sweep(args) -> int:
         raise UsageError("--steps must be at least 2")
 
     seed = _seed_models()
-    rows = []
+    rows, points = [], []  # points: (row, params, circuit) of the valid values
     for v in np.linspace(args.sweep_from, args.sweep_to, args.steps):
         v = float(v)
         p = replace(TopoParams(), **{param: v})
         row = BenchRow(topo)
+        rows.append((v, row))
         try:
             validate_params(p)
         except ValueError as e:
             row.status, row.note = "invalid", str(e)
-            rows.append((v, row))
             continue
-        try:
-            rep = characterize(elaborate(gen(topo, p), base_models=seed))
-        except MeasureError as e:
-            row.status, row.note = "non-functional", str(e)
-            rows.append((v, row))
-            continue
-        except SolverError as e:
-            row.status, row.note = "failed", str(e)
-            rows.append((v, row))
-            continue
-        row.power_avg = rep.power_avg
-        row.power_static_avg = 0.5 * (rep.power_static_lo + rep.power_static_hi)
-        row.delay_max = rep.delay_max
-        row.swing_hi, row.swing_lo = rep.swing_hi, rep.swing_lo
-        row.status, row.note = _classify(rep, p.vddh)
-        rows.append((v, row))
+        points.append((row, p, elaborate(gen(topo, p), base_models=seed)))
+
+    if points:  # the points share their structure and grid: one batch
+        tran = points[0][2].tran
+        sims = transient_many([c for _, _, c in points], tran.tstep, tran.tstop)
+        for (row, p, circ), waves in zip(points, sims):
+            _fill_sweep_row(row, p, circ, waves)
+            del waves  # hold one point's grid at a time; the next is filled on demand
 
     fh = _out_stream(args.out)
     try:

@@ -201,7 +201,9 @@ def _core_eval(vgs, vds, vsb, vth0, n, kp, lam, eta, gamma, phi, w, l, c=None):
     qse = qs * etas
     gm = common * (qs[0] - qs[1])
     gds = common * (qse[0] - qse[1]) + ispec_lam * qq
-    dvte_dvsb = np.where(vsb > nhphi, gamma / (sphi + sphi), 0.0)
+    # d vte / d vsb, zero where vsb is clamped: gamma/(2 sphi) is finite and
+    # non-negative, so the mask product equals np.where(..., 0.0) exactly
+    dvte_dvsb = (gamma / (sphi + sphi)) * (vsb > nhphi)
     gmb = gm * dvte_dvsb
     return idrain, gm, gds, gmb
 
@@ -227,10 +229,14 @@ class MosCaps:
     csb: float
 
 
+def cap_lumps(p: MosParams, w: float, l: float) -> tuple:
+    """(gate lump cgs = cgd, junction lump cdb = csb) of one device."""
+    return 0.5 * p.cox_a * w * l + p.cov_w * w, p.cj_w * w
+
+
 def mosfet_caps(p: MosParams, w: float, l: float) -> MosCaps:
     """Bias-independent lumped capacitances for one device."""
-    cg = 0.5 * p.cox_a * w * l + p.cov_w * w
-    cj = p.cj_w * w
+    cg, cj = cap_lumps(p, w, l)
     return MosCaps(cgs=cg, cgd=cg, cdb=cj, csb=cj)
 
 

@@ -1,4 +1,5 @@
-"""Modified nodal analysis, Newton DC solves, and error-controlled implicit transient.
+"""Modified nodal analysis, Newton DC solves, and error-controlled implicit
+transient, for one circuit or a batch of circuits of one structure.
 
 Unknown vector layout: x = [node voltages (n), source branch currents (ns)].
 KCL rows hold the sum of currents leaving each node (a gmin conductance from
@@ -34,38 +35,63 @@ retried with halved substeps, up to 8 halvings deep.  The grid is capped at
 here are constant, so companions reduce to a fixed matrix alpha*C plus a
 history current.
 
-Stamp plan.  `_System` compiles each circuit once into flat arrays.  Per
-Newton iteration, `mos_currents` evaluates every MOSFET with one
-`_core_eval` call and writes a (5, M) buffer: the drain->source currents,
-then the conductance columns for the drain, gate, source and body nodes.
-`assemble` gathers that buffer through one precomputed index, multiplies by
-a sign vector, and scatters everything with a single `bincount` over
-n + N*N bins.  The first n bins are the device KCL currents of f; the rest
-is the device part of J, row-major, so J = base + bins[n:].reshape(N, N).
-The f entries come first and the J entries second, each in device order, so
-every bin sums its terms in a fixed order.
+Batches.  `_System` compiles B circuits that share their nodes, source
+terminals and MOSFET terminals (element values may differ, e.g. the points
+of a sweep) with a leading member axis: G and C are (B, N, N) and (B, n, n),
+device parameters (B, M).  The solvers are generators of Newton requests:
+the DC stages and each member's transient controller, with `step()` and its
+halving, yield (start, base matrix, constant part of f, trapezoidal history,
+iteration limit) and receive (x, iterations, residual, converged, reason).
+One driver, `_drive`, runs the requests of all live members in lock-step:
+each iteration is one `assemble` over every live member and one stacked
+`np.linalg.solve`, then per-member convergence, damping and iteration-limit
+checks.  A member whose request ends gets its result at once and joins the
+next iteration with its next request, so every member keeps its own step
+sequence.  A singular member makes the stacked solve raise; the iteration
+is then solved member by member, and only the singular one fails.  B = 1 is
+the only single-circuit path: `transient` and `dc_operating_point` are
+batches of one, and `transient_many` runs several.  During a batched
+transient members keep only their solved points; a member's grid is filled
+in when it is yielded.
+
+Stamp plan.  `_System` compiles each structure once into flat arrays.  Per
+Newton iteration, `mos_currents` evaluates the MOSFETs of every live member
+with one `_core_eval` call and writes a (5, L*M) buffer: the drain->source
+currents, then the conductance columns for the drain, gate, source and body
+nodes.  `assemble` gathers that buffer through one precomputed index,
+multiplies by a sign vector, and scatters everything with a single
+`bincount` over L*(n + N*N) bins.  The bins are member-major: member p owns
+bins p*(n + N*N) onward, its first n bins being the device KCL currents of
+f and the rest the device part of J, row-major, so f and J are reshape
+views of the bin array.  Within a member the f entries come first and the J
+entries second, each in device order, so every bin sums its terms in a
+fixed order, the same for every batch size.
 
 Exact rewrites only.  The transient output, and hence `bench --format csv`,
-is byte-deterministic and compared across versions, so edits to this hot
-path (`_core_eval`, `mos_currents`, `assemble`, `newton`) must perform the
-same floating-point operations in the same order.  Allowed: hoisting a
-left-to-right leading product (`ispec*lam*qq` -> `(ispec*lam)*qq`),
+is byte-deterministic and compared across versions, and a member of any
+batch must produce exactly the bits of its lone run.  Edits to the hot path
+(`_core_eval`, `mos_currents`, `assemble`, `_drive`) must perform
+the same floating-point operations in the same order.  Allowed: hoisting a
+left-to-right leading product (`ispec*lam*qq` -> `(ispec*lam)*qq`) or a
+per-request term (alpha*C*v_prev once per request instead of per iteration),
 `2.0*x` -> `x+x`, `(y*2.0)*a` -> `y*(2a)`, stacking elementwise operations
-into one array, and skipping an operation that is the identity on the values
-it meets (clipping an update already inside the clamp).  Not allowed:
-reordering sums or products (`ispec*qq*mlam` -> `(ispec*mlam)*qq`),
-algebraic identities that change rounding (sigma as e/(1+e)), or BLAS for
-the scatter.
+into one array (over members too: the elementwise kernels, the stacked
+matmul and the stacked solve give each member the bits of its own call),
+and skipping an operation that is the identity on the values it meets
+(clipping an update already inside the clamp, subtracting a zero history).
+Not allowed: reordering sums or products (`ispec*qq*mlam` ->
+`(ispec*mlam)*qq`), algebraic identities that change rounding (sigma as
+e/(1+e)), or BLAS for the scatter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .devmodel import _core_eval, _eval_consts, mosfet_caps, source_value
+from .devmodel import _core_eval, _eval_consts, cap_lumps, source_value
 from .netlist import Circuit
 
 GMIN_DEFAULT = 1e-12
@@ -115,63 +141,98 @@ class Waveforms:
     solved: np.ndarray | None = None     # grid indices that are solver states
 
 
+def _structure(c: Circuit) -> tuple:
+    """What the members of one batch share: the node count, the source
+    terminals and the MOSFET terminals and polarities.  Element values may
+    differ, and so may resistors and capacitors, which stamp into per-member
+    matrices."""
+    return (c.n_nodes, tuple((s.p, s.m) for s in c.sources),
+            tuple((m.d, m.g, m.s, m.b, m.params.polarity) for m in c.mosfets))
+
+
+def _stamp(idx: list, val: list, size: int, a: int, b: int, v: float) -> None:
+    """Append the stamp of a two-terminal value v between nodes a and b
+    (-1 = ground) to the flat entries idx and values val of a size x size
+    matrix."""
+    if a >= 0:
+        idx.append(a * size + a); val.append(v)
+    if b >= 0:
+        idx.append(b * size + b); val.append(v)
+    if a >= 0 and b >= 0:
+        idx += (a * size + b, b * size + a); val += (-v, -v)
+
+
+def _dense(idx: list, val: list, size: int) -> np.ndarray:
+    """The matrix of the stamped entries; bincount sums each entry's terms
+    in stamping order."""
+    return np.bincount(np.array(idx, dtype=np.intp), weights=np.array(val, dtype=float),
+                       minlength=size * size).reshape(size, size)
+
+
+def _linear_matrices(circuit: Circuit, n: int, N: int):
+    """(G, C): resistor conductances plus voltage-source incidence over all N
+    unknowns, and the node capacitance matrix (n x n).  Each entry sums its
+    terms in card order."""
+    gi, gv = [], []
+    for r in circuit.resistors:
+        _stamp(gi, gv, N, r.a, r.b, 1.0 / r.value)
+    for k, s in enumerate(circuit.sources):
+        row = n + k
+        if s.p >= 0:
+            gi += (s.p * N + row, row * N + s.p); gv += (1.0, 1.0)
+        if s.m >= 0:
+            gi += (s.m * N + row, row * N + s.m); gv += (-1.0, -1.0)
+    ci, cv = [], []
+    for cap in circuit.caps:
+        _stamp(ci, cv, n, cap.a, cap.b, cap.value)
+    for m in circuit.mosfets:
+        cg, cj = cap_lumps(m.params, m.w, m.l)
+        _stamp(ci, cv, n, m.g, m.s, cg)
+        _stamp(ci, cv, n, m.g, m.d, cg)
+        _stamp(ci, cv, n, m.d, m.b, cj)
+        _stamp(ci, cv, n, m.s, m.b, cj)
+    return _dense(gi, gv, N), _dense(ci, cv, n)
+
+
+_MOS_FIELDS = ("vth0", "n_slope", "kp", "lam", "eta_dibl", "gamma_body", "phi_s")
+
+
 class _System:
-    """Compiled stamping plan for one circuit."""
+    """Compiled stamping plan for a batch of circuits of one structure.
 
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        n = circuit.n_nodes
-        ns = len(circuit.sources)
+    Matrices and device parameters carry a leading member axis; `live`
+    selects the members that `mos_currents` and `assemble` work on."""
+
+    def __init__(self, circuits):
+        if isinstance(circuits, Circuit):
+            circuits = [circuits]
+        circuits = list(circuits)
+        if not circuits:
+            raise ValueError("a batch needs at least one circuit")
+        shape = _structure(circuits[0]) if len(circuits) > 1 else None
+        for j, c in enumerate(circuits[1:], 1):
+            if _structure(c) != shape:
+                raise ValueError(
+                    f"circuit {j} ({c.title!r}) differs in structure from circuit 0 "
+                    f"({circuits[0].title!r}): a batch must share its nodes, source "
+                    f"terminals and MOSFET terminals and polarities")
+        self.circuits = circuits
+        c0 = circuits[0]
+        n = c0.n_nodes
+        ns = len(c0.sources)
         N = n + ns
-        self.n, self.ns, self.N = n, ns, N
+        B = len(circuits)
+        self.B, self.n, self.ns, self.N = B, n, ns, N
 
-        G = np.zeros((N, N))
-        for r in circuit.resistors:
-            g = 1.0 / r.value
-            if r.a >= 0:
-                G[r.a, r.a] += g
-            if r.b >= 0:
-                G[r.b, r.b] += g
-            if r.a >= 0 and r.b >= 0:
-                G[r.a, r.b] -= g
-                G[r.b, r.a] -= g
-        for k, s in enumerate(circuit.sources):
-            row = n + k
-            if s.p >= 0:
-                G[s.p, row] += 1.0
-                G[row, s.p] += 1.0
-            if s.m >= 0:
-                G[s.m, row] -= 1.0
-                G[row, s.m] -= 1.0
-        self.G = G
-        self.waves = [s.wave for s in circuit.sources]
-
-        C = np.zeros((n, n))
-
-        def stamp_c(a, b, c):
-            if a >= 0:
-                C[a, a] += c
-            if b >= 0:
-                C[b, b] += c
-            if a >= 0 and b >= 0:
-                C[a, b] -= c
-                C[b, a] -= c
-
-        for cap in circuit.caps:
-            stamp_c(cap.a, cap.b, cap.value)
-        for m in circuit.mosfets:
-            mc = mosfet_caps(m.params, m.w, m.l)
-            stamp_c(m.g, m.s, mc.cgs)
-            stamp_c(m.g, m.d, mc.cgd)
-            stamp_c(m.d, m.b, mc.cdb)
-            stamp_c(m.s, m.b, mc.csb)
-        self.C = C
-        self.Cext = np.zeros((N, N))
-        self.Cext[:n, :n] = C
+        G, C = zip(*[_linear_matrices(c, n, N) for c in circuits])
+        self.G, self.C = np.array(G), np.array(C)
+        self.Cext = np.zeros((B, N, N))
+        self.Cext[:, :n, :n] = self.C
+        self.waves = [[s.wave for s in c.sources] for c in circuits]
 
         # MOSFET evaluation arrays; ground is mapped to the spare slot n of a
-        # voltage gather buffer whose last entry stays 0.
-        mos = circuit.mosfets
+        # member's row in a voltage gather buffer whose last column stays 0.
+        mos = c0.mosfets
         M = len(mos)
         self.M = M
         gidx = lambda i: i if i >= 0 else n
@@ -180,21 +241,11 @@ class _System:
             dtype=np.intp,
         ).reshape(M, 4).T.copy()
         self.m_sgn = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in mos])
-        getp = lambda f: np.array([getattr(m.params, f) for m in mos])
-        self.p_vth0 = getp("vth0")
-        self.p_n = getp("n_slope")
-        self.p_kp = getp("kp")
-        self.p_lam = getp("lam")
-        self.p_eta = getp("eta_dibl")
-        self.p_gamma = getp("gamma_body")
-        self.p_phi = getp("phi_s")
-        self.m_w = np.array([m.w for m in mos])
-        self.m_l = np.array([m.l for m in mos])
-        self.c_eval = _eval_consts(self.p_n, self.p_kp, self.p_lam, self.p_eta,
-                                   self.p_gamma, self.p_phi, self.m_w, self.m_l)
-        self._vbuf = np.zeros(n + 1)
-        self._mbuf = np.zeros((5, M))
-        self._src_cache = (None, None, None)
+        # (9, B, M): the seven model parameters, then w and l
+        ms = [m for c in circuits for m in c.mosfets]
+        self._p = np.array([getattr(m.params, f) for f in _MOS_FIELDS for m in ms]
+                           + [m.w for m in ms] + [m.l for m in ms]).reshape(9, B, M)
+        self._c = _eval_consts(*self._p[1:])
 
         # One stamp plan over the flattened (5, M) device buffer and n + N*N
         # accumulator bins (f rows, then J row-major).  The f part comes
@@ -219,20 +270,51 @@ class _System:
         self.s_bin = np.array(bins, dtype=np.intp)
         self.s_sgn = np.array(sgn)
         self.n_bins = n + N * N
+        self.live(range(B))
+
+    def live(self, members) -> None:
+        """Make `mos_currents` and `assemble` work on `members`, a list of
+        member indices.  Their devices form one array of len(members)*M, and
+        their bins are member-major, each member's in the one-member order,
+        so every member sums the same terms in the same order as alone."""
+        members = list(members)
+        self.members = members
+        L, M, n = len(members), self.M, self.n
+        rows = slice(None) if members == list(range(self.B)) else members
+        (self.p_vth0, self.p_n, self.p_kp, self.p_lam, self.p_eta, self.p_gamma,
+         self.p_phi, self.m_w, self.m_l) = self._p[:, rows].reshape(9, L * M)
+        nhphi, sqphi, a, a2, etas, ispec, ispec_lam = self._c
+        flat = lambda arr: arr[rows].reshape(L * M)
+        self.c_eval = (flat(nhphi), flat(sqphi), flat(a), flat(a2),
+                       etas[:, rows].reshape(2, L * M), flat(ispec), flat(ispec_lam))
+        self._vbuf = np.zeros((L, n + 1))
+        self._mbuf = np.zeros((5, L * M))
+        if L == 1:  # member offsets are all zero
+            self._gidx, self._msgn = self.g_idx4, self.m_sgn
+            self._gather, self._bin, self._sgn = self.s_gather, self.s_bin, self.s_sgn
+            return
+        at = np.arange(L)[:, None]
+        self._gidx = (self.g_idx4[:, None, :] + (n + 1) * at).reshape(4, L * M)
+        self._msgn = np.tile(self.m_sgn, L)
+        comp, k = np.divmod(self.s_gather, M)
+        self._gather = (comp * (L * M) + k + M * at).reshape(-1)
+        self._bin = (self.s_bin + self.n_bins * at).reshape(-1)
+        self._sgn = np.tile(self.s_sgn, L)
 
     # -- device evaluation ------------------------------------------------
 
     def mos_currents(self, v: np.ndarray) -> np.ndarray:
-        """Evaluate all MOSFETs at node voltages v.  Returns a (5, M) buffer,
-        overwritten by the next call: row 0 holds the physical drain->source
-        currents, rows 1..4 the conductances w.r.t. the drain, gate, source
-        and body node voltages."""
+        """Evaluate the live members' MOSFETs at node voltages v (one row of
+        n per live member).  Returns a (5, L*M) buffer, overwritten by the
+        next call: row 0 holds the physical drain->source currents, rows 1..4
+        the conductances w.r.t. the drain, gate, source and body node
+        voltages; member p's devices are columns p*M .. p*M+M-1."""
         out = self._mbuf
         if self.M == 0:
             return out
         buf = self._vbuf
-        buf[: self.n] = v
-        vt = buf[self.g_idx4] * self.m_sgn
+        buf[:, : self.n] = v
+        vt = buf.reshape(-1)[self._gidx] * self._msgn
         vd, vg, vs, vb = vt[0], vt[1], vt[2], vt[3]
         hi = np.maximum(vd, vs)
         lo = np.minimum(vd, vs)
@@ -247,8 +329,8 @@ class _System:
         # of the drain and source columns and flips the gate/body signs
         gmb_gm = gm + gmb
         msw = swap * gmb_gm
-        sflip = 1.0 - 2.0 * swap
-        np.multiply(idn, sflip * self.m_sgn, out=out[0])
+        sflip = np.where(swap, -1.0, 1.0)
+        np.multiply(idn, sflip * self._msgn, out=out[0])
         np.add(gds, msw, out=out[1])                # d column: gds | gsum
         np.multiply(gm, sflip, out=out[2])          # g column: gm | -gm
         np.subtract(msw, gmb_gm + gds, out=out[3])  # s column: -gsum | -gds
@@ -257,82 +339,205 @@ class _System:
 
     # -- assembly ----------------------------------------------------------
 
-    def source_vector(self, t: float, scale: float = 1.0) -> np.ndarray:
-        ct, cs, cv = self._src_cache
-        if ct == t and cs == scale:
-            return cv
-        v = np.array([scale * source_value(w, t) for w in self.waves])
-        self._src_cache = (t, scale, v)
-        return v
+    def rhs(self, t: float, scale: float = 1.0, j: int = 0, hist=None) -> np.ndarray:
+        """Member j's constant part of f: the companion history alpha*C*v_prev
+        on the node rows (zeros for DC, which subtract exactly) and the
+        source values, scaled, on the source rows."""
+        r = np.empty(self.N)
+        r[: self.n] = 0.0 if hist is None else hist
+        r[self.n:] = [scale * source_value(w, t) for w in self.waves[j]]
+        return r
 
-    def base_matrix(self, gmin: float, alpha: float = 0.0) -> np.ndarray:
-        base = self.G + alpha * self.Cext
+    def base_matrix(self, gmin: float, alpha: float = 0.0, j: int = 0) -> np.ndarray:
+        """Member j's linear part: G + alpha*C + gmin on the node diagonal."""
+        base = self.G[j] + alpha * self.Cext[j]
         idx = np.arange(self.n)
         base[idx, idx] += gmin
         return base
 
-    def assemble(self, x, t, gmin, base, alpha=0.0, v_prev=None, ic_prev=None,
-                 src_scale=1.0):
-        """Return (J, f) at state vector x.  `base` must be
-        base_matrix(gmin, alpha); alpha=0 means no companion (DC)."""
+    def assemble(self, x, base, rhs, ic=None):
+        """Return (J, f) of the live members, stacked: x is (L, N), base
+        (L, N, N) rows of base_matrix, rhs (L, N) rows of `rhs`, and ic the
+        trapezoidal history currents (L, n), or None."""
         n = self.n
-        f = base.dot(x)
-        f[n:] -= self.source_vector(t, src_scale)
-        if alpha != 0.0:
-            f[:n] -= alpha * self.C.dot(v_prev)
-            if ic_prev is not None:
-                f[:n] -= ic_prev
+        if len(x) == 1:  # one member: 1-D views and dot, cheaper and bitwise equal
+            x1, b1 = x[0], base[0]
+            f = b1.dot(x1)
+            f -= rhs[0]
+            if ic is not None:
+                f[:n] -= ic[0]
+            if not self.M:
+                return base.copy(), f[None]
+            dev = self.mos_currents(x1[:n]).reshape(-1)
+            acc = np.bincount(self._bin, weights=self._sgn * dev[self._gather],
+                              minlength=self.n_bins)
+            f[:n] += acc[:n]
+            return (b1 + acc[n:].reshape(self.N, self.N))[None], f[None]
+        f = np.matmul(base, x[:, :, None])[:, :, 0]
+        f -= rhs
+        if ic is not None:
+            f[:, :n] -= ic
         if not self.M:
             return base.copy(), f
-        dev = self.mos_currents(x[:n]).ravel()
-        acc = np.bincount(self.s_bin, weights=self.s_sgn * dev[self.s_gather],
-                          minlength=self.n_bins)
-        f[:n] += acc[:n]
-        return base + acc[n:].reshape(self.N, self.N), f
+        dev = self.mos_currents(x[:, :n]).reshape(-1)
+        acc = np.bincount(self._bin, weights=self._sgn * dev[self._gather],
+                          minlength=len(x) * self.n_bins).reshape(len(x), self.n_bins)
+        f[:, :n] += acc[:, :n]
+        return base + acc[:, n:].reshape(base.shape), f
 
-    def cap_current(self, alpha, v_new, v_prev, ic_prev):
-        ic = alpha * self.C.dot(v_new - v_prev)
-        if ic_prev is not None:
-            ic -= ic_prev
-        return ic
-
-    # -- Newton ------------------------------------------------------------
-
-    def newton(self, x0, t, gmin, base, opts: SolveOptions, alpha=0.0,
-               v_prev=None, ic_prev=None, src_scale=1.0, max_iter=None):
-        """Damped Newton from x0.  Returns (x, iterations, residual_max,
-        converged, failure_reason)."""
-        n = self.n
-        x = x0.copy()
-        dv_ok = False
-        limit = max_iter if max_iter is not None else opts.max_iter
-        resmax = np.inf
-        for it in range(1, limit + 1):
-            J, f = self.assemble(x, t, gmin, base, alpha, v_prev, ic_prev, src_scale)
-            resmax = float(np.maximum.reduce(np.abs(f[:n]))) if n else 0.0
-            if dv_ok and resmax < opts.abstol:
-                return x, it, resmax, True, ""
-            try:
-                dx = np.linalg.solve(J, -f)
-            except np.linalg.LinAlgError:
-                return x, it, resmax, False, "singular Jacobian (check for floating nodes)"
-            if not np.logical_and.reduce(np.isfinite(dx)):
-                return x, it, resmax, False, "non-finite Newton update"
-            dvmax = float(np.maximum.reduce(np.abs(dx[:n]))) if n else 0.0
-            if resmax < opts.abstol and dvmax < opts.vntol:
-                x += dx  # residual and update both inside tolerance: accept now
-                return x, it, resmax, True, ""
-            if dvmax > opts.vclamp:
-                np.clip(dx[:n], -opts.vclamp, opts.vclamp, out=dx[:n])
-            x += dx
-            dv_ok = dvmax < opts.vntol
-        return x, limit, resmax, False, "iteration limit"
-
-    def worst_node(self, x, t, gmin, src_scale=1.0) -> str:
+    def worst_node(self, x, t, gmin, src_scale=1.0, j=0) -> str:
+        """Name of member j's node with the largest KCL residual at x."""
         if self.n == 0:
             return "<none>"
-        _, f = self.assemble(x, t, gmin, self.base_matrix(gmin), src_scale=src_scale)
-        return self.circuit.node_names[int(np.argmax(np.abs(f[: self.n])))]
+        live = self.members
+        self.live([j])
+        _, f = self.assemble(x[None], self.base_matrix(gmin, j=j)[None],
+                             self.rhs(t, src_scale, j)[None])
+        self.live(live)
+        return self.circuits[j].node_names[int(np.argmax(np.abs(f[0, : self.n])))]
+
+
+# -- Newton ------------------------------------------------------------------
+#
+# Solvers are generators of Newton requests.  A request is the tuple
+# (x0, base, rhs, ic, max_iter): the start, the member's base matrix and
+# `rhs`, its trapezoidal history current (or None) and the iteration limit.
+# The generator receives (x, iterations, residual_max, converged,
+# failure_reason) back, and finally returns its result or raises SolverError.
+
+_SINGULAR = "singular Jacobian (check for floating nodes)"
+
+
+def _solve_each(J, f):
+    """The Newton updates -J^-1 f of stacked systems one at a time, after the
+    stacked solve found a singular J, and the set of the singular rows."""
+    dx = np.full_like(f, np.nan)
+    bad = set()
+    for q in range(len(f)):
+        try:
+            dx[q] = np.linalg.solve(J[q], -f[q])
+        except np.linalg.LinAlgError:
+            bad.add(q)
+    return dx, bad
+
+
+def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
+    """Run the Newton requests of the members' generators (None for a member
+    that does not take part) in lock-step until every generator has ended.
+    Returns each member's return value, or the SolverError it raised.
+
+    Each iteration assembles every live member with one `assemble` call and
+    solves them with one stacked solve; per member it applies damped Newton:
+    converged when both max|dv| < vntol and the worst KCL residual is below
+    abstol, node updates clamped to +/-vclamp.  A member whose request ends
+    gets its result at once and joins the next iteration with its next
+    request, so it does the same arithmetic as it would alone."""
+    n, N = sys_.n, sys_.N
+    abstol, vntol, vclamp = opts.abstol, opts.vntol, opts.vclamp
+    absolute, isfinite = np.abs, math.isfinite
+    out = [None] * len(gens)
+    live = [j for j, g in enumerate(gens) if g is not None]
+    L = len(live)
+    if not L:
+        return out
+    X, BASE, R, IC = np.empty((L, N)), np.empty((L, N, N)), np.empty((L, N)), np.empty((L, n))
+    has_ic = [False] * L
+    start, stop, dv_ok = [0] * L, [0] * L, [False] * L
+    ends = [(p, None) for p in range(L)]  # (row, result for its generator)
+    k = 0  # iterations so far
+    while True:
+        if ends:
+            gone = []
+            for p, result in ends:
+                gen = gens[live[p]]
+                while True:
+                    try:
+                        req = gen.send(result)
+                    except StopIteration as e:
+                        out[live[p]], req = e.value, None
+                    except SolverError as e:
+                        out[live[p]], req = e, None
+                    if req is None or req[4] >= 1:
+                        break
+                    result = (req[0].copy(), req[4], np.inf, False, "iteration limit")
+                if req is None:
+                    gone.append(p)
+                    continue
+                x0, base, rhs, ic, limit = req
+                X[p] = x0
+                if L == 1:  # one member: views, which nothing writes through
+                    BASE, R = base[None], rhs[None]
+                else:
+                    BASE[p], R[p] = base, rhs
+                if ic is not None or has_ic[p]:
+                    IC[p] = 0.0 if ic is None else ic  # a zero row subtracts exactly
+                    has_ic[p] = ic is not None
+                start[p], stop[p], dv_ok[p] = k, k + limit, False
+            if gone:
+                keep = [p for p in range(L) if p not in gone]
+                if not keep:
+                    return out
+                live = [live[p] for p in keep]
+                X, BASE, R, IC = X[keep], BASE[keep], R[keep], IC[keep]
+                has_ic = [has_ic[p] for p in keep]
+                start, stop = [start[p] for p in keep], [stop[p] for p in keep]
+                dv_ok = [dv_ok[p] for p in keep]
+                L = len(live)
+            if live != sys_.members:
+                sys_.live(live)
+            use_ic = IC if True in has_ic else None
+            ends = []
+
+        k += 1
+        J, F = sys_.assemble(X, BASE, R, use_ic)
+        res = absolute(F[:, :n]).max(1).tolist() if n else [0.0] * L
+        todo = range(L)
+        if True in dv_ok:  # converged: the last update and this residual are small
+            todo = []
+            for p in range(L):
+                if dv_ok[p] and res[p] < abstol:
+                    ends.append((p, (X[p].copy(), k - start[p], res[p], True, "")))
+                else:
+                    todo.append(p)
+            if not todo:
+                continue
+            if len(todo) < L:
+                J, F = J[todo], F[todo]
+        try:  # one member: the vector solve is cheaper and bitwise equal
+            DX, bad = (np.linalg.solve(J[0], -F[0])[None] if len(F) == 1 else
+                       np.linalg.solve(J, -F[:, :, None])[:, :, 0]), ()
+        except np.linalg.LinAlgError:
+            DX, bad = _solve_each(J, F)
+        A = absolute(DX)
+        amax = A.max(1).tolist() if N else [0.0] * len(A)  # NaN and inf propagate
+        dvm = A[:, :n].max(1).tolist() if n else [0.0] * len(A)
+        moved, post, clamp = [], [], False
+        for q, p in enumerate(todo):
+            if q in bad or not isfinite(amax[q]):
+                why = _SINGULAR if q in bad else "non-finite Newton update"
+                ends.append((p, (X[p].copy(), k - start[p], res[p], False, why)))
+                continue
+            moved.append(q)
+            dv = dvm[q]
+            if dv > vclamp:
+                clamp = True
+            if res[p] < abstol and dv < vntol:
+                post.append((p, True, ""))  # residual and update both inside tolerance
+            else:
+                dv_ok[p] = dv < vntol
+                if k == stop[p]:
+                    post.append((p, False, "iteration limit"))
+        if not moved:
+            continue
+        if clamp:  # clip, the identity on updates inside the clamp
+            dv = DX[:, :n]
+            np.maximum(np.minimum(dv, vclamp, out=dv), -vclamp, out=dv)
+        if len(moved) == L:
+            X += DX
+        else:
+            X[[todo[q] for q in moved]] += DX[moved]
+        for p, ok, why in post:
+            ends.append((p, (X[p].copy(), k - start[p], res[p], ok, why)))
 
 
 def _state_from_vector(sys_: _System, x: np.ndarray) -> SysState:
@@ -349,10 +554,10 @@ def assemble(circuit: Circuit, state: SysState, companion: dict | None = None,
     the step start; required history for trapezoidal, zeros by default).
     """
     sys_ = _System(circuit)
-    x = state.as_vector()
+    x = state.as_vector()[None]
     if companion is None:
-        base = sys_.base_matrix(gmin)
-        return sys_.assemble(x, t, gmin, base)
+        J, f = sys_.assemble(x, sys_.base_matrix(gmin)[None], sys_.rhs(t)[None])
+        return J[0], f[0]
     h = companion["h"]
     scheme = companion.get("scheme", "trap")
     if scheme not in ("trap", "be"):
@@ -362,11 +567,55 @@ def assemble(circuit: Circuit, state: SysState, companion: dict | None = None,
     ic_prev = companion.get("ic_prev")
     if scheme == "trap" and ic_prev is None:
         ic_prev = np.zeros(sys_.n)
-    base = sys_.base_matrix(gmin, alpha)
-    return sys_.assemble(x, t, gmin, base, alpha, prev.v, ic_prev)
+    J, f = sys_.assemble(x, sys_.base_matrix(gmin, alpha)[None],
+                         sys_.rhs(t, hist=alpha * sys_.C[0].dot(prev.v))[None],
+                         None if ic_prev is None else ic_prev[None])
+    return J[0], f[0]
 
 
 _GMIN_LADDER = tuple(10.0 ** -k for k in range(3, 13))  # 1e-3 .. 1e-12
+
+
+def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
+                 t: float, x0: np.ndarray | None):
+    """Member j's DC operating point as a generator of Newton requests:
+    plain Newton, then gmin stepping, then source stepping.  Returns an
+    OpPoint; raises SolverError when every strategy fails."""
+    lim = opts.max_iter
+    rhs = sys_.rhs(t, j=j)
+    start = x0 if x0 is not None else np.zeros(sys_.N)
+    x, it, res, ok, _ = yield (start, sys_.base_matrix(gmin, j=j), rhs, None, lim)
+    total = it
+    if ok:
+        return OpPoint(_state_from_vector(sys_, x), res, total, "none")
+
+    ladder = [g for g in _GMIN_LADDER if g > gmin] + [gmin]
+    x = np.zeros(sys_.N)
+    ok_ladder = True
+    for g in ladder:
+        x, it, res, ok, _ = yield (x, sys_.base_matrix(g, j=j), rhs, None, lim)
+        total += it
+        if not ok:
+            ok_ladder = False
+            break
+    if ok_ladder:
+        return OpPoint(_state_from_vector(sys_, x), res, total, "gmin")
+
+    x = np.zeros(sys_.N)
+    base = sys_.base_matrix(gmin, j=j)
+    for frac in np.linspace(0.05, 1.0, 20):
+        x, it, res, ok, why = yield (x, base, sys_.rhs(t, float(frac), j), None, lim)
+        total += it
+        if not ok:
+            circuit = sys_.circuits[j]
+            hint = f"; {'; '.join(circuit.warnings)}" if circuit.warnings else ""
+            raise SolverError(
+                f"DC operating point did not converge: plain Newton, gmin and "
+                f"source stepping all failed ({why} at source scale {frac:.2f}; "
+                f"largest residual at node "
+                f"{sys_.worst_node(x, t, gmin, float(frac), j)!r}{hint})"
+            )
+    return OpPoint(_state_from_vector(sys_, x), res, total, "source")
 
 
 def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
@@ -379,47 +628,18 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
     """
     opts = opts or SolveOptions()
     sys_ = _System(circuit)
-    start = x0.copy() if x0 is not None else np.zeros(sys_.N)
-
-    base = sys_.base_matrix(gmin)
-    x, it, res, ok, _ = sys_.newton(start, t, gmin, base, opts)
-    total = it
-    if ok:
-        return OpPoint(_state_from_vector(sys_, x), res, total, "none")
-
-    ladder = [g for g in _GMIN_LADDER if g > gmin] + [gmin]
-    x = np.zeros(sys_.N)
-    ok_ladder = True
-    for g in ladder:
-        base = sys_.base_matrix(g)
-        x, it, res, ok, _ = sys_.newton(x, t, g, base, opts)
-        total += it
-        if not ok:
-            ok_ladder = False
-            break
-    if ok_ladder:
-        return OpPoint(_state_from_vector(sys_, x), res, total, "gmin")
-
-    x = np.zeros(sys_.N)
-    base = sys_.base_matrix(gmin)
-    for frac in np.linspace(0.05, 1.0, 20):
-        x, it, res, ok, why = sys_.newton(x, t, gmin, base, opts, src_scale=float(frac))
-        total += it
-        if not ok:
-            hint = f"; {'; '.join(circuit.warnings)}" if circuit.warnings else ""
-            raise SolverError(
-                f"DC operating point did not converge: plain Newton, gmin and "
-                f"source stepping all failed ({why} at source scale {frac:.2f}; "
-                f"largest residual at node "
-                f"{sys_.worst_node(x, t, gmin, float(frac))!r}{hint})"
-            )
-    return OpPoint(_state_from_vector(sys_, x), res, total, "source")
+    (op,) = _drive(sys_, [_dc_requests(sys_, 0, opts, gmin, t, x0)], opts)
+    if isinstance(op, SolverError):
+        raise op
+    return op
 
 
 _MAX_HALVINGS = 8
 _MAX_GRID_STEPS = 1_000_000  # grid intervals; bounds every waveform allocation
 _MAX_MULT = 64               # longest step, in grid intervals
 _LTE_TOL = 1e-5              # V, per-step error target of the step control
+_FILL_ROWS = 512             # grid rows interpolated per block
+_BLOCK = 128                 # solved points recorded per block
 
 
 def _corner_intervals(waves, n_steps: int, tstep: float, tstop: float) -> list:
@@ -442,17 +662,142 @@ def _corner_intervals(waves, n_steps: int, tstep: float, tstop: float) -> list:
     return np.unique(np.concatenate(marks)).tolist()
 
 
-def transient(circuit: Circuit, tstep: float, tstop: float,
-              scheme: str = "trap", ic: OpPoint | str = "auto",
-              opts: SolveOptions | None = None,
-              gmin: float = GMIN_DEFAULT) -> Waveforms:
-    """Implicit transient analysis on the uniform grid 0, tstep, ..., tstop.
+class _Stepper:
+    """Member j's transient as a generator of Newton requests (`run`)."""
 
-    Steps span 1 to 64 grid intervals under local-error control (see the
-    module docstring); samples between solved points are linear
-    interpolations, and `Waveforms.solved` lists the grid indices that are
-    solver states.  The initial condition is the DC operating point at the
-    sources' initial values unless an OpPoint is passed explicitly.
+    def __init__(self, sys_: _System, j: int, t: np.ndarray, scheme: str,
+                 opts: SolveOptions, gmin: float):
+        self.sys, self.j, self.t, self.scheme, self.gmin = sys_, j, t, scheme, gmin
+        self.C = sys_.C[j]
+        self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving
+        self.bases: dict = {}  # alpha -> base matrix
+
+    def step(self, x_from, ic_from, t0, t1, use_trap, depth, guess=None):
+        """One implicit step t0 -> t1, halving on failure.  Returns
+        (x, ic, worst accepted residual)."""
+        n = self.sys.n
+        h = t1 - t0
+        alpha = 2.0 / h if use_trap else 1.0 / h
+        ic_hist = ic_from if use_trap else None
+        base = self.bases.get(alpha)
+        if base is None:
+            base = self.bases[alpha] = self.sys.base_matrix(self.gmin, alpha, self.j)
+        rhs = self.sys.rhs(t1, 1.0, self.j, alpha * self.C.dot(x_from[:n]))
+        starts = (guess, x_from) if guess is not None else (x_from,)
+        for start in starts:
+            x_new, _, res, ok, _ = yield (start, base, rhs, ic_hist, self.iters)
+            if ok:
+                ic_new = alpha * self.C.dot(x_new[:n] - x_from[:n])
+                if ic_hist is not None:
+                    ic_new -= ic_hist
+                return x_new, ic_new, res
+        if depth >= _MAX_HALVINGS:
+            raise SolverError(
+                f"transient step at t={t1:.6g}s failed to converge after "
+                f"{_MAX_HALVINGS} halvings (min substep {h:.3g}s)"
+            )
+        tm = 0.5 * (t0 + t1)
+        x_mid, ic_mid, r1 = yield from self.step(x_from, ic_from, t0, tm, use_trap, depth + 1)
+        x_new, ic_new, r2 = yield from self.step(x_mid, ic_mid, tm, t1, use_trap, depth + 1)
+        return x_new, ic_new, max(r1, r2)
+
+    def run(self, op: OpPoint, corners: list):
+        """Step from `op` over the grid; returns the solved grid indices,
+        the states there and their residuals."""
+        n, t = self.sys.n, self.t
+        n_steps = len(t) - 1
+        x = op.state.as_vector()
+        # the solved points in blocks of (grid indices, states, residuals);
+        # each block starts with the last point of the one before
+        ib, xb, rb = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
+        ib[0], xb[0], rb[0] = 0, x, op.residual_max
+        blocks, nb = [(ib, xb, rb)], 1
+        ic_cur = np.zeros(n)  # capacitor currents at the current solved point
+        hist = [(0.0, x[:n])]  # (t, v) of the last solved points since the last corner
+        x_last, h_last = None, 0.0
+        i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
+        while i < n_steps:
+            while corners[c] < i:
+                c += 1
+            at_corner = corners[c] == i
+            k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
+            t0, t1 = t[i], t[i + k]
+            guess = None if x_last is None else x + (x - x_last) * ((t1 - t0) / h_last)
+            x_new, ic_new, res = yield from self.step(
+                x, ic_cur, t0, t1, k == 1 and self.scheme == "trap" and i > 0, 0, guess)
+            v = x_new[:n]
+            if at_corner:
+                hist, m = [(t1, v)], 1
+            else:
+                grow = k  # no estimate yet: hold the step
+                if len(hist) == 2 and n:
+                    (ta, va), (tb, vb) = hist
+                    dd2 = ((v - vb) / (t1 - tb) - (vb - va) / (tb - ta)) / (t1 - ta)
+                    r = (t1 - t0) ** 2 * float(np.abs(dd2).max()) / _LTE_TOL
+                    if r > 1.0 and k > 1:
+                        m = k // 2  # reject: retry from the same point, half the step
+                        continue
+                    grow = min(2 * k, _MAX_MULT,
+                               k * math.sqrt(0.5 / r) if r > 0.0 else math.inf)
+                hist = [*hist[-1:], (t1, v)]
+                m = 1 << max(int(grow).bit_length() - 1, 0)
+            x_last, h_last = x, t1 - t0
+            x, ic_cur, i = x_new, ic_new, i + k
+            if nb == _BLOCK:
+                ib, xb, rb = np.empty_like(ib), np.empty_like(xb), np.empty_like(rb)
+                ib[0], xb[0], rb[0] = (a[-1] for a in blocks[-1])
+                blocks.append((ib, xb, rb))
+                nb = 1
+            ib[nb], xb[nb], rb[nb] = i, x, res
+            nb += 1
+        blocks[-1] = (ib[:nb], xb[:nb], rb[:nb])
+        return blocks
+
+
+def _waveforms(circuit: Circuit, t: np.ndarray, tstep: float, gmin: float,
+               blocks: list) -> Waveforms:
+    """The grid record of one member from the blocks of its solved points:
+    samples between two solves lie on the line joining them,
+    x + w*(x_new - x), and carry the larger of the two residuals."""
+    rec = np.empty((len(t), blocks[0][1].shape[1]))  # one row per grid sample
+    rrec = np.empty(len(t))
+    for ix, xs, rs in blocks:
+        for lo in range(ix[0], ix[-1], _FILL_ROWS):  # bounded temporaries
+            hi = min(lo + _FILL_ROWS, ix[-1])
+            s = np.searchsorted(ix, np.arange(lo, hi), side="right") - 1  # solve before
+            a, b = ix[s], ix[s + 1]
+            w = ((t[lo:hi] - t[a]) / (t[b] - t[a]))[:, None]
+            rec[lo:hi] = xs[s] + w * (xs[s + 1] - xs[s])
+            rrec[lo:hi] = np.maximum(rs[s], rs[s + 1])
+        rec[ix], rrec[ix] = xs, rs
+    n = circuit.n_nodes
+    names = circuit.node_names
+    gname = lambda i: "0" if i < 0 else names[i]
+    return Waveforms(
+        t=t,
+        node_v={nm: rec[:, j] for j, nm in enumerate(names)},
+        supply_i={s.name: rec[:, n + k] for k, s in enumerate(circuit.sources)},
+        source_nodes={s.name: (gname(s.p), gname(s.m)) for s in circuit.sources},
+        tstep=tstep,
+        resid_max=rrec,
+        gmin=gmin,
+        solved=np.concatenate([blocks[0][0]] + [ix[1:] for ix, _, _ in blocks[1:]]),
+    )
+
+
+def transient_many(circuits, tstep: float, tstop: float,
+                   scheme: str = "trap", ic="auto",
+                   opts: SolveOptions | None = None,
+                   gmin: float = GMIN_DEFAULT):
+    """`transient` of several circuits of one structure, solved together.
+
+    Every member takes its own steps, exactly as it would alone; the Newton
+    iterations of all members run in lock-step (see the module docstring).
+    `ic` is "auto" or one OpPoint that every member starts from.
+    Circuits of different structure raise ValueError before any solve.
+    Returns an iterator that yields, in order, each member's Waveforms or
+    the SolverError that member failed with; a member's grid is filled in
+    only when it is yielded.
     """
     if scheme not in ("trap", "be"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -465,113 +810,51 @@ def transient(circuit: Circuit, tstep: float, tstop: float,
         raise ValueError(f"grid of {tstop / tstep:.3g} steps exceeds the limit of "
                          f"{_MAX_GRID_STEPS:,} (tstep={tstep:g}, tstop={tstop:g})")
     opts = opts or SolveOptions()
-    sys_ = _System(circuit)
-    n = sys_.n
-
-    if ic == "auto":
-        op = dc_operating_point(circuit, opts, gmin)
-    elif isinstance(ic, OpPoint):
-        op = ic
-    else:
+    sys_ = _System(circuits)
+    if not (isinstance(ic, OpPoint) or ic == "auto"):
         raise ValueError("ic must be 'auto' or an OpPoint")
 
     n_steps = int(round(tstop / tstep))
     t = np.arange(n_steps + 1) * tstep
     t[-1] = tstop
-    corners = _corner_intervals(sys_.waves, n_steps, tstep, tstop)
+    gens = [None] * sys_.B
+    failed = {}
+    for j, c in enumerate(sys_.circuits):
+        try:
+            op = ic if isinstance(ic, OpPoint) else dc_operating_point(c, opts, gmin)
+        except SolverError as e:
+            failed[j] = e
+            continue
+        corners = _corner_intervals(sys_.waves[j], n_steps, tstep, tstop)
+        gens[j] = _Stepper(sys_, j, t, scheme, opts, gmin).run(op, corners)
+    results = _drive(sys_, gens, opts)
+    results = [failed.get(j, r) for j, r in enumerate(results)]
+    circuits = sys_.circuits
+    del sys_, gens
 
-    base_cache: dict = {}
+    def members():
+        for j, c in enumerate(circuits):
+            r, results[j] = results[j], None
+            if not isinstance(r, SolverError):
+                r = _waveforms(c, t, tstep, gmin, r)  # drops the solved points
+            yield r
+    return members()
 
-    def base_for(alpha: float) -> np.ndarray:
-        b = base_cache.get(alpha)
-        if b is None:
-            b = sys_.base_matrix(gmin, alpha)
-            base_cache[alpha] = b
-        return b
 
-    step_iters = min(opts.max_iter, 60)  # failed steps fall back to halving
+def transient(circuit: Circuit, tstep: float, tstop: float,
+              scheme: str = "trap", ic: OpPoint | str = "auto",
+              opts: SolveOptions | None = None,
+              gmin: float = GMIN_DEFAULT) -> Waveforms:
+    """Implicit transient analysis on the uniform grid 0, tstep, ..., tstop.
 
-    def step(x_from, ic_from, t0, t1, use_trap, depth, guess=None):
-        """One implicit step t0 -> t1, halving on failure.  Returns
-        (x, ic, worst accepted residual)."""
-        h = t1 - t0
-        alpha = 2.0 / h if use_trap else 1.0 / h
-        ic_hist = ic_from if use_trap else None
-        starts = (guess, x_from) if guess is not None else (x_from,)
-        for start in starts:
-            x_new, _, res, ok, _ = sys_.newton(
-                start, t1, gmin, base_for(alpha), opts,
-                alpha=alpha, v_prev=x_from[:n], ic_prev=ic_hist,
-                max_iter=step_iters,
-            )
-            if ok:
-                ic_new = sys_.cap_current(alpha, x_new[:n], x_from[:n], ic_hist)
-                return x_new, ic_new, res
-        if depth >= _MAX_HALVINGS:
-            raise SolverError(
-                f"transient step at t={t1:.6g}s failed to converge after "
-                f"{_MAX_HALVINGS} halvings (min substep {h:.3g}s)"
-            )
-        tm = 0.5 * (t0 + t1)
-        x_mid, ic_mid, r1 = step(x_from, ic_from, t0, tm, use_trap, depth + 1)
-        x_new, ic_new, r2 = step(x_mid, ic_mid, tm, t1, use_trap, depth + 1)
-        return x_new, ic_new, max(r1, r2)
-
-    rec = np.empty((n_steps + 1, sys_.N))  # one row per grid sample
-    rrec = np.empty(n_steps + 1)
-    x = op.state.as_vector()
-    rec[0], rrec[0] = x, op.residual_max
-    ic_cur = np.zeros(n)  # capacitor currents at the current solved point
-    solved = [0]
-    hist = [(0.0, x[:n])]  # (t, v) of the last solved points since the last corner
-    x_last, h_last = None, 0.0
-    i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
-    while i < n_steps:
-        while corners[c] < i:
-            c += 1
-        at_corner = corners[c] == i
-        k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
-        t0, t1 = t[i], t[i + k]
-        guess = None if x_last is None else x + (x - x_last) * ((t1 - t0) / h_last)
-        x_new, ic_new, res = step(x, ic_cur, t0, t1,
-                                  k == 1 and scheme == "trap" and i > 0, 0, guess)
-        v = x_new[:n]
-        if at_corner:
-            hist, m = [(t1, v)], 1
-        else:
-            grow = k  # no estimate yet: hold the step
-            if len(hist) == 2 and n:
-                (ta, va), (tb, vb) = hist
-                dd2 = ((v - vb) / (t1 - tb) - (vb - va) / (tb - ta)) / (t1 - ta)
-                r = (t1 - t0) ** 2 * float(np.max(np.abs(dd2))) / _LTE_TOL
-                if r > 1.0 and k > 1:
-                    m = k // 2  # reject: retry from the same point, half the step
-                    continue
-                grow = min(2 * k, _MAX_MULT,
-                           k * math.sqrt(0.5 / r) if r > 0.0 else math.inf)
-            hist = [*hist[-1:], (t1, v)]
-            m = 1 << max(int(grow).bit_length() - 1, 0)
-        if k > 1:  # samples inside the step lie on the line between its ends
-            w = ((t[i + 1:i + k] - t0) / (t1 - t0))[:, None]
-            rec[i + 1:i + k] = x + w * (x_new - x)
-            rrec[i + 1:i + k] = max(rrec[i], res)
-        x_last, h_last = x, t1 - t0
-        x, ic_cur, i = x_new, ic_new, i + k
-        rec[i], rrec[i] = x, res
-        solved.append(i)
-
-    # `step` refers to itself, a reference cycle that would keep the compiled
-    # system for the cyclic collector; repeated runs then fragmented the heap
-    del step
-    names = circuit.node_names
-    gname = lambda i: "0" if i < 0 else names[i]
-    return Waveforms(
-        t=t,
-        node_v={nm: rec[:, j] for j, nm in enumerate(names)},
-        supply_i={s.name: rec[:, n + k] for k, s in enumerate(circuit.sources)},
-        source_nodes={s.name: (gname(s.p), gname(s.m)) for s in circuit.sources},
-        tstep=tstep,
-        resid_max=rrec,
-        gmin=gmin,
-        solved=np.array(solved),
-    )
+    Steps span 1 to 64 grid intervals under local-error control (see the
+    module docstring); samples between solved points are linear
+    interpolations, and `Waveforms.solved` lists the grid indices that are
+    solver states.  The initial condition is the DC operating point at the
+    sources' initial values unless an OpPoint is passed explicitly.  This is
+    `transient_many` of one circuit.
+    """
+    (waves,) = transient_many([circuit], tstep, tstop, scheme, ic, opts, gmin)
+    if isinstance(waves, SolverError):
+        raise waves
+    return waves

@@ -418,6 +418,15 @@ def elaborate(doc: NetlistDoc, base_models: dict | None = None) -> Circuit:
 
     circ = Circuit(title=doc.title, tran=doc.tran)
     touch_count: dict[int, int] = {}
+    # union-find over the terminals of voltage sources, ground (-1) included:
+    # a source whose terminals are already joined closes a loop of sources,
+    # whose MNA system is singular
+    joined: dict[int, int] = {}
+
+    def root(idx: int) -> int:
+        while idx in joined:
+            idx = joined[idx]
+        return idx
 
     def intern(name: str) -> int:
         if name == "0":
@@ -449,6 +458,13 @@ def elaborate(doc: NetlistDoc, base_models: dict | None = None) -> Circuit:
                 touch(n)
         elif isinstance(card, SourceCard):
             inst = SourceInstance(card.name, intern(card.p), intern(card.m), card.wave)
+            rp, rm = root(inst.p), root(inst.m)
+            if rp == rm:
+                raise ElaborationError(
+                    f"line {card.lineno}: voltage source {card.name} closes a loop of "
+                    f"voltage sources between nodes {card.p!r} and {card.m!r}"
+                )
+            joined[rp] = rm
             circ.sources.append(inst)
             touch(inst.p)
             touch(inst.m)

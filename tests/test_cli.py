@@ -129,6 +129,16 @@ def test_run_oversized_grid_exits_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "huge.csv").exists()
 
 
+def test_run_voltage_source_loop_exits_usage(tmp_path, capsys):
+    # before elaboration caught it, this ran every DC homotopy stage and
+    # exited 3 with "singular Jacobian (check for floating nodes)"
+    src = tmp_path / "loop.sp"
+    src.write_text("parallel sources\nV1 a 0 DC 1\nV2 a 0 DC 2\nR1 a 0 1k\n"
+                   ".tran 1n 20n\n.end\n")
+    assert main(["run", str(src)]) == 2
+    assert "line 3: voltage source V2 closes a loop" in capsys.readouterr().err
+
+
 def test_run_dc_only_skips_report(tmp_path):
     path = tmp_path / "dc.sp"
     path.write_text("dc only\nVIN a 0 DC 1\nR1 a 0 1k\n.tran 1n 20n\n.end\n")
@@ -252,6 +262,22 @@ def test_sweep_classifies_points(tmp_path):
     assert first[:2] == ["cls", "vin_hi"] and float(first[2]) == 0.3
     assert first[-2] == "non-functional"
     assert second[-2] == "ok" and float(second[2]) == 1.6
+
+
+def test_sweep_rows_do_not_depend_on_the_batch(tmp_path):
+    # a sweep simulates all its points as one batch; every row of the README
+    # sweep must equal that point's row from a two-point sweep, so a point's
+    # figures cannot depend on which other points share its batch
+    def rows(lo, hi, steps):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "cls", "--param", "vin_hi", "--from", lo, "--to", hi,
+                     "--steps", str(steps), "-o", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    full = rows("0.3", "1.6", 8)
+    values = [r.split(",")[2] for r in full]
+    for i in range(4):  # pairs (0, 7), (1, 6), ...: mixed contention levels
+        assert rows(values[i], values[7 - i], 2) == [full[i], full[7 - i]]
 
 
 def test_sweep_usage_errors(capsys):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import refmodel as rm
-from lsbench.devmodel import (VT, MosBias, default_params, effective_vth,
-                              mosfet_eval, source_value)
-from lsbench.engine import (GMIN_DEFAULT, SolverError, SysState, _System,
-                            assemble, dc_operating_point, transient)
-from lsbench.netlist import elaborate, parse_netlist
-from lsbench.topologies import TOPOLOGY_IDS, gen, stack_leakage_fixture
+from lsbench import engine
+from lsbench.devmodel import (VT, MosBias, SourceWave, default_params,
+                              effective_vth, mosfet_eval, source_value)
+from lsbench.engine import (GMIN_DEFAULT, OpPoint, SolverError, SysState, _System,
+                            assemble, dc_operating_point, transient, transient_many)
+from lsbench.netlist import elaborate, parse_netlist, parse_seed_models
+from lsbench.topologies import TOPOLOGY_IDS, TopoParams, gen, stack_leakage_fixture
 
 GMIN = GMIN_DEFAULT
 
@@ -75,6 +76,32 @@ def test_assemble_vanishes_at_stack_equilibrium():
     assert np.max(np.abs(f)) < 1e-12
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assemble_one(s, x, alpha, hist, j=0, t=1.5e-9):
+    """(J, f) of member j of _System s alone at state x, through the batch
+    API; hist is () for DC or (v_prev, ic_prev) for a companion."""
+    hc = ic = None
+    if hist:
+        v_prev, ic_prev = hist
+        hc, ic = alpha * s.C[j].dot(v_prev), ic_prev[None]
+    J, f = s.assemble(x[None], s.base_matrix(GMIN, alpha, j)[None],
+                      s.rhs(t, j=j, hist=hc)[None], ic)
+    return J[0], f[0]
+
+
+# three members of one structure: the nominal circuit, a lower input swing,
+# and a process corner (every device parameter differs)
+_BATCH_SEED = ".model NCH NMOS (VTH0=0.4 KP=0.000152)\n.model PCH PMOS (VTH0=1 KP=3.84e-05)\n"
+
+
+def _batch_members(topo):
+    return [elaborate(gen(topo)), elaborate(gen(topo, TopoParams(vin_hi=0.9))),
+            elaborate(gen(topo), base_models=parse_seed_models(_BATCH_SEED))]
+
+
 @pytest.mark.parametrize("topo", TOPOLOGY_IDS)
 def test_assemble_jacobian_matches_central_differences(topo):
     # J and f come out of one scatter over a shared stamp plan; a misplaced
@@ -84,7 +111,13 @@ def test_assemble_jacobian_matches_central_differences(topo):
     # Tolerance per entry: 1e-4 relative plus 2e-9 S, against a worst
     # central-difference roundoff of ~3e-10 S at h = 1 uV and on-device
     # conductances of 1e-5..1e-3 S.
-    s = _System(elaborate(gen(topo)))
+    # The same states also go through a batch of three members with
+    # different sources and device parameters, each at its own state: every
+    # member's J and f must equal its one-member assembly bit for bit.
+    members = _batch_members(topo)
+    s = _System(members[0])
+    batch = _System(members)
+    lone = [_System(c) for c in members]
     rng = np.random.default_rng(20261018)
     h = 1e-6
     swapped = {1.0: set(), -1.0: set()}
@@ -97,17 +130,28 @@ def test_assemble_jacobian_matches_central_differences(topo):
         v_prev = rng.uniform(-0.5, 4.0, s.n)
         ic_prev = rng.uniform(-1e-4, 1e-4, s.n)
         for alpha, hist in ((0.0, ()), (2.0 / 10e-12, (v_prev, ic_prev))):
-            base = s.base_matrix(GMIN, alpha)
-            J = s.assemble(x, 1e-9, GMIN, base, alpha, *hist)[0]
+            J = _assemble_one(s, x, alpha, hist)[0]
             jfd = np.empty_like(J)
             for j in range(s.N):
                 e = np.zeros(s.N)
                 e[j] = h
-                fp = s.assemble(x + e, 1e-9, GMIN, base, alpha, *hist)[1]
-                fm = s.assemble(x - e, 1e-9, GMIN, base, alpha, *hist)[1]
+                fp = _assemble_one(s, x + e, alpha, hist)[1]
+                fm = _assemble_one(s, x - e, alpha, hist)[1]
                 jfd[:, j] = (fp - fm) / (2 * h)
             bad = np.abs(J - jfd) > 1e-4 * np.abs(J) + 2e-9
             assert not bad.any(), (alpha, np.argwhere(bad))
+
+            X = np.stack([x, x[::-1], x + 0.25])
+            ic = np.stack([ic_prev, -ic_prev, 2 * ic_prev]) if hist else None
+            rhs = [batch.rhs(1.5e-9, j=b, hist=alpha * batch.C[b].dot(v_prev) if hist else None)
+                   for b in range(3)]
+            Jb, fb = batch.assemble(
+                X, np.stack([batch.base_matrix(GMIN, alpha, b) for b in range(3)]),
+                np.stack(rhs), ic)
+            for b, one in enumerate(lone):
+                hb = (v_prev, ic[b]) if hist else ()
+                J1, f1 = _assemble_one(one, X[b], alpha, hb)
+                assert _same_bits(Jb[b], J1) and _same_bits(fb[b], f1), (alpha, b)
     assert swapped == {1.0: {False, True}, -1.0: {False, True}}
 
 
@@ -175,6 +219,15 @@ def test_stack_fixture_middle_node():
     assert vm == pytest.approx(0.07229562364375133, abs=1e-6)
     assert vm == pytest.approx(rm.stack_vm(rm.RET_NMOS, 3.3, 0.5e-6, gmin=GMIN),
                                abs=1e-6)
+
+
+def test_empty_circuit_solves():
+    # no unknowns: every residual and update reduction runs over nothing
+    circ = _circ("nothing\n.end\n")
+    op = dc_operating_point(circ)
+    assert (op.iterations, op.residual_max, op.homotopy_used) == (1, 0.0, "none")
+    waves = transient(circ, 1e-9, 20e-9)
+    assert len(waves.t) == 21 and waves.node_v == {}
 
 
 def test_singular_jacobian_reported():
@@ -347,3 +400,94 @@ def test_transient_validation():
         transient(circ, 1e-12, float("inf"))
     with pytest.raises(ValueError, match="exceeds the limit"):
         transient(circ, 1e-12, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# batched transient
+
+_WAVE_FIELDS = ("t", "resid_max", "solved")
+
+
+def _assert_same_waves(got, want):
+    """Bit-for-bit equality of two Waveforms."""
+    for f in _WAVE_FIELDS:
+        assert _same_bits(getattr(got, f), getattr(want, f)), f
+    for rec in ("node_v", "supply_i"):
+        a, b = getattr(got, rec), getattr(want, rec)
+        assert list(a) == list(b)
+        for k in a:
+            assert _same_bits(a[k], b[k]), (rec, k)
+
+
+def test_transient_many_equals_lone_runs():
+    # four input levels, from a contended 0.6 V input to full swing: each
+    # member takes its own step sequence, and the lock-step Newton
+    # iterations must not change a single bit
+    circs = [elaborate(gen("cls", TopoParams(vin_hi=v))) for v in (0.6, 0.9, 1.2, 1.6)]
+    got = list(transient_many(circs, 10e-12, 60e-9))
+    assert len(got) == 4
+    lengths = set()
+    for c, w in zip(circs, got):
+        _assert_same_waves(w, transient(c, 10e-12, 60e-9))
+        lengths.add(len(w.solved))
+    assert len(lengths) > 1  # the members did step differently
+
+
+def test_transient_many_damped_members_equal_lone_runs():
+    # near-instant input steps of several volts: the first Newton update of
+    # each step exceeds the 0.5 V clamp, so damping runs inside the batch
+    rc = "rc step\nVIN in 0 PULSE(0 {} 0 1f 1f 2n 4n)\nR1 in out 1k\nC1 out 0 1p\n.end\n"
+    circs = [_circ(rc.format(v)) for v in (3.3, 1.0, 5.0)]
+    for c, w in zip(circs, transient_many(circs, 10e-12, 10e-9)):
+        _assert_same_waves(w, transient(c, 10e-12, 10e-9))
+
+
+def test_transient_many_failing_member_fails_alone():
+    # a process corner whose DC operating point fails with the input high
+    # (dc_corners corner 0030); an input pulse that starts high puts that
+    # state at t = 0, so the member fails at its start
+    high_first = SourceWave("pulse", 1.6, 0.0, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9)
+    bad = elaborate(gen("cls", TopoParams(stimulus=high_first)),
+                    base_models=parse_seed_models(_BATCH_SEED))
+    good = [elaborate(gen("cls", TopoParams(vin_hi=v))) for v in (1.0, 1.6)]
+    with pytest.raises(SolverError) as lone:
+        transient(bad, 10e-12, 30e-9)
+    got = list(transient_many([good[0], bad, good[1]], 10e-12, 30e-9))
+    assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
+    assert "DC operating point did not converge" in str(got[1])
+    for c, w in zip(good, (got[0], got[2])):
+        _assert_same_waves(w, transient(c, 10e-12, 30e-9))
+
+
+_GATE_NODE = """\
+nmos whose gate node {}
+.model N NMOS (COXA=0 COVW=0)
+V1 a 0 PULSE(0 1 1n 1n 1n 3n 10n)
+{}M1 a g 0 0 N W=1u L=1u
+.end
+"""
+
+
+def test_transient_many_singular_member_fails_alone():
+    # without the gmin shunt and without gate capacitance, a gate node with
+    # no resistor has an all-zero Jacobian row: the stacked solve raises,
+    # and only that member may fail, with the message of its lone run.  All
+    # start from zero, which keeps the singular member's DC out of the way.
+    tied = [_circ(_GATE_NODE.format("is tied down", f"R1 g 0 {r}\n")) for r in ("1k", "3k")]
+    floating = _circ(_GATE_NODE.format("floats", ""))
+    run = dict(tstep=10e-12, tstop=20e-9, gmin=0.0,
+               ic=OpPoint(SysState(v=np.zeros(2), i_branch=np.zeros(1)), 0.0, 0, "none"))
+    with pytest.raises(SolverError, match="halvings") as lone:
+        transient(floating, **run)
+    got = list(transient_many([tied[0], floating, tied[1]], **run))
+    assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
+    for c, w in zip(tied, (got[0], got[2])):
+        _assert_same_waves(w, transient(c, **run))
+
+
+def test_transient_many_rejects_mixed_structures(monkeypatch):
+    def no_solve(*a, **k):
+        raise AssertionError("solved before checking the structure")
+    monkeypatch.setattr(engine, "dc_operating_point", no_solve)
+    with pytest.raises(ValueError, match="structure"):
+        transient_many([elaborate(gen("cls")), elaborate(gen("ssls"))], 10e-12, 30e-9)

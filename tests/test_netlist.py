@@ -166,6 +166,22 @@ def test_rc_same_node_rejected():
         elaborate(_doc("R1 a a 1k\nV1 a 0 DC 1\n"))
 
 
+@pytest.mark.parametrize("body,name,lineno", [
+    ("V1 a 0 DC 1\nV2 a 0 DC 2\nR1 a 0 1k\n", "V2", 3),            # in parallel
+    ("V1 a 0 DC 1\nR1 a b 1k\nV2 b a DC 1\nV3 b 0 DC 2\n", "V3", 5),  # a ring of three
+    ("R1 a 0 1k\nV1 a a DC 1\n", "V1", 3),                          # on one node
+])
+def test_voltage_source_loop_rejected(body, name, lineno):
+    with pytest.raises(ElaborationError,
+                       match=f"line {lineno}: voltage source {name} closes a loop"):
+        elaborate(_doc(body))
+
+
+def test_shipped_topologies_have_no_source_loop():
+    for topo in ("cls", "cls_stacked", "ssls", "ssls_stacked", "cmls", "cmls_stacked"):
+        assert len(elaborate(gen(topo)).sources) >= 2
+
+
 def test_floating_node_warning():
     circ = elaborate(_doc("V1 a 0 DC 1\nR1 a b 1k\n"))
     assert any("'b'" in w for w in circ.warnings)
