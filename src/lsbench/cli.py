@@ -320,6 +320,9 @@ def cmd_bench(args) -> int:
 _SWEEP_PARAMS = ("vddh", "vddl", "vin_hi", "cload", "w_n_stacked")
 
 _SWEEP_COLUMNS = ("topology", "param", "value") + _BENCH_COLUMNS[1:]
+# points simulated as one batch: a batch holds every member's solved states
+# until it ends, so its size bounds a sweep's memory
+_SWEEP_BATCH = 8
 
 
 def _fill_sweep_row(row: BenchRow, p: TopoParams, circ, waves) -> None:
@@ -370,12 +373,15 @@ def cmd_sweep(args) -> int:
             continue
         points.append((row, p, elaborate(gen(topo, p), base_models=seed)))
 
-    if points:  # the points share their structure and grid: one batch
-        tran = points[0][2].tran
-        sims = transient_many([c for _, _, c in points], tran.tstep, tran.tstop)
-        for (row, p, circ), waves in zip(points, sims):
-            _fill_sweep_row(row, p, circ, waves)
-            del waves  # hold one point's grid at a time; the next is filled on demand
+    # the points share their structure and grid: batches of _SWEEP_BATCH
+    for lo in range(0, len(points), _SWEEP_BATCH):
+        batch = points[lo:lo + _SWEEP_BATCH]
+        tran = batch[0][2].tran
+        sims = transient_many([c for _, _, c in batch], tran.tstep, tran.tstop)
+        for row, p, circ in batch:
+            # one point's grid at a time: zip's reused result tuple would
+            # keep this grid alive while the next one is filled
+            _fill_sweep_row(row, p, circ, next(sims))
 
     fh = _out_stream(args.out)
     try:

@@ -203,10 +203,7 @@ class _System:
     Matrices and device parameters carry a leading member axis; `live`
     selects the members that `mos_currents` and `assemble` work on."""
 
-    def __init__(self, circuits):
-        if isinstance(circuits, Circuit):
-            circuits = [circuits]
-        circuits = list(circuits)
+    def __init__(self, circuits: list):
         if not circuits:
             raise ValueError("a batch needs at least one circuit")
         shape = _structure(circuits[0]) if len(circuits) > 1 else None
@@ -288,7 +285,9 @@ class _System:
         self.c_eval = (flat(nhphi), flat(sqphi), flat(a), flat(a2),
                        etas[:, rows].reshape(2, L * M), flat(ispec), flat(ispec_lam))
         self._vbuf = np.zeros((L, n + 1))
+        self._vflat = self._vbuf.reshape(-1)  # views of the buffers, for gathers
         self._mbuf = np.zeros((5, L * M))
+        self._mflat = self._mbuf.reshape(-1)
         if L == 1:  # member offsets are all zero
             self._gidx, self._msgn = self.g_idx4, self.m_sgn
             self._gather, self._bin, self._sgn = self.s_gather, self.s_bin, self.s_sgn
@@ -312,9 +311,8 @@ class _System:
         out = self._mbuf
         if self.M == 0:
             return out
-        buf = self._vbuf
-        buf[:, : self.n] = v
-        vt = buf.reshape(-1)[self._gidx] * self._msgn
+        self._vbuf[:, : self.n] = v
+        vt = self._vflat[self._gidx] * self._msgn
         vd, vg, vs, vb = vt[0], vt[1], vt[2], vt[3]
         hi = np.maximum(vd, vs)
         lo = np.minimum(vd, vs)
@@ -368,8 +366,8 @@ class _System:
                 f[:n] -= ic[0]
             if not self.M:
                 return base.copy(), f[None]
-            dev = self.mos_currents(x1[:n]).reshape(-1)
-            acc = np.bincount(self._bin, weights=self._sgn * dev[self._gather],
+            self.mos_currents(x1[:n])
+            acc = np.bincount(self._bin, weights=self._sgn * self._mflat[self._gather],
                               minlength=self.n_bins)
             f[:n] += acc[:n]
             return (b1 + acc[n:].reshape(self.N, self.N))[None], f[None]
@@ -379,22 +377,20 @@ class _System:
             f[:, :n] -= ic
         if not self.M:
             return base.copy(), f
-        dev = self.mos_currents(x[:, :n]).reshape(-1)
-        acc = np.bincount(self._bin, weights=self._sgn * dev[self._gather],
+        self.mos_currents(x[:, :n])
+        acc = np.bincount(self._bin, weights=self._sgn * self._mflat[self._gather],
                           minlength=len(x) * self.n_bins).reshape(len(x), self.n_bins)
         f[:, :n] += acc[:, :n]
         return base + acc[:, n:].reshape(base.shape), f
 
-    def worst_node(self, x, t, gmin, src_scale=1.0, j=0) -> str:
-        """Name of member j's node with the largest KCL residual at x."""
+    def worst_node(self, x, t, gmin, src_scale=1.0) -> str:
+        """Name of the node with the largest KCL residual at x, for a
+        one-member system."""
         if self.n == 0:
             return "<none>"
-        live = self.members
-        self.live([j])
-        _, f = self.assemble(x[None], self.base_matrix(gmin, j=j)[None],
-                             self.rhs(t, src_scale, j)[None])
-        self.live(live)
-        return self.circuits[j].node_names[int(np.argmax(np.abs(f[0, : self.n])))]
+        _, f = self.assemble(x[None], self.base_matrix(gmin)[None],
+                             self.rhs(t, src_scale)[None])
+        return self.circuits[0].node_names[int(np.argmax(np.abs(f[0, : self.n])))]
 
 
 # -- Newton ------------------------------------------------------------------
@@ -434,13 +430,16 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     request, so it does the same arithmetic as it would alone."""
     n, N = sys_.n, sys_.N
     abstol, vntol, vclamp = opts.abstol, opts.vntol, opts.vclamp
-    absolute, isfinite = np.abs, math.isfinite
+    absolute, top, isfinite = np.abs, np.maximum.reduce, math.isfinite
     out = [None] * len(gens)
     live = [j for j, g in enumerate(gens) if g is not None]
     L = len(live)
     if not L:
         return out
-    X, BASE, R, IC = np.empty((L, N)), np.empty((L, N, N)), np.empty((L, N)), np.empty((L, n))
+    # X, BASE and R rows are written when a request starts; an IC row holds
+    # zeros until its member sends a trapezoidal history, so members without
+    # one subtract exact zeros while another member's history is in use
+    X, BASE, R, IC = np.empty((L, N)), np.empty((L, N, N)), np.empty((L, N)), np.zeros((L, n))
     has_ic = [False] * L
     start, stop, dv_ok = [0] * L, [0] * L, [False] * L
     ends = [(p, None) for p in range(L)]  # (row, result for its generator)
@@ -490,7 +489,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
 
         k += 1
         J, F = sys_.assemble(X, BASE, R, use_ic)
-        res = absolute(F[:, :n]).max(1).tolist() if n else [0.0] * L
+        res = top(absolute(F[:, :n]), 1).tolist() if n else [0.0] * L
         todo = range(L)
         if True in dv_ok:  # converged: the last update and this residual are small
             todo = []
@@ -509,8 +508,8 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
         except np.linalg.LinAlgError:
             DX, bad = _solve_each(J, F)
         A = absolute(DX)
-        amax = A.max(1).tolist() if N else [0.0] * len(A)  # NaN and inf propagate
-        dvm = A[:, :n].max(1).tolist() if n else [0.0] * len(A)
+        amax = top(A, 1).tolist() if N else [0.0] * len(A)  # NaN and inf propagate
+        dvm = top(A[:, :n], 1).tolist() if n else [0.0] * len(A)
         moved, post, clamp = [], [], False
         for q, p in enumerate(todo):
             if q in bad or not isfinite(amax[q]):
@@ -553,7 +552,7 @@ def assemble(circuit: Circuit, state: SysState, companion: dict | None = None,
     ("trap" | "be"), and optionally ic_prev (per-node capacitor currents at
     the step start; required history for trapezoidal, zeros by default).
     """
-    sys_ = _System(circuit)
+    sys_ = _System([circuit])
     x = state.as_vector()[None]
     if companion is None:
         J, f = sys_.assemble(x, sys_.base_matrix(gmin)[None], sys_.rhs(t)[None])
@@ -576,15 +575,16 @@ def assemble(circuit: Circuit, state: SysState, companion: dict | None = None,
 _GMIN_LADDER = tuple(10.0 ** -k for k in range(3, 13))  # 1e-3 .. 1e-12
 
 
-def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
+def _dc_requests(sys_: _System, opts: SolveOptions, gmin: float,
                  t: float, x0: np.ndarray | None):
-    """Member j's DC operating point as a generator of Newton requests:
-    plain Newton, then gmin stepping, then source stepping.  Returns an
-    OpPoint; raises SolverError when every strategy fails."""
+    """The DC operating point of a one-member system as a generator of
+    Newton requests: plain Newton, then gmin stepping, then source
+    stepping.  Returns an OpPoint; raises SolverError when every strategy
+    fails."""
     lim = opts.max_iter
-    rhs = sys_.rhs(t, j=j)
+    rhs = sys_.rhs(t)
     start = x0 if x0 is not None else np.zeros(sys_.N)
-    x, it, res, ok, _ = yield (start, sys_.base_matrix(gmin, j=j), rhs, None, lim)
+    x, it, res, ok, _ = yield (start, sys_.base_matrix(gmin), rhs, None, lim)
     total = it
     if ok:
         return OpPoint(_state_from_vector(sys_, x), res, total, "none")
@@ -593,7 +593,7 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
     x = np.zeros(sys_.N)
     ok_ladder = True
     for g in ladder:
-        x, it, res, ok, _ = yield (x, sys_.base_matrix(g, j=j), rhs, None, lim)
+        x, it, res, ok, _ = yield (x, sys_.base_matrix(g), rhs, None, lim)
         total += it
         if not ok:
             ok_ladder = False
@@ -602,18 +602,18 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
         return OpPoint(_state_from_vector(sys_, x), res, total, "gmin")
 
     x = np.zeros(sys_.N)
-    base = sys_.base_matrix(gmin, j=j)
+    base = sys_.base_matrix(gmin)
     for frac in np.linspace(0.05, 1.0, 20):
-        x, it, res, ok, why = yield (x, base, sys_.rhs(t, float(frac), j), None, lim)
+        x, it, res, ok, why = yield (x, base, sys_.rhs(t, float(frac)), None, lim)
         total += it
         if not ok:
-            circuit = sys_.circuits[j]
+            circuit = sys_.circuits[0]
             hint = f"; {'; '.join(circuit.warnings)}" if circuit.warnings else ""
             raise SolverError(
                 f"DC operating point did not converge: plain Newton, gmin and "
                 f"source stepping all failed ({why} at source scale {frac:.2f}; "
                 f"largest residual at node "
-                f"{sys_.worst_node(x, t, gmin, float(frac), j)!r}{hint})"
+                f"{sys_.worst_node(x, t, gmin, float(frac))!r}{hint})"
             )
     return OpPoint(_state_from_vector(sys_, x), res, total, "source")
 
@@ -627,8 +627,8 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
     Raises SolverError when every strategy fails.
     """
     opts = opts or SolveOptions()
-    sys_ = _System(circuit)
-    (op,) = _drive(sys_, [_dc_requests(sys_, 0, opts, gmin, t, x0)], opts)
+    sys_ = _System([circuit])
+    (op,) = _drive(sys_, [_dc_requests(sys_, opts, gmin, t, x0)], opts)
     if isinstance(op, SolverError):
         raise op
     return op
@@ -797,7 +797,11 @@ def transient_many(circuits, tstep: float, tstop: float,
     Circuits of different structure raise ValueError before any solve.
     Returns an iterator that yields, in order, each member's Waveforms or
     the SolverError that member failed with; a member's grid is filled in
-    only when it is yielded.
+    only when it is yielded.  The batch holds every member's solved points
+    until it ends, so its memory grows with the number of circuits; a
+    caller that drops each Waveforms before asking for the next holds one
+    grid at a time (a zip over the iterator keeps the previous result in
+    its reused tuple while the next grid is filled).
     """
     if scheme not in ("trap", "be"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -810,7 +814,7 @@ def transient_many(circuits, tstep: float, tstop: float,
         raise ValueError(f"grid of {tstop / tstep:.3g} steps exceeds the limit of "
                          f"{_MAX_GRID_STEPS:,} (tstep={tstep:g}, tstop={tstop:g})")
     opts = opts or SolveOptions()
-    sys_ = _System(circuits)
+    sys_ = _System(list(circuits))
     if not (isinstance(ic, OpPoint) or ic == "auto"):
         raise ValueError("ic must be 'auto' or an OpPoint")
 

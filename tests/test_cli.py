@@ -4,10 +4,12 @@ child-process run of `python -m lsbench` for its exit code."""
 import io
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from lsbench import cli, engine
 from lsbench.cli import BenchRow, _bench_pairs, _classify, _emit_bench_table, main
 from lsbench.measure import Report
 from lsbench.netlist import MosCard, parse_netlist
@@ -278,6 +280,36 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path):
     values = [r.split(",")[2] for r in full]
     for i in range(4):  # pairs (0, 7), (1, 6), ...: mixed contention levels
         assert rows(values[i], values[7 - i], 2) == [full[i], full[7 - i]]
+
+
+def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
+    # a sweep simulates its points in batches of at most _SWEEP_BATCH, so
+    # its memory does not grow with --steps, and it drops each point's grid
+    # before the next one is filled; the rows do not depend on the batching
+    def rows():
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "cls", "--param", "vin_hi", "--from", "0.6", "--to", "1.6",
+                     "--steps", "5", "-o", str(out)]) == 0
+        return out.read_text()
+
+    whole = rows()
+    sizes, filled = [], []
+    many, fill = cli.transient_many, engine._waveforms
+
+    def counted_many(circuits, *a, **k):
+        sizes.append(len(circuits))
+        return many(circuits, *a, **k)
+
+    def checked_fill(*a, **k):
+        assert all(w() is None for w in filled), "an earlier point's grid is still held"
+        waves = fill(*a, **k)
+        filled.append(weakref.ref(waves))
+        return waves
+    monkeypatch.setattr(cli, "_SWEEP_BATCH", 2)
+    monkeypatch.setattr(cli, "transient_many", counted_many)
+    monkeypatch.setattr(engine, "_waveforms", checked_fill)
+    assert rows() == whole
+    assert sizes == [2, 2, 1] and len(filled) == 5
 
 
 def test_sweep_usage_errors(capsys):

@@ -115,9 +115,9 @@ def test_assemble_jacobian_matches_central_differences(topo):
     # different sources and device parameters, each at its own state: every
     # member's J and f must equal its one-member assembly bit for bit.
     members = _batch_members(topo)
-    s = _System(members[0])
+    s = _System(members[:1])
     batch = _System(members)
-    lone = [_System(c) for c in members]
+    lone = [_System([c]) for c in members]
     rng = np.random.default_rng(20261018)
     h = 1e-6
     swapped = {1.0: set(), -1.0: set()}
@@ -162,7 +162,7 @@ def test_mos_currents_match_scalar_model():
     seen = {"swap_nmos": 0, "swap_pmos": 0, "vsb_clamped": 0, "u_over_40": 0}
     for topo in TOPOLOGY_IDS:
         circ = elaborate(gen(topo))
-        s = _System(circ)
+        s = _System([circ])
         for _ in range(10):
             v = rng.uniform(-1.5, 5.0, s.n)
             got = s.mos_currents(v)
@@ -440,6 +440,28 @@ def test_transient_many_damped_members_equal_lone_runs():
     circs = [_circ(rc.format(v)) for v in (3.3, 1.0, 5.0)]
     for c, w in zip(circs, transient_many(circs, 10e-12, 10e-9)):
         _assert_same_waves(w, transient(c, 10e-12, 10e-9))
+
+
+def test_transient_many_reads_no_unwritten_buffer(monkeypatch):
+    # the 1 V member's first step converges in fewer iterations than the
+    # others', so it sends trapezoidal requests while they still iterate on
+    # backward Euler, whose history rows must then read as zeros.  Every
+    # buffer np.empty hands out comes back poisoned (NaN, or -1 for integer
+    # arrays), so any read before a write changes the result.
+    rc = "rc step\nVIN in 0 PULSE(0 {} 0 1f 1f 2n 4n)\nR1 in out 1k\nC1 out 0 1p\n.end\n"
+    circs = [_circ(rc.format(v)) for v in (3.3, 1.0, 5.0)]
+    want = [transient(c, 10e-12, 10e-9) for c in circs]
+    real_empty = np.empty
+
+    def poisoned(*a, **k):
+        arr = real_empty(*a, **k)
+        arr.fill(np.nan if arr.dtype.kind == "f" else -1)
+        return arr
+    monkeypatch.setattr(engine.np, "empty", poisoned)
+    got = list(transient_many(circs, 10e-12, 10e-9))
+    monkeypatch.undo()
+    for w, lone in zip(got, want):
+        _assert_same_waves(w, lone)
 
 
 def test_transient_many_failing_member_fails_alone():
