@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import SolverError, Waveforms, transient, transient_many
-from .measure import MeasureError, Report, characterize
+from .engine import SolverError, Waveforms, transient
+from .measure import MeasureError, Report, characterize, characterize_many
 from .netlist import (ElaborationError, ParseError, elaborate, parse_netlist,
                       parse_seed_models, parse_value, serialize_netlist)
 from .topologies import TOPOLOGY_IDS, TopoParams, gen, validate_params
@@ -198,21 +198,35 @@ def _classify(rep: Report, vddh: float) -> tuple[str, str]:
                               f"the 1%/99% marks of vddh={vddh:g} V")
 
 
+def _fill_row(row: BenchRow, rep, vddh: float) -> None:
+    """Fill a bench or sweep row from a characterization: its Report,
+    classified, or the error it failed with, which makes the row
+    "non-functional" for a MeasureError (the circuit simulates but gives no
+    measurable output) and "failed" otherwise."""
+    if isinstance(rep, Exception):
+        failed = not isinstance(rep, MeasureError)
+        row.status, row.note = "failed" if failed else "non-functional", str(rep)
+        return
+    row.power_avg = rep.power_avg
+    row.power_static_avg = 0.5 * (rep.power_static_lo + rep.power_static_hi)
+    row.delay_max = rep.delay_max
+    row.swing_hi, row.swing_lo = rep.swing_hi, rep.swing_lo
+    row.status, row.note = _classify(rep, vddh)
+
+
 def _bench_rows(topologies, seed) -> list:
-    rows = {}
-    vddh = TopoParams().vddh
-    for topo in topologies:  # enumeration order; rows land in request order
+    """The rows of `topologies`, characterized as one batch."""
+    rows = {t: BenchRow(t) for t in topologies}
+    circs = {}
+    for topo in topologies:
         try:
-            rep = characterize(elaborate(gen(topo), base_models=seed))
-            status, note = _classify(rep, vddh)
-            rows[topo] = BenchRow(
-                topo, rep.power_avg,
-                0.5 * (rep.power_static_lo + rep.power_static_hi),
-                rep.delay_max, rep.swing_hi, rep.swing_lo,
-                status=status, note=note,
-            )
-        except (SolverError, MeasureError, ElaborationError, ValueError) as e:
-            rows[topo] = BenchRow(topo, status="failed", note=str(e))
+            circs[topo] = elaborate(gen(topo), base_models=seed)
+        except ElaborationError as e:
+            rows[topo].status, rows[topo].note = "failed", str(e)
+    reps = characterize_many(circs.values())
+    vddh = TopoParams().vddh
+    for topo in circs:  # one report at a time: each grid is dropped before the next
+        _fill_row(rows[topo], next(reps), vddh)
     for topo in topologies:
         base = topo[:-len("_stacked")] if topo.endswith("_stacked") else None
         if base in rows and rows[base].status == "ok" and rows[topo].status == "ok":
@@ -320,29 +334,9 @@ def cmd_bench(args) -> int:
 _SWEEP_PARAMS = ("vddh", "vddl", "vin_hi", "cload", "w_n_stacked")
 
 _SWEEP_COLUMNS = ("topology", "param", "value") + _BENCH_COLUMNS[1:]
-# points simulated as one batch: a batch holds every member's solved states
-# until it ends, so its size bounds a sweep's memory
+# points characterized as one batch: a batch holds every member's solved
+# states until it ends, so its size bounds a sweep's memory
 _SWEEP_BATCH = 8
-
-
-def _fill_sweep_row(row: BenchRow, p: TopoParams, circ, waves) -> None:
-    """Characterize one simulated sweep point (its Waveforms, or the
-    SolverError its transient failed with) into its row."""
-    try:
-        if isinstance(waves, SolverError):
-            raise waves
-        rep = characterize(circ, waves=waves)
-    except MeasureError as e:
-        row.status, row.note = "non-functional", str(e)
-        return
-    except SolverError as e:
-        row.status, row.note = "failed", str(e)
-        return
-    row.power_avg = rep.power_avg
-    row.power_static_avg = 0.5 * (rep.power_static_lo + rep.power_static_hi)
-    row.delay_max = rep.delay_max
-    row.swing_hi, row.swing_lo = rep.swing_hi, rep.swing_lo
-    row.status, row.note = _classify(rep, p.vddh)
 
 
 def cmd_sweep(args) -> int:
@@ -373,15 +367,11 @@ def cmd_sweep(args) -> int:
             continue
         points.append((row, p, elaborate(gen(topo, p), base_models=seed)))
 
-    # the points share their structure and grid: batches of _SWEEP_BATCH
     for lo in range(0, len(points), _SWEEP_BATCH):
         batch = points[lo:lo + _SWEEP_BATCH]
-        tran = batch[0][2].tran
-        sims = transient_many([c for _, _, c in batch], tran.tstep, tran.tstop)
-        for row, p, circ in batch:
-            # one point's grid at a time: zip's reused result tuple would
-            # keep this grid alive while the next one is filled
-            _fill_sweep_row(row, p, circ, next(sims))
+        reps = characterize_many([c for _, _, c in batch])
+        for row, p, _ in batch:  # one report at a time: each grid is dropped before the next
+            _fill_row(row, next(reps), p.vddh)
 
     fh = _out_stream(args.out)
     try:

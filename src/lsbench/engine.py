@@ -141,15 +141,6 @@ class Waveforms:
     solved: np.ndarray | None = None     # grid indices that are solver states
 
 
-def _structure(c: Circuit) -> tuple:
-    """What the members of one batch share: the node count, the source
-    terminals and the MOSFET terminals and polarities.  Element values may
-    differ, and so may resistors and capacitors, which stamp into per-member
-    matrices."""
-    return (c.n_nodes, tuple((s.p, s.m) for s in c.sources),
-            tuple((m.d, m.g, m.s, m.b, m.params.polarity) for m in c.mosfets))
-
-
 def _stamp(idx: list, val: list, size: int, a: int, b: int, v: float) -> None:
     """Append the stamp of a two-terminal value v between nodes a and b
     (-1 = ground) to the flat entries idx and values val of a size x size
@@ -197,122 +188,158 @@ def _linear_matrices(circuit: Circuit, n: int, N: int):
 _MOS_FIELDS = ("vth0", "n_slope", "kp", "lam", "eta_dibl", "gamma_body", "phi_s")
 
 
-class _System:
-    """Compiled stamping plan for a batch of circuits of one structure.
+def _stamp_plan(circuit: Circuit, n: int, N: int) -> tuple:
+    """One circuit's stamp plan: the (d, g, s, b) nodes of its MOSFETs as a
+    (4, M) array (-1 = ground), then per stamp term the device-buffer row it
+    gathers (0 the drain->source current, 1..4 the d, g, s, b
+    conductances), its device, its accumulator bin and its sign.  Bins
+    0..n-1 are the rows of f and n + row*N + col the entries of J.  The f
+    terms come first, +i at the drain row and -i at the source row; the J
+    terms follow, rows (d,+1),(s,-1) x cols (d,g,s,b), each part in device
+    order."""
+    mos = circuit.mosfets
+    comp, dev, bins, sgn = [], [], [], []
+    for k, m in enumerate(mos):
+        for row, rs in ((m.d, 1.0), (m.s, -1.0)):
+            if row >= 0:
+                comp.append(0); dev.append(k); bins.append(row); sgn.append(rs)
+    for k, m in enumerate(mos):
+        cols = ((m.d, 1), (m.g, 2), (m.s, 3), (m.b, 4))
+        for row, rs in ((m.d, 1.0), (m.s, -1.0)):
+            if row < 0:
+                continue
+            for col, c in cols:
+                if col >= 0:
+                    comp.append(c); dev.append(k); bins.append(n + row * N + col)
+                    sgn.append(rs)
+    term = np.array([[m.d, m.g, m.s, m.b] for m in mos], dtype=np.intp).reshape(-1, 4).T
+    return (term, np.array(comp, dtype=np.intp), np.array(dev, dtype=np.intp),
+            np.array(bins, dtype=np.intp), np.array(sgn))
 
-    Matrices and device parameters carry a leading member axis; `live`
-    selects the members that `mos_currents` and `assemble` work on."""
+
+class _Group:
+    """The live members of one size (n nodes, N unknowns, with or without
+    MOSFETs), in member order.  X holds their states; BASE, R and IC the
+    base matrices, constant parts of f and trapezoidal histories of their
+    current requests; start, stop and dv_ok their Newton counters.  Arrays
+    are stacked over the members, or 1-D for a group of one, whose BASE, R
+    and IC are its request's own arrays (nothing writes through them)."""
+
+    __slots__ = ("members", "L", "n", "N", "mos", "bins", "X", "rows", "BASE", "R",
+                 "IC", "has_ic", "use_ic", "start", "stop", "dv_ok")
+
+    def __init__(self, members: list, n: int, N: int, mos: bool, X, bins: slice):
+        L = len(members)
+        self.members, self.L, self.n, self.N, self.mos, self.bins = members, L, n, N, mos, bins
+        self.X = X if L == 1 else X.reshape(L, N)
+        self.rows = [self.X] if L == 1 else list(self.X)
+        if L > 1:  # BASE and R rows are loaded with each request
+            self.BASE, self.R, self.IC = np.empty((L, N, N)), np.empty((L, N)), np.zeros((L, n))
+        self.has_ic, self.use_ic = [False] * L, False
+        self.start, self.stop, self.dv_ok = [0] * L, [0] * L, [False] * L
+
+    def put(self, p: int, base, rhs, ic) -> None:
+        """Load the request parts of member row p.  A member without a
+        history keeps a zero IC row, which subtracts exactly, while another
+        member's history is in use."""
+        if self.L == 1:
+            self.BASE, self.R, self.IC, self.use_ic = base, rhs, ic, ic is not None
+            return
+        self.BASE[p], self.R[p] = base, rhs
+        if ic is not None or self.has_ic[p]:
+            self.IC[p] = 0.0 if ic is None else ic
+            self.has_ic[p] = ic is not None
+        self.use_ic = True in self.has_ic
+
+
+class _System:
+    """Compiled stamping plans for a batch of circuits of any structures.
+
+    Member j keeps its own sizes n[j] and N[j], matrices G[j], C[j] and
+    stamp plan; the devices of all members share one parameter array.
+    `live` plans the members that `assemble` works on."""
 
     def __init__(self, circuits: list):
         if not circuits:
             raise ValueError("a batch needs at least one circuit")
-        shape = _structure(circuits[0]) if len(circuits) > 1 else None
-        for j, c in enumerate(circuits[1:], 1):
-            if _structure(c) != shape:
-                raise ValueError(
-                    f"circuit {j} ({c.title!r}) differs in structure from circuit 0 "
-                    f"({circuits[0].title!r}): a batch must share its nodes, source "
-                    f"terminals and MOSFET terminals and polarities")
         self.circuits = circuits
-        c0 = circuits[0]
-        n = c0.n_nodes
-        ns = len(c0.sources)
-        N = n + ns
-        B = len(circuits)
-        self.B, self.n, self.ns, self.N = B, n, ns, N
-
-        G, C = zip(*[_linear_matrices(c, n, N) for c in circuits])
-        self.G, self.C = np.array(G), np.array(C)
-        self.Cext = np.zeros((B, N, N))
-        self.Cext[:, :n, :n] = self.C
+        self.n = [c.n_nodes for c in circuits]
+        self.N = [c.n_nodes + len(c.sources) for c in circuits]
+        self.G, self.C, self.Cext = [], [], []
+        for c, n, N in zip(circuits, self.n, self.N):
+            G, C = _linear_matrices(c, n, N)
+            Cext = np.zeros((N, N))
+            Cext[:n, :n] = C
+            self.G.append(G); self.C.append(C); self.Cext.append(Cext)
         self.waves = [[s.wave for s in c.sources] for c in circuits]
-
-        # MOSFET evaluation arrays; ground is mapped to the spare slot n of a
-        # member's row in a voltage gather buffer whose last column stays 0.
-        mos = c0.mosfets
-        M = len(mos)
-        self.M = M
-        gidx = lambda i: i if i >= 0 else n
-        self.g_idx4 = np.array(
-            [[gidx(m.d), gidx(m.g), gidx(m.s), gidx(m.b)] for m in mos],
-            dtype=np.intp,
-        ).reshape(M, 4).T.copy()
-        self.m_sgn = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in mos])
-        # (9, B, M): the seven model parameters, then w and l
+        self.plans = [_stamp_plan(c, n, N) for c, n, N in zip(circuits, self.n, self.N)]
+        # the MOSFETs of all members back to back, member j's from m0[j]:
+        # polarity signs, the seven model parameters then w and l (9, M),
+        # and their bias-independent terms
+        self.m0 = np.cumsum([0] + [len(c.mosfets) for c in circuits]).tolist()
         ms = [m for c in circuits for m in c.mosfets]
+        self.m_sgn = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in ms])
         self._p = np.array([getattr(m.params, f) for f in _MOS_FIELDS for m in ms]
-                           + [m.w for m in ms] + [m.l for m in ms]).reshape(9, B, M)
+                           + [m.w for m in ms] + [m.l for m in ms]).reshape(9, len(ms))
         self._c = _eval_consts(*self._p[1:])
 
-        # One stamp plan over the flattened (5, M) device buffer and n + N*N
-        # accumulator bins (f rows, then J row-major).  The f part comes
-        # first: +i at the drain row, -i at the source row.  The J part
-        # follows: rows (d,+1),(s,-1) x cols (d,g,s,b) -> buffer rows 1..4.
-        gather, bins, sgn = [], [], []
-        for k, m in enumerate(mos):
-            for row, rs in ((m.d, 1.0), (m.s, -1.0)):
-                if row >= 0:
-                    gather.append(k); bins.append(row); sgn.append(rs)
-        for k, m in enumerate(mos):
-            cols = ((m.d, 1), (m.g, 2), (m.s, 3), (m.b, 4))
-            for row, rs in ((m.d, 1.0), (m.s, -1.0)):
-                if row < 0:
-                    continue
-                for col, comp in cols:
-                    if col < 0:
-                        continue
-                    gather.append(comp * M + k); bins.append(n + row * N + col)
-                    sgn.append(rs)
-        self.s_gather = np.array(gather, dtype=np.intp)
-        self.s_bin = np.array(bins, dtype=np.intp)
-        self.s_sgn = np.array(sgn)
-        self.n_bins = n + N * N
-        self.live(range(B))
-
-    def live(self, members) -> None:
-        """Make `mos_currents` and `assemble` work on `members`, a list of
-        member indices.  Their devices form one array of len(members)*M, and
-        their bins are member-major, each member's in the one-member order,
-        so every member sums the same terms in the same order as alone."""
-        members = list(members)
-        self.members = members
-        L, M, n = len(members), self.M, self.n
-        rows = slice(None) if members == list(range(self.B)) else members
+    def live(self, members) -> list:
+        """Plan `members`, a list of member indices, for `assemble` and
+        return their groups: members of one size form a group, the groups in
+        the order of their first members.  The groups' states lie back to
+        back in `xbuf`, whose last entry stays 0 for ground; the live
+        devices form one array in the same order; each member's bins (its n
+        rows of f, then its N*N entries of J) follow the bins of the members
+        before it.  So every member sums the same terms in the same order as
+        alone."""
+        sizes = {}
+        for j in members:
+            sizes.setdefault((self.n[j], self.N[j], self.m0[j] < self.m0[j + 1]), []).append(j)
+        S = sum(self.N[j] for j in members)
+        self.xbuf = xbuf = np.zeros(S + 1)
+        self.groups, gidx, comp, dev, bins, sgn, spans = [], [], [], [], [], [], []
+        xo = bo = mo = 0
+        for (n, N, mos), ms in sizes.items():
+            size = len(ms) * N
+            self.groups.append(_Group(ms, n, N, mos, xbuf[xo:xo + size],
+                                      slice(bo, bo + len(ms) * (n + N * N))))
+            for j in ms:
+                term, c, d, b, s = self.plans[j]
+                gidx.append(np.where(term >= 0, term + xo, S))
+                comp.append(c); dev.append(d + mo); bins.append(b + bo); sgn.append(s)
+                spans.append((self.m0[j], self.m0[j + 1]))
+                xo, bo, mo = xo + N, bo + n + N * N, mo + term.shape[1]
+        self._gidx = np.concatenate(gidx, axis=1)
+        self._gather = np.concatenate(comp) * mo + np.concatenate(dev)
+        self._bin, self._sgn = np.concatenate(bins), np.concatenate(sgn)
+        self.n_bins = bo
+        # the live devices' rows of the parameter arrays: views where they
+        # are consecutive, as for one member or a whole batch in order
+        if all(a == b for (_, a), (b, _) in zip(spans, spans[1:])):
+            rows = slice(spans[0][0], spans[-1][1])
+        else:
+            rows = np.concatenate([np.arange(a, b) for a, b in spans])
         (self.p_vth0, self.p_n, self.p_kp, self.p_lam, self.p_eta, self.p_gamma,
-         self.p_phi, self.m_w, self.m_l) = self._p[:, rows].reshape(9, L * M)
+         self.p_phi, self.m_w, self.m_l) = self._p[:, rows]
         nhphi, sqphi, a, a2, etas, ispec, ispec_lam = self._c
-        flat = lambda arr: arr[rows].reshape(L * M)
-        self.c_eval = (flat(nhphi), flat(sqphi), flat(a), flat(a2),
-                       etas[:, rows].reshape(2, L * M), flat(ispec), flat(ispec_lam))
-        self._vbuf = np.zeros((L, n + 1))
-        self._vflat = self._vbuf.reshape(-1)  # views of the buffers, for gathers
-        self._mbuf = np.zeros((5, L * M))
+        self.c_eval = (nhphi[rows], sqphi[rows], a[rows], a2[rows], etas[:, rows],
+                       ispec[rows], ispec_lam[rows])
+        self._msgn = self.m_sgn[rows]
+        self._mbuf = np.zeros((5, mo))
         self._mflat = self._mbuf.reshape(-1)
-        if L == 1:  # member offsets are all zero
-            self._gidx, self._msgn = self.g_idx4, self.m_sgn
-            self._gather, self._bin, self._sgn = self.s_gather, self.s_bin, self.s_sgn
-            return
-        at = np.arange(L)[:, None]
-        self._gidx = (self.g_idx4[:, None, :] + (n + 1) * at).reshape(4, L * M)
-        self._msgn = np.tile(self.m_sgn, L)
-        comp, k = np.divmod(self.s_gather, M)
-        self._gather = (comp * (L * M) + k + M * at).reshape(-1)
-        self._bin = (self.s_bin + self.n_bins * at).reshape(-1)
-        self._sgn = np.tile(self.s_sgn, L)
+        return self.groups
 
     # -- device evaluation ------------------------------------------------
 
-    def mos_currents(self, v: np.ndarray) -> np.ndarray:
-        """Evaluate the live members' MOSFETs at node voltages v (one row of
-        n per live member).  Returns a (5, L*M) buffer, overwritten by the
-        next call: row 0 holds the physical drain->source currents, rows 1..4
-        the conductances w.r.t. the drain, gate, source and body node
-        voltages; member p's devices are columns p*M .. p*M+M-1."""
+    def mos_currents(self) -> np.ndarray:
+        """Evaluate the live MOSFETs at the live states in `xbuf`.  Returns a
+        (5, M) buffer over the live devices, overwritten by the next call:
+        row 0 holds the physical drain->source currents, rows 1..4 the
+        conductances w.r.t. the drain, gate, source and body node voltages."""
         out = self._mbuf
-        if self.M == 0:
+        if not out.shape[1]:
             return out
-        self._vbuf[:, : self.n] = v
-        vt = self._vflat[self._gidx] * self._msgn
+        vt = self.xbuf[self._gidx] * self._msgn
         vd, vg, vs, vb = vt[0], vt[1], vt[2], vt[3]
         hi = np.maximum(vd, vs)
         lo = np.minimum(vd, vs)
@@ -337,60 +364,78 @@ class _System:
 
     # -- assembly ----------------------------------------------------------
 
-    def rhs(self, t: float, scale: float = 1.0, j: int = 0, hist=None) -> np.ndarray:
+    def rhs(self, j: int, t: float, scale: float = 1.0, hist=None) -> np.ndarray:
         """Member j's constant part of f: the companion history alpha*C*v_prev
         on the node rows (zeros for DC, which subtract exactly) and the
         source values, scaled, on the source rows."""
-        r = np.empty(self.N)
-        r[: self.n] = 0.0 if hist is None else hist
-        r[self.n:] = [scale * source_value(w, t) for w in self.waves[j]]
+        n = self.n[j]
+        r = np.empty(self.N[j])
+        r[:n] = 0.0 if hist is None else hist
+        r[n:] = [scale * source_value(w, t) for w in self.waves[j]]
         return r
 
-    def base_matrix(self, gmin: float, alpha: float = 0.0, j: int = 0) -> np.ndarray:
+    def base_matrix(self, j: int, gmin: float, alpha: float = 0.0) -> np.ndarray:
         """Member j's linear part: G + alpha*C + gmin on the node diagonal."""
         base = self.G[j] + alpha * self.Cext[j]
-        idx = np.arange(self.n)
+        idx = np.arange(self.n[j])
         base[idx, idx] += gmin
         return base
 
-    def assemble(self, x, base, rhs, ic=None):
-        """Return (J, f) of the live members, stacked: x is (L, N), base
-        (L, N, N) rows of base_matrix, rhs (L, N) rows of `rhs`, and ic the
-        trapezoidal history currents (L, n), or None."""
-        n = self.n
-        if len(x) == 1:  # one member: 1-D views and dot, cheaper and bitwise equal
-            x1, b1 = x[0], base[0]
-            f = b1.dot(x1)
-            f -= rhs[0]
-            if ic is not None:
-                f[:n] -= ic[0]
-            if not self.M:
-                return base.copy(), f[None]
-            self.mos_currents(x1[:n])
+    def assemble(self) -> list:
+        """(J, f) of each live group at its states X and the requests loaded
+        into it: f = BASE x - R - IC (on the node rows) + the device currents
+        and J = BASE + the device conductances, 1-D for a group of one and
+        stacked otherwise.  All live devices are evaluated in one call and
+        scattered with one `bincount`; each group's f and J are views of its
+        bins."""
+        if self._mbuf.shape[1]:
+            self.mos_currents()
             acc = np.bincount(self._bin, weights=self._sgn * self._mflat[self._gather],
                               minlength=self.n_bins)
-            f[:n] += acc[:n]
-            return (b1 + acc[n:].reshape(self.N, self.N))[None], f[None]
-        f = np.matmul(base, x[:, :, None])[:, :, 0]
-        f -= rhs
-        if ic is not None:
-            f[:, :n] -= ic
-        if not self.M:
-            return base.copy(), f
-        self.mos_currents(x[:, :n])
-        acc = np.bincount(self._bin, weights=self._sgn * self._mflat[self._gather],
-                          minlength=len(x) * self.n_bins).reshape(len(x), self.n_bins)
-        f[:, :n] += acc[:, :n]
-        return base + acc[:, n:].reshape(base.shape), f
+        out = []
+        for g in self.groups:
+            n = g.n
+            if g.L == 1:  # 1-D arrays and dot: cheaper, and bitwise equal
+                f = g.BASE.dot(g.X)
+                f -= g.R
+                if g.use_ic:
+                    f[:n] -= g.IC
+                if not g.mos:
+                    out.append((g.BASE.copy(), f))
+                    continue
+                a = acc[g.bins]
+                f[:n] += a[:n]
+                out.append((g.BASE + a[n:].reshape(g.N, g.N), f))
+                continue
+            f = np.matmul(g.BASE, g.X[:, :, None])[:, :, 0]
+            f -= g.R
+            if g.use_ic:
+                f[:, :n] -= g.IC
+            if not g.mos:
+                out.append((g.BASE.copy(), f))
+                continue
+            a = acc[g.bins].reshape(g.L, n + g.N * g.N)
+            f[:, :n] += a[:, :n]
+            out.append((g.BASE + a[:, n:].reshape(g.BASE.shape), f))
+        return out
 
-    def worst_node(self, x, t, gmin, src_scale=1.0) -> str:
-        """Name of the node with the largest KCL residual at x, for a
-        one-member system."""
-        if self.n == 0:
-            return "<none>"
-        _, f = self.assemble(x[None], self.base_matrix(gmin)[None],
-                             self.rhs(t, src_scale)[None])
-        return self.circuits[0].node_names[int(np.argmax(np.abs(f[0, : self.n])))]
+    def assemble_one(self, j: int, x, base, rhs, ic=None):
+        """(J, f) of member j alone at state x, with the given base matrix,
+        `rhs` and trapezoidal history (or None).  Replaces the live plan."""
+        (g,) = self.live([j])
+        g.X[:] = x
+        g.put(0, base, rhs, ic)
+        ((J, f),) = self.assemble()
+        return J, f
+
+
+def _worst_node(circuit: Circuit, x, t: float, gmin: float, scale: float) -> str:
+    """Name of the node with the largest KCL residual of `circuit` at x."""
+    if circuit.n_nodes == 0:
+        return "<none>"
+    s = _System([circuit])  # its own plan, so a running drive keeps its own
+    _, f = s.assemble_one(0, x, s.base_matrix(0, gmin), s.rhs(0, t, scale))
+    return circuit.node_names[int(np.argmax(np.abs(f[: circuit.n_nodes])))]
 
 
 # -- Newton ------------------------------------------------------------------
@@ -423,124 +468,122 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     Returns each member's return value, or the SolverError it raised.
 
     Each iteration assembles every live member with one `assemble` call and
-    solves them with one stacked solve; per member it applies damped Newton:
-    converged when both max|dv| < vntol and the worst KCL residual is below
-    abstol, node updates clamped to +/-vclamp.  A member whose request ends
-    gets its result at once and joins the next iteration with its next
-    request, so it does the same arithmetic as it would alone."""
-    n, N = sys_.n, sys_.N
+    solves each group of one size with one stacked solve (one vector solve
+    for a group of one); per member it applies damped Newton: converged when
+    both max|dv| < vntol and the worst KCL residual is below abstol, node
+    updates clamped to +/-vclamp.  A member whose request ends gets its
+    result at once and joins the next iteration with its next request, so it
+    does the same arithmetic as it would alone.  The live members are
+    planned again only when one of them ends; the others keep their states
+    and requests."""
     abstol, vntol, vclamp = opts.abstol, opts.vntol, opts.vclamp
-    absolute, top, isfinite = np.abs, np.maximum.reduce, math.isfinite
+    absolute, top, isfinite, solve = np.abs, np.maximum.reduce, math.isfinite, np.linalg.solve
     out = [None] * len(gens)
-    live = [j for j, g in enumerate(gens) if g is not None]
-    L = len(live)
-    if not L:
-        return out
-    # X, BASE and R rows are written when a request starts; an IC row holds
-    # zeros until its member sends a trapezoidal history, so members without
-    # one subtract exact zeros while another member's history is in use
-    X, BASE, R, IC = np.empty((L, N)), np.empty((L, N, N)), np.empty((L, N)), np.zeros((L, n))
-    has_ic = [False] * L
-    start, stop, dv_ok = [0] * L, [0] * L, [False] * L
-    ends = [(p, None) for p in range(L)]  # (row, result for its generator)
+    sends = [(j, None) for j, g in enumerate(gens) if g is not None]  # (member, result)
+    reqs, at, groups = {}, {}, []  # member -> request; member -> (group, row)
     k = 0  # iterations so far
     while True:
-        if ends:
-            gone = []
-            for p, result in ends:
-                gen = gens[live[p]]
+        if sends:
+            new, gone = {}, False
+            for j, result in sends:
+                gen = gens[j]
                 while True:
                     try:
                         req = gen.send(result)
                     except StopIteration as e:
-                        out[live[p]], req = e.value, None
+                        out[j], req = e.value, None
                     except SolverError as e:
-                        out[live[p]], req = e, None
+                        out[j], req = e, None
                     if req is None or req[4] >= 1:
                         break
                     result = (req[0].copy(), req[4], np.inf, False, "iteration limit")
                 if req is None:
-                    gone.append(p)
-                    continue
-                x0, base, rhs, ic, limit = req
-                X[p] = x0
-                if L == 1:  # one member: views, which nothing writes through
-                    BASE, R = base[None], rhs[None]
+                    gone = reqs.pop(j, None) is not None or gone
                 else:
-                    BASE[p], R[p] = base, rhs
-                if ic is not None or has_ic[p]:
-                    IC[p] = 0.0 if ic is None else ic  # a zero row subtracts exactly
-                    has_ic[p] = ic is not None
-                start[p], stop[p], dv_ok[p] = k, k + limit, False
-            if gone:
-                keep = [p for p in range(L) if p not in gone]
-                if not keep:
-                    return out
-                live = [live[p] for p in keep]
-                X, BASE, R, IC = X[keep], BASE[keep], R[keep], IC[keep]
-                has_ic = [has_ic[p] for p in keep]
-                start, stop = [start[p] for p in keep], [stop[p] for p in keep]
-                dv_ok = [dv_ok[p] for p in keep]
-                L = len(live)
-            if live != sys_.members:
-                sys_.live(live)
-            use_ic = IC if True in has_ic else None
-            ends = []
+                    reqs[j] = new[j] = req
+            sends = []
+            if not reqs:
+                return out
+            if gone or not groups:  # a new plan; the other members carry over
+                old, groups = at, sys_.live(sorted(reqs))
+                at = {j: (g, p) for g in groups for p, j in enumerate(g.members)}
+                for j, (g, p) in at.items():
+                    if j not in new:
+                        og, op = old[j]
+                        g.rows[p][:] = og.rows[op]
+                        g.put(p, *reqs[j][1:4])
+                        g.start[p], g.stop[p], g.dv_ok[p] = og.start[op], og.stop[op], og.dv_ok[op]
+            for j, (x0, base, rhs, ic, limit) in new.items():
+                g, p = at[j]
+                g.rows[p][:] = x0
+                g.put(p, base, rhs, ic)
+                g.start[p], g.stop[p], g.dv_ok[p] = k, k + limit, False
 
         k += 1
-        J, F = sys_.assemble(X, BASE, R, use_ic)
-        res = top(absolute(F[:, :n]), 1).tolist() if n else [0.0] * L
-        todo = range(L)
-        if True in dv_ok:  # converged: the last update and this residual are small
-            todo = []
-            for p in range(L):
-                if dv_ok[p] and res[p] < abstol:
-                    ends.append((p, (X[p].copy(), k - start[p], res[p], True, "")))
-                else:
-                    todo.append(p)
-            if not todo:
-                continue
-            if len(todo) < L:
-                J, F = J[todo], F[todo]
-        try:  # one member: the vector solve is cheaper and bitwise equal
-            DX, bad = (np.linalg.solve(J[0], -F[0])[None] if len(F) == 1 else
-                       np.linalg.solve(J, -F[:, :, None])[:, :, 0]), ()
-        except np.linalg.LinAlgError:
-            DX, bad = _solve_each(J, F)
-        A = absolute(DX)
-        amax = top(A, 1).tolist() if N else [0.0] * len(A)  # NaN and inf propagate
-        dvm = top(A[:, :n], 1).tolist() if n else [0.0] * len(A)
-        moved, post, clamp = [], [], False
-        for q, p in enumerate(todo):
-            if q in bad or not isfinite(amax[q]):
-                why = _SINGULAR if q in bad else "non-finite Newton update"
-                ends.append((p, (X[p].copy(), k - start[p], res[p], False, why)))
-                continue
-            moved.append(q)
-            dv = dvm[q]
-            if dv > vclamp:
-                clamp = True
-            if res[p] < abstol and dv < vntol:
-                post.append((p, True, ""))  # residual and update both inside tolerance
+        for g, (J, F) in zip(groups, sys_.assemble()):
+            n, L, rows, dv_ok = g.n, g.L, g.rows, g.dv_ok
+            if L == 1:
+                res = [float(top(absolute(F[:n]))) if n else 0.0]
             else:
-                dv_ok[p] = dv < vntol
-                if k == stop[p]:
-                    post.append((p, False, "iteration limit"))
-        if not moved:
-            continue
-        if clamp:  # clip, the identity on updates inside the clamp
-            dv = DX[:, :n]
-            np.maximum(np.minimum(dv, vclamp, out=dv), -vclamp, out=dv)
-        if len(moved) == L:
-            X += DX
-        else:
-            X[[todo[q] for q in moved]] += DX[moved]
-        for p, ok, why in post:
-            ends.append((p, (X[p].copy(), k - start[p], res[p], ok, why)))
+                res = top(absolute(F[:, :n]), 1).tolist() if n else [0.0] * L
+            todo = range(L)
+            if True in dv_ok:  # converged: the last update and this residual are small
+                todo = []
+                for p in range(L):
+                    if dv_ok[p] and res[p] < abstol:
+                        sends.append((g.members[p], (rows[p].copy(), k - g.start[p],
+                                                     res[p], True, "")))
+                    else:
+                        todo.append(p)
+                if not todo:
+                    continue
+                if len(todo) < L:
+                    J, F = J[todo], F[todo]
+            try:  # one member: the vector solve, cheaper and bitwise equal
+                DX, bad = (solve(J, -F) if F.ndim == 1 else
+                           solve(J[0], -F[0])[None] if len(F) == 1 else
+                           solve(J, -F[:, :, None])[:, :, 0]), ()
+            except np.linalg.LinAlgError:
+                DX, bad = _solve_each(J.reshape(-1, g.N, g.N), F.reshape(-1, g.N))
+            A = absolute(DX)  # NaN and inf propagate through the maxima
+            if A.ndim == 1:
+                amax = [float(top(A)) if g.N else 0.0]
+                dvm = [float(top(A[:n])) if n else 0.0]
+            else:
+                amax = top(A, 1).tolist() if g.N else [0.0] * len(A)
+                dvm = top(A[:, :n], 1).tolist() if n else [0.0] * len(A)
+            moved, post, clamp = [], [], False
+            for q, p in enumerate(todo):
+                if q in bad or not isfinite(amax[q]):
+                    why = _SINGULAR if q in bad else "non-finite Newton update"
+                    sends.append((g.members[p], (rows[p].copy(), k - g.start[p],
+                                                 res[p], False, why)))
+                    continue
+                moved.append(q)
+                dv = dvm[q]
+                if dv > vclamp:
+                    clamp = True
+                if res[p] < abstol and dv < vntol:
+                    post.append((p, True, ""))  # residual and update both inside tolerance
+                else:
+                    dv_ok[p] = dv < vntol
+                    if k == g.stop[p]:
+                        post.append((p, False, "iteration limit"))
+            if not moved:
+                continue
+            if clamp:  # clip, the identity on updates inside the clamp
+                dv = DX[..., :n]
+                np.maximum(np.minimum(dv, vclamp, out=dv), -vclamp, out=dv)
+            if len(moved) == L:
+                g.X += DX
+            else:
+                g.X[[todo[q] for q in moved]] += DX[moved]
+            for p, ok, why in post:
+                sends.append((g.members[p], (rows[p].copy(), k - g.start[p], res[p], ok, why)))
 
 
-def _state_from_vector(sys_: _System, x: np.ndarray) -> SysState:
-    return SysState(v=x[: sys_.n].copy(), i_branch=x[sys_.n:].copy())
+def _state_from_vector(n: int, x: np.ndarray) -> SysState:
+    return SysState(v=x[:n].copy(), i_branch=x[n:].copy())
 
 
 def assemble(circuit: Circuit, state: SysState, companion: dict | None = None,
@@ -553,10 +596,9 @@ def assemble(circuit: Circuit, state: SysState, companion: dict | None = None,
     the step start; required history for trapezoidal, zeros by default).
     """
     sys_ = _System([circuit])
-    x = state.as_vector()[None]
+    x = state.as_vector()
     if companion is None:
-        J, f = sys_.assemble(x, sys_.base_matrix(gmin)[None], sys_.rhs(t)[None])
-        return J[0], f[0]
+        return sys_.assemble_one(0, x, sys_.base_matrix(0, gmin), sys_.rhs(0, t))
     h = companion["h"]
     scheme = companion.get("scheme", "trap")
     if scheme not in ("trap", "be"):
@@ -565,57 +607,54 @@ def assemble(circuit: Circuit, state: SysState, companion: dict | None = None,
     prev: SysState = companion["prev"]
     ic_prev = companion.get("ic_prev")
     if scheme == "trap" and ic_prev is None:
-        ic_prev = np.zeros(sys_.n)
-    J, f = sys_.assemble(x, sys_.base_matrix(gmin, alpha)[None],
-                         sys_.rhs(t, hist=alpha * sys_.C[0].dot(prev.v))[None],
-                         None if ic_prev is None else ic_prev[None])
-    return J[0], f[0]
+        ic_prev = np.zeros(circuit.n_nodes)
+    return sys_.assemble_one(0, x, sys_.base_matrix(0, gmin, alpha),
+                             sys_.rhs(0, t, hist=alpha * sys_.C[0].dot(prev.v)), ic_prev)
 
 
 _GMIN_LADDER = tuple(10.0 ** -k for k in range(3, 13))  # 1e-3 .. 1e-12
 
 
-def _dc_requests(sys_: _System, opts: SolveOptions, gmin: float,
+def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
                  t: float, x0: np.ndarray | None):
-    """The DC operating point of a one-member system as a generator of
-    Newton requests: plain Newton, then gmin stepping, then source
-    stepping.  Returns an OpPoint; raises SolverError when every strategy
-    fails."""
-    lim = opts.max_iter
-    rhs = sys_.rhs(t)
-    start = x0 if x0 is not None else np.zeros(sys_.N)
-    x, it, res, ok, _ = yield (start, sys_.base_matrix(gmin), rhs, None, lim)
+    """Member j's DC operating point as a generator of Newton requests:
+    plain Newton, then gmin stepping, then source stepping.  Returns an
+    OpPoint; raises SolverError when every strategy fails."""
+    lim, n, N = opts.max_iter, sys_.n[j], sys_.N[j]
+    rhs = sys_.rhs(j, t)
+    start = x0 if x0 is not None else np.zeros(N)
+    x, it, res, ok, _ = yield (start, sys_.base_matrix(j, gmin), rhs, None, lim)
     total = it
     if ok:
-        return OpPoint(_state_from_vector(sys_, x), res, total, "none")
+        return OpPoint(_state_from_vector(n, x), res, total, "none")
 
     ladder = [g for g in _GMIN_LADDER if g > gmin] + [gmin]
-    x = np.zeros(sys_.N)
+    x = np.zeros(N)
     ok_ladder = True
     for g in ladder:
-        x, it, res, ok, _ = yield (x, sys_.base_matrix(g), rhs, None, lim)
+        x, it, res, ok, _ = yield (x, sys_.base_matrix(j, g), rhs, None, lim)
         total += it
         if not ok:
             ok_ladder = False
             break
     if ok_ladder:
-        return OpPoint(_state_from_vector(sys_, x), res, total, "gmin")
+        return OpPoint(_state_from_vector(n, x), res, total, "gmin")
 
-    x = np.zeros(sys_.N)
-    base = sys_.base_matrix(gmin)
+    x = np.zeros(N)
+    base = sys_.base_matrix(j, gmin)
     for frac in np.linspace(0.05, 1.0, 20):
-        x, it, res, ok, why = yield (x, base, sys_.rhs(t, float(frac)), None, lim)
+        x, it, res, ok, why = yield (x, base, sys_.rhs(j, t, float(frac)), None, lim)
         total += it
         if not ok:
-            circuit = sys_.circuits[0]
+            circuit = sys_.circuits[j]
             hint = f"; {'; '.join(circuit.warnings)}" if circuit.warnings else ""
             raise SolverError(
                 f"DC operating point did not converge: plain Newton, gmin and "
                 f"source stepping all failed ({why} at source scale {frac:.2f}; "
                 f"largest residual at node "
-                f"{sys_.worst_node(x, t, gmin, float(frac))!r}{hint})"
+                f"{_worst_node(circuit, x, t, gmin, float(frac))!r}{hint})"
             )
-    return OpPoint(_state_from_vector(sys_, x), res, total, "source")
+    return OpPoint(_state_from_vector(n, x), res, total, "source")
 
 
 def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
@@ -628,7 +667,7 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
     """
     opts = opts or SolveOptions()
     sys_ = _System([circuit])
-    (op,) = _drive(sys_, [_dc_requests(sys_, opts, gmin, t, x0)], opts)
+    (op,) = _drive(sys_, [_dc_requests(sys_, 0, opts, gmin, t, x0)], opts)
     if isinstance(op, SolverError):
         raise op
     return op
@@ -663,26 +702,28 @@ def _corner_intervals(waves, n_steps: int, tstep: float, tstop: float) -> list:
 
 
 class _Stepper:
-    """Member j's transient as a generator of Newton requests (`run`)."""
+    """Member j's transient on the grid t as a generator of Newton requests
+    (`run`)."""
 
-    def __init__(self, sys_: _System, j: int, t: np.ndarray, scheme: str,
+    def __init__(self, sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: str,
                  opts: SolveOptions, gmin: float):
         self.sys, self.j, self.t, self.scheme, self.gmin = sys_, j, t, scheme, gmin
-        self.C = sys_.C[j]
+        self.n, self.C = sys_.n[j], sys_.C[j]
+        self.corners = _corner_intervals(sys_.waves[j], len(t) - 1, tstep, t[-1])
         self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving
         self.bases: dict = {}  # alpha -> base matrix
 
     def step(self, x_from, ic_from, t0, t1, use_trap, depth, guess=None):
         """One implicit step t0 -> t1, halving on failure.  Returns
         (x, ic, worst accepted residual)."""
-        n = self.sys.n
+        n = self.n
         h = t1 - t0
         alpha = 2.0 / h if use_trap else 1.0 / h
         ic_hist = ic_from if use_trap else None
         base = self.bases.get(alpha)
         if base is None:
-            base = self.bases[alpha] = self.sys.base_matrix(self.gmin, alpha, self.j)
-        rhs = self.sys.rhs(t1, 1.0, self.j, alpha * self.C.dot(x_from[:n]))
+            base = self.bases[alpha] = self.sys.base_matrix(self.j, self.gmin, alpha)
+        rhs = self.sys.rhs(self.j, t1, 1.0, alpha * self.C.dot(x_from[:n]))
         starts = (guess, x_from) if guess is not None else (x_from,)
         for start in starts:
             x_new, _, res, ok, _ = yield (start, base, rhs, ic_hist, self.iters)
@@ -701,10 +742,10 @@ class _Stepper:
         x_new, ic_new, r2 = yield from self.step(x_mid, ic_mid, tm, t1, use_trap, depth + 1)
         return x_new, ic_new, max(r1, r2)
 
-    def run(self, op: OpPoint, corners: list):
+    def run(self, op: OpPoint):
         """Step from `op` over the grid; returns the solved grid indices,
         the states there and their residuals."""
-        n, t = self.sys.n, self.t
+        n, t, corners = self.n, self.t, self.corners
         n_steps = len(t) - 1
         x = op.state.as_vector()
         # the solved points in blocks of (grid indices, states, residuals);
@@ -785,26 +826,7 @@ def _waveforms(circuit: Circuit, t: np.ndarray, tstep: float, gmin: float,
     )
 
 
-def transient_many(circuits, tstep: float, tstop: float,
-                   scheme: str = "trap", ic="auto",
-                   opts: SolveOptions | None = None,
-                   gmin: float = GMIN_DEFAULT):
-    """`transient` of several circuits of one structure, solved together.
-
-    Every member takes its own steps, exactly as it would alone; the Newton
-    iterations of all members run in lock-step (see the module docstring).
-    `ic` is "auto" or one OpPoint that every member starts from.
-    Circuits of different structure raise ValueError before any solve.
-    Returns an iterator that yields, in order, each member's Waveforms or
-    the SolverError that member failed with; a member's grid is filled in
-    only when it is yielded.  The batch holds every member's solved points
-    until it ends, so its memory grows with the number of circuits; a
-    caller that drops each Waveforms before asking for the next holds one
-    grid at a time (a zip over the iterator keeps the previous result in
-    its reused tuple while the next grid is filled).
-    """
-    if scheme not in ("trap", "be"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+def _check_grid(tstep: float, tstop: float) -> None:
     if not (math.isfinite(tstep) and math.isfinite(tstop)) or tstep <= 0 or tstop <= 0:
         raise ValueError("tstep and tstop must be positive and finite")
     if tstop < 10 * tstep:
@@ -813,36 +835,78 @@ def transient_many(circuits, tstep: float, tstop: float,
     if tstop > _MAX_GRID_STEPS * tstep:
         raise ValueError(f"grid of {tstop / tstep:.3g} steps exceeds the limit of "
                          f"{_MAX_GRID_STEPS:,} (tstep={tstep:g}, tstop={tstop:g})")
+
+
+def _tran_requests(sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: str,
+                   opts: SolveOptions, gmin: float, ic):
+    """Member j's transient as one generator of Newton requests: its DC
+    operating point (unless `ic` is an OpPoint), then its steps over the
+    grid t.  Returns the blocks of its solved points."""
+    op = ic if isinstance(ic, OpPoint) else (yield from _dc_requests(sys_, j, opts, gmin, 0.0, None))
+    return (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))
+
+
+def _batch(circuits: list, grids: list, scheme: str = "trap", ic="auto",
+           opts: SolveOptions | None = None, gmin: float = GMIN_DEFAULT):
+    """Solve `circuits` as one batch, with one `_System` and one `_drive`:
+    member j runs a transient over grids[j] = (tstep, tstop), from `ic` or
+    from its DC operating point, or only its DC operating point where
+    grids[j] is None.  Returns an iterator over the members' results in
+    order: Waveforms (the grid filled in when it is yielded), OpPoints, or
+    the SolverError a member failed with."""
+    if scheme not in ("trap", "be"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    times = {}  # (tstep, tstop) -> grid times, shared by the members on it
+    for g in grids:
+        if g is not None and g not in times:
+            _check_grid(*g)
+            t = times[g] = np.arange(int(round(g[1] / g[0])) + 1) * g[0]
+            t[-1] = g[1]
     opts = opts or SolveOptions()
-    sys_ = _System(list(circuits))
+    sys_ = _System(circuits)
     if not (isinstance(ic, OpPoint) or ic == "auto"):
         raise ValueError("ic must be 'auto' or an OpPoint")
-
-    n_steps = int(round(tstop / tstep))
-    t = np.arange(n_steps + 1) * tstep
-    t[-1] = tstop
-    gens = [None] * sys_.B
-    failed = {}
-    for j, c in enumerate(sys_.circuits):
-        try:
-            op = ic if isinstance(ic, OpPoint) else dc_operating_point(c, opts, gmin)
-        except SolverError as e:
-            failed[j] = e
-            continue
-        corners = _corner_intervals(sys_.waves[j], n_steps, tstep, tstop)
-        gens[j] = _Stepper(sys_, j, t, scheme, opts, gmin).run(op, corners)
+    if isinstance(ic, OpPoint):
+        size = len(ic.state.v) + len(ic.state.i_branch)
+        for c, N in zip(circuits, sys_.N):
+            if N != size:
+                raise ValueError(f"ic has {size} unknowns and circuit {c.title!r} {N}")
+    gens = [_dc_requests(sys_, j, opts, gmin, 0.0, None) if g is None else
+            _tran_requests(sys_, j, times[g], g[0], scheme, opts, gmin, ic)
+            for j, g in enumerate(grids)]
     results = _drive(sys_, gens, opts)
-    results = [failed.get(j, r) for j, r in enumerate(results)]
-    circuits = sys_.circuits
     del sys_, gens
 
     def members():
-        for j, c in enumerate(circuits):
+        for j, (c, g) in enumerate(zip(circuits, grids)):
             r, results[j] = results[j], None
-            if not isinstance(r, SolverError):
-                r = _waveforms(c, t, tstep, gmin, r)  # drops the solved points
+            if g is not None and not isinstance(r, SolverError):
+                r = _waveforms(c, times[g], g[0], gmin, r)  # drops the solved points
             yield r
     return members()
+
+
+def transient_many(circuits, tstep: float, tstop: float,
+                   scheme: str = "trap", ic="auto",
+                   opts: SolveOptions | None = None,
+                   gmin: float = GMIN_DEFAULT):
+    """`transient` of several circuits, of any structures, solved together.
+
+    Every member takes its own DC start and its own steps, exactly as it
+    would alone; the Newton iterations of all members run in lock-step, with
+    one device evaluation for the whole batch and one linear solve per
+    group of members of one size (see the module docstring).  `ic` is
+    "auto" or one OpPoint that every member starts from.  Returns an
+    iterator that yields, in order, each member's Waveforms or the
+    SolverError that member failed with; a member's grid is filled in only
+    when it is yielded.  The batch holds every member's solved points until
+    it ends, so its memory grows with the number of circuits; a caller that
+    drops each Waveforms before asking for the next holds one grid at a time
+    (a zip over the iterator keeps the previous result in its reused tuple
+    while the next grid is filled).
+    """
+    circuits = list(circuits)
+    return _batch(circuits, [(tstep, tstop)] * len(circuits), scheme, ic, opts, gmin)
 
 
 def transient(circuit: Circuit, tstep: float, tstop: float,

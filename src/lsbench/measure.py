@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import engine
 from .devmodel import SourceWave
-from .engine import (GMIN_DEFAULT, SolveOptions, Waveforms,
-                     dc_operating_point, transient)
+from .engine import GMIN_DEFAULT, SolveOptions, SolverError, Waveforms, dc_operating_point
 from .netlist import Circuit
 
 
@@ -131,25 +131,38 @@ def average_power(waves: Waveforms, supplies, window) -> float:
     return _window_integral(t, p, t0, t1) / (t1 - t0)
 
 
+def _pinned(circuit: Circuit, input_state: str) -> Circuit:
+    """`circuit` with every pulse source pinned at its lo (v1) or hi (v2)
+    level: the same structure, DC sources only."""
+    if input_state not in ("lo", "hi"):
+        raise ValueError(f"input_state must be 'lo' or 'hi', got {input_state!r}")
+    return replace(circuit, sources=[
+        replace(s, wave=SourceWave("dc", s.wave.v1 if input_state == "lo" else s.wave.v2))
+        if s.wave.kind == "pulse" else s
+        for s in circuit.sources
+    ])
+
+
+def _static(circuit: Circuit, op) -> float:
+    """The power the sources of `circuit` deliver at the DC operating point
+    `op` (or the SolverError its solve raised, which is raised here),
+    less the synthetic gmin currents."""
+    if isinstance(op, SolverError):
+        raise op
+    v = op.state.v
+    total = 0.0
+    for k, s in enumerate(circuit.sources):
+        vs = (v[s.p] if s.p >= 0 else 0.0) - (v[s.m] if s.m >= 0 else 0.0)
+        total += vs * (-float(op.state.i_branch[k]))
+    return total - GMIN_DEFAULT * float(np.dot(v, v))
+
+
 def static_power(circuit: Circuit, input_state: str,
                  opts: SolveOptions | None = None) -> float:
     """DC power with every pulse source pinned at its lo (v1) or hi (v2)
     level.  The gmin currents are numerical, not physical, and are excluded."""
-    if input_state not in ("lo", "hi"):
-        raise ValueError(f"input_state must be 'lo' or 'hi', got {input_state!r}")
-    pinned_sources = [
-        replace(s, wave=SourceWave("dc", s.wave.v1 if input_state == "lo" else s.wave.v2))
-        if s.wave.kind == "pulse" else s
-        for s in circuit.sources
-    ]
-    pinned = replace(circuit, sources=pinned_sources)
-    op = dc_operating_point(pinned, opts)
-    v = op.state.v
-    total = 0.0
-    for k, s in enumerate(pinned.sources):
-        vs = (v[s.p] if s.p >= 0 else 0.0) - (v[s.m] if s.m >= 0 else 0.0)
-        total += vs * (-float(op.state.i_branch[k]))
-    return total - GMIN_DEFAULT * float(np.dot(v, v))
+    pinned = _pinned(circuit, input_state)
+    return _static(pinned, dc_operating_point(pinned, opts))
 
 
 def output_swing(out_wave, t, settle):
@@ -198,46 +211,106 @@ def _stimulus_period(circuit: Circuit) -> float:
     raise MeasureError("circuit has no pulse stimulus source")
 
 
+def _grid(circuit: Circuit, tstep: float | None, tstop: float | None) -> tuple:
+    """(tstep, tstop) of a circuit's transient: the given values, else its
+    .tran card's; ValueError when neither gives them or the grid is invalid."""
+    if tstep is None or tstop is None:
+        tr = circuit.tran
+        if tr is None:
+            raise ValueError("no timestep given and the netlist has no .tran")
+        tstep = tstep if tstep is not None else tr.tstep
+        tstop = tstop if tstop is not None else tr.tstop
+    engine._check_grid(tstep, tstop)
+    return tstep, tstop
+
+
+def _report(circuit: Circuit, results, waves, in_node: str, out_node: str):
+    """One circuit's Report from the batch results it takes from the
+    iterator `results`: its Waveforms (unless `waves` is given), then its
+    lo and hi static operating points.  Returns the error a lone
+    characterize raises instead, checked in its order: the transient, the
+    measurements, the lo and the hi static solve."""
+    if waves is None:
+        waves = next(results)
+    op_lo, op_hi = next(results), next(results)
+    try:
+        if isinstance(waves, SolverError):
+            raise waves
+        per = _stimulus_period(circuit)
+        n_per = int(math.floor(waves.t[-1] / per + 1e-9))
+        if n_per < 2:
+            raise MeasureError(
+                f"simulation covers {n_per} stimulus period(s); need at least 2"
+            )
+        for node in (in_node, out_node):
+            if node not in waves.node_v:
+                raise MeasureError(f"no node named {node!r} in waveforms")
+        vin = waves.node_v[in_node]
+        vout = waves.node_v[out_node]
+        delays = propagation_delay(vin, vout, waves.t)
+        p_avg = average_power(waves, None, (per, n_per * per))
+        s_lo, s_hi = output_swing(vout, waves.t, 0.2 * per)
+        return Report(
+            circuit_name=circuit.title,
+            power_avg=p_avg,
+            power_static_lo=_static(circuit, op_lo),
+            power_static_hi=_static(circuit, op_hi),
+            delay_rise=delays["delay_rise"],
+            delay_fall=delays["delay_fall"],
+            delay_max=max(delays["delay_rise"], delays["delay_fall"]),
+            swing_lo=s_lo,
+            swing_hi=s_hi,
+        )
+    except (SolverError, MeasureError, ValueError) as e:
+        return e
+
+
+def characterize_many(circuits, tstep: float | None = None, tstop: float | None = None,
+                      in_node: str = "in", out_node: str = "out", scheme: str = "trap",
+                      opts: SolveOptions | None = None, waves: list | None = None):
+    """`characterize` of several circuits, of any structures, as one batch.
+
+    Each circuit's transient, from its DC start, and its two static-power
+    DC solves (pinned copies of the circuit) are members of one engine
+    batch: one compiled system, whose Newton iterations run in lock-step.
+    `waves`, one Waveforms per circuit, replaces the transients.  Yields, in
+    order, each circuit's Report, equal to its lone `characterize`, or the
+    SolverError, MeasureError or ValueError that one would raise.  A
+    circuit's grid is filled in, measured and dropped before the next
+    circuit's is filled.
+    """
+    circuits = list(circuits)
+    members, grids, errors = [], [], {}
+    for i, c in enumerate(circuits):
+        if waves is None:
+            try:
+                grids.append(_grid(c, tstep, tstop))
+            except ValueError as e:
+                errors[i] = e
+                continue
+            members.append(c)
+        members += [_pinned(c, "lo"), _pinned(c, "hi")]
+        grids += [None, None]
+    results = engine._batch(members, grids, scheme, opts=opts) if members else None
+    for i, c in enumerate(circuits):
+        yield errors.get(i) or _report(c, results, None if waves is None else waves[i],
+                                       in_node, out_node)
+
+
 def characterize(circuit: Circuit, tstep: float | None = None,
                  tstop: float | None = None, in_node: str = "in",
                  out_node: str = "out", scheme: str = "trap",
                  waves: Waveforms | None = None,
                  opts: SolveOptions | None = None) -> Report:
-    """Simulate (or reuse `waves`) and extract the full report.
+    """Simulate (or reuse `waves`) and extract the full report: a batch of
+    one in `characterize_many`, so the transient, its DC start and the two
+    static-power solves share one compiled system.
 
     Average power integrates complete stimulus periods from the second one
     on; the settle margin for swing extraction is 20% of the period.
     """
-    if waves is None:
-        if tstep is None or tstop is None:
-            tr = circuit.tran
-            if tr is None:
-                raise ValueError("no timestep given and the netlist has no .tran")
-            tstep = tstep if tstep is not None else tr.tstep
-            tstop = tstop if tstop is not None else tr.tstop
-        waves = transient(circuit, tstep, tstop, scheme=scheme, opts=opts)
-    per = _stimulus_period(circuit)
-    n_per = int(math.floor(waves.t[-1] / per + 1e-9))
-    if n_per < 2:
-        raise MeasureError(
-            f"simulation covers {n_per} stimulus period(s); need at least 2"
-        )
-    for node in (in_node, out_node):
-        if node not in waves.node_v:
-            raise MeasureError(f"no node named {node!r} in waveforms")
-    vin = waves.node_v[in_node]
-    vout = waves.node_v[out_node]
-    delays = propagation_delay(vin, vout, waves.t)
-    p_avg = average_power(waves, None, (per, n_per * per))
-    s_lo, s_hi = output_swing(vout, waves.t, 0.2 * per)
-    return Report(
-        circuit_name=circuit.title,
-        power_avg=p_avg,
-        power_static_lo=static_power(circuit, "lo", opts),
-        power_static_hi=static_power(circuit, "hi", opts),
-        delay_rise=delays["delay_rise"],
-        delay_fall=delays["delay_fall"],
-        delay_max=max(delays["delay_rise"], delays["delay_fall"]),
-        swing_lo=s_lo,
-        swing_hi=s_hi,
-    )
+    (rep,) = characterize_many([circuit], tstep, tstop, in_node, out_node, scheme, opts,
+                               None if waves is None else [waves])
+    if isinstance(rep, Exception):
+        raise rep
+    return rep

@@ -23,17 +23,20 @@ Beside them, every figure of the six reports must sit within 1e-3 of a
 2.5 ps-grid reference, which bounds the time-discretization error.
 """
 
+import json
 import math
 import sys
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import refmodel as rm
+from lsbench import cli
 from lsbench.devmodel import VT, MosBias, default_params, effective_vth, mosfet_eval
 from lsbench.engine import dc_operating_point, transient
-from lsbench.measure import average_power, characterize
+from lsbench.measure import average_power, characterize, static_power
 from lsbench.netlist import MosCard, elaborate, parse_netlist
 from lsbench.topologies import (TOPOLOGY_IDS, StackSpec, TopoParams,
                                 apply_stack, gen, stack_leakage_fixture)
@@ -245,6 +248,27 @@ def test_criterion_7_transform_matches_shipped_variants(six_runs):
     ok = worst < 1e-6
     _verdict(7, ok, f"apply_stack waveforms match shipped stacked variants "
              f"within {worst:.1e} V (<1e-6)")
+
+
+def test_bench_rows_equal_lone_runs(six_runs, tmp_path):
+    # `bench all` characterizes the six topologies as one batch; its rows
+    # must equal, float for float, the rows made from lone transients and
+    # reports, whose static powers equal lone static_power solves
+    runs, _ = six_runs
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "all", "--format", "json", "-o", str(out)]) == 0
+    got = json.loads(out.read_text())["rows"]
+    want = {}
+    for topo, (circ, _, rep) in runs.items():
+        assert rep.power_static_lo == static_power(circ, "lo")
+        assert rep.power_static_hi == static_power(circ, "hi")
+        want[topo] = row = cli.BenchRow(topo)
+        cli._fill_row(row, rep, VDDH)
+    for base, stacked in PAIRS:
+        want[stacked].reduction_ratio = want[base].power_avg / want[stacked].power_avg
+    assert [r["topology"] for r in got] == list(TOPOLOGY_IDS)
+    for r in got:
+        assert r == dict(zip(cli._BENCH_COLUMNS, astuple(want[r["topology"]])))
 
 
 def test_criterion_8_bench_deterministic(tmp_path, run_lsbench):

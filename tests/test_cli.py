@@ -238,6 +238,33 @@ def test_bench_pairs_table_ratios():
             "delay increased yes (1.250x)") in out.getvalue()
 
 
+def test_bench_compiles_once_and_holds_one_grid(monkeypatch, tmp_path):
+    # bench characterizes its topologies as one batch: one compiled system
+    # for the transients, their DC starts and the static-power solves, and
+    # each topology's grid is dropped before the next one is filled
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "cls", "ssls", "cmls_stacked", "--format", "csv", "-o", str(out)]
+    assert main(argv) == 0
+    whole = out.read_text()
+    compiles, filled = [], []
+    init, fill = engine._System.__init__, engine._waveforms
+
+    def counted_init(self, circuits):
+        compiles.append(len(circuits))
+        init(self, circuits)
+
+    def checked_fill(*a, **k):
+        assert all(w() is None for w in filled), "an earlier topology's grid is still held"
+        waves = fill(*a, **k)
+        filled.append(weakref.ref(waves))
+        return waves
+    monkeypatch.setattr(engine._System, "__init__", counted_init)
+    monkeypatch.setattr(engine, "_waveforms", checked_fill)
+    assert main(argv) == 0
+    assert out.read_text() == whole
+    assert compiles == [9] and len(filled) == 3  # 3 transients + 6 static solves
+
+
 def test_bench_unknown_topology(capsys):
     assert main(["bench", "xyz"]) == 2
     assert "valid: all" in capsys.readouterr().err
@@ -294,7 +321,7 @@ def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
 
     whole = rows()
     sizes, filled = [], []
-    many, fill = cli.transient_many, engine._waveforms
+    many, fill = cli.characterize_many, engine._waveforms
 
     def counted_many(circuits, *a, **k):
         sizes.append(len(circuits))
@@ -306,7 +333,7 @@ def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
         filled.append(weakref.ref(waves))
         return waves
     monkeypatch.setattr(cli, "_SWEEP_BATCH", 2)
-    monkeypatch.setattr(cli, "transient_many", counted_many)
+    monkeypatch.setattr(cli, "characterize_many", counted_many)
     monkeypatch.setattr(engine, "_waveforms", checked_fill)
     assert rows() == whole
     assert sizes == [2, 2, 1] and len(filled) == 5

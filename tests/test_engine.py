@@ -80,16 +80,35 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assemble_one(s, x, alpha, hist, j=0, t=1.5e-9):
-    """(J, f) of member j of _System s alone at state x, through the batch
-    API; hist is () for DC or (v_prev, ic_prev) for a companion."""
+def _request(s, j, alpha, hist, t=1.5e-9):
+    """Member j's (base, rhs, ic) request parts; hist is () for DC or
+    (v_prev, ic_prev) for a companion."""
     hc = ic = None
     if hist:
-        v_prev, ic_prev = hist
-        hc, ic = alpha * s.C[j].dot(v_prev), ic_prev[None]
-    J, f = s.assemble(x[None], s.base_matrix(GMIN, alpha, j)[None],
-                      s.rhs(t, j=j, hist=hc)[None], ic)
-    return J[0], f[0]
+        v_prev, ic = hist
+        hc = alpha * s.C[j].dot(v_prev)
+    return s.base_matrix(j, GMIN, alpha), s.rhs(j, t, hist=hc), ic
+
+
+def _assemble_one(s, x, alpha, hist, j=0):
+    """(J, f) of member j of _System s alone at state x."""
+    return s.assemble_one(j, x, *_request(s, j, alpha, hist))
+
+
+def _assemble_live(s, members, xs, alpha, hists):
+    """(J, f) of each of `members` of _System s, planned as one live batch,
+    at the states xs with the histories hists (see _request)."""
+    groups = s.live(members)
+    for g in groups:
+        for p, j in enumerate(g.members):
+            i = members.index(j)
+            g.rows[p][:] = xs[i]
+            g.put(p, *_request(s, j, alpha, hists[i]))
+    out = {}
+    for g, (J, f) in zip(groups, s.assemble()):
+        for p, j in enumerate(g.members):
+            out[j] = (J, f) if g.L == 1 else (J[p], f[p])
+    return [out[j] for j in members]
 
 
 # three members of one structure: the nominal circuit, a lower input swing,
@@ -118,22 +137,23 @@ def test_assemble_jacobian_matches_central_differences(topo):
     s = _System(members[:1])
     batch = _System(members)
     lone = [_System([c]) for c in members]
+    n, N = s.n[0], s.N[0]
+    term = s.plans[0][0]  # MOSFET terminals, -1 = ground
     rng = np.random.default_rng(20261018)
     h = 1e-6
     swapped = {1.0: set(), -1.0: set()}
     for _ in range(4):
-        x = np.concatenate([rng.uniform(-0.5, 4.0, s.n),
-                            rng.uniform(-1e-3, 1e-3, s.ns)])
-        vt = np.append(x[: s.n], 0.0)[s.g_idx4] * s.m_sgn
+        x = np.concatenate([rng.uniform(-0.5, 4.0, n), rng.uniform(-1e-3, 1e-3, N - n)])
+        vt = np.append(x[:n], 0.0)[term] * s.m_sgn
         for pol in swapped:
             swapped[pol].update(vt[0][s.m_sgn == pol] < vt[2][s.m_sgn == pol])
-        v_prev = rng.uniform(-0.5, 4.0, s.n)
-        ic_prev = rng.uniform(-1e-4, 1e-4, s.n)
+        v_prev = rng.uniform(-0.5, 4.0, n)
+        ic_prev = rng.uniform(-1e-4, 1e-4, n)
         for alpha, hist in ((0.0, ()), (2.0 / 10e-12, (v_prev, ic_prev))):
             J = _assemble_one(s, x, alpha, hist)[0]
             jfd = np.empty_like(J)
-            for j in range(s.N):
-                e = np.zeros(s.N)
+            for j in range(N):
+                e = np.zeros(N)
                 e[j] = h
                 fp = _assemble_one(s, x + e, alpha, hist)[1]
                 fm = _assemble_one(s, x - e, alpha, hist)[1]
@@ -141,18 +161,37 @@ def test_assemble_jacobian_matches_central_differences(topo):
             bad = np.abs(J - jfd) > 1e-4 * np.abs(J) + 2e-9
             assert not bad.any(), (alpha, np.argwhere(bad))
 
-            X = np.stack([x, x[::-1], x + 0.25])
-            ic = np.stack([ic_prev, -ic_prev, 2 * ic_prev]) if hist else None
-            rhs = [batch.rhs(1.5e-9, j=b, hist=alpha * batch.C[b].dot(v_prev) if hist else None)
-                   for b in range(3)]
-            Jb, fb = batch.assemble(
-                X, np.stack([batch.base_matrix(GMIN, alpha, b) for b in range(3)]),
-                np.stack(rhs), ic)
+            X = [x, x[::-1], x + 0.25]
+            hists = [(v_prev, c * ic_prev) if hist else () for c in (1.0, -1.0, 2.0)]
+            got = _assemble_live(batch, [0, 1, 2], X, alpha, hists)
             for b, one in enumerate(lone):
-                hb = (v_prev, ic[b]) if hist else ()
-                J1, f1 = _assemble_one(one, X[b], alpha, hb)
-                assert _same_bits(Jb[b], J1) and _same_bits(fb[b], f1), (alpha, b)
+                J1, f1 = _assemble_one(one, X[b], alpha, hists[b])
+                assert _same_bits(got[b][0], J1) and _same_bits(got[b][1], f1), (alpha, b)
     assert swapped == {1.0: {False, True}, -1.0: {False, True}}
+
+
+def test_ragged_assemble_equals_lone_assembly():
+    # one _System over the three members of every topology: six sizes, so
+    # the live plan mixes stacked groups, groups of one (a live subset in
+    # scrambled order, whose device rows are not consecutive) and members
+    # with different node, unknown and device counts.  Every member's J and
+    # f must equal its one-member assembly bit for bit.
+    circuits = [c for topo in TOPOLOGY_IDS for c in _batch_members(topo)]
+    batch = _System(circuits)
+    assert len(set(batch.N)) == 6
+    rng = np.random.default_rng(6)
+    for members in (list(range(18)), [17, 0, 5, 9, 3, 10, 4]):
+        X, hists = [], []
+        for j in members:
+            n, N = batch.n[j], batch.N[j]
+            X.append(np.concatenate([rng.uniform(-0.5, 4.0, n), rng.uniform(-1e-3, 1e-3, N - n)]))
+            hists.append((rng.uniform(-0.5, 4.0, n), rng.uniform(-1e-4, 1e-4, n)))
+        for alpha in (0.0, 2.0 / 10e-12):
+            hs = hists if alpha else [()] * len(members)
+            got = _assemble_live(batch, members, X, alpha, hs)
+            for i, j in enumerate(members):
+                J1, f1 = _assemble_one(_System([circuits[j]]), X[i], alpha, hs[i])
+                assert _same_bits(got[i][0], J1) and _same_bits(got[i][1], f1), (alpha, j)
 
 
 def test_mos_currents_match_scalar_model():
@@ -163,9 +202,11 @@ def test_mos_currents_match_scalar_model():
     for topo in TOPOLOGY_IDS:
         circ = elaborate(gen(topo))
         s = _System([circ])
+        (g,) = s.live([0])
         for _ in range(10):
-            v = rng.uniform(-1.5, 5.0, s.n)
-            got = s.mos_currents(v)
+            v = rng.uniform(-1.5, 5.0, s.n[0])
+            g.X[: s.n[0]] = v
+            got = s.mos_currents()
             vx = np.append(v, 0.0)  # index -1 is ground
             for k, m in enumerate(circ.mosfets):
                 sg = 1.0 if m.params.polarity == "nmos" else -1.0
@@ -431,6 +472,14 @@ def test_transient_many_equals_lone_runs():
         _assert_same_waves(w, transient(c, 10e-12, 60e-9))
         lengths.add(len(w.solved))
     assert len(lengths) > 1  # the members did step differently
+    # the six topologies have six sizes, so every member is a group of its
+    # own: one device evaluation for all, one solve per member, DC starts
+    # and steps in lock-step
+    circs = [elaborate(gen(topo)) for topo in TOPOLOGY_IDS]
+    got = list(transient_many(circs, 10e-12, 30e-9))
+    assert len(got) == 6
+    for c, w in zip(circs, got):
+        _assert_same_waves(w, transient(c, 10e-12, 30e-9))
 
 
 def test_transient_many_damped_members_equal_lone_runs():
@@ -479,6 +528,12 @@ def test_transient_many_failing_member_fails_alone():
     assert "DC operating point did not converge" in str(got[1])
     for c, w in zip(good, (got[0], got[2])):
         _assert_same_waves(w, transient(c, 10e-12, 30e-9))
+    # next to members of other sizes, which share its device evaluation
+    others = [elaborate(gen("cmls_stacked")), elaborate(gen("ssls"))]
+    got = list(transient_many([others[0], bad, others[1]], 10e-12, 30e-9))
+    assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
+    for c, w in zip(others, (got[0], got[2])):
+        _assert_same_waves(w, transient(c, 10e-12, 30e-9))
 
 
 _GATE_NODE = """\
@@ -505,11 +560,16 @@ def test_transient_many_singular_member_fails_alone():
     assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
     for c, w in zip(tied, (got[0], got[2])):
         _assert_same_waves(w, transient(c, **run))
-
-
-def test_transient_many_rejects_mixed_structures(monkeypatch):
-    def no_solve(*a, **k):
-        raise AssertionError("solved before checking the structure")
-    monkeypatch.setattr(engine, "dc_operating_point", no_solve)
-    with pytest.raises(ValueError, match="structure"):
-        transient_many([elaborate(gen("cls")), elaborate(gen("ssls"))], 10e-12, 30e-9)
+    # next to members with one and two more unknowns, all from their DC
+    # operating points: the floating member's own vector solve raises in
+    # every DC stage, and only it fails
+    others = [_circ(_GATE_NODE.format("is tied down by a divider", "R1 g x 1k\nR2 x 0 1k\n")),
+              _circ(_GATE_NODE.format("is tied down by a ladder",
+                                      "R1 g x 1k\nR2 x y 1k\nR3 y 0 2k\n"))]
+    run = dict(tstep=10e-12, tstop=20e-9, gmin=0.0)
+    with pytest.raises(SolverError, match="singular Jacobian") as lone:
+        transient(floating, **run)
+    got = list(transient_many([others[0], floating, others[1]], **run))
+    assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
+    for c, w in zip(others, (got[0], got[2])):
+        _assert_same_waves(w, transient(c, **run))
