@@ -7,7 +7,8 @@ from .devmodel import (DEFAULT_NMOS, DEFAULT_PMOS, MosBias, MosCaps, MosEval,
 from .engine import (OpPoint, SolveOptions, SolverError, SysState, Waveforms,
                      assemble, dc_operating_point, transient, transient_many)
 from .measure import (MeasureError, Report, average_power, characterize,
-                      output_swing, propagation_delay, static_power)
+                      characterize_many, output_swing, propagation_delay,
+                      static_power)
 from .netlist import (Circuit, ElaborationError, NetlistDoc, ParseError,
                       elaborate, parse_netlist, parse_seed_models, parse_value,
                       serialize_netlist)

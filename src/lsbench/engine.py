@@ -1,5 +1,5 @@
 """Modified nodal analysis, Newton DC solves, and error-controlled implicit
-transient, for one circuit or a batch of circuits of one structure.
+transient, for one circuit or a batch of circuits.
 
 Unknown vector layout: x = [node voltages (n), source branch currents (ns)].
 KCL rows hold the sum of currents leaving each node (a gmin conductance from
@@ -35,37 +35,45 @@ retried with halved substeps, up to 8 halvings deep.  The grid is capped at
 here are constant, so companions reduce to a fixed matrix alpha*C plus a
 history current.
 
-Batches.  `_System` compiles B circuits that share their nodes, source
-terminals and MOSFET terminals (element values may differ, e.g. the points
-of a sweep) with a leading member axis: G and C are (B, N, N) and (B, n, n),
-device parameters (B, M).  The solvers are generators of Newton requests:
-the DC stages and each member's transient controller, with `step()` and its
-halving, yield (start, base matrix, constant part of f, trapezoidal history,
-iteration limit) and receive (x, iterations, residual, converged, reason).
-One driver, `_drive`, runs the requests of all live members in lock-step:
-each iteration is one `assemble` over every live member and one stacked
-`np.linalg.solve`, then per-member convergence, damping and iteration-limit
-checks.  A member whose request ends gets its result at once and joins the
-next iteration with its next request, so every member keeps its own step
-sequence.  A singular member makes the stacked solve raise; the iteration
-is then solved member by member, and only the singular one fails.  B = 1 is
-the only single-circuit path: `transient` and `dc_operating_point` are
-batches of one, and `transient_many` runs several.  During a batched
-transient members keep only their solved points; a member's grid is filled
-in when it is yielded.
+Batches.  `_System` compiles B circuits of any structures (a sweep's
+points, the six topologies of the bench, a circuit and its pinned copies
+for static power).  Each member keeps its own node count n, unknown count
+N, matrices G (N x N) and C (n x n), and MOSFETs; the device parameters of
+all members form one array.  The solvers are generators of Newton
+requests: the DC stages and each member's transient controller, with
+`step()` and its halving, yield (start, base matrix, constant part of f,
+trapezoidal history, iteration limit) and receive (x, iterations, residual,
+converged, reason).  A member's transient is one generator from its DC
+start to its last step.  One driver, `_drive`, runs the requests of all
+live members in lock-step.  The live members form groups of one size
+(equal n and N, with or without MOSFETs); each iteration is one `assemble`
+over every live member, then one solve per group (stacked over its members,
+a vector solve for a group of one) and per-member convergence, damping and
+iteration-limit checks.  Sizes are never padded to a common N: an identity
+block changes the bits of the solve.  A member whose request ends gets its
+result at once and joins the next iteration with its next request, so
+every member keeps its own step sequence; the live set is planned again
+only when a member ends.  A singular member makes its group's stacked
+solve raise; that group is then solved member by member, and only the
+singular one fails.  B = 1 is the only single-circuit path: `transient`
+and `dc_operating_point` are batches of one, and `transient_many` runs
+several.  During a batched transient members keep only their solved
+points; a member's grid is filled in when it is yielded.
 
-Stamp plan.  `_System` compiles each structure once into flat arrays.  Per
-Newton iteration, `mos_currents` evaluates the MOSFETs of every live member
-with one `_core_eval` call and writes a (5, L*M) buffer: the drain->source
-currents, then the conductance columns for the drain, gate, source and body
-nodes.  `assemble` gathers that buffer through one precomputed index,
-multiplies by a sign vector, and scatters everything with a single
-`bincount` over L*(n + N*N) bins.  The bins are member-major: member p owns
-bins p*(n + N*N) onward, its first n bins being the device KCL currents of
-f and the rest the device part of J, row-major, so f and J are reshape
-views of the bin array.  Within a member the f entries come first and the J
-entries second, each in device order, so every bin sums its terms in a
-fixed order, the same for every batch size.
+Stamp plan.  `_System` compiles each member once into flat arrays.  Per
+Newton iteration, `mos_currents` gathers the terminal voltages of every
+live MOSFET straight from the live states, which lie back to back in one
+buffer with a trailing 0 for ground, evaluates them with one `_core_eval`
+call and writes a (5, M) buffer: the drain->source currents, then the
+conductance columns for the drain, gate, source and body nodes.
+`assemble` gathers that buffer through one precomputed index, multiplies
+by a sign vector, and scatters everything with a single `bincount`.  The
+bins are member-major: each member owns n + N*N bins after those of the
+members before it, its first n bins being the device KCL currents of f
+and the rest the device part of J, row-major, so each group's f and J are
+reshape views of the bin array.  Within a member the f entries come first
+and the J entries second, each in device order, so every bin sums its
+terms in a fixed order, the same in every batch.
 
 Exact rewrites only.  The transient output, and hence `bench --format csv`,
 is byte-deterministic and compared across versions, and a member of any
@@ -76,7 +84,8 @@ left-to-right leading product (`ispec*lam*qq` -> `(ispec*lam)*qq`) or a
 per-request term (alpha*C*v_prev once per request instead of per iteration),
 `2.0*x` -> `x+x`, `(y*2.0)*a` -> `y*(2a)`, stacking elementwise operations
 into one array (over members too: the elementwise kernels, the stacked
-matmul and the stacked solve give each member the bits of its own call),
+matmul and the stacked solve give each member the bits of its own call,
+wherever it sits in the batch),
 and skipping an operation that is the identity on the values it meets
 (clipping an update already inside the clamp, subtracting a zero history).
 Not allowed: reordering sums or products (`ispec*qq*mlam` ->
@@ -88,6 +97,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,7 +114,6 @@ class SolverError(RuntimeError):
 @dataclass
 class SolveOptions:
     abstol: float = 1e-9   # A, KCL residual bound
-    reltol: float = 1e-3   # relative tolerance for downstream comparisons
     vntol: float = 1e-6    # V, Newton update bound
     max_iter: int = 200
     vclamp: float = 0.5    # V, per-node per-iteration damping clamp
@@ -189,20 +198,22 @@ _MOS_FIELDS = ("vth0", "n_slope", "kp", "lam", "eta_dibl", "gamma_body", "phi_s"
 
 
 def _stamp_plan(circuit: Circuit, n: int, N: int) -> tuple:
-    """One circuit's stamp plan: the (d, g, s, b) nodes of its MOSFETs as a
-    (4, M) array (-1 = ground), then per stamp term the device-buffer row it
-    gathers (0 the drain->source current, 1..4 the d, g, s, b
-    conductances), its device, its accumulator bin and its sign.  Bins
-    0..n-1 are the rows of f and n + row*N + col the entries of J.  The f
-    terms come first, +i at the drain row and -i at the source row; the J
+    """One circuit's stamp plan: the (d, g, s, b) nodes of its M MOSFETs as
+    a (4, M) array, ground being node N (one past the unknowns of its state
+    vector, where the live plan keeps a 0), then per stamp term the entry of its
+    (5, M) device buffer it gathers (row 0 the drain->source currents, rows
+    1..4 the d, g, s, b conductances), its accumulator bin and its sign.
+    Bins 0..n-1 are the rows of f and n + row*N + col the entries of J.  The
+    f terms come first, +i at the drain row and -i at the source row; the J
     terms follow, rows (d,+1),(s,-1) x cols (d,g,s,b), each part in device
     order."""
     mos = circuit.mosfets
-    comp, dev, bins, sgn = [], [], [], []
+    M = len(mos)
+    gather, bins, sgn = [], [], []
     for k, m in enumerate(mos):
         for row, rs in ((m.d, 1.0), (m.s, -1.0)):
             if row >= 0:
-                comp.append(0); dev.append(k); bins.append(row); sgn.append(rs)
+                gather.append(k); bins.append(row); sgn.append(rs)
     for k, m in enumerate(mos):
         cols = ((m.d, 1), (m.g, 2), (m.s, 3), (m.b, 4))
         for row, rs in ((m.d, 1.0), (m.s, -1.0)):
@@ -210,11 +221,10 @@ def _stamp_plan(circuit: Circuit, n: int, N: int) -> tuple:
                 continue
             for col, c in cols:
                 if col >= 0:
-                    comp.append(c); dev.append(k); bins.append(n + row * N + col)
-                    sgn.append(rs)
-    term = np.array([[m.d, m.g, m.s, m.b] for m in mos], dtype=np.intp).reshape(-1, 4).T
-    return (term, np.array(comp, dtype=np.intp), np.array(dev, dtype=np.intp),
-            np.array(bins, dtype=np.intp), np.array(sgn))
+                    gather.append(c * M + k); bins.append(n + row * N + col); sgn.append(rs)
+    term = np.array([[m.d, m.g, m.s, m.b] for m in mos], dtype=np.intp).reshape(M, 4).T
+    return (np.where(term >= 0, term, N), np.array(gather, dtype=np.intp), np.array(bins, dtype=np.intp),
+            np.array(sgn))
 
 
 class _Group:
@@ -276,7 +286,7 @@ class _System:
         # the MOSFETs of all members back to back, member j's from m0[j]:
         # polarity signs, the seven model parameters then w and l (9, M),
         # and their bias-independent terms
-        self.m0 = np.cumsum([0] + [len(c.mosfets) for c in circuits]).tolist()
+        self.m0 = list(accumulate((len(c.mosfets) for c in circuits), initial=0))
         ms = [m for c in circuits for m in c.mosfets]
         self.m_sgn = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in ms])
         self._p = np.array([getattr(m.params, f) for f in _MOS_FIELDS for m in ms]
@@ -297,22 +307,28 @@ class _System:
             sizes.setdefault((self.n[j], self.N[j], self.m0[j] < self.m0[j + 1]), []).append(j)
         S = sum(self.N[j] for j in members)
         self.xbuf = xbuf = np.zeros(S + 1)
-        self.groups, gidx, comp, dev, bins, sgn, spans = [], [], [], [], [], [], []
-        xo = bo = mo = 0
+        self.groups, gidx, gather, bins, sgn, spans = [], [], [], [], [], []
+        xo = bo = 0
         for (n, N, mos), ms in sizes.items():
             size = len(ms) * N
             self.groups.append(_Group(ms, n, N, mos, xbuf[xo:xo + size],
                                       slice(bo, bo + len(ms) * (n + N * N))))
             for j in ms:
-                term, c, d, b, s = self.plans[j]
-                gidx.append(np.where(term >= 0, term + xo, S))
-                comp.append(c); dev.append(d + mo); bins.append(b + bo); sgn.append(s)
+                term, g, b, s = self.plans[j]
+                gidx.append(np.where(term < N, term + xo, S) if xo or S > N else term)
+                gather.append(g); bins.append(b + bo if bo else b); sgn.append(s)
                 spans.append((self.m0[j], self.m0[j + 1]))
-                xo, bo, mo = xo + N, bo + n + N * N, mo + term.shape[1]
-        self._gidx = np.concatenate(gidx, axis=1)
-        self._gather = np.concatenate(comp) * mo + np.concatenate(dev)
-        self._bin, self._sgn = np.concatenate(bins), np.concatenate(sgn)
+                xo, bo = xo + N, bo + n + N * N
         self.n_bins = bo
+        M = sum(b - a for a, b in spans)
+        if len(members) > 1:  # entry (row r, device k) of a member's buffer moves to (r, offset + k)
+            mo = 0
+            for i, (a, b) in enumerate(spans):
+                if b > a:
+                    gather[i] = gather[i] // (b - a) * M + gather[i] % (b - a) + mo
+                mo += b - a
+        cat = lambda parts: parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        self._gidx, self._gather, self._bin, self._sgn = cat(gidx), cat(gather), cat(bins), cat(sgn)
         # the live devices' rows of the parameter arrays: views where they
         # are consecutive, as for one member or a whole batch in order
         if all(a == b for (_, a), (b, _) in zip(spans, spans[1:])):
@@ -325,7 +341,7 @@ class _System:
         self.c_eval = (nhphi[rows], sqphi[rows], a[rows], a2[rows], etas[:, rows],
                        ispec[rows], ispec_lam[rows])
         self._msgn = self.m_sgn[rows]
-        self._mbuf = np.zeros((5, mo))
+        self._mbuf = np.zeros((5, M))
         self._mflat = self._mbuf.reshape(-1)
         return self.groups
 

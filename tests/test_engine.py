@@ -138,13 +138,13 @@ def test_assemble_jacobian_matches_central_differences(topo):
     batch = _System(members)
     lone = [_System([c]) for c in members]
     n, N = s.n[0], s.N[0]
-    term = s.plans[0][0]  # MOSFET terminals, -1 = ground
+    term = s.plans[0][0]  # MOSFET terminals, N = ground
     rng = np.random.default_rng(20261018)
     h = 1e-6
     swapped = {1.0: set(), -1.0: set()}
     for _ in range(4):
         x = np.concatenate([rng.uniform(-0.5, 4.0, n), rng.uniform(-1e-3, 1e-3, N - n)])
-        vt = np.append(x[:n], 0.0)[term] * s.m_sgn
+        vt = np.append(x, 0.0)[term] * s.m_sgn
         for pol in swapped:
             swapped[pol].update(vt[0][s.m_sgn == pol] < vt[2][s.m_sgn == pol])
         v_prev = rng.uniform(-0.5, 4.0, n)

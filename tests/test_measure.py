@@ -1,14 +1,16 @@
 """Delay, power, and swing extraction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lsbench.engine import transient
-from lsbench.measure import (MeasureError, average_power, characterize,
+from lsbench.devmodel import SourceWave
+from lsbench.engine import SolverError, transient
+from lsbench.measure import (MeasureError, average_power, characterize, characterize_many,
                              output_swing, propagation_delay, static_power)
-from lsbench.netlist import elaborate, parse_netlist
+from lsbench.netlist import TranCard, elaborate, parse_netlist, parse_seed_models
 from lsbench.topologies import TopoParams, gen
 
 RC_LN2 = 1e3 * 1e-12 * math.log(2.0)
@@ -181,3 +183,32 @@ def test_delay_grows_with_load():
         rep = characterize(circ, tstep=100e-12, tstop=210e-9)
         delays.append(rep.delay_max)
     assert all(b > a for a, b in zip(delays, delays[1:]))
+
+
+def test_characterize_many_equals_lone_characterize():
+    # one batch of circuits of four sizes, each with the outcome of its lone
+    # characterize: a report, a missing .tran (ValueError before any solve),
+    # a DC-only circuit (MeasureError after its transient), and a process
+    # corner whose static DC solve with the input high fails (SolverError
+    # after its transient and measurements)
+    rc = ("rc pulse train\nVIN in 0 PULSE(0 3.3 0 1p 1p 7.998n 16n)\n"
+          "R1 in out 1k\nC1 out 0 1p\n{}.end\n")
+    corner = ".model NCH NMOS (VTH0=0.4 KP=0.000152)\n.model PCH PMOS (VTH0=1 KP=3.84e-05)\n"
+    circs = [_circ(rc.format(".tran 10p 40n\n")), _circ(rc.format("")),
+             _dc_inverter(3.3, 0.0),
+             elaborate(gen("cls", TopoParams(stimulus=SourceWave(
+                 "pulse", 0.0, 1.6, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9))),
+                 base_models=parse_seed_models(corner))]
+    circs[3] = replace(circs[3], tran=TranCard(10e-12, 210e-9))
+    got = list(characterize_many(circs))
+    assert [type(r).__name__ for r in got] == ["Report", "ValueError", "MeasureError",
+                                               "SolverError"]
+    for c, r in zip(circs, got):
+        try:
+            want = characterize(c)
+        except (ValueError, MeasureError, SolverError) as e:
+            want = e
+        if isinstance(want, Exception):
+            assert type(r) is type(want) and str(r) == str(want)
+        else:
+            assert r == want
