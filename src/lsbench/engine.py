@@ -275,12 +275,8 @@ class _System:
         self.circuits = circuits
         self.n = [c.n_nodes for c in circuits]
         self.N = [c.n_nodes + len(c.sources) for c in circuits]
-        self.G, self.C, self.Cext = [], [], []
-        for c, n, N in zip(circuits, self.n, self.N):
-            G, C = _linear_matrices(c, n, N)
-            Cext = np.zeros((N, N))
-            Cext[:n, :n] = C
-            self.G.append(G); self.C.append(C); self.Cext.append(Cext)
+        self.G, self.C = zip(*[_linear_matrices(c, n, N)
+                               for c, n, N in zip(circuits, self.n, self.N)])
         self.waves = [[s.wave for s in c.sources] for c in circuits]
         self.plans = [_stamp_plan(c, n, N) for c, n, N in zip(circuits, self.n, self.N)]
         # the MOSFETs of all members back to back, member j's from m0[j]:
@@ -391,9 +387,13 @@ class _System:
         return r
 
     def base_matrix(self, j: int, gmin: float, alpha: float = 0.0) -> np.ndarray:
-        """Member j's linear part: G + alpha*C + gmin on the node diagonal."""
-        base = self.G[j] + alpha * self.Cext[j]
-        idx = np.arange(self.n[j])
+        """Member j's linear part: G + alpha*C + gmin on the node diagonal
+        (a copy of G with alpha*C added to its node block: G holds no -0.0,
+        which adding zeros elsewhere would turn into +0.0)."""
+        n = self.n[j]
+        base = self.G[j].astype(float)  # a float copy, also of an empty bincount
+        base[:n, :n] += alpha * self.C[j]
+        idx = np.arange(n)
         base[idx, idx] += gmin
         return base
 
@@ -854,22 +854,31 @@ def _check_grid(tstep: float, tstop: float) -> None:
 
 
 def _tran_requests(sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: str,
-                   opts: SolveOptions, gmin: float, ic):
+                   opts: SolveOptions, gmin: float, ic, finish=None):
     """Member j's transient as one generator of Newton requests: its DC
     operating point (unless `ic` is an OpPoint), then its steps over the
-    grid t.  Returns the blocks of its solved points."""
+    grid t.  Returns the blocks of its solved points, or, given `finish`,
+    finish(circuit, Waveforms) of its grid, filled in as soon as the last
+    step is solved."""
     op = ic if isinstance(ic, OpPoint) else (yield from _dc_requests(sys_, j, opts, gmin, 0.0, None))
-    return (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))
+    if finish is None:
+        return (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))
+    c = sys_.circuits[j]
+    return finish(c, _waveforms(c, t, tstep, gmin,
+                                (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))))
 
 
 def _batch(circuits: list, grids: list, scheme: str = "trap", ic="auto",
-           opts: SolveOptions | None = None, gmin: float = GMIN_DEFAULT):
+           opts: SolveOptions | None = None, gmin: float = GMIN_DEFAULT, finish=None):
     """Solve `circuits` as one batch, with one `_System` and one `_drive`:
     member j runs a transient over grids[j] = (tstep, tstop), from `ic` or
     from its DC operating point, or only its DC operating point where
     grids[j] is None.  Returns an iterator over the members' results in
-    order: Waveforms (the grid filled in when it is yielded), OpPoints, or
-    the SolverError a member failed with."""
+    order: OpPoints, the SolverError a member failed with, and for a
+    transient its Waveforms, the grid filled in when it is yielded, or,
+    given `finish`, what finish(circuit, Waveforms) returned when the member
+    ended; the drive then holds one grid at a time, and no member's solved
+    points outlive its transient."""
     if scheme not in ("trap", "be"):
         raise ValueError(f"unknown scheme {scheme!r}")
     times = {}  # (tstep, tstop) -> grid times, shared by the members on it
@@ -888,7 +897,7 @@ def _batch(circuits: list, grids: list, scheme: str = "trap", ic="auto",
             if N != size:
                 raise ValueError(f"ic has {size} unknowns and circuit {c.title!r} {N}")
     gens = [_dc_requests(sys_, j, opts, gmin, 0.0, None) if g is None else
-            _tran_requests(sys_, j, times[g], g[0], scheme, opts, gmin, ic)
+            _tran_requests(sys_, j, times[g], g[0], scheme, opts, gmin, ic, finish)
             for j, g in enumerate(grids)]
     results = _drive(sys_, gens, opts)
     del sys_, gens
@@ -896,7 +905,7 @@ def _batch(circuits: list, grids: list, scheme: str = "trap", ic="auto",
     def members():
         for j, (c, g) in enumerate(zip(circuits, grids)):
             r, results[j] = results[j], None
-            if g is not None and not isinstance(r, SolverError):
+            if g is not None and finish is None and not isinstance(r, SolverError):
                 r = _waveforms(c, times[g], g[0], gmin, r)  # drops the solved points
             yield r
     return members()

@@ -145,10 +145,7 @@ def _pinned(circuit: Circuit, input_state: str) -> Circuit:
 
 def _static(circuit: Circuit, op) -> float:
     """The power the sources of `circuit` deliver at the DC operating point
-    `op` (or the SolverError its solve raised, which is raised here),
-    less the synthetic gmin currents."""
-    if isinstance(op, SolverError):
-        raise op
+    `op`, less the synthetic gmin currents."""
     v = op.state.v
     total = 0.0
     for k, s in enumerate(circuit.sources):
@@ -224,18 +221,11 @@ def _grid(circuit: Circuit, tstep: float | None, tstop: float | None) -> tuple:
     return tstep, tstop
 
 
-def _report(circuit: Circuit, results, waves, in_node: str, out_node: str):
-    """One circuit's Report from the batch results it takes from the
-    iterator `results`: its Waveforms (unless `waves` is given), then its
-    lo and hi static operating points.  Returns the error a lone
-    characterize raises instead, checked in its order: the transient, the
-    measurements, the lo and the hi static solve."""
-    if waves is None:
-        waves = next(results)
-    op_lo, op_hi = next(results), next(results)
+def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
+    """(delays, average power, (swing lo, swing hi)) of one transient, or
+    the MeasureError its measurement raised (without its traceback, which
+    would hold the grid)."""
     try:
-        if isinstance(waves, SolverError):
-            raise waves
         per = _stimulus_period(circuit)
         n_per = int(math.floor(waves.t[-1] / per + 1e-9))
         if n_per < 2:
@@ -249,20 +239,31 @@ def _report(circuit: Circuit, results, waves, in_node: str, out_node: str):
         vout = waves.node_v[out_node]
         delays = propagation_delay(vin, vout, waves.t)
         p_avg = average_power(waves, None, (per, n_per * per))
-        s_lo, s_hi = output_swing(vout, waves.t, 0.2 * per)
-        return Report(
-            circuit_name=circuit.title,
-            power_avg=p_avg,
-            power_static_lo=_static(circuit, op_lo),
-            power_static_hi=_static(circuit, op_hi),
-            delay_rise=delays["delay_rise"],
-            delay_fall=delays["delay_fall"],
-            delay_max=max(delays["delay_rise"], delays["delay_fall"]),
-            swing_lo=s_lo,
-            swing_hi=s_hi,
-        )
-    except (SolverError, MeasureError, ValueError) as e:
-        return e
+        return delays, p_avg, output_swing(vout, waves.t, 0.2 * per)
+    except MeasureError as e:
+        return e.with_traceback(None)
+
+
+def _report(circuit: Circuit, figures, op_lo, op_hi):
+    """A circuit's Report from its `_figures` and its lo and hi static
+    operating points; or the first error among them, in the order a lone
+    characterize meets them: the transient's SolverError, the measurements'
+    MeasureError, the lo and the hi static solve's SolverError."""
+    for r in (figures, op_lo, op_hi):
+        if isinstance(r, Exception):
+            return r
+    delays, p_avg, (s_lo, s_hi) = figures
+    return Report(
+        circuit_name=circuit.title,
+        power_avg=p_avg,
+        power_static_lo=_static(circuit, op_lo),
+        power_static_hi=_static(circuit, op_hi),
+        delay_rise=delays["delay_rise"],
+        delay_fall=delays["delay_fall"],
+        delay_max=max(delays["delay_rise"], delays["delay_fall"]),
+        swing_lo=s_lo,
+        swing_hi=s_hi,
+    )
 
 
 def characterize_many(circuits, tstep: float | None = None, tstop: float | None = None,
@@ -273,11 +274,11 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
     Each circuit's transient, from its DC start, and its two static-power
     DC solves (pinned copies of the circuit) are members of one engine
     batch: one compiled system, whose Newton iterations run in lock-step.
-    `waves`, one Waveforms per circuit, replaces the transients.  Yields, in
-    order, each circuit's Report, equal to its lone `characterize`, or the
-    SolverError, MeasureError or ValueError that one would raise.  A
-    circuit's grid is filled in, measured and dropped before the next
-    circuit's is filled.
+    A transient's grid is filled in and measured as soon as its last step
+    is solved, and dropped before the next one is filled.  `waves`, one
+    Waveforms per circuit, replaces the transients.  Yields, in order, each
+    circuit's Report, equal to its lone `characterize`, or the SolverError,
+    MeasureError or ValueError that one would raise.
     """
     circuits = list(circuits)
     members, grids, errors = [], [], {}
@@ -291,10 +292,14 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
             members.append(c)
         members += [_pinned(c, "lo"), _pinned(c, "hi")]
         grids += [None, None]
-    results = engine._batch(members, grids, scheme, opts=opts) if members else None
+    figures = lambda c, w: _figures(c, w, in_node, out_node)
+    results = engine._batch(members, grids, scheme, opts=opts, finish=figures) if members else None
     for i, c in enumerate(circuits):
-        yield errors.get(i) or _report(c, results, None if waves is None else waves[i],
-                                       in_node, out_node)
+        if i in errors:
+            yield errors[i]
+            continue
+        fig = next(results) if waves is None else figures(c, waves[i])
+        yield _report(c, fig, next(results), next(results))
 
 
 def characterize(circuit: Circuit, tstep: float | None = None,
