@@ -411,28 +411,17 @@ class _System:
         out = []
         for g in self.groups:
             n = g.n
-            if g.L == 1:  # 1-D arrays and dot: cheaper, and bitwise equal
-                f = g.BASE.dot(g.X)
-                f -= g.R
-                if g.use_ic:
-                    f[:n] -= g.IC
-                if not g.mos:
-                    out.append((g.BASE.copy(), f))
-                    continue
-                a = acc[g.bins]
-                f[:n] += a[:n]
-                out.append((g.BASE + a[n:].reshape(g.N, g.N), f))
-                continue
-            f = np.matmul(g.BASE, g.X[:, :, None])[:, :, 0]
+            # one member: 1-D arrays and dot, cheaper than matmul and bitwise equal
+            f = g.BASE.dot(g.X) if g.L == 1 else np.matmul(g.BASE, g.X[:, :, None])[:, :, 0]
             f -= g.R
             if g.use_ic:
-                f[:, :n] -= g.IC
+                f[..., :n] -= g.IC
             if not g.mos:
                 out.append((g.BASE.copy(), f))
                 continue
-            a = acc[g.bins].reshape(g.L, n + g.N * g.N)
-            f[:, :n] += a[:, :n]
-            out.append((g.BASE + a[:, n:].reshape(g.BASE.shape), f))
+            a = acc[g.bins] if g.L == 1 else acc[g.bins].reshape(g.L, -1)
+            f[..., :n] += a[..., :n]
+            out.append((g.BASE + a[..., n:].reshape(g.BASE.shape), f))
         return out
 
     def assemble_one(self, j: int, x, base, rhs, ic=None):
@@ -861,11 +850,11 @@ def _tran_requests(sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: s
     finish(circuit, Waveforms) of its grid, filled in as soon as the last
     step is solved."""
     op = ic if isinstance(ic, OpPoint) else (yield from _dc_requests(sys_, j, opts, gmin, 0.0, None))
+    steps = _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op)
     if finish is None:
-        return (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))
+        return (yield from steps)
     c = sys_.circuits[j]
-    return finish(c, _waveforms(c, t, tstep, gmin,
-                                (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))))
+    return finish(c, _waveforms(c, t, tstep, gmin, (yield from steps)))
 
 
 def _batch(circuits: list, grids: list, scheme: str = "trap", ic="auto",

@@ -222,9 +222,9 @@ def _grid(circuit: Circuit, tstep: float | None, tstop: float | None) -> tuple:
 
 
 def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
-    """(delays, average power, (swing lo, swing hi)) of one transient, or
-    the MeasureError its measurement raised (without its traceback, which
-    would hold the grid)."""
+    """The Report of one transient without its static powers (NaN), or the
+    MeasureError its measurement raised, without the traceback that would
+    hold the grid."""
     try:
         per = _stimulus_period(circuit)
         n_per = int(math.floor(waves.t[-1] / per + 1e-9))
@@ -239,25 +239,14 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
         vout = waves.node_v[out_node]
         delays = propagation_delay(vin, vout, waves.t)
         p_avg = average_power(waves, None, (per, n_per * per))
-        return delays, p_avg, output_swing(vout, waves.t, 0.2 * per)
+        s_lo, s_hi = output_swing(vout, waves.t, 0.2 * per)
     except MeasureError as e:
         return e.with_traceback(None)
-
-
-def _report(circuit: Circuit, figures, op_lo, op_hi):
-    """A circuit's Report from its `_figures` and its lo and hi static
-    operating points; or the first error among them, in the order a lone
-    characterize meets them: the transient's SolverError, the measurements'
-    MeasureError, the lo and the hi static solve's SolverError."""
-    for r in (figures, op_lo, op_hi):
-        if isinstance(r, Exception):
-            return r
-    delays, p_avg, (s_lo, s_hi) = figures
     return Report(
         circuit_name=circuit.title,
         power_avg=p_avg,
-        power_static_lo=_static(circuit, op_lo),
-        power_static_hi=_static(circuit, op_hi),
+        power_static_lo=math.nan,
+        power_static_hi=math.nan,
         delay_rise=delays["delay_rise"],
         delay_fall=delays["delay_fall"],
         delay_max=max(delays["delay_rise"], delays["delay_fall"]),
@@ -298,8 +287,12 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
         if i in errors:
             yield errors[i]
             continue
-        fig = next(results) if waves is None else figures(c, waves[i])
-        yield _report(c, fig, next(results), next(results))
+        rep = next(results) if waves is None else figures(c, waves[i])
+        lo, hi = next(results), next(results)
+        # the first error in the order a lone run meets them: the transient's
+        # SolverError, a MeasureError, the lo and the hi static solve's
+        yield next((r for r in (rep, lo, hi) if isinstance(r, Exception)), None) or \
+            replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
 
 
 def characterize(circuit: Circuit, tstep: float | None = None,
