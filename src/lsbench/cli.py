@@ -225,7 +225,7 @@ def _bench_rows(topologies, seed) -> list:
             rows[topo].status, rows[topo].note = "failed", str(e)
     reps = characterize_many(circs.values())
     vddh = TopoParams().vddh
-    for topo in circs:  # one report at a time: each grid is dropped before the next
+    for topo in circs:
         _fill_row(rows[topo], next(reps), vddh)
     for topo in topologies:
         base = topo[:-len("_stacked")] if topo.endswith("_stacked") else None
@@ -334,8 +334,8 @@ def cmd_bench(args) -> int:
 _SWEEP_PARAMS = ("vddh", "vddl", "vin_hi", "cload", "w_n_stacked")
 
 _SWEEP_COLUMNS = ("topology", "param", "value") + _BENCH_COLUMNS[1:]
-# points characterized as one batch: a batch holds every member's solved
-# states until it ends, so its size bounds a sweep's memory
+# points characterized as one batch: each point holds its solved states
+# until its transient ends, so the batch size bounds a sweep's memory
 _SWEEP_BATCH = 8
 
 
@@ -370,7 +370,7 @@ def cmd_sweep(args) -> int:
     for lo in range(0, len(points), _SWEEP_BATCH):
         batch = points[lo:lo + _SWEEP_BATCH]
         reps = characterize_many([c for _, _, c in batch])
-        for row, p, _ in batch:  # one report at a time: each grid is dropped before the next
+        for row, p, _ in batch:
             _fill_row(row, next(reps), p.vddh)
 
     fh = _out_stream(args.out)

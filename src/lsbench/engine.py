@@ -831,7 +831,9 @@ def _waveforms(circuit: Circuit, t: np.ndarray, tstep: float, gmin: float,
     )
 
 
-def _check_grid(tstep: float, tstop: float) -> None:
+def _grid(tstep: float, tstop: float) -> np.ndarray:
+    """The grid times 0, tstep, ..., tstop; ValueError for a grid that is
+    not positive and finite, shorter than 10 steps or over the limit."""
     if not (math.isfinite(tstep) and math.isfinite(tstop)) or tstep <= 0 or tstop <= 0:
         raise ValueError("tstep and tstop must be positive and finite")
     if tstop < 10 * tstep:
@@ -840,64 +842,18 @@ def _check_grid(tstep: float, tstop: float) -> None:
     if tstop > _MAX_GRID_STEPS * tstep:
         raise ValueError(f"grid of {tstop / tstep:.3g} steps exceeds the limit of "
                          f"{_MAX_GRID_STEPS:,} (tstep={tstep:g}, tstop={tstop:g})")
+    t = np.arange(int(round(tstop / tstep)) + 1) * tstep
+    t[-1] = tstop
+    return t
 
 
 def _tran_requests(sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: str,
-                   opts: SolveOptions, gmin: float, ic, finish=None):
+                   opts: SolveOptions, gmin: float, ic):
     """Member j's transient as one generator of Newton requests: its DC
     operating point (unless `ic` is an OpPoint), then its steps over the
-    grid t.  Returns the blocks of its solved points, or, given `finish`,
-    finish(circuit, Waveforms) of its grid, filled in as soon as the last
-    step is solved."""
+    grid t.  Returns the blocks of its solved points (see `_waveforms`)."""
     op = ic if isinstance(ic, OpPoint) else (yield from _dc_requests(sys_, j, opts, gmin, 0.0, None))
-    steps = _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op)
-    if finish is None:
-        return (yield from steps)
-    c = sys_.circuits[j]
-    return finish(c, _waveforms(c, t, tstep, gmin, (yield from steps)))
-
-
-def _batch(circuits: list, grids: list, scheme: str = "trap", ic="auto",
-           opts: SolveOptions | None = None, gmin: float = GMIN_DEFAULT, finish=None):
-    """Solve `circuits` as one batch, with one `_System` and one `_drive`:
-    member j runs a transient over grids[j] = (tstep, tstop), from `ic` or
-    from its DC operating point, or only its DC operating point where
-    grids[j] is None.  Returns an iterator over the members' results in
-    order: OpPoints, the SolverError a member failed with, and for a
-    transient its Waveforms, the grid filled in when it is yielded, or,
-    given `finish`, what finish(circuit, Waveforms) returned when the member
-    ended; the drive then holds one grid at a time, and no member's solved
-    points outlive its transient."""
-    if scheme not in ("trap", "be"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    times = {}  # (tstep, tstop) -> grid times, shared by the members on it
-    for g in grids:
-        if g is not None and g not in times:
-            _check_grid(*g)
-            t = times[g] = np.arange(int(round(g[1] / g[0])) + 1) * g[0]
-            t[-1] = g[1]
-    opts = opts or SolveOptions()
-    sys_ = _System(circuits)
-    if not (isinstance(ic, OpPoint) or ic == "auto"):
-        raise ValueError("ic must be 'auto' or an OpPoint")
-    if isinstance(ic, OpPoint):
-        size = len(ic.state.v) + len(ic.state.i_branch)
-        for c, N in zip(circuits, sys_.N):
-            if N != size:
-                raise ValueError(f"ic has {size} unknowns and circuit {c.title!r} {N}")
-    gens = [_dc_requests(sys_, j, opts, gmin, 0.0, None) if g is None else
-            _tran_requests(sys_, j, times[g], g[0], scheme, opts, gmin, ic, finish)
-            for j, g in enumerate(grids)]
-    results = _drive(sys_, gens, opts)
-    del sys_, gens
-
-    def members():
-        for j, (c, g) in enumerate(zip(circuits, grids)):
-            r, results[j] = results[j], None
-            if g is not None and finish is None and not isinstance(r, SolverError):
-                r = _waveforms(c, times[g], g[0], gmin, r)  # drops the solved points
-            yield r
-    return members()
+    return (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))
 
 
 def transient_many(circuits, tstep: float, tstop: float,
@@ -919,8 +875,30 @@ def transient_many(circuits, tstep: float, tstop: float,
     (a zip over the iterator keeps the previous result in its reused tuple
     while the next grid is filled).
     """
-    circuits = list(circuits)
-    return _batch(circuits, [(tstep, tstop)] * len(circuits), scheme, ic, opts, gmin)
+    if scheme not in ("trap", "be"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    t = _grid(tstep, tstop)
+    opts = opts or SolveOptions()
+    sys_ = _System(list(circuits))
+    if not (isinstance(ic, OpPoint) or ic == "auto"):
+        raise ValueError("ic must be 'auto' or an OpPoint")
+    if isinstance(ic, OpPoint):
+        size = len(ic.state.v) + len(ic.state.i_branch)
+        for c, N in zip(sys_.circuits, sys_.N):
+            if N != size:
+                raise ValueError(f"ic has {size} unknowns and circuit {c.title!r} {N}")
+    results = _drive(sys_, [_tran_requests(sys_, j, t, tstep, scheme, opts, gmin, ic)
+                            for j in range(len(sys_.circuits))], opts)
+    circuits = sys_.circuits
+    del sys_
+
+    def members():
+        for j, c in enumerate(circuits):
+            r, results[j] = results[j], None
+            if not isinstance(r, SolverError):
+                r = _waveforms(c, t, tstep, gmin, r)  # drops the solved points
+            yield r
+    return members()
 
 
 def transient(circuit: Circuit, tstep: float, tstop: float,

@@ -210,14 +210,13 @@ def _stimulus_period(circuit: Circuit) -> float:
 
 def _grid(circuit: Circuit, tstep: float | None, tstop: float | None) -> tuple:
     """(tstep, tstop) of a circuit's transient: the given values, else its
-    .tran card's; ValueError when neither gives them or the grid is invalid."""
+    .tran card's; ValueError when neither gives them."""
     if tstep is None or tstop is None:
         tr = circuit.tran
         if tr is None:
             raise ValueError("no timestep given and the netlist has no .tran")
         tstep = tstep if tstep is not None else tr.tstep
         tstop = tstop if tstop is not None else tr.tstop
-    engine._check_grid(tstep, tstop)
     return tstep, tstop
 
 
@@ -255,44 +254,73 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
     )
 
 
+def _requests(sys_, j: int, grid, waves, scheme: str, opts: SolveOptions,
+              in_node: str, out_node: str):
+    """Member j's characterization as one generator of Newton requests, in
+    the order of a lone run: its transient over grid = (t, tstep) from its
+    DC operating point (or the given `waves`), the measurements, then the
+    static DC solves of members j+1 and j+2, its lo and hi pinned copies.
+    Their requests run in member j's row: a pinned copy has the same
+    devices and matrices, only other source values.  Returns the Report,
+    or the MeasureError; a SolverError propagates."""
+    c = sys_.circuits[j]
+    if waves is None:
+        t, tstep = grid
+        waves = engine._waveforms(c, t, tstep, GMIN_DEFAULT, (yield from engine._tran_requests(
+            sys_, j, t, tstep, scheme, opts, GMIN_DEFAULT, "auto")))
+    rep = _figures(c, waves, in_node, out_node)
+    del waves  # the grid is dropped before the next member's is filled
+    if isinstance(rep, MeasureError):
+        return rep
+    lo = yield from engine._dc_requests(sys_, j + 1, opts, GMIN_DEFAULT, 0.0, None)
+    hi = yield from engine._dc_requests(sys_, j + 2, opts, GMIN_DEFAULT, 0.0, None)
+    return replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
+
+
 def characterize_many(circuits, tstep: float | None = None, tstop: float | None = None,
                       in_node: str = "in", out_node: str = "out", scheme: str = "trap",
                       opts: SolveOptions | None = None, waves: list | None = None):
     """`characterize` of several circuits, of any structures, as one batch.
 
-    Each circuit's transient, from its DC start, and its two static-power
-    DC solves (pinned copies of the circuit) are members of one engine
-    batch: one compiled system, whose Newton iterations run in lock-step.
-    A transient's grid is filled in and measured as soon as its last step
-    is solved, and dropped before the next one is filled.  `waves`, one
-    Waveforms per circuit, replaces the transients.  Yields, in order, each
-    circuit's Report, equal to its lone `characterize`, or the SolverError,
-    MeasureError or ValueError that one would raise.
+    Each circuit and its two pinned copies for static power are members of
+    one compiled system.  A circuit's transient, from its DC start, its
+    measurements and its two static DC solves are one generator of Newton
+    requests, and the requests of all circuits run in lock-step.  A grid is
+    filled in and measured as soon as its last step is solved, and dropped
+    before the next one is filled.  `waves`, one Waveforms per circuit,
+    replaces the transients.  Yields, in order, each circuit's Report, equal
+    to its lone `characterize`, or the SolverError, MeasureError or
+    ValueError that one would raise.
     """
+    opts = opts or SolveOptions()
     circuits = list(circuits)
-    members, grids, errors = [], [], {}
+    members, jobs, times, errors = [], [], {}, {}
     for i, c in enumerate(circuits):
+        grid = None
         if waves is None:
             try:
-                grids.append(_grid(c, tstep, tstop))
+                g = _grid(c, tstep, tstop)
+                if g not in times:  # grid times, shared by the circuits on one grid
+                    times[g] = engine._grid(*g)
             except ValueError as e:
                 errors[i] = e
                 continue
-            members.append(c)
-        members += [_pinned(c, "lo"), _pinned(c, "hi")]
-        grids += [None, None]
-    figures = lambda c, w: _figures(c, w, in_node, out_node)
-    results = engine._batch(members, grids, scheme, opts=opts, finish=figures) if members else None
-    for i, c in enumerate(circuits):
-        if i in errors:
-            yield errors[i]
-            continue
-        rep = next(results) if waves is None else figures(c, waves[i])
-        lo, hi = next(results), next(results)
-        # the first error in the order a lone run meets them: the transient's
-        # SolverError, a MeasureError, the lo and the hi static solve's
-        yield next((r for r in (rep, lo, hi) if isinstance(r, Exception)), None) or \
-            replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
+            grid = (times[g], g[0])
+        jobs.append((len(members), grid, None if waves is None else waves[i]))
+        members += [c, _pinned(c, "lo"), _pinned(c, "hi")]
+    if waves is None and jobs and scheme not in ("trap", "be"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    results = []
+    if members:
+        sys_ = engine._System(members)
+        gens = [None] * len(members)
+        for j, grid, w in jobs:
+            gens[j] = _requests(sys_, j, grid, w, scheme, opts, in_node, out_node)
+        results = engine._drive(sys_, gens, opts)
+        del sys_, gens
+    done = iter([results[j] for j, _, _ in jobs])
+    for i in range(len(circuits)):
+        yield errors[i] if i in errors else next(done)
 
 
 def characterize(circuit: Circuit, tstep: float | None = None,

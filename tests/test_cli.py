@@ -310,9 +310,10 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path):
 
 
 def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
-    # a sweep simulates its points in batches of at most _SWEEP_BATCH, so
-    # its memory does not grow with --steps, and it drops each point's grid
-    # before the next one is filled; the rows do not depend on the batching
+    # a sweep characterizes its points in batches of at most _SWEEP_BATCH,
+    # one compiled system each, so its memory does not grow with --steps,
+    # and it drops each point's grid before the next one is filled; the
+    # rows do not depend on the batching
     def rows():
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "cls", "--param", "vin_hi", "--from", "0.6", "--to", "1.6",
@@ -320,12 +321,16 @@ def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
         return out.read_text()
 
     whole = rows()
-    sizes, filled = [], []
-    many, fill = cli.characterize_many, engine._waveforms
+    sizes, compiles, filled = [], [], []
+    many, init, fill = cli.characterize_many, engine._System.__init__, engine._waveforms
 
     def counted_many(circuits, *a, **k):
         sizes.append(len(circuits))
         return many(circuits, *a, **k)
+
+    def counted_init(self, circuits):
+        compiles.append(len(circuits))
+        init(self, circuits)
 
     def checked_fill(*a, **k):
         assert all(w() is None for w in filled), "an earlier point's grid is still held"
@@ -334,9 +339,15 @@ def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
         return waves
     monkeypatch.setattr(cli, "_SWEEP_BATCH", 2)
     monkeypatch.setattr(cli, "characterize_many", counted_many)
+    monkeypatch.setattr(engine._System, "__init__", counted_init)
     monkeypatch.setattr(engine, "_waveforms", checked_fill)
     assert rows() == whole
     assert sizes == [2, 2, 1] and len(filled) == 5
+    # one system per batch, of each point and its two pinned copies.  The
+    # 0.6 V point fails its measurement, so, as alone, it skips its static
+    # solves: the one with the input high fails, and its message would
+    # compile that circuit again to name the worst node.
+    assert compiles == [6, 6, 3]
 
 
 def test_sweep_usage_errors(capsys):
