@@ -223,8 +223,8 @@ def _stamp_plan(circuit: Circuit, n: int, N: int) -> tuple:
                 if col >= 0:
                     gather.append(c * M + k); bins.append(n + row * N + col); sgn.append(rs)
     term = np.array([[m.d, m.g, m.s, m.b] for m in mos], dtype=np.intp).reshape(M, 4).T
-    return (np.where(term >= 0, term, N), np.array(gather, dtype=np.intp), np.array(bins, dtype=np.intp),
-            np.array(sgn))
+    return (np.where(term >= 0, term, N), np.array(gather, dtype=np.intp),
+            np.array(bins, dtype=np.intp), np.array(sgn))
 
 
 class _Group:
@@ -234,9 +234,6 @@ class _Group:
     current requests; start, stop and dv_ok their Newton counters.  Arrays
     are stacked over the members, or 1-D for a group of one, whose BASE, R
     and IC are its request's own arrays (nothing writes through them)."""
-
-    __slots__ = ("members", "L", "n", "N", "mos", "bins", "X", "rows", "BASE", "R",
-                 "IC", "has_ic", "use_ic", "start", "stop", "dv_ok")
 
     def __init__(self, members: list, n: int, N: int, mos: bool, X, bins: slice):
         L = len(members)
@@ -317,14 +314,15 @@ class _System:
                 xo, bo = xo + N, bo + n + N * N
         self.n_bins = bo
         M = sum(b - a for a, b in spans)
-        if len(members) > 1:  # entry (row r, device k) of a member's buffer moves to (r, offset + k)
+        if len(members) > 1:  # a member's buffer entry (r, k) moves to (r, its offset + k)
             mo = 0
             for i, (a, b) in enumerate(spans):
                 if b > a:
                     gather[i] = gather[i] // (b - a) * M + gather[i] % (b - a) + mo
                 mo += b - a
         cat = lambda parts: parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        self._gidx, self._gather, self._bin, self._sgn = cat(gidx), cat(gather), cat(bins), cat(sgn)
+        self._gidx, self._gather = cat(gidx), cat(gather)
+        self._bin, self._sgn = cat(bins), cat(sgn)
         # the live devices' rows of the parameter arrays: views where they
         # are consecutive, as for one member or a whole batch in order
         if all(a == b for (_, a), (b, _) in zip(spans, spans[1:])):
@@ -349,8 +347,6 @@ class _System:
         row 0 holds the physical drain->source currents, rows 1..4 the
         conductances w.r.t. the drain, gate, source and body node voltages."""
         out = self._mbuf
-        if not out.shape[1]:
-            return out
         vt = self.xbuf[self._gidx] * self._msgn
         vd, vg, vs, vb = vt[0], vt[1], vt[2], vt[3]
         hi = np.maximum(vd, vs)
@@ -510,7 +506,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             if not reqs:
                 return out
             if gone or not groups:  # a new plan; the other members carry over
-                old, groups = at, sys_.live(sorted(reqs))
+                old, groups = at, sys_.live(reqs)  # in member order, as first requested
                 at = {j: (g, p) for g in groups for p, j in enumerate(g.members)}
                 for j, (g, p) in at.items():
                     if j not in new:
@@ -546,7 +542,6 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                     J, F = J[todo], F[todo]
             try:  # one member: the vector solve, cheaper and bitwise equal
                 DX, bad = (solve(J, -F) if F.ndim == 1 else
-                           solve(J[0], -F[0])[None] if len(F) == 1 else
                            solve(J, -F[:, :, None])[:, :, 0]), ()
             except np.linalg.LinAlgError:
                 DX, bad = _solve_each(J.reshape(-1, g.N, g.N), F.reshape(-1, g.N))
@@ -852,7 +847,8 @@ def _tran_requests(sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: s
     """Member j's transient as one generator of Newton requests: its DC
     operating point (unless `ic` is an OpPoint), then its steps over the
     grid t.  Returns the blocks of its solved points (see `_waveforms`)."""
-    op = ic if isinstance(ic, OpPoint) else (yield from _dc_requests(sys_, j, opts, gmin, 0.0, None))
+    op = ic if isinstance(ic, OpPoint) else (
+        yield from _dc_requests(sys_, j, opts, gmin, 0.0, None))
     return (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))
 
 
@@ -882,11 +878,6 @@ def transient_many(circuits, tstep: float, tstop: float,
     sys_ = _System(list(circuits))
     if not (isinstance(ic, OpPoint) or ic == "auto"):
         raise ValueError("ic must be 'auto' or an OpPoint")
-    if isinstance(ic, OpPoint):
-        size = len(ic.state.v) + len(ic.state.i_branch)
-        for c, N in zip(sys_.circuits, sys_.N):
-            if N != size:
-                raise ValueError(f"ic has {size} unknowns and circuit {c.title!r} {N}")
     results = _drive(sys_, [_tran_requests(sys_, j, t, tstep, scheme, opts, gmin, ic)
                             for j in range(len(sys_.circuits))], opts)
     circuits = sys_.circuits

@@ -254,7 +254,7 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
     )
 
 
-def _requests(sys_, j: int, grid, waves, scheme: str, opts: SolveOptions,
+def _characterize_requests(sys_, j: int, grid, waves, scheme: str, opts: SolveOptions,
               in_node: str, out_node: str):
     """Member j's characterization as one generator of Newton requests, in
     the order of a lone run: its transient over grid = (t, tstep) from its
@@ -298,8 +298,10 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
     for i, c in enumerate(circuits):
         grid = None
         if waves is None:
-            try:
+            try:  # the errors of a lone run, in its order
                 g = _grid(c, tstep, tstop)
+                if scheme not in ("trap", "be"):
+                    raise ValueError(f"unknown scheme {scheme!r}")
                 if g not in times:  # grid times, shared by the circuits on one grid
                     times[g] = engine._grid(*g)
             except ValueError as e:
@@ -308,14 +310,12 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
             grid = (times[g], g[0])
         jobs.append((len(members), grid, None if waves is None else waves[i]))
         members += [c, _pinned(c, "lo"), _pinned(c, "hi")]
-    if waves is None and jobs and scheme not in ("trap", "be"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     results = []
     if members:
         sys_ = engine._System(members)
         gens = [None] * len(members)
         for j, grid, w in jobs:
-            gens[j] = _requests(sys_, j, grid, w, scheme, opts, in_node, out_node)
+            gens[j] = _characterize_requests(sys_, j, grid, w, scheme, opts, in_node, out_node)
         results = engine._drive(sys_, gens, opts)
         del sys_, gens
     done = iter([results[j] for j, _, _ in jobs])

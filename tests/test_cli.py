@@ -262,7 +262,7 @@ def test_bench_compiles_once_and_holds_one_grid(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "_waveforms", checked_fill)
     assert main(argv) == 0
     assert out.read_text() == whole
-    assert compiles == [9] and len(filled) == 3  # 3 transients + 6 static solves
+    assert compiles == [9] and len(filled) == 3  # 3 circuits and their 6 pinned copies
 
 
 def test_bench_unknown_topology(capsys):
