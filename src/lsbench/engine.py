@@ -480,12 +480,16 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     abstol, vntol, vclamp = opts.abstol, opts.vntol, opts.vclamp
     absolute, top, isfinite, solve = np.abs, np.maximum.reduce, math.isfinite, np.linalg.solve
     out = [None] * len(gens)
-    sends = [(j, None) for j, g in enumerate(gens) if g is not None]  # (member, result)
-    reqs, at, groups = {}, {}, []  # member -> request; member -> (group, row)
+    reqs = {j: None for j, g in enumerate(gens) if g is not None}  # member -> request
+    if not reqs:
+        return out
+    groups = sys_.live(reqs)
+    at = {j: (g, p) for g in groups for p, j in enumerate(g.members)}  # member -> (group, row)
+    sends = [(j, None) for j in reqs]  # (member, result for its generator)
     k = 0  # iterations so far
     while True:
         if sends:
-            new, gone = {}, False
+            gone = False
             for j, result in sends:
                 gen = gens[j]
                 while True:
@@ -499,26 +503,25 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                         break
                     result = (req[0].copy(), req[4], np.inf, False, "iteration limit")
                 if req is None:
-                    gone = reqs.pop(j, None) is not None or gone
-                else:
-                    reqs[j] = new[j] = req
+                    del reqs[j]
+                    gone = True
+                    continue
+                reqs[j] = req
+                g, p = at[j]
+                g.rows[p][:] = req[0]
+                g.put(p, req[1], req[2], req[3])
+                g.start[p], g.stop[p], g.dv_ok[p] = k, k + req[4], False
             sends = []
-            if not reqs:
-                return out
-            if gone or not groups:  # a new plan; the other members carry over
-                old, groups = at, sys_.live(reqs)  # in member order, as first requested
+            if gone:  # a new plan, carrying the other members over
+                if not reqs:
+                    return out
+                old, groups = at, sys_.live(reqs)  # in member order
                 at = {j: (g, p) for g in groups for p, j in enumerate(g.members)}
                 for j, (g, p) in at.items():
-                    if j not in new:
-                        og, op = old[j]
-                        g.rows[p][:] = og.rows[op]
-                        g.put(p, *reqs[j][1:4])
-                        g.start[p], g.stop[p], g.dv_ok[p] = og.start[op], og.stop[op], og.dv_ok[op]
-            for j, (x0, base, rhs, ic, limit) in new.items():
-                g, p = at[j]
-                g.rows[p][:] = x0
-                g.put(p, base, rhs, ic)
-                g.start[p], g.stop[p], g.dv_ok[p] = k, k + limit, False
+                    og, op = old[j]
+                    g.rows[p][:] = og.rows[op]
+                    g.put(p, *reqs[j][1:4])
+                    g.start[p], g.stop[p], g.dv_ok[p] = og.start[op], og.stop[op], og.dv_ok[op]
 
         k += 1
         for g, (J, F) in zip(groups, sys_.assemble()):
@@ -702,12 +705,12 @@ def _corner_intervals(waves, n_steps: int, tstep: float, tstop: float) -> list:
 
 
 class _Stepper:
-    """Member j's transient on the grid t as a generator of Newton requests
-    (`run`)."""
+    """Member j's transient on the grid t, its DC start included, as one
+    generator of Newton requests (`run`)."""
 
     def __init__(self, sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: str,
                  opts: SolveOptions, gmin: float):
-        self.sys, self.j, self.t, self.scheme, self.gmin = sys_, j, t, scheme, gmin
+        self.sys, self.j, self.t, self.scheme, self.opts, self.gmin = sys_, j, t, scheme, opts, gmin
         self.n, self.C = sys_.n[j], sys_.C[j]
         self.corners = _corner_intervals(sys_.waves[j], len(t) - 1, tstep, t[-1])
         self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving
@@ -742,9 +745,12 @@ class _Stepper:
         x_new, ic_new, r2 = yield from self.step(x_mid, ic_mid, tm, t1, use_trap, depth + 1)
         return x_new, ic_new, max(r1, r2)
 
-    def run(self, op: OpPoint):
-        """Step from `op` over the grid; returns the solved grid indices,
-        the states there and their residuals."""
+    def run(self, ic):
+        """Step over the grid from `ic`, an OpPoint, or from the DC operating
+        point where ic is "auto"; returns the blocks of the solved grid
+        indices, the states there and their residuals."""
+        op = ic if isinstance(ic, OpPoint) else (
+            yield from _dc_requests(self.sys, self.j, self.opts, self.gmin, 0.0, None))
         n, t, corners = self.n, self.t, self.corners
         n_steps = len(t) - 1
         x = op.state.as_vector()
@@ -842,16 +848,6 @@ def _grid(tstep: float, tstop: float) -> np.ndarray:
     return t
 
 
-def _tran_requests(sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: str,
-                   opts: SolveOptions, gmin: float, ic):
-    """Member j's transient as one generator of Newton requests: its DC
-    operating point (unless `ic` is an OpPoint), then its steps over the
-    grid t.  Returns the blocks of its solved points (see `_waveforms`)."""
-    op = ic if isinstance(ic, OpPoint) else (
-        yield from _dc_requests(sys_, j, opts, gmin, 0.0, None))
-    return (yield from _Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(op))
-
-
 def transient_many(circuits, tstep: float, tstop: float,
                    scheme: str = "trap", ic="auto",
                    opts: SolveOptions | None = None,
@@ -878,7 +874,7 @@ def transient_many(circuits, tstep: float, tstop: float,
     sys_ = _System(list(circuits))
     if not (isinstance(ic, OpPoint) or ic == "auto"):
         raise ValueError("ic must be 'auto' or an OpPoint")
-    results = _drive(sys_, [_tran_requests(sys_, j, t, tstep, scheme, opts, gmin, ic)
+    results = _drive(sys_, [_Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(ic)
                             for j in range(len(sys_.circuits))], opts)
     circuits = sys_.circuits
     del sys_

@@ -208,7 +208,7 @@ def _stimulus_period(circuit: Circuit) -> float:
     raise MeasureError("circuit has no pulse stimulus source")
 
 
-def _grid(circuit: Circuit, tstep: float | None, tstop: float | None) -> tuple:
+def _tstep_tstop(circuit: Circuit, tstep: float | None, tstop: float | None) -> tuple:
     """(tstep, tstop) of a circuit's transient: the given values, else its
     .tran card's; ValueError when neither gives them."""
     if tstep is None or tstop is None:
@@ -254,8 +254,8 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
     )
 
 
-def _characterize_requests(sys_, j: int, grid, waves, scheme: str, opts: SolveOptions,
-              in_node: str, out_node: str):
+def _characterize_requests(sys_, j: int, grid, waves, scheme: str,
+                           opts: SolveOptions, in_node: str, out_node: str):
     """Member j's characterization as one generator of Newton requests, in
     the order of a lone run: its transient over grid = (t, tstep) from its
     DC operating point (or the given `waves`), the measurements, then the
@@ -266,8 +266,8 @@ def _characterize_requests(sys_, j: int, grid, waves, scheme: str, opts: SolveOp
     c = sys_.circuits[j]
     if waves is None:
         t, tstep = grid
-        waves = engine._waveforms(c, t, tstep, GMIN_DEFAULT, (yield from engine._tran_requests(
-            sys_, j, t, tstep, scheme, opts, GMIN_DEFAULT, "auto")))
+        waves = engine._waveforms(c, t, tstep, GMIN_DEFAULT, (yield from engine._Stepper(
+            sys_, j, t, tstep, scheme, opts, GMIN_DEFAULT).run("auto")))
     rep = _figures(c, waves, in_node, out_node)
     del waves  # the grid is dropped before the next member's is filled
     if isinstance(rep, MeasureError):
@@ -299,7 +299,7 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
         grid = None
         if waves is None:
             try:  # the errors of a lone run, in its order
-                g = _grid(c, tstep, tstop)
+                g = _tstep_tstop(c, tstep, tstop)
                 if scheme not in ("trap", "be"):
                     raise ValueError(f"unknown scheme {scheme!r}")
                 if g not in times:  # grid times, shared by the circuits on one grid
