@@ -239,24 +239,29 @@ class _Group:
         L = len(members)
         self.members, self.L, self.n, self.N, self.mos, self.bins = members, L, n, N, mos, bins
         self.X = X if L == 1 else X.reshape(L, N)
+        self.X3 = self.X[:, :, None] if L > 1 else None  # for matmul
         self.rows = [self.X] if L == 1 else list(self.X)
         if L > 1:  # BASE and R rows are loaded with each request
             self.BASE, self.R, self.IC = np.empty((L, N, N)), np.empty((L, N)), np.zeros((L, n))
-        self.has_ic, self.use_ic = [False] * L, False
+        self.has_ic = [False] * L
         self.start, self.stop, self.dv_ok = [0] * L, [0] * L, [False] * L
 
-    def put(self, p: int, base, rhs, ic) -> None:
-        """Load the request parts of member row p.  A member without a
-        history keeps a zero IC row, which subtracts exactly, while another
-        member's history is in use."""
+    def load(self, p: int, req: tuple, k: int) -> None:
+        """Load the request (x0, base, rhs, ic, limit) into member row p,
+        started after iteration k.  A member without a history keeps a
+        zero IC row, which subtracts exactly, while another member's history
+        is in use."""
+        x0, base, rhs, ic, limit = req
         if self.L == 1:
-            self.BASE, self.R, self.IC, self.use_ic = base, rhs, ic, ic is not None
-            return
-        self.BASE[p], self.R[p] = base, rhs
-        if ic is not None or self.has_ic[p]:
-            self.IC[p] = 0.0 if ic is None else ic
-            self.has_ic[p] = ic is not None
-        self.use_ic = True in self.has_ic
+            self.X[:] = x0
+            self.BASE, self.R, self.IC = base, rhs, ic
+        else:
+            self.X[p] = x0
+            self.BASE[p], self.R[p] = base, rhs
+            if ic is not None or self.has_ic[p]:
+                self.IC[p] = 0.0 if ic is None else ic
+                self.has_ic[p] = ic is not None
+        self.start[p], self.stop[p], self.dv_ok[p] = k, k + limit, False
 
 
 class _System:
@@ -406,26 +411,36 @@ class _System:
                               minlength=self.n_bins)
         out = []
         for g in self.groups:
-            n = g.n
-            # one member: 1-D arrays and dot, cheaper than matmul and bitwise equal
-            f = g.BASE.dot(g.X) if g.L == 1 else np.matmul(g.BASE, g.X[:, :, None])[:, :, 0]
-            f -= g.R
-            if g.use_ic:
-                f[..., :n] -= g.IC
-            if not g.mos:
-                out.append((g.BASE.copy(), f))
+            n, base = g.n, g.BASE
+            if g.L == 1:  # 1-D arrays and dot: cheaper than matmul, and bitwise equal
+                f = base.dot(g.X)
+                f -= g.R
+                if g.IC is not None:
+                    f[:n] -= g.IC
+                if g.mos:
+                    a = acc[g.bins]
+                    f[:n] += a[:n]
+                    out.append((base + a[n:].reshape(base.shape), f))
+                else:
+                    out.append((base.copy(), f))
                 continue
-            a = acc[g.bins] if g.L == 1 else acc[g.bins].reshape(g.L, -1)
-            f[..., :n] += a[..., :n]
-            out.append((g.BASE + a[..., n:].reshape(g.BASE.shape), f))
+            f = np.matmul(base, g.X3)[:, :, 0]
+            f -= g.R
+            if True in g.has_ic:
+                f[:, :n] -= g.IC
+            if g.mos:
+                a = acc[g.bins].reshape(g.L, -1)
+                f[:, :n] += a[:, :n]
+                out.append((base + a[:, n:].reshape(base.shape), f))
+            else:
+                out.append((base.copy(), f))
         return out
 
     def assemble_one(self, j: int, x, base, rhs, ic=None):
         """(J, f) of member j alone at state x, with the given base matrix,
         `rhs` and trapezoidal history (or None).  Replaces the live plan."""
         (g,) = self.live([j])
-        g.X[:] = x
-        g.put(0, base, rhs, ic)
+        g.load(0, (x, base, rhs, ic, 1), 0)
         ((J, f),) = self.assemble()
         return J, f
 
@@ -508,9 +523,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                     continue
                 reqs[j] = req
                 g, p = at[j]
-                g.rows[p][:] = req[0]
-                g.put(p, req[1], req[2], req[3])
-                g.start[p], g.stop[p], g.dv_ok[p] = k, k + req[4], False
+                g.load(p, req, k)
             sends = []
             if gone:  # a new plan, carrying the other members over
                 if not reqs:
@@ -519,13 +532,13 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 at = {j: (g, p) for g in groups for p, j in enumerate(g.members)}
                 for j, (g, p) in at.items():
                     og, op = old[j]
+                    g.load(p, reqs[j], 0)
                     g.rows[p][:] = og.rows[op]
-                    g.put(p, *reqs[j][1:4])
                     g.start[p], g.stop[p], g.dv_ok[p] = og.start[op], og.stop[op], og.dv_ok[op]
 
         k += 1
         for g, (J, F) in zip(groups, sys_.assemble()):
-            n, L, rows, dv_ok = g.n, g.L, g.rows, g.dv_ok
+            n, L, rows, dv_ok, members, start = g.n, g.L, g.rows, g.dv_ok, g.members, g.start
             if L == 1:
                 res = [float(top(absolute(F[:n]))) if n else 0.0]
             else:
@@ -535,8 +548,8 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 todo = []
                 for p in range(L):
                     if dv_ok[p] and res[p] < abstol:
-                        sends.append((g.members[p], (rows[p].copy(), k - g.start[p],
-                                                     res[p], True, "")))
+                        sends.append((members[p], (rows[p].copy(), k - start[p],
+                                                   res[p], True, "")))
                     else:
                         todo.append(p)
                 if not todo:
@@ -559,7 +572,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             for q, p in enumerate(todo):
                 if q in bad or not isfinite(amax[q]):
                     why = _SINGULAR if q in bad else "non-finite Newton update"
-                    sends.append((g.members[p], (rows[p].copy(), k - g.start[p],
+                    sends.append((members[p], (rows[p].copy(), k - start[p],
                                                  res[p], False, why)))
                     continue
                 moved.append(q)
@@ -582,7 +595,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             else:
                 g.X[[todo[q] for q in moved]] += DX[moved]
             for p, ok, why in post:
-                sends.append((g.members[p], (rows[p].copy(), k - g.start[p], res[p], ok, why)))
+                sends.append((members[p], (rows[p].copy(), k - start[p], res[p], ok, why)))
 
 
 def _state_from_vector(n: int, x: np.ndarray) -> SysState:
@@ -710,7 +723,8 @@ class _Stepper:
 
     def __init__(self, sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: str,
                  opts: SolveOptions, gmin: float):
-        self.sys, self.j, self.t, self.scheme, self.opts, self.gmin = sys_, j, t, scheme, opts, gmin
+        self.sys, self.j, self.t, self.scheme = sys_, j, t, scheme
+        self.opts, self.gmin = opts, gmin
         self.n, self.C = sys_.n[j], sys_.C[j]
         self.corners = _corner_intervals(sys_.waves[j], len(t) - 1, tstep, t[-1])
         self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving

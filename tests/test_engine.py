@@ -102,8 +102,7 @@ def _assemble_live(s, members, xs, alpha, hists):
     for g in groups:
         for p, j in enumerate(g.members):
             i = members.index(j)
-            g.rows[p][:] = xs[i]
-            g.put(p, *_request(s, j, alpha, hists[i]))
+            g.load(p, (xs[i], *_request(s, j, alpha, hists[i]), 1), 0)
     out = {}
     for g, (J, f) in zip(groups, s.assemble()):
         for p, j in enumerate(g.members):
