@@ -21,19 +21,27 @@ Single-interval steps use the requested scheme: trapezoidal companions after
 one backward-Euler startup step (default), or backward Euler throughout.
 Longer steps are always backward Euler: trapezoid on 640 ps steps leaves
 supply currents ringing at the uA level through quiet stretches, which
-L-stable backward Euler damps.  After each solve,
-r = h^2 max|DD2(v)| / 1e-5 V, where DD2 is the second divided difference of
-the node voltages over the last three solved points since the last corner
-(h^2 DD2 estimates backward Euler's local error h^2 v''/2).  A step with
-r > 1 and m > 1 is rejected and retried with m halved; otherwise the next m
-is the largest power of two <= m sqrt(0.5/r), at most 2m.  Samples between
-solved points are linear interpolations; `Waveforms.solved` lists the solved
-grid indices, and an interpolated sample's `resid_max` is the larger
-residual of the two solves around it.  Steps that fail to converge are
-retried with halved substeps, up to 8 halvings deep.  The grid is capped at
-1,000,000 intervals, checked before anything is allocated.  All capacitances
-here are constant, so companions reduce to a fixed matrix alpha*C plus a
-history current.
+L-stable backward Euler damps.  The controller keeps one table of Newton
+divided differences of the full solved state over the last four solved
+points since the last corner, newest first; a corner resets it to the point
+just solved.  The step predictor and the error estimate share it.  Newton
+starts from the table's polynomial at the new time, evaluated by Horner:
+cubic once the table holds four points, of lower order before, and none at
+all (the last solved state) on the step after a corner or the DC start.  A
+start that does not converge within the step's iteration limit is retried
+from the last solved state before the step is halved.  After each solve the
+table is extended, and r = h^2 max|DD2(v)| / 1e-5 V, where DD2 is the
+second divided difference of the node voltages over the last three solved
+points (h^2 DD2 estimates backward Euler's local error h^2 v''/2).  A step
+with r > 1 and m > 1 is rejected, its extension discarded, and retried with
+m halved; otherwise the next m is the largest power of two <= m sqrt(0.5/r),
+at most 2m.  Samples between solved points are linear interpolations;
+`Waveforms.solved` lists the solved grid indices, and an interpolated
+sample's `resid_max` is the larger residual of the two solves around it.
+Steps that fail to converge are retried with halved substeps, up to 8
+halvings deep.  The grid is capped at 1,000,000 intervals, checked before
+anything is allocated.  All capacitances here are constant, so companions
+reduce to a fixed matrix alpha*C plus a history current.
 
 Batches.  `_System` compiles B circuits of any structures (a sweep's
 points, the six topologies of the bench, a circuit and its pinned copies
@@ -774,8 +782,10 @@ class _Stepper:
         ib[0], xb[0], rb[0] = 0, x, op.residual_max
         blocks, nb = [(ib, xb, rb)], 1
         ic_cur = np.zeros(n)  # capacitor currents at the current solved point
-        hist = [(0.0, x[:n])]  # (t, v) of the last solved points since the last corner
-        x_last, h_last = None, 0.0
+        # Newton divided differences of the solved states since the last
+        # corner, newest first: dd[k] over the newest k+1 points, at most
+        # four; ts holds their times but the oldest, all Horner needs
+        dd, ts = [x], [0.0]
         i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
         while i < n_steps:
             while corners[c] < i:
@@ -783,26 +793,29 @@ class _Stepper:
             at_corner = corners[c] == i
             k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
             t0, t1 = t[i], t[i + k]
-            guess = None if x_last is None else x + (x - x_last) * ((t1 - t0) / h_last)
+            guess = None  # the table's polynomial at t1, by Horner
+            if len(dd) > 1:
+                guess = dd[-1]
+                for d, tk in [*zip(dd[:-1], ts)][::-1]:
+                    guess = d + (t1 - tk) * guess
             x_new, ic_new, res = yield from self.step(
                 x, ic_cur, t0, t1, k == 1 and self.scheme == "trap" and i > 0, 0, guess)
-            v = x_new[:n]
             if at_corner:
-                hist, m = [(t1, v)], 1
+                dd, ts, m = [x_new], [t1], 1
             else:
+                new = [x_new]
+                for d, tk in zip(dd, ts):
+                    new.append((new[-1] - d) / (t1 - tk))
                 grow = k  # no estimate yet: hold the step
-                if len(hist) == 2 and n:
-                    (ta, va), (tb, vb) = hist
-                    dd2 = ((v - vb) / (t1 - tb) - (vb - va) / (tb - ta)) / (t1 - ta)
-                    r = (t1 - t0) ** 2 * float(np.abs(dd2).max()) / _LTE_TOL
+                if len(new) > 2 and n:
+                    r = (t1 - t0) ** 2 * float(np.abs(new[2][:n]).max()) / _LTE_TOL
                     if r > 1.0 and k > 1:
                         m = k // 2  # reject: retry from the same point, half the step
                         continue
                     grow = min(2 * k, _MAX_MULT,
                                k * math.sqrt(0.5 / r) if r > 0.0 else math.inf)
-                hist = [*hist[-1:], (t1, v)]
+                dd, ts = new, [t1, *ts[:2]]
                 m = 1 << max(int(grow).bit_length() - 1, 0)
-            x_last, h_last = x, t1 - t0
             x, ic_cur, i = x_new, ic_new, i + k
             if nb == _BLOCK:
                 ib, xb, rb = np.empty_like(ib), np.empty_like(xb), np.empty_like(rb)

@@ -1,5 +1,6 @@
 """MNA assembly, DC operating point, and implicit transient integration."""
 
+import tokenize
 import tracemalloc
 
 import numpy as np
@@ -372,6 +373,48 @@ def test_stepper_solves_few_samples_on_a_quiet_grid():
     assert np.max(np.diff(waves.solved)) == 64
 
 
+def _count_assembles(monkeypatch) -> list:
+    """A list that gains one entry per `_System.assemble` call."""
+    calls, real = [], _System.assemble
+    monkeypatch.setattr(_System, "assemble", lambda s: calls.append(0) or real(s))
+    return calls
+
+
+def test_failed_guess_retries_from_the_step_start(monkeypatch):
+    # 1 kV on every node is 2,000 clamped iterations away from the solution,
+    # far past the step's iteration limit: the step must fall back to a
+    # start at x_from and return exactly the bits of a step without a guess
+    circ = elaborate(gen("cls"))
+    sys_, opts = _System([circ]), engine.SolveOptions()
+    t = engine._grid(circ.tran.tstep, circ.tran.tstop)
+    stepper = engine._Stepper(sys_, 0, t, circ.tran.tstep, "trap", opts, GMIN)
+    x0 = dc_operating_point(circ).state.as_vector()
+    n = circ.n_nodes
+    ic0 = np.zeros(n)
+    guess = x0.copy()
+    guess[:n] = 1e3
+    calls = _count_assembles(monkeypatch)
+    runs = []
+    for g in (guess, None):
+        del calls[:]
+        (out,) = engine._drive(sys_, [stepper.step(x0, ic0, t[0], t[4], False, 0, g)], opts)
+        runs.append((out, len(calls)))
+    (got, n_guess), (want, n_plain) = runs
+    assert n_guess == stepper.iters + n_plain  # the guess used up its limit
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    assert got[2] == want[2]
+
+
+def test_transient_newton_work_per_step(monkeypatch):
+    # the cubic predictor's start converges in about one and a half
+    # iterations per solved step on cmls_stacked (2.14 with a linear one)
+    circ = elaborate(gen("cmls_stacked"))
+    calls = _count_assembles(monkeypatch)
+    waves = transient(circ, circ.tran.tstep, circ.tran.tstop)
+    steps = len(waves.solved) - 1
+    assert len(calls) <= 1.55 * steps, (len(calls), steps)
+
+
 def test_off_grid_corner_gets_a_single_step():
     # td = 1.005 ns lies inside the grid interval [1.00, 1.01] ns; the rise
     # corner at 1.505 ns and the fall corners sit inside intervals too.  The
@@ -572,3 +615,25 @@ def test_transient_many_singular_member_fails_alone():
     assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
     for c, w in zip(others, (got[0], got[2])):
         _assert_same_waves(w, transient(c, **run))
+
+
+# ---------------------------------------------------------------------------
+# source size
+
+ENGINE_TOKEN_LIMIT = 8192
+
+
+def test_engine_module_stays_below_the_token_buffer_doubling():
+    # the parser's token buffer doubles at 8,192 tokens, and a compile of
+    # engine.py from source (every import without cached bytecode) then
+    # peaks about 0.45 MB higher: see the FOUND line on engine.py's token
+    # count in CHANGES.md.  Stay under by deleting code, not by moving it
+    # into docstrings or comments.
+    with open(engine.__file__, "rb") as f:
+        count = sum(1 for tok in tokenize.tokenize(f.readline)
+                    if tok.type not in (tokenize.COMMENT, tokenize.NL))
+    assert count < ENGINE_TOKEN_LIMIT, (
+        f"engine.py holds {count:,} tokens, at or past the {ENGINE_TOKEN_LIMIT:,} at "
+        f"which the parser's token buffer doubles and the compile's peak memory "
+        f"grows by about 0.45 MB (CHANGES.md, FOUND: importing `lsbench` compiles "
+        f"`engine.py` from source); delete code to stay under")
