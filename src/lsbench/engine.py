@@ -50,15 +50,23 @@ N, matrices G (N x N) and C (n x n), and MOSFETs; the device parameters of
 all members form one array.  The solvers are generators of Newton
 requests: the DC stages and each member's transient controller, with
 `step()` and its halving, yield (start, base matrix, constant part of f,
-trapezoidal history, iteration limit) and receive (x, iterations, residual,
-converged, reason).  A member's transient is one generator from its DC
-start to its last step.  One driver, `_drive`, runs the requests of all
-live members in lock-step.  The live members form groups of one size
-(equal n and N, with or without MOSFETs); each iteration is one `assemble`
-over every live member, then one solve per group (stacked over its members,
-a vector solve for a group of one) and per-member convergence, damping and
-iteration-limit checks.  Sizes are never padded to a common N: an identity
-block changes the bits of the solve.  A member whose request ends gets its
+trapezoidal history, iteration limit) and receive (x, iterations,
+residual, converged, reason).  A member's transient is one generator from
+its DC start to its last step.  One driver, `_drive`, runs the requests of
+all live members in lock-step.  `live` lays them out back to back in flat
+buffers: over all S live unknowns the states, residuals and their
+negations, constant parts of f, trapezoidal histories (node rows, zeros
+elsewhere) and Newton updates; over their N*N entries the base matrices
+and Jacobians.  Members of one N form a group, whose arrays are views of
+consecutive rows.  Each iteration is one `assemble` (a matvec per group,
+then whole-batch passes for the constant parts, histories, device currents
+and Jacobians), one reduction for all worst node residuals, one solve per
+group (stacked over its members), one pass for all update norms and, when
+every member moves, one state update; only the convergence, damping and
+iteration-limit checks loop over members.  A group of one keeps the vector
+matvec and solve, cheaper and bitwise equal; nothing else branches on
+group size.  Sizes are never padded to a common N: an identity block
+changes the bits of the solve.  A member whose request ends gets its
 result at once and joins the next iteration with its next request, so
 every member keeps its own step sequence; the live set is planned again
 only when a member ends.  A singular member makes its group's stacked
@@ -70,18 +78,17 @@ points; a member's grid is filled in when it is yielded.
 
 Stamp plan.  `_System` compiles each member once into flat arrays.  Per
 Newton iteration, `mos_currents` gathers the terminal voltages of every
-live MOSFET straight from the live states, which lie back to back in one
-buffer with a trailing 0 for ground, evaluates them with one `_core_eval`
-call and writes a (5, M) buffer: the drain->source currents, then the
-conductance columns for the drain, gate, source and body nodes.
-`assemble` gathers that buffer through one precomputed index, multiplies
-by a sign vector, and scatters everything with a single `bincount`.  The
-bins are member-major: each member owns n + N*N bins after those of the
-members before it, its first n bins being the device KCL currents of f
-and the rest the device part of J, row-major, so each group's f and J are
-reshape views of the bin array.  Within a member the f entries come first
-and the J entries second, each in device order, so every bin sums its
-terms in a fixed order, the same in every batch.
+live MOSFET straight from the flat states, which end in a 0 for ground,
+evaluates them with one `_core_eval` call and writes a (5, M) buffer: the
+drain->source currents, then the conductance columns for the drain, gate,
+source and body nodes.  `assemble` gathers that buffer through one
+precomputed index, multiplies by a sign vector, and scatters everything
+with a single `bincount`.  A member's f bins sit at its state offset, so
+the first S bins line up with the residuals, and its N*N J bins, row-major,
+at its matrix offset after all S, so the rest line up with the Jacobians.
+Within a member the f entries come first and the J entries second, each
+in device order, so every bin sums its terms in a fixed order, the same in
+every batch.
 
 Exact rewrites only.  The transient output, and hence `bench --format csv`,
 is byte-deterministic and compared across versions, and a member of any
@@ -94,8 +101,10 @@ per-request term (alpha*C*v_prev once per request instead of per iteration),
 into one array (over members too: the elementwise kernels, the stacked
 matmul and the stacked solve give each member the bits of its own call,
 wherever it sits in the batch),
-and skipping an operation that is the identity on the values it meets
-(clipping an update already inside the clamp, subtracting a zero history).
+skipping an operation that is the identity on the values it meets
+(clipping an update already inside the clamp, subtracting a zero history),
+adding a zero device bin to a base matrix, which holds no -0.0, and taking
+a maximum over any grouping of its terms.
 Not allowed: reordering sums or products (`ispec*qq*mlam` ->
 `(ispec*mlam)*qq`), algebraic identities that change rounding (sigma as
 e/(1+e)), or BLAS for the scatter.
@@ -211,10 +220,10 @@ def _stamp_plan(circuit: Circuit, n: int, N: int) -> tuple:
     vector, where the live plan keeps a 0), then per stamp term the entry of its
     (5, M) device buffer it gathers (row 0 the drain->source currents, rows
     1..4 the d, g, s, b conductances), its accumulator bin and its sign.
-    Bins 0..n-1 are the rows of f and n + row*N + col the entries of J.  The
-    f terms come first, +i at the drain row and -i at the source row; the J
-    terms follow, rows (d,+1),(s,-1) x cols (d,g,s,b), each part in device
-    order."""
+    The bins are those of the member alone: 0..n-1 the node rows of f and
+    N + row*N + col the entries of J.  The f terms come first, +i at the
+    drain row and -i at the source row; the J terms follow, rows
+    (d,+1),(s,-1) x cols (d,g,s,b), each part in device order."""
     mos = circuit.mosfets
     M = len(mos)
     gather, bins, sgn = [], [], []
@@ -229,47 +238,26 @@ def _stamp_plan(circuit: Circuit, n: int, N: int) -> tuple:
                 continue
             for col, c in cols:
                 if col >= 0:
-                    gather.append(c * M + k); bins.append(n + row * N + col); sgn.append(rs)
+                    gather.append(c * M + k); bins.append(N + row * N + col); sgn.append(rs)
     term = np.array([[m.d, m.g, m.s, m.b] for m in mos], dtype=np.intp).reshape(M, 4).T
     return (np.where(term >= 0, term, N), np.array(gather, dtype=np.intp),
             np.array(bins, dtype=np.intp), np.array(sgn))
 
 
 class _Group:
-    """The live members of one size (n nodes, N unknowns, with or without
-    MOSFETs), in member order.  X holds their states; BASE, R and IC the
-    base matrices, constant parts of f and trapezoidal histories of their
-    current requests; start, stop and dv_ok their Newton counters.  Arrays
-    are stacked over the members, or 1-D for a group of one, whose BASE, R
-    and IC are its request's own arrays (nothing writes through them)."""
+    """The live members of one unknown count N, at the live positions
+    p0 .. p0+L-1: views of their rows of the system's flat buffers, states
+    X, base matrices BASE, residuals F, negated residuals NF, updates DX and
+    Jacobians J.  A group of one sees a vector and an N x N matrix, for the
+    vector matvec and solve; a larger group (L, N, 1) columns and (L, N, N)
+    matrices, for the stacked ones."""
 
-    def __init__(self, members: list, n: int, N: int, mos: bool, X, bins: slice):
-        L = len(members)
-        self.members, self.L, self.n, self.N, self.mos, self.bins = members, L, n, N, mos, bins
-        self.X = X if L == 1 else X.reshape(L, N)
-        self.X3 = self.X[:, :, None] if L > 1 else None  # for matmul
-        self.rows = [self.X] if L == 1 else list(self.X)
-        if L > 1:  # BASE and R rows are loaded with each request
-            self.BASE, self.R, self.IC = np.empty((L, N, N)), np.empty((L, N)), np.zeros((L, n))
-        self.has_ic = [False] * L
-        self.start, self.stop, self.dv_ok = [0] * L, [0] * L, [False] * L
-
-    def load(self, p: int, req: tuple, k: int) -> None:
-        """Load the request (x0, base, rhs, ic, limit) into member row p,
-        started after iteration k.  A member without a history keeps a
-        zero IC row, which subtracts exactly, while another member's history
-        is in use."""
-        x0, base, rhs, ic, limit = req
-        if self.L == 1:
-            self.X[:] = x0
-            self.BASE, self.R, self.IC = base, rhs, ic
-        else:
-            self.X[p] = x0
-            self.BASE[p], self.R[p] = base, rhs
-            if ic is not None or self.has_ic[p]:
-                self.IC[p] = 0.0 if ic is None else ic
-                self.has_ic[p] = ic is not None
-        self.start[p], self.stop[p], self.dv_ok[p] = k, k + limit, False
+    def __init__(self, s, p0, L, N, xo, jo):
+        self.p0, self.L, self.N = p0, L, N
+        vs, ms = ((N,), (N, N)) if L == 1 else ((L, N, 1), (L, N, N))
+        self.X, self.F, self.NF, self.DX = (a[xo:xo + L * N].reshape(vs)
+                                            for a in (s.xbuf, s.F, s.NF, s.DX))
+        self.BASE, self.J = (a[jo:jo + L * N * N].reshape(ms) for a in (s.BASE, s.J))
 
 
 class _System:
@@ -301,33 +289,58 @@ class _System:
 
     def live(self, members) -> list:
         """Plan `members`, a list of member indices, for `assemble` and
-        return their groups: members of one size form a group, the groups in
-        the order of their first members.  The groups' states lie back to
-        back in `xbuf`, whose last entry stays 0 for ground; the live
-        devices form one array in the same order; each member's bins (its n
-        rows of f, then its N*N entries of J) follow the bins of the members
-        before it.  So every member sums the same terms in the same order as
-        alone."""
+        return their groups: members of one unknown count N form a group, the
+        groups in the order of their first members, and the live positions
+        run through the groups in that order.  Position p owns entries
+        xo[p] .. xo[p+1]-1 of the flat buffers over all S live unknowns (the
+        states `xbuf`, whose entry S stays 0 for ground, F, NF, DX, R and IC,
+        node rows then source rows) and entries jo[p] .. jo[p+1]-1 of BASE and
+        J.  The live devices form one array in the same order; a member's f
+        bins sit at its state offset and its J bins at S + its matrix offset,
+        so every member sums the same terms in the same order as alone."""
         sizes = {}
         for j in members:
-            sizes.setdefault((self.n[j], self.N[j], self.m0[j] < self.m0[j + 1]), []).append(j)
-        S = sum(self.N[j] for j in members)
-        self.xbuf = xbuf = np.zeros(S + 1)
+            sizes.setdefault(self.N[j], []).append(j)
+        self.members = ms = [j for g in sizes.values() for j in g]
+        ns, Ns = [self.n[j] for j in ms], [self.N[j] for j in ms]
+        self.xo, self.jo = xo, jo = [list(accumulate(a, initial=0))
+                                     for a in (Ns, [N * N for N in Ns])]
+        S = xo[-1]
+        self.xbuf, self.ab = np.zeros((2, S + 1))  # ab: |F| or |DX|, then a 0
+        self.IC = np.zeros(S)  # zeros but on the history rows
+        self.F, self.NF, self.DX, self.R = np.empty((4, S))
+        self.BASE, self.J = np.empty((2, jo[-1]))
+        self.has_ic = [False] * len(ms)
+        per = lambda a, ln: [a[o:o + k] for o, k in zip(xo, ln)]  # each position's rows
+        self.xv, self.dxv, self.rv, self.icv = (per(self.xbuf, Ns), per(self.DX, Ns),
+                                                per(self.R, Ns), per(self.IC, ns))
+        self.bv = [self.BASE[a:a + N * N].reshape(N, N) for a, N in zip(jo, Ns)]
+        # reduceat bounds in ab: each position's rows, and its node rows then
+        # its source rows.  ab's trailing 0 lets a segment start at S; an
+        # empty segment (no node, or no unknown) reads the element at its
+        # start, so `_drive` zeroes the maxima of the `nodeless` positions
+        self.xidx = np.array(xo[:-1], dtype=np.intp)
+        self.ridx = np.array([o + d for o, n in zip(xo, ns) for d in (0, n)], dtype=np.intp)
+        self.nodeless = [(p, Ns[p]) for p, n in enumerate(ns) if not n]
+        self.nrows, self.mrows = np.zeros((2, S), bool)  # node rows, with MOSFETs
         self.groups, gidx, gather, bins, sgn, spans = [], [], [], [], [], []
-        xo = bo = 0
-        for (n, N, mos), ms in sizes.items():
-            size = len(ms) * N
-            self.groups.append(_Group(ms, n, N, mos, xbuf[xo:xo + size],
-                                      slice(bo, bo + len(ms) * (n + N * N))))
-            for j in ms:
-                term, g, b, s = self.plans[j]
-                gidx.append(np.where(term < N, term + xo, S) if xo or S > N else term)
-                gather.append(g); bins.append(b + bo if bo else b); sgn.append(s)
+        p = 0
+        for N, g in sizes.items():
+            self.groups.append(_Group(self, p, len(g), N, xo[p], jo[p]))
+            for j in g:
+                o, n = xo[p], ns[p]
+                term, gt, b, sg = self.plans[j]
+                if S > N:  # the member's rows and bins move to its offsets
+                    term = np.where(term < N, term + o, S)
+                    b = np.where(b < N, b + o, b + (S - N + jo[p]))
+                gidx.append(term); gather.append(gt); bins.append(b); sgn.append(sg)
                 spans.append((self.m0[j], self.m0[j + 1]))
-                xo, bo = xo + N, bo + n + N * N
-        self.n_bins = bo
+                self.nrows[o:o + n] = True
+                self.mrows[o:o + n] = self.m0[j] < self.m0[j + 1]
+                p += 1
+        self.n_bins = S + jo[-1]
         M = sum(b - a for a, b in spans)
-        if len(members) > 1:  # a member's buffer entry (r, k) moves to (r, its offset + k)
+        if len(ms) > 1:  # a member's buffer entry (r, k) moves to (r, its offset + k)
             mo = 0
             for i, (a, b) in enumerate(spans):
                 if b > a:
@@ -351,6 +364,16 @@ class _System:
         self._mbuf = np.zeros((5, M))
         self._mflat = self._mbuf.reshape(-1)
         return self.groups
+
+    def load(self, p: int, req: tuple) -> None:
+        """Load the request (x0, base, rhs, ic, limit) into live position p.
+        A member without a history keeps zero IC rows, which subtract
+        exactly, while another member's history is in use."""
+        x0, base, rhs, ic, _ = req
+        self.xv[p][:], self.bv[p][:], self.rv[p][:] = x0, base, rhs
+        if ic is not None or self.has_ic[p]:
+            self.icv[p][:] = 0.0 if ic is None else ic
+            self.has_ic[p] = ic is not None
 
     # -- device evaluation ------------------------------------------------
 
@@ -406,51 +429,39 @@ class _System:
         base[idx, idx] += gmin
         return base
 
-    def assemble(self) -> list:
-        """(J, f) of each live group at its states X and the requests loaded
-        into it: f = BASE x - R - IC (on the node rows) + the device currents
-        and J = BASE + the device conductances, 1-D for a group of one and
-        stacked otherwise.  All live devices are evaluated in one call and
-        scattered with one `bincount`; each group's f and J are views of its
-        bins."""
+    def assemble(self) -> tuple:
+        """(J, F) over the live positions at their states and the requests
+        loaded into them, flat: f = BASE x - R - IC plus the device currents
+        on the node rows of members with MOSFETs, and J = BASE plus the
+        device conductances.  All live devices are evaluated in one call and
+        scattered with one `bincount` whose first S bins line up with F and
+        the rest with J.  A zero bin is added to BASE, which holds no -0.0
+        (see `base_matrix`), but not to f, where it would turn -0.0 into
+        +0.0."""
+        F = self.F
+        for g in self.groups:  # a group of one: dot, cheaper than matmul and bitwise equal
+            (np.dot if g.L == 1 else np.matmul)(g.BASE, g.X, out=g.F)
+        F -= self.R
+        if True in self.has_ic:
+            F -= self.IC
         if self._mbuf.shape[1]:
             self.mos_currents()
             acc = np.bincount(self._bin, weights=self._sgn * self._mflat[self._gather],
                               minlength=self.n_bins)
-        out = []
-        for g in self.groups:
-            n, base = g.n, g.BASE
-            if g.L == 1:  # 1-D arrays and dot: cheaper than matmul, and bitwise equal
-                f = base.dot(g.X)
-                f -= g.R
-                if g.IC is not None:
-                    f[:n] -= g.IC
-                if g.mos:
-                    a = acc[g.bins]
-                    f[:n] += a[:n]
-                    out.append((base + a[n:].reshape(base.shape), f))
-                else:
-                    out.append((base.copy(), f))
-                continue
-            f = np.matmul(base, g.X3)[:, :, 0]
-            f -= g.R
-            if True in g.has_ic:
-                f[:, :n] -= g.IC
-            if g.mos:
-                a = acc[g.bins].reshape(g.L, -1)
-                f[:, :n] += a[:, :n]
-                out.append((base + a[:, n:].reshape(base.shape), f))
-            else:
-                out.append((base.copy(), f))
-        return out
+            np.add(F, acc[:len(F)], out=F, where=self.mrows)
+            np.add(self.BASE, acc[len(F):], out=self.J)
+        else:
+            self.J[:] = self.BASE
+        return self.J, F
 
     def assemble_one(self, j: int, x, base, rhs, ic=None):
         """(J, f) of member j alone at state x, with the given base matrix,
-        `rhs` and trapezoidal history (or None).  Replaces the live plan."""
-        (g,) = self.live([j])
-        g.load(0, (x, base, rhs, ic, 1), 0)
-        ((J, f),) = self.assemble()
-        return J, f
+        `rhs` and trapezoidal history (or None).  Replaces the live plan; the
+        arrays are the plan's own, which no later plan reuses."""
+        self.live([j])
+        self.load(0, (x, base, rhs, ic, 1))
+        J, f = self.assemble()
+        return J.reshape(base.shape), f
 
 
 def _worst_node(circuit: Circuit, x, t: float, gmin: float, scale: float) -> str:
@@ -473,14 +484,14 @@ def _worst_node(circuit: Circuit, x, t: float, gmin: float, scale: float) -> str
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 
 
-def _solve_each(J, f):
-    """The Newton updates -J^-1 f of stacked systems one at a time, after the
+def _solve_each(J, NF):
+    """The Newton updates J^-1 NF of stacked systems one at a time, after the
     stacked solve found a singular J, and the set of the singular rows."""
-    dx = np.full_like(f, np.nan)
+    dx = np.full_like(NF, np.nan)
     bad = set()
-    for q in range(len(f)):
+    for q in range(len(NF)):
         try:
-            dx[q] = np.linalg.solve(J[q], -f[q])
+            dx[q] = np.linalg.solve(J[q], NF[q])
         except np.linalg.LinAlgError:
             bad.add(q)
     return dx, bad
@@ -491,23 +502,26 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     that does not take part) in lock-step until every generator has ended.
     Returns each member's return value, or the SolverError it raised.
 
-    Each iteration assembles every live member with one `assemble` call and
-    solves each group of one size with one stacked solve (one vector solve
-    for a group of one); per member it applies damped Newton: converged when
-    both max|dv| < vntol and the worst KCL residual is below abstol, node
-    updates clamped to +/-vclamp.  A member whose request ends gets its
-    result at once and joins the next iteration with its next request, so it
-    does the same arithmetic as it would alone.  The live members are
-    planned again only when one of them ends; the others keep their states
-    and requests."""
+    Each iteration assembles every live member with one `assemble` call,
+    takes every member's worst node residual with one reduction, solves
+    each group of one size with one stacked solve (one vector solve for a
+    group of one), takes the update norms with one more pass and, when every
+    member moves, updates all states with one add.  Per member it applies
+    damped Newton: converged when both max|dv| < vntol and the worst KCL
+    residual is below abstol, node updates clamped to +/-vclamp.  A member
+    whose request ends gets its result at once and joins the next iteration
+    with its next request, so it does the same arithmetic as it would
+    alone.  The live members are planned again only when one of them ends;
+    the others keep their states and requests."""
     abstol, vntol, vclamp = opts.abstol, opts.vntol, opts.vclamp
-    absolute, top, isfinite, solve = np.abs, np.maximum.reduce, math.isfinite, np.linalg.solve
+    absolute, top, isfinite, solve = np.abs, np.maximum.reduceat, math.isfinite, np.linalg.solve
     out = [None] * len(gens)
     reqs = {j: None for j, g in enumerate(gens) if g is not None}  # member -> request
     if not reqs:
         return out
     groups = sys_.live(reqs)
-    at = {j: (g, p) for g in groups for p, j in enumerate(g.members)}  # member -> (group, row)
+    at = {j: p for p, j in enumerate(sys_.members)}  # member -> live position
+    start, stop, dv_ok = [0] * len(at), [0] * len(at), [False] * len(at)
     sends = [(j, None) for j in reqs]  # (member, result for its generator)
     k = 0  # iterations so far
     while True:
@@ -530,110 +544,93 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                     gone = True
                     continue
                 reqs[j] = req
-                g, p = at[j]
-                g.load(p, req, k)
+                p = at[j]
+                sys_.load(p, req)
+                start[p], stop[p], dv_ok[p] = k, k + req[4], False
             sends = []
             if gone:  # a new plan, carrying the other members over
                 if not reqs:
                     return out
-                old, groups = at, sys_.live(reqs)  # in member order
-                at = {j: (g, p) for g in groups for p, j in enumerate(g.members)}
-                for j, (g, p) in at.items():
-                    og, op = old[j]
-                    g.load(p, reqs[j], 0)
-                    g.rows[p][:] = og.rows[op]
-                    g.start[p], g.stop[p], g.dv_ok[p] = og.start[op], og.stop[op], og.dv_ok[op]
+                old, xs, counters = at, sys_.xv, (start, stop, dv_ok)
+                groups = sys_.live(reqs)  # in member order
+                at = {j: p for p, j in enumerate(sys_.members)}
+                start, stop, dv_ok = ([c[old[j]] for j in at] for c in counters)
+                for j, p in at.items():
+                    sys_.load(p, reqs[j])
+                    sys_.xv[p][:] = xs[old[j]]
+            P, members, xv, ab, ridx = len(at), sys_.members, sys_.xv, sys_.ab, sys_.ridx
 
         k += 1
-        for g, (J, F) in zip(groups, sys_.assemble()):
-            n, L, rows, dv_ok, members, start = g.n, g.L, g.rows, g.dv_ok, g.members, g.start
-            if L == 1:
-                res = [float(top(absolute(F[:n]))) if n else 0.0]
-            else:
-                res = top(absolute(F[:, :n]), 1).tolist() if n else [0.0] * L
-            todo = range(L)
-            if True in dv_ok:  # converged: the last update and this residual are small
-                todo = []
-                for p in range(L):
-                    if dv_ok[p] and res[p] < abstol:
-                        sends.append((members[p], (rows[p].copy(), k - start[p],
-                                                   res[p], True, "")))
-                    else:
-                        todo.append(p)
-                if not todo:
-                    continue
-                if len(todo) < L:
-                    J, F = J[todo], F[todo]
-            try:  # one member: the vector solve, cheaper and bitwise equal
-                DX, bad = (solve(J, -F) if F.ndim == 1 else
-                           solve(J, -F[:, :, None])[:, :, 0]), ()
-            except np.linalg.LinAlgError:
-                DX, bad = _solve_each(J.reshape(-1, g.N, g.N), F.reshape(-1, g.N))
-            A = absolute(DX)  # NaN and inf propagate through the maxima
-            if A.ndim == 1:
-                amax = [float(top(A)) if g.N else 0.0]
-                dvm = [float(top(A[:n])) if n else 0.0]
-            else:
-                amax = top(A, 1).tolist() if g.N else [0.0] * len(A)
-                dvm = top(A[:, :n], 1).tolist() if n else [0.0] * len(A)
-            moved, post, clamp = [], [], False
-            for q, p in enumerate(todo):
-                if q in bad or not isfinite(amax[q]):
-                    why = _SINGULAR if q in bad else "non-finite Newton update"
-                    sends.append((members[p], (rows[p].copy(), k - start[p],
-                                                 res[p], False, why)))
-                    continue
-                moved.append(q)
-                dv = dvm[q]
-                if dv > vclamp:
-                    clamp = True
-                if res[p] < abstol and dv < vntol:
-                    post.append((p, True, ""))  # residual and update both inside tolerance
+        _, F = sys_.assemble()
+        absolute(F, out=ab[:-1])
+        res = top(ab, ridx)[::2].tolist()  # each member's worst node residual
+        for p, _ in sys_.nodeless:  # an empty segment reads the element at its start
+            res[p] = 0.0
+        np.negative(F, out=sys_.NF)
+        todo, done = range(P), ()
+        if True in dv_ok:  # converged: the last update and this residual are small
+            todo, done = [], set()
+            for p in range(P):
+                if dv_ok[p] and res[p] < abstol:
+                    sends.append((members[p], (xv[p].copy(), k - start[p], res[p], True, "")))
+                    done.add(p)
                 else:
-                    dv_ok[p] = dv < vntol
-                    if k == g.stop[p]:
-                        post.append((p, False, "iteration limit"))
-            if not moved:
+                    todo.append(p)
+            if not todo:
                 continue
-            if clamp:  # clip, the identity on updates inside the clamp
-                dv = DX[..., :n]
-                np.maximum(np.minimum(dv, vclamp, out=dv), -vclamp, out=dv)
-            if len(moved) == L:
-                g.X += DX
+        bad = set()
+        for g in groups:
+            i = [q for q in range(g.L) if g.p0 + q not in done] if done else range(g.L)
+            if not i:
+                continue
+            try:  # one member: the vector solve, cheaper and bitwise equal
+                if len(i) == g.L:
+                    g.DX[...] = solve(g.J, g.NF)
+                else:
+                    g.DX[i] = solve(g.J[i], g.NF[i])
+            except np.linalg.LinAlgError:
+                dx, b = _solve_each(g.J.reshape(-1, g.N, g.N)[i], g.NF.reshape(-1, g.N)[i])
+                g.DX.reshape(-1, g.N)[i] = dx
+                bad.update(g.p0 + i[q] for q in b)
+        DX = sys_.DX
+        absolute(DX, out=ab[:-1])  # NaN and inf propagate through the maxima
+        amax, dvm = top(ab, sys_.xidx).tolist(), top(ab, ridx)[::2].tolist()
+        for p, N in sys_.nodeless:
+            dvm[p] = 0.0
+            if not N:
+                amax[p] = 0.0
+        moved, post, clamp = [], [], False
+        for p in todo:
+            if p in bad or not isfinite(amax[p]):
+                why = _SINGULAR if p in bad else "non-finite Newton update"
+                sends.append((members[p], (xv[p].copy(), k - start[p], res[p], False, why)))
+                continue
+            moved.append(p)
+            dv = dvm[p]
+            if dv > vclamp:
+                clamp = True
+            if res[p] < abstol and dv < vntol:
+                post.append((p, True, ""))  # residual and update both inside tolerance
             else:
-                g.X[[todo[q] for q in moved]] += DX[moved]
-            for p, ok, why in post:
-                sends.append((members[p], (rows[p].copy(), k - start[p], res[p], ok, why)))
+                dv_ok[p] = dv < vntol
+                if k == stop[p]:
+                    post.append((p, False, "iteration limit"))
+        if not moved:
+            continue
+        if clamp:  # clip node rows, the identity on updates inside the clamp
+            np.minimum(DX, vclamp, out=DX, where=sys_.nrows)
+            np.maximum(DX, -vclamp, out=DX, where=sys_.nrows)
+        if len(moved) == P:
+            sys_.xbuf[:-1] += DX
+        else:
+            for p in moved:
+                xv[p] += sys_.dxv[p]
+        for p, ok, why in post:
+            sends.append((members[p], (xv[p].copy(), k - start[p], res[p], ok, why)))
 
 
 def _state_from_vector(n: int, x: np.ndarray) -> SysState:
     return SysState(v=x[:n].copy(), i_branch=x[n:].copy())
-
-
-def assemble(circuit: Circuit, state: SysState, companion: dict | None = None,
-             t: float = 0.0, gmin: float = GMIN_DEFAULT):
-    """Public one-shot assembly: returns (J, f) at the given state.
-
-    companion=None stamps DC (capacitors open).  Otherwise companion is a
-    mapping with keys h (step), prev (SysState at the step start), scheme
-    ("trap" | "be"), and optionally ic_prev (per-node capacitor currents at
-    the step start; required history for trapezoidal, zeros by default).
-    """
-    sys_ = _System([circuit])
-    x = state.as_vector()
-    if companion is None:
-        return sys_.assemble_one(0, x, sys_.base_matrix(0, gmin), sys_.rhs(0, t))
-    h = companion["h"]
-    scheme = companion.get("scheme", "trap")
-    if scheme not in ("trap", "be"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    alpha = 2.0 / h if scheme == "trap" else 1.0 / h
-    prev: SysState = companion["prev"]
-    ic_prev = companion.get("ic_prev")
-    if scheme == "trap" and ic_prev is None:
-        ic_prev = np.zeros(circuit.n_nodes)
-    return sys_.assemble_one(0, x, sys_.base_matrix(0, gmin, alpha),
-                             sys_.rhs(0, t, hist=alpha * sys_.C[0].dot(prev.v)), ic_prev)
 
 
 _GMIN_LADDER = tuple(10.0 ** -k for k in range(3, 13))  # 1e-3 .. 1e-12

@@ -11,7 +11,7 @@ from lsbench import engine
 from lsbench.devmodel import (VT, MosBias, SourceWave, default_params,
                               effective_vth, mosfet_eval, source_value)
 from lsbench.engine import (GMIN_DEFAULT, OpPoint, SolverError, SysState, _System,
-                            assemble, dc_operating_point, transient, transient_many)
+                            dc_operating_point, transient, transient_many)
 from lsbench.netlist import elaborate, parse_netlist, parse_seed_models
 from lsbench.topologies import TOPOLOGY_IDS, TopoParams, gen, stack_leakage_fixture
 
@@ -46,9 +46,23 @@ MN1 out in 0 0 NCH W=1u L=0.35u
 # ---------------------------------------------------------------------------
 # assembly
 
+def _assemble(circuit, state, companion=None, t=0.0):
+    """(J, f) of `circuit` alone at `state`.  companion=None stamps DC
+    (capacitors open); otherwise it maps h (step), prev (SysState at the
+    step start), scheme ("trap" | "be") and optionally ic_prev (per-node
+    capacitor currents at the step start, the trapezoidal history)."""
+    s = _System([circuit])
+    alpha, hist, ic = 0.0, None, None
+    if companion is not None:
+        alpha = (2.0 if companion["scheme"] == "trap" else 1.0) / companion["h"]
+        hist, ic = alpha * s.C[0].dot(companion["prev"].v), companion.get("ic_prev")
+    return s.assemble_one(0, state.as_vector(), s.base_matrix(0, GMIN, alpha),
+                          s.rhs(0, t, hist=hist), ic)
+
+
 def test_assemble_resistor_row():
     circ = _circ("one grounded resistor\nR1 a 0 1k\n.end\n")
-    J, f = assemble(circ, SysState(v=np.array([2.0]), i_branch=np.zeros(0)))
+    J, f = _assemble(circ, SysState(v=np.array([2.0]), i_branch=np.zeros(0)))
     g = 1e-3 + GMIN
     assert f[0] == pytest.approx(2.0 * g, rel=1e-15)
     assert J[0, 0] == pytest.approx(g, rel=1e-15)
@@ -57,7 +71,7 @@ def test_assemble_resistor_row():
 def test_assemble_source_constraint_row():
     circ = _circ("driven resistor\nV1 a 0 DC 3.3\nR1 a 0 1k\n.end\n")
     st = SysState(v=np.array([2.0]), i_branch=np.array([0.1]))
-    J, f = assemble(circ, st)
+    J, f = _assemble(circ, st)
     assert f[1] == pytest.approx(2.0 - 3.3, rel=1e-15)  # v(a) - 3.3
     assert f[0] == pytest.approx(2.0 * (1e-3 + GMIN) + 0.1, rel=1e-15)
     assert J[0, 1] == 1.0 and J[1, 0] == 1.0
@@ -73,7 +87,7 @@ def test_assemble_vanishes_at_stack_equilibrium():
     v[circ.node_index["vdd"]] = 3.3
     v[circ.node_index["mx1_m1"]] = vm
     st = SysState(v=v, i_branch=np.array([-(i_top + GMIN * 3.3)]))
-    _, f = assemble(circ, st)
+    _, f = _assemble(circ, st)
     assert np.max(np.abs(f)) < 1e-12
 
 
@@ -98,16 +112,17 @@ def _assemble_one(s, x, alpha, hist, j=0):
 
 def _assemble_live(s, members, xs, alpha, hists):
     """(J, f) of each of `members` of _System s, planned as one live batch,
-    at the states xs with the histories hists (see _request)."""
-    groups = s.live(members)
-    for g in groups:
-        for p, j in enumerate(g.members):
-            i = members.index(j)
-            g.load(p, (xs[i], *_request(s, j, alpha, hists[i]), 1), 0)
+    at the states xs with the histories hists (see _request): each member's
+    slices of the flat J and F."""
+    s.live(members)
+    for p, j in enumerate(s.members):
+        i = members.index(j)
+        s.load(p, (xs[i], *_request(s, j, alpha, hists[i]), 1))
+    J, F = s.assemble()
     out = {}
-    for g, (J, f) in zip(groups, s.assemble()):
-        for p, j in enumerate(g.members):
-            out[j] = (J, f) if g.L == 1 else (J[p], f[p])
+    for p, j in enumerate(s.members):
+        N = s.N[j]
+        out[j] = (J[s.jo[p]:s.jo[p + 1]].reshape(N, N), F[s.xo[p]:s.xo[p + 1]])
     return [out[j] for j in members]
 
 
@@ -202,10 +217,10 @@ def test_mos_currents_match_scalar_model():
     for topo in TOPOLOGY_IDS:
         circ = elaborate(gen(topo))
         s = _System([circ])
-        (g,) = s.live([0])
+        s.live([0])
         for _ in range(10):
             v = rng.uniform(-1.5, 5.0, s.n[0])
-            g.X[: s.n[0]] = v
+            s.xbuf[: s.n[0]] = v
             got = s.mos_currents()
             vx = np.append(v, 0.0)  # index -1 is ground
             for k, m in enumerate(circ.mosfets):
@@ -348,8 +363,8 @@ def test_companion_replay_satisfies_kcl():
                 "scheme": scheme}
         if scheme == "trap":
             comp["ic_prev"] = ic
-        _, f = assemble(circ, SysState(v=vn[b], i_branch=ib[b]),
-                        companion=comp, t=float(waves.t[b]))
+        _, f = _assemble(circ, SysState(v=vn[b], i_branch=ib[b]),
+                         companion=comp, t=float(waves.t[b]))
         worst = max(worst, float(np.max(np.abs(f[:2]))))
         alpha = (1.0 if scheme == "be" else 2.0) / h
         step_ic = alpha * Cm.dot(vn[b] - vn[a])
@@ -524,24 +539,13 @@ def test_transient_many_equals_lone_runs():
         _assert_same_waves(w, transient(c, 10e-12, 30e-9))
 
 
-def test_transient_many_damped_members_equal_lone_runs():
-    # near-instant input steps of several volts: the first Newton update of
-    # each step exceeds the 0.5 V clamp, so damping runs inside the batch
-    rc = "rc step\nVIN in 0 PULSE(0 {} 0 1f 1f 2n 4n)\nR1 in out 1k\nC1 out 0 1p\n.end\n"
-    circs = [_circ(rc.format(v)) for v in (3.3, 1.0, 5.0)]
-    for c, w in zip(circs, transient_many(circs, 10e-12, 10e-9)):
-        _assert_same_waves(w, transient(c, 10e-12, 10e-9))
+_RC_PULSE = "rc step\nVIN in 0 PULSE(0 {} 0 1f 1f 2n 4n)\nR1 in out 1k\nC1 out 0 1p\n.end\n"
 
 
-def test_transient_many_reads_no_unwritten_buffer(monkeypatch):
-    # the 1 V member's first step converges in fewer iterations than the
-    # others', so it sends trapezoidal requests while they still iterate on
-    # backward Euler, whose history rows must then read as zeros.  Every
-    # buffer np.empty hands out comes back poisoned (NaN, or -1 for integer
-    # arrays), so any read before a write changes the result.
-    rc = "rc step\nVIN in 0 PULSE(0 {} 0 1f 1f 2n 4n)\nR1 in out 1k\nC1 out 0 1p\n.end\n"
-    circs = [_circ(rc.format(v)) for v in (3.3, 1.0, 5.0)]
-    want = [transient(c, 10e-12, 10e-9) for c in circs]
+def _poison_empty(monkeypatch):
+    """Make every buffer the engine's np.empty hands out come back poisoned
+    (NaN, or -1 for integer arrays), so any read before a write changes the
+    result."""
     real_empty = np.empty
 
     def poisoned(*a, **k):
@@ -549,10 +553,77 @@ def test_transient_many_reads_no_unwritten_buffer(monkeypatch):
         arr.fill(np.nan if arr.dtype.kind == "f" else -1)
         return arr
     monkeypatch.setattr(engine.np, "empty", poisoned)
+
+
+def test_transient_many_damped_members_equal_lone_runs():
+    # near-instant input steps of several volts: the first Newton update of
+    # each step exceeds the 0.5 V clamp, so damping runs inside the batch
+    circs = [_circ(_RC_PULSE.format(v)) for v in (3.3, 1.0, 5.0)]
+    for c, w in zip(circs, transient_many(circs, 10e-12, 10e-9)):
+        _assert_same_waves(w, transient(c, 10e-12, 10e-9))
+
+
+def test_transient_many_reads_no_unwritten_buffer(monkeypatch):
+    # the 1 V member's first step converges in fewer iterations than the
+    # others', so it sends trapezoidal requests while they still iterate on
+    # backward Euler, whose history rows must then read as zeros.  With
+    # every np.empty buffer poisoned, any read before a write changes the
+    # result.
+    circs = [_circ(_RC_PULSE.format(v)) for v in (3.3, 1.0, 5.0)]
+    want = [transient(c, 10e-12, 10e-9) for c in circs]
+    _poison_empty(monkeypatch)
     got = list(transient_many(circs, 10e-12, 10e-9))
     monkeypatch.undo()
     for w, lone in zip(got, want):
         _assert_same_waves(w, lone)
+
+
+def test_transient_many_flat_layout_edge_cases(monkeypatch):
+    # one ragged batch over the corners of the flat live layout: the empty
+    # circuit (n = N = 0) first, whose empty reduceat segments read the
+    # element at their start, another member's, and which outlasts the
+    # others, so that alone its segments start at S, past the end; the
+    # MOSFET-free RC_STEP and a damped RC member, one group of two whose
+    # node rows take no device currents; and two topologies.  Each member
+    # must equal its lone run bit for bit, also with every np.empty buffer
+    # poisoned, so no flat buffer is read before it is written.
+    circs = [_circ("nothing\n.end\n"), _circ(RC_STEP),
+             _circ("rc, 5 V step\nVIN in 0 PULSE(0 5 0 1f 1f 20n 40n)\n"
+                   "R1 in out 2k\nC1 out 0 1p\n.end\n"),
+             elaborate(gen("cls")), elaborate(gen("cmls_stacked"))]
+    run = (5e-12, 10e-9)
+    want = [transient(c, *run) for c in circs]
+    plans, real = set(), _System.assemble
+    monkeypatch.setattr(_System, "assemble", lambda s: plans.add(len(s.F)) or real(s))
+    for poison in (False, True):
+        if poison:
+            _poison_empty(monkeypatch)
+        got = list(transient_many(circs, *run))
+        monkeypatch.undo()  # the assemble hook too: it records the first pass
+        assert len(got) == len(circs)
+        for w, lone in zip(got, want):
+            _assert_same_waves(w, lone)
+    # the premises: the empty circuit ran next to all the others, and alone
+    assert {0, sum(c.n_nodes + len(c.sources) for c in circs)} <= plans
+    # DC of the empty circuit first, then a singular member and a divider
+    # of one size, stacked, without the gmin shunt: the empty member's node
+    # and update segments read the singular member's NaN update, and it must
+    # still converge in its one iteration, and each member end as alone
+    dc = [circs[0], _circ(_GATE_NODE.format("floats", "")),
+          _circ("divider\nV1 in 0 DC 5\nR1 in out 1k\nR2 out 0 1k\n.end\n")]
+    s, opts = _System(dc), engine.SolveOptions()
+    got = engine._drive(s, [engine._dc_requests(s, j, opts, 0.0, 0.0, None)
+                            for j in range(3)], opts)
+    for c, op in zip(dc, got):
+        try:
+            want = dc_operating_point(c, gmin=0.0)
+        except SolverError as e:
+            assert isinstance(op, SolverError) and str(op) == str(e)
+            continue
+        assert (op.iterations, op.residual_max, op.homotopy_used) == (
+            want.iterations, want.residual_max, want.homotopy_used)
+        assert _same_bits(op.state.as_vector(), want.state.as_vector())
+    assert isinstance(got[1], SolverError) and got[0].iterations == 1
 
 
 def test_transient_many_failing_member_fails_alone():
