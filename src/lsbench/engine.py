@@ -9,9 +9,13 @@ positive into the + terminal.
 
 DC operating points run damped Newton (per-iteration node updates clamped to
 +/-0.5 V), converged when both max|dv| < vntol and the worst KCL residual is
-below abstol.  On failure the solver falls back to gmin stepping (1e-3 S down
-to the 1e-12 S floor in decade steps) and then to source stepping (all source
-values scaled 0 -> 1 in 20 increments), each stage warm-starting the next.
+below abstol.  On failure the solver falls back to pseudo-transient
+continuation, which follows the circuit's own trajectory to a stable state:
+backward-Euler steps from zero with 1 fF added to every node, h from 1 ps,
+doubled after each converged step (up to 1 s) and quartered after a failed
+one, until no node moves 1 nV on a step longer than 1 us; plain Newton then
+polishes that state.  The stage takes at most _PTC_STEPS steps and ends
+when a step shorter than _PTC_MIN_H fails.
 
 Transient samples the uniform grid 0, tstep, ..., tstop through one
 step-size controller.  Every step spans m grid intervals, m a power of two
@@ -150,7 +154,7 @@ class OpPoint:
     state: SysState
     residual_max: float
     iterations: int
-    homotopy_used: str  # "none" | "gmin" | "source"
+    homotopy_used: str  # "none" (plain Newton) | "ptc" (pseudo-transient)
 
 
 @dataclass
@@ -408,14 +412,14 @@ class _System:
 
     # -- assembly ----------------------------------------------------------
 
-    def rhs(self, j: int, t: float, scale: float = 1.0, hist=None) -> np.ndarray:
+    def rhs(self, j: int, t: float, hist=None) -> np.ndarray:
         """Member j's constant part of f: the companion history alpha*C*v_prev
         on the node rows (zeros for DC, which subtract exactly) and the
-        source values, scaled, on the source rows."""
+        source values at t on the source rows."""
         n = self.n[j]
         r = np.empty(self.N[j])
         r[:n] = 0.0 if hist is None else hist
-        r[n:] = [scale * source_value(w, t) for w in self.waves[j]]
+        r[n:] = [source_value(w, t) for w in self.waves[j]]
         return r
 
     def base_matrix(self, j: int, gmin: float, alpha: float = 0.0) -> np.ndarray:
@@ -462,15 +466,6 @@ class _System:
         self.load(0, (x, base, rhs, ic, 1))
         J, f = self.assemble()
         return J.reshape(base.shape), f
-
-
-def _worst_node(circuit: Circuit, x, t: float, gmin: float, scale: float) -> str:
-    """Name of the node with the largest KCL residual of `circuit` at x."""
-    if circuit.n_nodes == 0:
-        return "<none>"
-    s = _System([circuit])  # its own plan, so a running drive keeps its own
-    _, f = s.assemble_one(0, x, s.base_matrix(0, gmin), s.rhs(0, t, scale))
-    return circuit.node_names[int(np.argmax(np.abs(f[: circuit.n_nodes])))]
 
 
 # -- Newton ------------------------------------------------------------------
@@ -633,49 +628,45 @@ def _state_from_vector(n: int, x: np.ndarray) -> SysState:
     return SysState(v=x[:n].copy(), i_branch=x[n:].copy())
 
 
-_GMIN_LADDER = tuple(10.0 ** -k for k in range(3, 13))  # 1e-3 .. 1e-12
+_PTC_C = 1e-15      # F, added to every node's capacitance in the pseudo-transient
+_PTC_STEPS = 200    # steps the pseudo-transient may take
+_PTC_MIN_H = 4e-18  # s, a failed pseudo-transient step shorter than this ends it
 
 
 def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
                  t: float, x0: np.ndarray | None):
     """Member j's DC operating point as a generator of Newton requests:
-    plain Newton, then gmin stepping, then source stepping.  Returns an
-    OpPoint; raises SolverError when every strategy fails."""
-    lim, n, N = opts.max_iter, sys_.n[j], sys_.N[j]
-    rhs = sys_.rhs(j, t)
-    start = x0 if x0 is not None else np.zeros(N)
-    x, it, res, ok, _ = yield (start, sys_.base_matrix(j, gmin), rhs, None, lim)
-    total = it
+    plain Newton, then pseudo-transient continuation (see the module
+    docstring).  Returns an OpPoint; raises SolverError when both fail."""
+    lim, n, N, C = opts.max_iter, sys_.n[j], sys_.N[j], sys_.C[j]
+    base, rhs = sys_.base_matrix(j, gmin), sys_.rhs(j, t)
+    y, total, res, ok, _ = yield (np.zeros(N) if x0 is None else x0, base, rhs, None, lim)
     if ok:
-        return OpPoint(_state_from_vector(n, x), res, total, "none")
-
-    ladder = [g for g in _GMIN_LADDER if g > gmin] + [gmin]
-    x = np.zeros(N)
-    ok_ladder = True
-    for g in ladder:
-        x, it, res, ok, _ = yield (x, sys_.base_matrix(j, g), rhs, None, lim)
+        return OpPoint(_state_from_vector(n, y), res, total, "none")
+    x, h = np.zeros(N), 1e-12
+    for _ in range(_PTC_STEPS):
+        a, v = 1.0 / h, x[:n]
+        y, it, res, ok, why = yield (x, sys_.base_matrix(j, gmin + a * _PTC_C, a),
+                                     sys_.rhs(j, t, a * (C.dot(v) + _PTC_C * v)), None, lim)
         total += it
-        if not ok:
-            ok_ladder = False
+        if ok and h > 1e-6 and np.abs(y[:n] - v).max() < 1e-9:
+            y, it, res, ok, why = yield (y, base, rhs, None, lim)
+            if ok:
+                return OpPoint(_state_from_vector(n, y), res, total + it, "ptc")
             break
-    if ok_ladder:
-        return OpPoint(_state_from_vector(n, x), res, total, "gmin")
-
-    x = np.zeros(N)
-    base = sys_.base_matrix(j, gmin)
-    for frac in np.linspace(0.05, 1.0, 20):
-        x, it, res, ok, why = yield (x, base, sys_.rhs(j, t, float(frac)), None, lim)
-        total += it
-        if not ok:
-            circuit = sys_.circuits[j]
-            hint = f"; {'; '.join(circuit.warnings)}" if circuit.warnings else ""
-            raise SolverError(
-                f"DC operating point did not converge: plain Newton, gmin and "
-                f"source stepping all failed ({why} at source scale {frac:.2f}; "
-                f"largest residual at node "
-                f"{_worst_node(circuit, x, t, gmin, float(frac))!r}{hint})"
-            )
-    return OpPoint(_state_from_vector(n, x), res, total, "source")
+        if not ok and h < _PTC_MIN_H:
+            break
+        x, h = (y, min(2.0 * h, 1.0)) if ok else (x, h / 4.0)
+    else:
+        why = f"{_PTC_STEPS} steps spent"
+    circuit = sys_.circuits[j]
+    _, f = _System([circuit]).assemble_one(0, y, base, rhs)  # not sys_: the drive's plan
+    node = circuit.node_names[np.argmax(np.abs(f[:n]))]
+    hint = f"; {'; '.join(circuit.warnings)}" if circuit.warnings else ""
+    raise SolverError(
+        f"DC operating point did not converge: plain Newton and pseudo-transient "
+        f"continuation failed ({why} at h={h:.3g}s; largest residual at node "
+        f"{node!r}{hint})")
 
 
 def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
@@ -683,8 +674,8 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
                        x0: np.ndarray | None = None) -> OpPoint:
     """Solve the DC operating point with sources at their t=0 values.
 
-    Tries plain Newton first, then gmin stepping, then source stepping.
-    Raises SolverError when every strategy fails.
+    Tries plain Newton first, then pseudo-transient continuation (see the
+    module docstring).  Raises SolverError when both fail.
     """
     opts = opts or SolveOptions()
     sys_ = _System([circuit])
@@ -745,7 +736,7 @@ class _Stepper:
         base = self.bases.get(alpha)
         if base is None:
             base = self.bases[alpha] = self.sys.base_matrix(self.j, self.gmin, alpha)
-        rhs = self.sys.rhs(self.j, t1, 1.0, alpha * self.C.dot(x_from[:n]))
+        rhs = self.sys.rhs(self.j, t1, alpha * self.C.dot(x_from[:n]))
         starts = (guess, x_from) if guess is not None else (x_from,)
         for start in starts:
             x_new, _, res, ok, _ = yield (start, base, rhs, ic_hist, self.iters)

@@ -293,6 +293,20 @@ def test_singular_jacobian_reported():
         dc_operating_point(circ, gmin=0.0)
 
 
+def test_dc_fallback_that_runs_out_names_h_and_node(monkeypatch):
+    # corner 0030 of dc_corners needs the pseudo-transient fallback: three
+    # steps of its budget end it far from settled, and a Newton limit of 2
+    # iterations fails every step until h reaches its floor
+    circ = elaborate(gen("cls"), base_models=parse_seed_models(_BATCH_SEED))
+    with pytest.raises(SolverError, match=r"\(iteration limit at h=3\.81e-18s; "
+                                          r"largest residual at node '\w+'"):
+        dc_operating_point(circ, engine.SolveOptions(max_iter=2))
+    monkeypatch.setattr(engine, "_PTC_STEPS", 3)
+    with pytest.raises(SolverError, match=r"\(3 steps spent at h=8e-12s; "
+                                          r"largest residual at node '\w+'"):
+        dc_operating_point(circ)
+
+
 # ---------------------------------------------------------------------------
 # transient
 
@@ -626,27 +640,36 @@ def test_transient_many_flat_layout_edge_cases(monkeypatch):
     assert isinstance(got[1], SolverError) and got[0].iterations == 1
 
 
-def test_transient_many_failing_member_fails_alone():
-    # a process corner whose DC operating point fails with the input high
-    # (dc_corners corner 0030); an input pulse that starts high puts that
-    # state at t = 0, so the member fails at its start
+def test_transient_many_failing_member_fails_alone(monkeypatch):
+    # a process corner whose DC operating point plain Newton cannot find
+    # (dc_corners corner 0030), at t = 0 with the input high.  Solved by the
+    # pseudo-transient fallback, it keeps the bits of its lone run in a
+    # batch; with the fallback's step budget at 0 it fails at its start,
+    # alone, with the message of its lone run under the same budget
     high_first = SourceWave("pulse", 1.6, 0.0, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9)
     bad = elaborate(gen("cls", TopoParams(stimulus=high_first)),
                     base_models=parse_seed_models(_BATCH_SEED))
-    good = [elaborate(gen("cls", TopoParams(vin_hi=v))) for v in (1.0, 1.6)]
-    with pytest.raises(SolverError) as lone:
-        transient(bad, 10e-12, 30e-9)
-    got = list(transient_many([good[0], bad, good[1]], 10e-12, 30e-9))
-    assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
-    assert "DC operating point did not converge" in str(got[1])
-    for c, w in zip(good, (got[0], got[2])):
-        _assert_same_waves(w, transient(c, 10e-12, 30e-9))
-    # next to members of other sizes, which share its device evaluation
-    others = [elaborate(gen("cmls_stacked")), elaborate(gen("ssls"))]
-    got = list(transient_many([others[0], bad, others[1]], 10e-12, 30e-9))
-    assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
-    for c, w in zip(others, (got[0], got[2])):
-        _assert_same_waves(w, transient(c, 10e-12, 30e-9))
+    assert dc_operating_point(bad).homotopy_used == "ptc"
+    # members of its size, then of other sizes, which share its device evaluation
+    pairs = ([elaborate(gen("cls", TopoParams(vin_hi=v))) for v in (1.0, 1.6)],
+             [elaborate(gen("cmls_stacked")), elaborate(gen("ssls"))])
+    want = [[transient(c, 10e-12, 30e-9) for c in pair] for pair in pairs]
+    for budget in (engine._PTC_STEPS, 0):
+        monkeypatch.setattr(engine, "_PTC_STEPS", budget)
+        try:
+            lone = transient(bad, 10e-12, 30e-9)
+        except SolverError as e:
+            lone = e
+        assert isinstance(lone, SolverError) == (budget == 0)
+        for pair, alone in zip(pairs, want):
+            got = list(transient_many([pair[0], bad, pair[1]], 10e-12, 30e-9))
+            if budget:
+                _assert_same_waves(got[1], lone)
+            else:
+                assert isinstance(got[1], SolverError) and str(got[1]) == str(lone)
+                assert "DC operating point did not converge" in str(got[1])
+            for w, a in zip((got[0], got[2]), alone):
+                _assert_same_waves(w, a)
 
 
 _GATE_NODE = """\

@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lsbench import engine
 from lsbench.devmodel import SourceWave
-from lsbench.engine import SolverError, transient
-from lsbench.measure import (MeasureError, average_power, characterize, characterize_many,
-                             output_swing, propagation_delay, static_power)
+from lsbench.engine import SolverError, dc_operating_point, transient
+from lsbench.measure import (MeasureError, _pinned, average_power, characterize,
+                             characterize_many, output_swing, propagation_delay,
+                             static_power)
 from lsbench.netlist import TranCard, elaborate, parse_netlist, parse_seed_models
 from lsbench.topologies import TopoParams, gen
 
@@ -185,12 +187,13 @@ def test_delay_grows_with_load():
     assert all(b > a for a, b in zip(delays, delays[1:]))
 
 
-def test_characterize_many_equals_lone_characterize():
+def test_characterize_many_equals_lone_characterize(monkeypatch):
     # one batch of circuits of four sizes, each with the outcome of its lone
     # characterize: a report, a missing .tran (ValueError before any solve),
     # a DC-only circuit (MeasureError after its transient), and a process
-    # corner whose static DC solve with the input high fails (SolverError
-    # after its transient and measurements)
+    # corner (dc_corners corner 0030) whose DC solves need the
+    # pseudo-transient fallback: a report, or with the fallback's step
+    # budget at 0 a SolverError, as alone under the same budget
     rc = ("rc pulse train\nVIN in 0 PULSE(0 3.3 0 1p 1p 7.998n 16n)\n"
           "R1 in out 1k\nC1 out 0 1p\n{}.end\n")
     corner = ".model NCH NMOS (VTH0=0.4 KP=0.000152)\n.model PCH PMOS (VTH0=1 KP=3.84e-05)\n"
@@ -200,15 +203,38 @@ def test_characterize_many_equals_lone_characterize():
                  "pulse", 0.0, 1.6, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9))),
                  base_models=parse_seed_models(corner))]
     circs[3] = replace(circs[3], tran=TranCard(10e-12, 210e-9))
-    got = list(characterize_many(circs))
-    assert [type(r).__name__ for r in got] == ["Report", "ValueError", "MeasureError",
-                                               "SolverError"]
-    for c, r in zip(circs, got):
-        try:
-            want = characterize(c)
-        except (ValueError, MeasureError, SolverError) as e:
-            want = e
-        if isinstance(want, Exception):
-            assert type(r) is type(want) and str(r) == str(want)
-        else:
-            assert r == want
+    for budget, last in ((engine._PTC_STEPS, "Report"), (0, "SolverError")):
+        monkeypatch.setattr(engine, "_PTC_STEPS", budget)
+        got = list(characterize_many(circs))
+        assert [type(r).__name__ for r in got] == ["Report", "ValueError", "MeasureError",
+                                                   last]
+        for c, r in zip(circs, got):
+            try:
+                want = characterize(c)
+            except (ValueError, MeasureError, SolverError) as e:
+                want = e
+            if isinstance(want, Exception):
+                assert type(r) is type(want) and str(r) == str(want)
+            else:
+                assert r == want
+
+
+# dc_corners process corners whose DC solves plain Newton cannot finish,
+# with their continuation references from perfbench/refs/dc_corners.json,
+# static power (lo, hi) in W.  Source stepping failed on 0030, where the
+# latch folds under scaled supplies, and finished 0131.
+PTC_CORNERS = [
+    ("cls", ".model NCH NMOS (VTH0=0.4 KP=0.000152)\n.model PCH PMOS (VTH0=1 KP=3.84e-05)\n",
+     (1.2333729552014622e-09, 9.249891999460876e-10)),   # corner 0030
+    ("cls_stacked",
+     ".model NCH NMOS (VTH0=0.4 KP=0.000171)\n.model PCH PMOS (VTH0=1 KP=4.32e-05)\n",
+     (6.43089863989489e-10, 8.981619399457636e-10)),     # corner 0131
+]
+
+
+@pytest.mark.parametrize("topo, models, want", PTC_CORNERS)
+def test_pseudo_transient_corners_match_continuation_reference(topo, models, want):
+    circ = elaborate(gen(topo), base_models=parse_seed_models(models))
+    for state, ref in zip(("lo", "hi"), want):
+        assert dc_operating_point(_pinned(circ, state)).homotopy_used == "ptc"
+        assert static_power(circ, state) == pytest.approx(ref, rel=1e-6)
