@@ -1,9 +1,9 @@
 """Transistor-level level-shifter bench: netlists, device model, solver,
 measurements, and built-in topologies."""
 
-from .devmodel import (DEFAULT_NMOS, DEFAULT_PMOS, MosBias, MosCaps, MosEval,
-                       MosParams, SourceWave, default_params, effective_vth,
-                       mosfet_caps, mosfet_eval, source_value)
+from .devmodel import (DEFAULT_NMOS, DEFAULT_PMOS, MosBias, MosEval, MosParams,
+                       SourceWave, default_params, effective_vth, mosfet_eval,
+                       source_value)
 from .engine import (OpPoint, SolveOptions, SolverError, SysState, Waveforms,
                      dc_operating_point, transient, transient_many)
 from .measure import (MeasureError, Report, average_power, characterize,

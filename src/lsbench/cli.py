@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -149,7 +149,7 @@ def cmd_run(args) -> int:
     if tstep is None or tstop is None:
         raise UsageError("netlist has no .tran directive; give --tstep and --tstop")
 
-    waves = transient(circ, tstep, tstop, scheme=args.scheme)
+    waves = transient(circ, tstep, tstop)
     stem = os.path.splitext(args.netlist)[0]
     out_csv = args.out_csv or stem + ".csv"
     _write_waveform_csv(out_csv, waves)
@@ -174,6 +174,8 @@ def cmd_run(args) -> int:
 
 @dataclass
 class BenchRow:
+    """One bench or sweep row, its fields in `_BENCH_COLUMNS` order: the CSV
+    and JSON rows are built from `astuple`."""
     topology: str
     power_avg: float | None = None
     power_static_avg: float | None = None
@@ -253,9 +255,8 @@ def _bench_pairs(rows) -> list:
 
 
 def _row_cells(r: BenchRow) -> list:
-    return [r.topology, _csv_num(r.power_avg), _csv_num(r.power_static_avg),
-            _csv_num(r.delay_max), _csv_num(r.swing_hi), _csv_num(r.swing_lo),
-            _csv_num(r.reduction_ratio), r.status, r.note]
+    topology, *nums, status, note = astuple(r)
+    return [topology, *map(_csv_num, nums), status, note]
 
 
 def _emit_bench_csv(fh, rows) -> None:
@@ -267,10 +268,7 @@ def _emit_bench_csv(fh, rows) -> None:
 
 def _emit_bench_json(fh, rows, pairs) -> None:
     payload = {
-        "rows": [dict(zip(_BENCH_COLUMNS, [
-            r.topology, r.power_avg, r.power_static_avg, r.delay_max,
-            r.swing_hi, r.swing_lo, r.reduction_ratio, r.status, r.note,
-        ])) for r in rows],
+        "rows": [dict(zip(_BENCH_COLUMNS, astuple(r))) for r in rows],
         "pairs": pairs,
     }
     json.dump(payload, fh, indent=2)
@@ -423,9 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="time step (overrides .tran)")
     r.add_argument("--tstop", type=parse_value, default=None,
                    help="stop time (overrides .tran)")
-    r.add_argument("--scheme", choices=("trap", "be"), default="trap",
-                   help="scheme of single-interval steps (default trap); "
-                        "longer steps are always backward Euler")
     r.add_argument("-o", "--out-csv", default=None,
                    help="waveform CSV path (default <netlist>.csv)")
     r.add_argument("--report-json", default=None,

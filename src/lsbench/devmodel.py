@@ -221,23 +221,9 @@ def mosfet_eval(p: MosParams, bias: MosBias, w: float, l: float) -> MosEval:
     return MosEval(float(idr), float(gm), float(gds), float(gmb))
 
 
-@dataclass(frozen=True)
-class MosCaps:
-    cgs: float
-    cgd: float
-    cdb: float
-    csb: float
-
-
 def cap_lumps(p: MosParams, w: float, l: float) -> tuple:
     """(gate lump cgs = cgd, junction lump cdb = csb) of one device."""
     return 0.5 * p.cox_a * w * l + p.cov_w * w, p.cj_w * w
-
-
-def mosfet_caps(p: MosParams, w: float, l: float) -> MosCaps:
-    """Bias-independent lumped capacitances for one device."""
-    cg, cj = cap_lumps(p, w, l)
-    return MosCaps(cgs=cg, cgd=cg, cdb=cj, csb=cj)
 
 
 # --------------------------------------------------------------------------

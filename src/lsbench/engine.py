@@ -21,11 +21,10 @@ Transient samples the uniform grid 0, tstep, ..., tstop through one
 step-size controller.  Every step spans m grid intervals, m a power of two
 from 1 to 64, so every solved point is a grid sample.  A grid interval that
 holds a PULSE corner is always a single step, and m restarts at 1 after it.
-Single-interval steps use the requested scheme: trapezoidal companions after
-one backward-Euler startup step (default), or backward Euler throughout.
-Longer steps are always backward Euler: trapezoid on 640 ps steps leaves
-supply currents ringing at the uA level through quiet stretches, which
-L-stable backward Euler damps.  The controller keeps one table of Newton
+Single-interval steps use trapezoidal companions after one backward-Euler
+startup step.  Longer steps are backward Euler: trapezoid on 640 ps steps
+leaves supply currents ringing at the uA level through quiet stretches,
+which L-stable backward Euler damps.  The controller keeps one table of Newton
 divided differences of the full solved state over the last four solved
 points since the last corner, newest first; a corner resets it to the point
 just solved.  The step predictor and the error estimate share it.  Newton
@@ -163,7 +162,6 @@ class Waveforms:
     node_v: dict          # name -> ndarray over the grid
     supply_i: dict        # source name -> branch current (into + terminal)
     source_nodes: dict    # source name -> (plus node name, minus node name), "0" = ground
-    tstep: float = 0.0
     # KCL residual per grid point: a solver state's own, or for an
     # interpolated sample the larger of its two bracketing solves'
     resid_max: np.ndarray | None = None
@@ -717,9 +715,9 @@ class _Stepper:
     """Member j's transient on the grid t, its DC start included, as one
     generator of Newton requests (`run`)."""
 
-    def __init__(self, sys_: _System, j: int, t: np.ndarray, tstep: float, scheme: str,
+    def __init__(self, sys_: _System, j: int, t: np.ndarray, tstep: float,
                  opts: SolveOptions, gmin: float):
-        self.sys, self.j, self.t, self.scheme = sys_, j, t, scheme
+        self.sys, self.j, self.t = sys_, j, t
         self.opts, self.gmin = opts, gmin
         self.n, self.C = sys_.n[j], sys_.C[j]
         self.corners = _corner_intervals(sys_.waves[j], len(t) - 1, tstep, t[-1])
@@ -787,7 +785,7 @@ class _Stepper:
                 for d, tk in [*zip(dd[:-1], ts)][::-1]:
                     guess = d + (t1 - tk) * guess
             x_new, ic_new, res = yield from self.step(
-                x, ic_cur, t0, t1, k == 1 and self.scheme == "trap" and i > 0, 0, guess)
+                x, ic_cur, t0, t1, k == 1 and i > 0, 0, guess)
             if at_corner:
                 dd, ts, m = [x_new], [t1], 1
             else:
@@ -800,8 +798,10 @@ class _Stepper:
                     if r > 1.0 and k > 1:
                         m = k // 2  # reject: retry from the same point, half the step
                         continue
-                    grow = min(2 * k, _MAX_MULT,
-                               k * math.sqrt(0.5 / r) if r > 0.0 else math.inf)
+                    # sqrt(0.5/r) >= 2 exactly when r <= 1/8: only then is
+                    # the step doubled, and 0.5/r never overflows
+                    grow = (min(_MAX_MULT, k * math.sqrt(0.5 / r)) if r > 0.125
+                            else min(2 * k, _MAX_MULT))
                 dd, ts = new, [t1, *ts[:2]]
                 m = 1 << max(int(grow).bit_length() - 1, 0)
             x, ic_cur, i = x_new, ic_new, i + k
@@ -816,8 +816,7 @@ class _Stepper:
         return blocks
 
 
-def _waveforms(circuit: Circuit, t: np.ndarray, tstep: float, gmin: float,
-               blocks: list) -> Waveforms:
+def _waveforms(circuit: Circuit, t: np.ndarray, gmin: float, blocks: list) -> Waveforms:
     """The grid record of one member from the blocks of its solved points:
     samples between two solves lie on the line joining them,
     x + w*(x_new - x), and carry the larger of the two residuals."""
@@ -840,7 +839,6 @@ def _waveforms(circuit: Circuit, t: np.ndarray, tstep: float, gmin: float,
         node_v={nm: rec[:, j] for j, nm in enumerate(names)},
         supply_i={s.name: rec[:, n + k] for k, s in enumerate(circuit.sources)},
         source_nodes={s.name: (gname(s.p), gname(s.m)) for s in circuit.sources},
-        tstep=tstep,
         resid_max=rrec,
         gmin=gmin,
         solved=np.concatenate([blocks[0][0]] + [ix[1:] for ix, _, _ in blocks[1:]]),
@@ -863,10 +861,8 @@ def _grid(tstep: float, tstop: float) -> np.ndarray:
     return t
 
 
-def transient_many(circuits, tstep: float, tstop: float,
-                   scheme: str = "trap", ic="auto",
-                   opts: SolveOptions | None = None,
-                   gmin: float = GMIN_DEFAULT):
+def transient_many(circuits, tstep: float, tstop: float, *, ic="auto",
+                   opts: SolveOptions | None = None, gmin: float = GMIN_DEFAULT):
     """`transient` of several circuits, of any structures, solved together.
 
     Every member takes its own DC start and its own steps, exactly as it
@@ -882,14 +878,12 @@ def transient_many(circuits, tstep: float, tstop: float,
     (a zip over the iterator keeps the previous result in its reused tuple
     while the next grid is filled).
     """
-    if scheme not in ("trap", "be"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     t = _grid(tstep, tstop)
     opts = opts or SolveOptions()
     sys_ = _System(list(circuits))
     if not (isinstance(ic, OpPoint) or ic == "auto"):
         raise ValueError("ic must be 'auto' or an OpPoint")
-    results = _drive(sys_, [_Stepper(sys_, j, t, tstep, scheme, opts, gmin).run(ic)
+    results = _drive(sys_, [_Stepper(sys_, j, t, tstep, opts, gmin).run(ic)
                             for j in range(len(sys_.circuits))], opts)
     circuits = sys_.circuits
     del sys_
@@ -898,14 +892,13 @@ def transient_many(circuits, tstep: float, tstop: float,
         for j, c in enumerate(circuits):
             r, results[j] = results[j], None
             if not isinstance(r, SolverError):
-                r = _waveforms(c, t, tstep, gmin, r)  # drops the solved points
+                r = _waveforms(c, t, gmin, r)  # drops the solved points
             yield r
     return members()
 
 
-def transient(circuit: Circuit, tstep: float, tstop: float,
-              scheme: str = "trap", ic: OpPoint | str = "auto",
-              opts: SolveOptions | None = None,
+def transient(circuit: Circuit, tstep: float, tstop: float, *,
+              ic: OpPoint | str = "auto", opts: SolveOptions | None = None,
               gmin: float = GMIN_DEFAULT) -> Waveforms:
     """Implicit transient analysis on the uniform grid 0, tstep, ..., tstop.
 
@@ -916,7 +909,7 @@ def transient(circuit: Circuit, tstep: float, tstop: float,
     sources' initial values unless an OpPoint is passed explicitly.  This is
     `transient_many` of one circuit.
     """
-    (waves,) = transient_many([circuit], tstep, tstop, scheme, ic, opts, gmin)
+    (waves,) = transient_many([circuit], tstep, tstop, ic=ic, opts=opts, gmin=gmin)
     if isinstance(waves, SolverError):
         raise waves
     return waves

@@ -33,9 +33,11 @@ class MeasureError(RuntimeError):
     pass
 
 
-def _crossings(t, w, level):
-    """(time, direction) for each crossing of level, linearly interpolated."""
-    s = np.asarray(w, dtype=float) - level
+def _crossings(t, w):
+    """(time, direction) for each crossing of w's 50% level, the midpoint of
+    its own min and max, linearly interpolated."""
+    w = np.asarray(w, dtype=float)
+    s = w - 0.5 * (w.min() + w.max())
     rise = (s[:-1] < 0) & (s[1:] >= 0)
     fall = (s[:-1] > 0) & (s[1:] <= 0)
     out = []
@@ -45,19 +47,14 @@ def _crossings(t, w, level):
     return out
 
 
-def propagation_delay(in_wave, out_wave, t, in_levels=None, out_levels=None):
-    """Per-direction propagation delays from 50% crossings.
-
-    in_levels / out_levels are (lo, hi) tuples; by default each waveform's
-    own min/max.  Returns {"delay_rise": s, "delay_fall": s}, keyed by the
-    input edge direction and averaged over all measured edges.
+def propagation_delay(in_wave, out_wave, t):
+    """Per-direction propagation delays from 50% crossings, each waveform
+    against the midpoint of its own min/max.  Returns {"delay_rise": s,
+    "delay_fall": s}, keyed by the input edge direction and averaged over
+    all measured edges.
     """
-    in_wave = np.asarray(in_wave, dtype=float)
-    out_wave = np.asarray(out_wave, dtype=float)
-    ilo, ihi = in_levels if in_levels is not None else (in_wave.min(), in_wave.max())
-    olo, ohi = out_levels if out_levels is not None else (out_wave.min(), out_wave.max())
-    in_edges = _crossings(t, in_wave, 0.5 * (ilo + ihi))
-    out_times = [tc for tc, _ in _crossings(t, out_wave, 0.5 * (olo + ohi))]
+    in_edges = _crossings(t, in_wave)
+    out_times = [tc for tc, _ in _crossings(t, out_wave)]
 
     delays = {1: [], -1: []}
     seen = {1: 0, -1: 0}
@@ -96,15 +93,10 @@ def _window_integral(t, y, t0, t1):
     return float(np.trapezoid(ys, ts))
 
 
-def source_power(waves: Waveforms, supplies=None) -> np.ndarray:
-    """Instantaneous power delivered by the named sources (all by default)."""
-    names = list(supplies) if supplies is not None else list(waves.supply_i)
+def source_power(waves: Waveforms) -> np.ndarray:
+    """Instantaneous power delivered by all sources."""
     p = np.zeros_like(waves.t)
-    for nm in names:
-        try:
-            ib = waves.supply_i[nm]
-        except KeyError:
-            raise MeasureError(f"no source named {nm!r} in waveforms") from None
+    for nm, ib in waves.supply_i.items():
         pn, mn = waves.source_nodes[nm]
         vs = (waves.node_v[pn] if pn != "0" else 0.0) - (
             waves.node_v[mn] if mn != "0" else 0.0
@@ -113,11 +105,10 @@ def source_power(waves: Waveforms, supplies=None) -> np.ndarray:
     return p
 
 
-def average_power(waves: Waveforms, supplies, window) -> float:
-    """Mean delivered power over window=(t0, t1), trapezoidal quadrature.
-
-    The gmin shunt dissipation is numerical, not physical, and is removed
-    (exact when supplies covers every source, as the default None does)."""
+def average_power(waves: Waveforms, window) -> float:
+    """Mean power delivered by all sources over window=(t0, t1), trapezoidal
+    quadrature.  The gmin shunt dissipation is numerical, not physical, and
+    is removed."""
     t = waves.t
     t0, t1 = window
     if t0 < t[0] or t1 > t[-1] or t0 >= t1:
@@ -125,7 +116,7 @@ def average_power(waves: Waveforms, supplies, window) -> float:
             f"window [{t0:.6g}, {t1:.6g}] s outside simulated range "
             f"[{t[0]:.6g}, {t[-1]:.6g}] s"
         )
-    p = source_power(waves, supplies)
+    p = source_power(waves)
     for v in waves.node_v.values():
         p = p - waves.gmin * v * v
     return _window_integral(t, p, t0, t1) / (t1 - t0)
@@ -170,7 +161,7 @@ def output_swing(out_wave, t, settle):
     reported.  A state with no window of at least 10 samples is an error.
     """
     w = np.asarray(out_wave, dtype=float)
-    edges = _crossings(t, w, 0.5 * (w.min() + w.max()))
+    edges = _crossings(t, w)
     pools = {"hi": [], "lo": []}
     for j, (te, d) in enumerate(edges):
         end = edges[j + 1][0] if j + 1 < len(edges) else math.inf
@@ -237,7 +228,7 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
         vin = waves.node_v[in_node]
         vout = waves.node_v[out_node]
         delays = propagation_delay(vin, vout, waves.t)
-        p_avg = average_power(waves, None, (per, n_per * per))
+        p_avg = average_power(waves, (per, n_per * per))
         s_lo, s_hi = output_swing(vout, waves.t, 0.2 * per)
     except MeasureError as e:
         return e.with_traceback(None)
@@ -254,8 +245,8 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
     )
 
 
-def _characterize_requests(sys_, j: int, grid, waves, scheme: str,
-                           opts: SolveOptions, in_node: str, out_node: str):
+def _characterize_requests(sys_, j: int, grid, waves, opts: SolveOptions,
+                           in_node: str, out_node: str):
     """Member j's characterization as one generator of Newton requests, in
     the order of a lone run: its transient over grid = (t, tstep) from its
     DC operating point (or the given `waves`), the measurements, then the
@@ -266,8 +257,8 @@ def _characterize_requests(sys_, j: int, grid, waves, scheme: str,
     c = sys_.circuits[j]
     if waves is None:
         t, tstep = grid
-        waves = engine._waveforms(c, t, tstep, GMIN_DEFAULT, (yield from engine._Stepper(
-            sys_, j, t, tstep, scheme, opts, GMIN_DEFAULT).run("auto")))
+        waves = engine._waveforms(c, t, GMIN_DEFAULT, (yield from engine._Stepper(
+            sys_, j, t, tstep, opts, GMIN_DEFAULT).run("auto")))
     rep = _figures(c, waves, in_node, out_node)
     del waves  # the grid is dropped before the next member's is filled
     if isinstance(rep, MeasureError):
@@ -277,8 +268,8 @@ def _characterize_requests(sys_, j: int, grid, waves, scheme: str,
     return replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
 
 
-def characterize_many(circuits, tstep: float | None = None, tstop: float | None = None,
-                      in_node: str = "in", out_node: str = "out", scheme: str = "trap",
+def characterize_many(circuits, tstep: float | None = None, tstop: float | None = None, *,
+                      in_node: str = "in", out_node: str = "out",
                       opts: SolveOptions | None = None, waves: list | None = None):
     """`characterize` of several circuits, of any structures, as one batch.
 
@@ -300,8 +291,6 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
         if waves is None:
             try:  # the errors of a lone run, in its order
                 g = _tstep_tstop(c, tstep, tstop)
-                if scheme not in ("trap", "be"):
-                    raise ValueError(f"unknown scheme {scheme!r}")
                 if g not in times:  # grid times, shared by the circuits on one grid
                     times[g] = engine._grid(*g)
             except ValueError as e:
@@ -315,7 +304,7 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
         sys_ = engine._System(members)
         gens = [None] * len(members)
         for j, grid, w in jobs:
-            gens[j] = _characterize_requests(sys_, j, grid, w, scheme, opts, in_node, out_node)
+            gens[j] = _characterize_requests(sys_, j, grid, w, opts, in_node, out_node)
         results = engine._drive(sys_, gens, opts)
         del sys_, gens
     done = iter([results[j] for j, _, _ in jobs])
@@ -324,9 +313,8 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
 
 
 def characterize(circuit: Circuit, tstep: float | None = None,
-                 tstop: float | None = None, in_node: str = "in",
-                 out_node: str = "out", scheme: str = "trap",
-                 waves: Waveforms | None = None,
+                 tstop: float | None = None, *, in_node: str = "in",
+                 out_node: str = "out", waves: Waveforms | None = None,
                  opts: SolveOptions | None = None) -> Report:
     """Simulate (or reuse `waves`) and extract the full report: a batch of
     one in `characterize_many`, so the transient, its DC start and the two
@@ -335,8 +323,8 @@ def characterize(circuit: Circuit, tstep: float | None = None,
     Average power integrates complete stimulus periods from the second one
     on; the settle margin for swing extraction is 20% of the period.
     """
-    (rep,) = characterize_many([circuit], tstep, tstop, in_node, out_node, scheme, opts,
-                               None if waves is None else [waves])
+    (rep,) = characterize_many([circuit], tstep, tstop, in_node=in_node, out_node=out_node,
+                               opts=opts, waves=None if waves is None else [waves])
     if isinstance(rep, Exception):
         raise rep
     return rep

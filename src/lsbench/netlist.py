@@ -389,14 +389,6 @@ class Circuit:
     def n_nodes(self) -> int:
         return len(self.node_names)
 
-    @property
-    def n_branches(self) -> int:
-        return len(self.sources)
-
-    @property
-    def n_unknowns(self) -> int:
-        return len(self.node_names) + len(self.sources)
-
 
 def elaborate(doc: NetlistDoc, base_models: dict | None = None) -> Circuit:
     """Bind a NetlistDoc into a Circuit.

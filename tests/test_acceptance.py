@@ -211,7 +211,7 @@ def test_criterion_6_integrator_ground_truths(rc_delay_run, inverter_power_run):
     kcl = max(float(rc_waves.resid_max.max()), float(inv_waves.resid_max.max()))
 
     floor = 1e7 * 10e-15 * VDDH**2
-    pavg = average_power(inv_waves, None, (100e-9, 300e-9))
+    pavg = average_power(inv_waves, (100e-9, 300e-9))
 
     ok = (delay_err < 0.02 and div_err < 1e-6 and kcl < 1e-9
           and floor <= pavg <= 1.15 * floor)

@@ -160,6 +160,9 @@ def test_run_error_exits(tmp_path, capsys):
     ok = _gen(tmp_path, "ssls")
     assert main(["run", str(ok), "--tstep", "1n", "--tstop", "5n"]) == 2
     assert "10 steps" in capsys.readouterr().err
+    # one integration scheme: there is no flag to choose another
+    assert main(["run", str(ok), "--scheme", "be"]) == 2
+    assert "unrecognized arguments: --scheme be" in capsys.readouterr().err
 
     no_tran = tmp_path / "no_tran.sp"
     no_tran.write_text("rc\nVIN a 0 DC 1\nR1 a 0 1k\n.end\n")

@@ -80,7 +80,7 @@ def test_delay_missing_output_edge():
     w = np.sin(t)
     flat = np.zeros_like(w)
     with pytest.raises(MeasureError, match="no output transition"):
-        propagation_delay(w, flat, t, out_levels=(0.0, 3.3))
+        propagation_delay(w, flat, t)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_delay_missing_output_edge():
 def test_dc_average_power_equals_static():
     circ = _dc_inverter(3.3, 3.3)
     waves = transient(circ, 1e-9, 50e-9)
-    avg = average_power(waves, None, (10e-9, 50e-9))
+    avg = average_power(waves, (10e-9, 50e-9))
     stat = static_power(circ, "hi")  # no pulse sources; state is moot
     assert stat > 0.0
     assert avg == pytest.approx(stat, rel=1e-3)
@@ -108,25 +108,23 @@ def test_static_power_validates_state():
 def test_switching_power_sits_just_above_cv2f(inverter_power_run):
     circ, waves = inverter_power_run
     floor = 1e7 * 10e-15 * 3.3**2  # f * C * Vdd^2 = 1.089 uW
-    avg = average_power(waves, None, (100e-9, 300e-9))
+    avg = average_power(waves, (100e-9, 300e-9))
     assert floor <= avg <= 1.15 * floor
 
 
 def test_average_power_window_by_one_period(inverter_power_run):
     circ, waves = inverter_power_run
-    a = average_power(waves, None, (100e-9, 200e-9))
-    b = average_power(waves, None, (200e-9, 300e-9))
+    a = average_power(waves, (100e-9, 200e-9))
+    b = average_power(waves, (200e-9, 300e-9))
     assert a == pytest.approx(b, rel=0.005)
 
 
 def test_average_power_window_validation(inverter_power_run):
     circ, waves = inverter_power_run
     with pytest.raises(MeasureError, match="outside simulated range"):
-        average_power(waves, None, (100e-9, 400e-9))
+        average_power(waves, (100e-9, 400e-9))
     with pytest.raises(MeasureError, match="outside simulated range"):
-        average_power(waves, None, (200e-9, 100e-9))
-    with pytest.raises(MeasureError, match="no source named"):
-        average_power(waves, ["VNOPE"], (100e-9, 300e-9))
+        average_power(waves, (200e-9, 100e-9))
 
 
 # ---------------------------------------------------------------------------

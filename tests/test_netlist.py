@@ -136,7 +136,7 @@ def test_node_indices_first_appearance_order():
     doc = _doc("R1 in x 1k\nR2 x out 1k\nR3 out 0 1k\nV1 in 0 DC 1\n")
     circ = elaborate(doc)
     assert circ.node_index == {"in": 0, "x": 1, "out": 2}
-    assert circ.n_nodes == 3 and circ.n_branches == 1
+    assert circ.n_nodes == 3 and len(circ.sources) == 1
 
 
 def test_cmls_mosfet_count():
