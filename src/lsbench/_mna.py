@@ -20,7 +20,11 @@ then whole-batch passes for the constant parts, histories, device currents
 and Jacobians), one reduction for all worst node residuals, one solve per
 group (stacked over its members), one pass for all update norms and, when
 every member moves, one state update; only the convergence, damping and
-iteration-limit checks loop over members.  A group of one keeps the vector
+iteration-limit checks loop over members.  So does step acceptance: the
+steps that converge in one iteration extend their tables of divided
+differences, held in flat buffers, in one pass with one local-error norm
+reduction before their generators decide, and the steps they load next
+are predicted in one more.  A group of one keeps the vector
 matvec and solve, cheaper and bitwise equal; nothing else branches on
 group size.  Sizes are never padded to a common N: an identity block
 changes the bits of the solve.  A member whose request ends gets its
@@ -50,8 +54,8 @@ every batch.
 Exact rewrites only.  The transient output, and hence `bench --format csv`,
 is byte-deterministic and compared across versions, and a member of any
 batch must produce exactly the bits of its lone run.  Edits to the hot path
-(`_core_eval`, `mos_currents`, `assemble`, `_drive`) must perform
-the same floating-point operations in the same order.  Allowed: hoisting a
+(`_core_eval`, `mos_currents`, `assemble`, `extend`, `predict`, `_drive`)
+must perform the same floating-point operations in the same order.  Allowed: hoisting a
 left-to-right leading product (`ispec*lam*qq` -> `(ispec*lam)*qq`) or a
 per-request term (alpha*C*v_prev once per request instead of per iteration),
 `2.0*x` -> `x+x`, `(y*2.0)*a` -> `y*(2a)`, stacking elementwise operations
@@ -60,6 +64,8 @@ matmul and the stacked solve give each member the bits of its own call,
 wherever it sits in the batch),
 skipping an operation that is the identity on the values it meets
 (clipping an update already inside the clamp, subtracting a zero history),
+per-member scalars as per-row arrays, work on rows nothing reads (`where=`
+masks what is read, never a zero product: d + 0*g turns -0.0 into +0.0),
 adding a zero device bin to a base matrix, which holds no -0.0, and taking
 a maximum over any grouping of its terms.
 Not allowed: reordering sums or products (`ispec*qq*mlam` ->
@@ -230,6 +236,9 @@ class _System:
         self.xv, self.dxv, self.rv, self.icv = (per(self.xbuf, Ns), per(self.DX, Ns),
                                                 per(self.R, Ns), per(self.IC, ns))
         self.bv = [self.BASE[a:a + N * N].reshape(N, N) for a, N in zip(jo, Ns)]
+        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((4, len(ms)))  # `extend`
+        self.tv, self.nv = ([a[:, o:o + N] for o, N in zip(xo, Ns)] for a in (self.T, self.NEW))
+        self.rowpos = np.repeat(np.arange(len(ms)), Ns)  # each row's position
         # reduceat bounds in ab: each position's rows, and its node rows then
         # its source rows.  ab's trailing 0 lets a segment start at S; an
         # empty segment (no node, or no unknown) reads the element at its
@@ -281,14 +290,42 @@ class _System:
         return self.groups
 
     def load(self, p: int, req: tuple) -> None:
-        """Load the request (x0, base, rhs, ic, limit) into live position p.
-        A member without a history keeps zero IC rows, which subtract
-        exactly, while another member's history is in use."""
-        x0, base, rhs, ic, _ = req
+        """Load a request (see `_drive`) into live position p.  A member
+        without a history keeps zero IC rows, which subtract exactly, while
+        another member's history is in use."""
+        x0, base, rhs, ic, _ = req[:5]
         self.xv[p][:], self.bv[p][:], self.rv[p][:] = x0, base, rhs
         if ic is not None or self.has_ic[p]:
             self.icv[p][:] = 0.0 if ic is None else ic
             self.has_ic[p] = ic is not None
+        if len(req) > 5:
+            self.spec[:, p] = req[5]
+            if req[6]:  # commit the last extension, or restart at x0
+                self.tv[p][...] = self.nv[p] if req[6] == 1 else x0
+
+    def extend(self) -> list:
+        """Extend the tables at the states in NEW[0], NEW[i+1] = (NEW[i] - T[i]) /
+        (t1 - t_i) on all S rows (rows not asked for, or past a short table, get
+        values nothing reads); returns max|NEW[2]| on each position's node rows."""
+        sp, T, NEW = self.spec.take(self.rowpos, axis=1), self.T, self.NEW
+        for i in (0, 1, 2):
+            np.divide(np.subtract(NEW[i], T[i], out=NEW[i + 1]), sp[i], out=NEW[i + 1])
+        np.absolute(NEW[2], out=self.ab[:-1])
+        return np.maximum.reduceat(self.ab, self.ridx)[::2].tolist()
+
+    def predict(self, ps) -> None:
+        """Start the steps at live positions p (ps: p -> level) at their tables'
+        polynomials at t1, by Horner on all S rows; a short table starts at its top."""
+        sp, T = self.spec.take(self.rowpos, axis=1), self.T
+        short = min(ps.values()) < 4
+        g = T[3].copy()
+        for i in (2, 1, 0):
+            g *= sp[i]
+            g += T[i]
+            if short:
+                np.copyto(g, T[i], where=sp[3] <= i + 1)
+        for p in ps:
+            self.xv[p][:] = g[self.xo[p]:self.xo[p + 1]]
 
     # -- device evaluation ------------------------------------------------
 
@@ -386,6 +423,9 @@ class _System:
 # `rhs`, its trapezoidal history current (or None) and the iteration limit.
 # The generator receives (x, iterations, residual_max, converged,
 # failure_reason) back, and finally returns its result or raises SolverError.
+# A transient step appends spec = (t1 - t_i for its table's times t_0..2, 1.0
+# past them; level: above 1, start at the table's polynomial) and a table op
+# (1 commit the last extension, 2 restart at x0); its result gains max|DD2|.
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 
@@ -418,7 +458,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     whose request ends gets its result at once and joins the next iteration
     with its next request, so it does the same arithmetic as it would
     alone.  The live members are planned again only when one of them ends;
-    the others keep their states and requests."""
+    the others keep their states, requests and tables."""
     abstol, vntol, vclamp = opts.abstol, opts.vntol, opts.vclamp
     absolute, top, isfinite, solve = np.abs, np.maximum.reduceat, math.isfinite, np.linalg.solve
     out = [None] * len(gens)
@@ -432,8 +472,13 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     k = 0  # iterations so far
     while True:
         if sends:
-            gone = False
+            ext = {j: r[0] for j, r in sends if r and r[3] and len(reqs[j]) > 5}  # steps done
+            for j, x in ext.items():
+                sys_.nv[at[j]][0] = x
+            dd2, gone, pend = ext and sys_.extend(), False, {}
             for j, result in sends:
+                if j in ext:
+                    result += (dd2[at[j]],)
                 gen = gens[j]
                 while True:
                     try:
@@ -452,18 +497,22 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 reqs[j] = req
                 p = at[j]
                 sys_.load(p, req)
+                if len(req) > 5 and req[5][3] > 1:
+                    pend[p] = req[5][3]
                 start[p], stop[p], dv_ok[p] = k, k + req[4], False
             sends = []
+            if pend:
+                sys_.predict(pend)
             if gone:  # a new plan, carrying the other members over
                 if not reqs:
                     return out
-                old, xs, counters = at, sys_.xv, (start, stop, dv_ok)
+                old, xs, tv, counters = at, sys_.xv, sys_.tv, (start, stop, dv_ok)
                 groups = sys_.live(reqs)  # in member order
                 at = {j: p for p, j in enumerate(sys_.members)}
                 start, stop, dv_ok = ([c[old[j]] for j in at] for c in counters)
                 for j, p in at.items():
-                    sys_.load(p, reqs[j])
-                    sys_.xv[p][:] = xs[old[j]]
+                    sys_.load(p, (*reqs[j][:6], 0)[:len(reqs[j])])  # no table op
+                    sys_.xv[p][:], sys_.tv[p][...] = xs[old[j]], tv[old[j]]
             P, members, xv, ab, ridx = len(at), sys_.members, sys_.xv, sys_.ab, sys_.ridx
 
         k += 1

@@ -171,13 +171,14 @@ _FILL_ROWS = 512             # grid rows interpolated per block
 _BLOCK = 128                 # solved points recorded per block
 
 
-def _corner_intervals(waves, n_steps: int, tstep: float, tstop: float) -> list:
-    """Sorted indices j of the grid intervals [t[j], t[j+1]] that hold a PULSE
-    corner (td + k*per + {0, tr, tr+pw, tr+pw+tf}), then n_steps as a
+def _corner_intervals(waves, t: np.ndarray) -> list:
+    """Sorted indices j of the intervals [t[j], t[j+1]] of the grid t that hold
+    a PULSE corner (td + k*per + {0, tr, tr+pw, tr+pw+tf}), then n_steps as a
     sentinel.  A corner on a grid point marks the interval that starts there.
     The work is O(grid size): a period no longer than tstep puts a corner
     into every interval from td on, and a longer one repeats fewer times
     than there are intervals."""
+    n_steps, tstep, tstop = len(t) - 1, t[1], t[-1]  # t[1] is exactly tstep
     marks = [np.array([n_steps])]
     for w in waves:
         if w.kind != "pulse" or w.td > tstop:
@@ -195,18 +196,18 @@ class _Stepper:
     """Member j's transient on the grid t, its DC start included, as one
     generator of Newton requests (`run`)."""
 
-    def __init__(self, sys_: _System, j: int, t: np.ndarray, tstep: float,
-                 opts: SolveOptions, gmin: float):
+    def __init__(self, sys_: _System, j: int, t: np.ndarray, opts: SolveOptions, gmin: float):
         self.sys, self.j, self.t = sys_, j, t
         self.opts, self.gmin = opts, gmin
         self.n, self.C = sys_.n[j], sys_.C[j]
-        self.corners = _corner_intervals(sys_.waves[j], len(t) - 1, tstep, t[-1])
+        self.corners = _corner_intervals(sys_.waves[j], t)
         self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving
         self.bases: dict = {}  # alpha -> base matrix
 
-    def step(self, x_from, ic_from, t0, t1, use_trap, depth, guess=None):
-        """One implicit step t0 -> t1, halving on failure.  Returns
-        (x, ic, worst accepted residual)."""
+    def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(), lev=1, table=0):
+        """One implicit step t0 -> t1, halving on failure; with `w`, of the
+        driver's table, at level `lev` after its op `table` (see `_mna`).
+        Returns (x, ic, worst accepted residual, max|DD2| or None)."""
         n = self.n
         h = t1 - t0
         alpha = 2.0 / h if use_trap else 1.0 / h
@@ -215,23 +216,23 @@ class _Stepper:
         if base is None:
             base = self.bases[alpha] = self.sys.base_matrix(self.j, self.gmin, alpha)
         rhs = self.sys.rhs(self.j, t1, alpha * self.C.dot(x_from[:n]))
-        starts = (guess, x_from) if guess is not None else (x_from,)
-        for start in starts:
-            x_new, _, res, ok, _ = yield (start, base, rhs, ic_hist, self.iters)
-            if ok:
-                ic_new = alpha * self.C.dot(x_new[:n] - x_from[:n])
+        for lv in (lev, 1) if lev > 1 else (1,):
+            y = yield (x_from, base, rhs, ic_hist, self.iters) + (w and ((*w, lv), table))
+            table = 0
+            if y[3]:
+                ic_new = alpha * self.C.dot(y[0][:n] - x_from[:n])
                 if ic_hist is not None:
                     ic_new -= ic_hist
-                return x_new, ic_new, res
+                return y[0], ic_new, y[2], y[5] if w else None
         if depth >= _MAX_HALVINGS:
             raise SolverError(
                 f"transient step at t={t1:.6g}s failed to converge after "
                 f"{_MAX_HALVINGS} halvings (min substep {h:.3g}s)"
             )
-        tm = 0.5 * (t0 + t1)
-        x_mid, ic_mid, r1 = yield from self.step(x_from, ic_from, t0, tm, use_trap, depth + 1)
-        x_new, ic_new, r2 = yield from self.step(x_mid, ic_mid, tm, t1, use_trap, depth + 1)
-        return x_new, ic_new, max(r1, r2)
+        tm, depth = 0.5 * (t0 + t1), depth + 1
+        x_mid, ic_mid, r1, _ = yield from self.step(x_from, ic_from, t0, tm, use_trap, depth)
+        x_new, ic_new, r2, dd2 = yield from self.step(x_mid, ic_mid, tm, t1, use_trap, depth, w)
+        return x_new, ic_new, max(r1, r2), dd2
 
     def run(self, ic):
         """Step over the grid from `ic`, an OpPoint, or from the DC operating
@@ -247,34 +248,27 @@ class _Stepper:
         ib, xb, rb = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
         ib[0], xb[0], rb[0] = 0, x, op.residual_max
         blocks, nb = [(ib, xb, rb)], 1
-        ic_cur = np.zeros(n)  # capacitor currents at the current solved point
-        # Newton divided differences of the solved states since the last
-        # corner, newest first: dd[k] over the newest k+1 points, at most
-        # four; ts holds their times but the oldest, all Horner needs
-        dd, ts = [x], [0.0]
+        ic_cur = None  # capacitor currents at the current solved point
+        # the driver's table of the divided differences since the last corner:
+        # `lev` rows, at most 4, row k over the newest k+1 points, at ts but the oldest
+        ts, lev, table = [0.0], 1, 2
         i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
         while i < n_steps:
             while corners[c] < i:
                 c += 1
             at_corner = corners[c] == i
             k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
-            t0, t1 = t[i], t[i + k]
-            guess = None  # the table's polynomial at t1, by Horner
-            if len(dd) > 1:
-                guess = dd[-1]
-                for d, tk in [*zip(dd[:-1], ts)][::-1]:
-                    guess = d + (t1 - tk) * guess
-            x_new, ic_new, res = yield from self.step(
-                x, ic_cur, t0, t1, k == 1 and i > 0, 0, guess)
+            t0, t1 = t.item(i), t.item(i + k)
+            w = [t1 - tk for tk in ts] + [1.0] * (3 - len(ts))
+            x_new, ic_new, res, dd2 = yield from self.step(
+                x, ic_cur, t0, t1, k == 1 and i > 0, 0, w, lev, table)
+            table = 0
             if at_corner:
-                dd, ts, m = [x_new], [t1], 1
+                ts, lev, table, m = [t1], 1, 2, 1
             else:
-                new = [x_new]
-                for d, tk in zip(dd, ts):
-                    new.append((new[-1] - d) / (t1 - tk))
                 grow = k  # no estimate yet: hold the step
-                if len(new) > 2 and n:
-                    r = (t1 - t0) ** 2 * float(np.abs(new[2][:n]).max()) / _LTE_TOL
+                if lev > 1 and n:
+                    r = (t1 - t0) ** 2 * dd2 / _LTE_TOL
                     if r > 1.0 and k > 1:
                         m = k // 2  # reject: retry from the same point, half the step
                         continue
@@ -282,7 +276,7 @@ class _Stepper:
                     # the step doubled, and 0.5/r never overflows
                     grow = (min(_MAX_MULT, k * math.sqrt(0.5 / r)) if r > 0.125
                             else min(2 * k, _MAX_MULT))
-                dd, ts = new, [t1, *ts[:2]]
+                ts, lev, table = [t1, *ts[:2]], min(lev + 1, 4), 1
                 m = 1 << max(int(grow).bit_length() - 1, 0)
             x, ic_cur, i = x_new, ic_new, i + k
             if nb == _BLOCK:
@@ -363,7 +357,7 @@ def transient_many(circuits, tstep: float, tstop: float, *, ic="auto",
     sys_ = _System(list(circuits))
     if not (isinstance(ic, OpPoint) or ic == "auto"):
         raise ValueError("ic must be 'auto' or an OpPoint")
-    results = _drive(sys_, [_Stepper(sys_, j, t, tstep, opts, gmin).run(ic)
+    results = _drive(sys_, [_Stepper(sys_, j, t, opts, gmin).run(ic)
                             for j in range(len(sys_.circuits))], opts)
     circuits = sys_.circuits
     del sys_

@@ -245,10 +245,10 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
     )
 
 
-def _characterize_requests(sys_, j: int, grid, waves, opts: SolveOptions,
+def _characterize_requests(sys_, j: int, t, waves, opts: SolveOptions,
                            in_node: str, out_node: str):
     """Member j's characterization as one generator of Newton requests, in
-    the order of a lone run: its transient over grid = (t, tstep) from its
+    the order of a lone run: its transient over the grid t from its
     DC operating point (or the given `waves`), the measurements, then the
     static DC solves of members j+1 and j+2, its lo and hi pinned copies.
     Their requests run in member j's row: a pinned copy has the same
@@ -256,9 +256,8 @@ def _characterize_requests(sys_, j: int, grid, waves, opts: SolveOptions,
     or the MeasureError; a SolverError propagates."""
     c = sys_.circuits[j]
     if waves is None:
-        t, tstep = grid
         waves = engine._waveforms(c, t, GMIN_DEFAULT, (yield from engine._Stepper(
-            sys_, j, t, tstep, opts, GMIN_DEFAULT).run("auto")))
+            sys_, j, t, opts, GMIN_DEFAULT).run("auto")))
     rep = _figures(c, waves, in_node, out_node)
     del waves  # the grid is dropped before the next member's is filled
     if isinstance(rep, MeasureError):
@@ -287,24 +286,22 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
     circuits = list(circuits)
     members, jobs, times, errors = [], [], {}, {}
     for i, c in enumerate(circuits):
-        grid = None
+        t = None
         if waves is None:
-            try:  # the errors of a lone run, in its order
+            try:  # the errors of a lone run, in its order; one grid per (tstep, tstop)
                 g = _tstep_tstop(c, tstep, tstop)
-                if g not in times:  # grid times, shared by the circuits on one grid
-                    times[g] = engine._grid(*g)
+                t = times[g] = times[g] if g in times else engine._grid(*g)
             except ValueError as e:
                 errors[i] = e
                 continue
-            grid = (times[g], g[0])
-        jobs.append((len(members), grid, None if waves is None else waves[i]))
+        jobs.append((len(members), t, None if waves is None else waves[i]))
         members += [c, _pinned(c, "lo"), _pinned(c, "hi")]
     results = []
     if members:
         sys_ = engine._System(members)
         gens = [None] * len(members)
-        for j, grid, w in jobs:
-            gens[j] = _characterize_requests(sys_, j, grid, w, opts, in_node, out_node)
+        for j, t, w in jobs:
+            gens[j] = _characterize_requests(sys_, j, t, w, opts, in_node, out_node)
         results = engine._drive(sys_, gens, opts)
         del sys_, gens
     done = iter([results[j] for j, _, _ in jobs])

@@ -402,23 +402,31 @@ def _count_assembles(monkeypatch) -> list:
 
 
 def test_failed_guess_retries_from_the_step_start(monkeypatch):
-    # 1 kV on every node is 2,000 clamped iterations away from the solution,
-    # far past the step's iteration limit: the step must fall back to a
-    # start at x_from and return exactly the bits of a step without a guess
+    # a table whose line through the step start reaches 1 kV on every node
+    # at t1 predicts a start 2,000 clamped iterations away from the
+    # solution, far past the step's iteration limit: the step must fall back
+    # to a start at x_from and return exactly the bits of a step without a
+    # guess
     circ = elaborate(gen("cls"))
     sys_, opts = _System([circ]), engine.SolveOptions()
     t = engine._grid(circ.tran.tstep, circ.tran.tstop)
-    stepper = engine._Stepper(sys_, 0, t, circ.tran.tstep, opts, GMIN)
+    stepper = engine._Stepper(sys_, 0, t, opts, GMIN)
     x0 = dc_operating_point(circ).state.as_vector()
     n = circ.n_nodes
     ic0 = np.zeros(n)
     guess = x0.copy()
     guess[:n] = 1e3
+    w = [t[4] - t[0], 1.0, 1.0]
+
+    def whole_step(lev):  # a table through x0 and guess, predicting at level lev
+        sys_.tv[0][:2] = x0, (guess - x0) / w[0]
+        return (yield from stepper.step(x0, ic0, t[0], t[4], False, 0, w, lev))
+
     calls = _count_assembles(monkeypatch)
     runs = []
-    for g in (guess, None):
+    for lev in (2, 1):
         del calls[:]
-        (out,) = engine._drive(sys_, [stepper.step(x0, ic0, t[0], t[4], False, 0, g)], opts)
+        (out,) = engine._drive(sys_, [whole_step(lev)], opts)
         runs.append((out, len(calls)))
     (got, n_guess), (want, n_plain) = runs
     assert n_guess == stepper.iters + n_plain  # the guess used up its limit
