@@ -22,9 +22,8 @@ group (stacked over its members), one pass for all update norms and, when
 every member moves, one state update; only the convergence, damping and
 iteration-limit checks loop over members.  So does step acceptance: the
 steps that converge in one iteration extend their tables of divided
-differences, held in flat buffers, in one pass with one local-error norm
-reduction before their generators decide, and the steps they load next
-are predicted in one more.  A group of one keeps the vector
+differences, in flat buffers too, and reduce their error norms in one pass,
+and the steps loaded next are predicted in one more.  A group of one keeps the vector
 matvec and solve, cheaper and bitwise equal; nothing else branches on
 group size.  Sizes are never padded to a common N: an identity block
 changes the bits of the solve.  A member whose request ends gets its
@@ -317,12 +316,11 @@ class _System:
         """Start the steps at live positions p (ps: p -> level) at their tables'
         polynomials at t1, by Horner on all S rows; a short table starts at its top."""
         sp, T = self.spec.take(self.rowpos, axis=1), self.T
-        short = min(ps.values()) < 4
         g = T[3].copy()
         for i in (2, 1, 0):
             g *= sp[i]
             g += T[i]
-            if short:
+            if min(ps.values()) < 4:
                 np.copyto(g, T[i], where=sp[3] <= i + 1)
         for p in ps:
             self.xv[p][:] = g[self.xo[p]:self.xo[p + 1]]
@@ -423,9 +421,8 @@ class _System:
 # `rhs`, its trapezoidal history current (or None) and the iteration limit.
 # The generator receives (x, iterations, residual_max, converged,
 # failure_reason) back, and finally returns its result or raises SolverError.
-# A transient step appends spec = (t1 - t_i for its table's times t_0..2, 1.0
-# past them; level: above 1, start at the table's polynomial) and a table op
-# (1 commit the last extension, 2 restart at x0); its result gains max|DD2|.
+# A transient step appends (spec, op): spec = (t1 - t_i over its table's times,
+# 1.0 past them; level), op 1 commits the last extension and 2 restarts at x0.
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 

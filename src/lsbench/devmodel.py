@@ -37,6 +37,9 @@ import numpy as np
 
 VT = 0.025852  # thermal voltage kT/q at 300 K, volts
 _QCLAMP = 40.0  # exp-argument clamp; beyond it q(u) is exactly its asymptote
+# MosParams' physical ranges (SI): in them no _core_eval term overflows below 1e100 V
+_RANGE = dict(vth0=(-100, 100), kp=(0, 1), n_slope=(0.1, 100), lam=(0, 10), eta_dibl=(0, 10),
+              gamma_body=(0, 10), phi_s=(0.01, 10), cox_a=(0, 1), cov_w=(0, 1e-6), cj_w=(0, 1e-6))
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ class MosParams:
 
     def __post_init__(self):
         """Reject parameters the model cannot evaluate: every value must be
-        finite, kp, n_slope and phi_s positive, and all but vth0 non-negative.
-        The ValueError names the .model key."""
+        finite, kp, n_slope and phi_s positive, all but vth0 non-negative, all
+        in their physical ranges (_RANGE).  The ValueError names the .model key."""
         if self.polarity not in ("nmos", "pmos"):
             raise ValueError(f"polarity must be 'nmos' or 'pmos', got {self.polarity!r}")
         for f in fields(self)[1:]:
@@ -70,6 +73,8 @@ class MosParams:
                 why = "must be positive"
             elif f.name != "vth0" and x < 0:
                 why = "must not be negative"
+            elif not _RANGE[f.name][0] <= x <= _RANGE[f.name][1]:
+                why = "must be within [{}, {}]".format(*_RANGE[f.name])
             else:
                 continue
             raise ValueError(f"{model_key_for(f.name)}={x!r} {why}")

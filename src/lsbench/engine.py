@@ -197,8 +197,7 @@ class _Stepper:
     generator of Newton requests (`run`)."""
 
     def __init__(self, sys_: _System, j: int, t: np.ndarray, opts: SolveOptions, gmin: float):
-        self.sys, self.j, self.t = sys_, j, t
-        self.opts, self.gmin = opts, gmin
+        self.sys, self.j, self.t, self.opts, self.gmin = sys_, j, t, opts, gmin
         self.n, self.C = sys_.n[j], sys_.C[j]
         self.corners = _corner_intervals(sys_.waves[j], t)
         self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving
@@ -240,8 +239,7 @@ class _Stepper:
         indices, the states there and their residuals."""
         op = ic if isinstance(ic, OpPoint) else (
             yield from _dc_requests(self.sys, self.j, self.opts, self.gmin, 0.0, None))
-        n, t, corners = self.n, self.t, self.corners
-        n_steps = len(t) - 1
+        n, t, corners, n_steps = self.n, self.t, self.corners, len(self.t) - 1
         x = op.state.as_vector()
         # the solved points in blocks of (grid indices, states, residuals);
         # each block starts with the last point of the one before

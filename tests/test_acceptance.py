@@ -61,6 +61,18 @@ def six_runs():
     return out, time.perf_counter() - t0
 
 
+# solved steps per topology at the default 10 ps / 300 ns grid, 16,289 in
+# all: any change to the step control that moves a step shows here, not
+# only in the bench output's sha256
+STEPS = {"cls": 1933, "cls_stacked": 3152, "ssls": 1261, "ssls_stacked": 2793,
+         "cmls": 3058, "cmls_stacked": 4092}
+
+
+def test_step_sequence_pinned(six_runs):
+    runs, _ = six_runs
+    assert {t: len(w.solved) - 1 for t, (_, w, _) in runs.items()} == STEPS
+
+
 PAIRS = (("cls", "cls_stacked"), ("ssls", "ssls_stacked"), ("cmls", "cmls_stacked"))
 
 # The six reports at the default 300 ns window on a 2.5 ps grid (4x finer

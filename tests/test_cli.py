@@ -4,6 +4,7 @@ child-process run of `python -m lsbench` for its exit code."""
 import io
 import json
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -168,6 +169,20 @@ def test_run_error_exits(tmp_path, capsys):
     no_tran.write_text("rc\nVIN a 0 DC 1\nR1 a 0 1k\n.end\n")
     assert main(["run", str(no_tran)]) == 2
     assert ".tran" in capsys.readouterr().err
+
+
+def test_run_unphysical_model_value_exits_2(tmp_path, capsys):
+    # a finite threshold of 1.797e308 V overflowed in the device model and
+    # the run went on; a value outside its physical range is now refused at
+    # elaboration, naming the .model key, before anything is evaluated
+    net = _gen(tmp_path, "cls")
+    net.write_text(net.read_text().replace(".model NCH NMOS ()",
+                                           ".model NCH NMOS (VTH0=1.797e308)"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(net)]) == 2
+    assert "model NCH: VTH0=1.797e+308 must be within [-100, 100]" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_no_subcommand_usage_error(capsys):

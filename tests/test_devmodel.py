@@ -154,6 +154,9 @@ def test_off_stack_splits_the_drop_and_cuts_leakage():
     ("phi_s", -0.8, "PHI=-0.8 must be positive"),
     ("eta_dibl", -0.01, "ETA=-0.01 must not be negative"),
     ("cj_w", -1e-10, "CJW=-1e-10 must not be negative"),
+    ("vth0", 1.797e308, r"VTH0=1.797e\+308 must be within \[-100, 100\]"),
+    ("n_slope", 1e-3, r"N=0.001 must be within \[0.1, 100\]"),
+    ("cov_w", 1.0, r"COVW=1.0 must be within \[0, 1e-06\]"),
 ])
 def test_invalid_params_rejected(field, value, why):
     with pytest.raises(ValueError, match=why):

@@ -553,6 +553,61 @@ def test_transient_many_equals_lone_runs():
         _assert_same_waves(w, transient(c, 10e-12, 30e-9))
 
 
+def _acceptance_events(monkeypatch) -> dict:
+    """Drive iteration -> {(member, event)}, filled as transients run: what
+    each converged or failed whole step led to, "accept", "reject" (r > 1,
+    k > 1), "reset" (a corner restarts the table) or "halve"."""
+    events, tick = {}, [0]
+    assemble, run = _System.assemble, engine._Stepper.run
+
+    def counted(s):
+        tick[0] += 1
+        return assemble(s)
+
+    def logged(stepper, ic):
+        gen, result, last = run(stepper, ic), None, None
+        while True:
+            try:
+                req = gen.send(result)
+            except StopIteration as e:
+                return e.value
+            if last is not None and len(last) > 6 and result is not None:
+                if result[3] and len(req) > 6:
+                    what = ("reject", "accept", "reset")[req[6]]
+                else:
+                    what = "halve" if not result[3] and len(req) == 5 else None
+                if what:
+                    events.setdefault(tick[0], set()).add((stepper.j, what))
+            last, result = req, (yield req)
+
+    monkeypatch.setattr(_System, "assemble", counted)
+    monkeypatch.setattr(engine._Stepper, "run", logged)
+    return events
+
+
+def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
+    # four cls members whose pulses start and rise at different times, with
+    # 3 Newton iterations per request: in one drive iteration one member
+    # accepts a step, one rejects one, one halves a step that failed and one
+    # restarts its table at a corner, so one pass extends and predicts
+    # short and full tables side by side; every member keeps the bits of
+    # its lone run
+    def member(vin_hi, td, tr):
+        wave = SourceWave("pulse", 0.0, vin_hi, td, tr, tr, 20e-9, 45e-9)
+        return elaborate(gen("cls", TopoParams(vin_hi=vin_hi, stimulus=wave)))
+
+    circs = [member(1.2, 1e-9, 1e-9), member(0.9, 2e-9, 1e-9), member(0.9, 1.25e-9, 0.5e-9),
+             member(0.9, 1e-9, 0.5e-9)]
+    run = dict(tstep=20e-12, tstop=60e-9, ic=dc_operating_point(circs[0]),
+               opts=engine.SolveOptions(max_iter=3))
+    events = _acceptance_events(monkeypatch)
+    got = list(transient_many(circs, **run))
+    want = {(0, "reject"), (1, "halve"), (2, "reset"), (3, "accept")}
+    assert any(want <= ev for ev in events.values())
+    for c, w in zip(circs, got):
+        _assert_same_waves(w, transient(c, **run))
+
+
 _RC_PULSE = "rc step\nVIN in 0 PULSE(0 {} 0 1f 1f 2n 4n)\nR1 in out 1k\nC1 out 0 1p\n.end\n"
 
 

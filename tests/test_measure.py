@@ -217,6 +217,27 @@ def test_characterize_many_equals_lone_characterize(monkeypatch):
                 assert r == want
 
 
+def test_characterize_many_on_two_grids_equals_lone_characterize(monkeypatch):
+    # two cls circuits on different .tran grids: the shorter one ends its
+    # transient, its measurements and static solves and leaves the batch
+    # while the other is still stepping, so the live set is planned again
+    # around a member with a full table; both reports equal their lone runs
+    short, long_ = (replace(elaborate(gen("cls", TopoParams(vin_hi=v))), tran=TranCard(*g))
+                    for v, g in ((1.2, (20e-12, 200e-9)), (1.6, (10e-12, 300e-9))))
+    plans, live, load = [], engine._System.live, engine._System.load
+
+    def counted(s, p, req):  # steps loaded under each plan
+        plans[-1][1] += len(req) > 5
+        return load(s, p, req)
+
+    monkeypatch.setattr(engine._System, "live",
+                        lambda s, members: plans.append([list(members), 0]) or live(s, members))
+    monkeypatch.setattr(engine._System, "load", counted)
+    got = list(characterize_many([short, long_]))
+    assert [m for m, _ in plans] == [[0, 3], [3]] and plans[1][1] > 100
+    assert got == [characterize(short), characterize(long_)]
+
+
 # dc_corners process corners whose DC solves plain Newton cannot finish,
 # with their continuation references from perfbench/refs/dc_corners.json,
 # static power (lo, hi) in W.  Source stepping failed on 0030, where the
