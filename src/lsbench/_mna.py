@@ -20,10 +20,12 @@ then whole-batch passes for the constant parts, histories, device currents
 and Jacobians), one reduction for all worst node residuals, one solve per
 group (stacked over its members), one pass for all update norms and, when
 every member moves, one state update; only the convergence, damping and
-iteration-limit checks loop over members.  So does step acceptance: the
-steps that converge in one iteration extend their tables of divided
-differences, in flat buffers too, and reduce their error norms in one pass,
-and the steps loaded next are predicted in one more.  A group of one keeps the vector
+iteration-limit checks loop over members.  Step acceptance is batched as
+well: the transient steps that converge in one iteration extend their
+tables of divided differences, held in flat buffers too, and form their
+error norms and capacitor histories in one pass (`extend`) before their
+generators decide, and the steps loaded next get their predicted starts
+and constant parts of f in one more (`predict`).  A group of one keeps the vector
 matvec and solve, cheaper and bitwise equal; nothing else branches on
 group size.  Sizes are never padded to a common N: an identity block
 changes the bits of the solve.  A member whose request ends gets its
@@ -235,9 +237,16 @@ class _System:
         self.xv, self.dxv, self.rv, self.icv = (per(self.xbuf, Ns), per(self.DX, Ns),
                                                 per(self.R, Ns), per(self.IC, ns))
         self.bv = [self.BASE[a:a + N * N].reshape(N, N) for a, N in zip(jo, Ns)]
-        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((4, len(ms)))  # `extend`
+        # the step tables T and extensions NEW, each position's step spec as a
+        # column (ones where none), C*(NEW[0] - T[0]) and the histories
+        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((6, len(ms)))
         self.tv, self.nv = ([a[:, o:o + N] for o, N in zip(xo, Ns)] for a in (self.T, self.NEW))
         self.rowpos = np.repeat(np.arange(len(ms)), Ns)  # each row's position
+        self.D, self.CD, self.H = np.zeros((3, S))
+        self.dv, self.cdv, self.hv, self.t0v = (per(a, ns)
+                                                for a in (self.D, self.CD, self.H, self.T[0]))
+        self.rhsv = [(r[:n], r[n:], self.C[j], self.waves[j])  # what `predict` writes and reads
+                     for r, n, j in zip(self.rv, ns, ms)]
         # reduceat bounds in ab: each position's rows, and its node rows then
         # its source rows.  ab's trailing 0 lets a segment start at S; an
         # empty segment (no node, or no unknown) reads the element at its
@@ -293,7 +302,9 @@ class _System:
         without a history keeps zero IC rows, which subtract exactly, while
         another member's history is in use."""
         x0, base, rhs, ic, _ = req[:5]
-        self.xv[p][:], self.bv[p][:], self.rv[p][:] = x0, base, rhs
+        self.bv[p][:] = base
+        if rhs is not None:  # else `predict` forms the start and rhs
+            self.xv[p][:], self.rv[p][:] = x0, rhs
         if ic is not None or self.has_ic[p]:
             self.icv[p][:] = 0.0 if ic is None else ic
             self.has_ic[p] = ic is not None
@@ -302,13 +313,18 @@ class _System:
             if req[6]:  # commit the last extension, or restart at x0
                 self.tv[p][...] = self.nv[p] if req[6] == 1 else x0
 
-    def extend(self) -> list:
+    def extend(self, ps) -> list:
         """Extend the tables at the states in NEW[0], NEW[i+1] = (NEW[i] - T[i]) /
         (t1 - t_i) on all S rows (rows not asked for, or past a short table, get
-        values nothing reads); returns max|NEW[2]| on each position's node rows."""
+        values nothing reads), and form the histories alpha*C*(NEW[0] - T[0]) - IC
+        of the positions ps in H; returns max|NEW[2]| on each position's node rows."""
         sp, T, NEW = self.spec.take(self.rowpos, axis=1), self.T, self.NEW
         for i in (0, 1, 2):
-            np.divide(np.subtract(NEW[i], T[i], out=NEW[i + 1]), sp[i], out=NEW[i + 1])
+            np.divide(np.subtract(NEW[i], T[i], out=self.D if i == 0 else NEW[i + 1]), sp[i],
+                      out=NEW[i + 1])
+        for p in ps:
+            np.dot(self.C[self.members[p]], self.dv[p], out=self.cdv[p])
+        np.subtract(np.multiply(self.CD, sp[4], out=self.H), self.IC, out=self.H)
         np.absolute(NEW[2], out=self.ab[:-1])
         return np.maximum.reduceat(self.ab, self.ridx)[::2].tolist()
 
@@ -320,10 +336,13 @@ class _System:
         for i in (2, 1, 0):
             g *= sp[i]
             g += T[i]
-            if min(ps.values()) < 4:
+            if min(s[3] for s in ps.values()) < 4:
                 np.copyto(g, T[i], where=sp[3] <= i + 1)
-        for p in ps:
+        for p, (*_, alpha, t1) in ps.items():
             self.xv[p][:] = g[self.xo[p]:self.xo[p + 1]]
+            node, src, C, waves = self.rhsv[p]
+            np.multiply(np.dot(C, self.t0v[p], out=node), alpha, out=node)
+            src[:] = [source_value(w, t1) for w in waves]
 
     # -- device evaluation ------------------------------------------------
 
@@ -421,8 +440,11 @@ class _System:
 # `rhs`, its trapezoidal history current (or None) and the iteration limit.
 # The generator receives (x, iterations, residual_max, converged,
 # failure_reason) back, and finally returns its result or raises SolverError.
-# A transient step appends (spec, op): spec = (t1 - t_i over its table's times,
-# 1.0 past them; level), op 1 commits the last extension and 2 restarts at x0.
+# A transient step appends (spec, op), spec = (t1 - t_i over its table's
+# times t_0..t_2, 1.0 past them; level; alpha; t1), op 1 committing the last
+# extension and 2 restarting the table at x0, and its result gains max|DD2|
+# over the node rows and its history.  A whole step, of level 1 or more, has
+# no rhs: `predict` forms it and starts at the table's polynomial.
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 
@@ -472,10 +494,10 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             ext = {j: r[0] for j, r in sends if r and r[3] and len(reqs[j]) > 5}  # steps done
             for j, x in ext.items():
                 sys_.nv[at[j]][0] = x
-            dd2, gone, pend = ext and sys_.extend(), False, {}
+            dd2, gone, pend = ext and sys_.extend([at[j] for j in ext]), False, {}
             for j, result in sends:
                 if j in ext:
-                    result += (dd2[at[j]],)
+                    result += (dd2[at[j]], sys_.hv[at[j]].copy())
                 gen = gens[j]
                 while True:
                     try:
@@ -494,8 +516,8 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 reqs[j] = req
                 p = at[j]
                 sys_.load(p, req)
-                if len(req) > 5 and req[5][3] > 1:
-                    pend[p] = req[5][3]
+                if req[2] is None:
+                    pend[p] = req[5]
                 start[p], stop[p], dv_ok[p] = k, k + req[4], False
             sends = []
             if pend:
@@ -503,13 +525,14 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             if gone:  # a new plan, carrying the other members over
                 if not reqs:
                     return out
-                old, xs, tv, counters = at, sys_.xv, sys_.tv, (start, stop, dv_ok)
+                old, xs, rs, tv, counters = at, sys_.xv, sys_.rv, sys_.tv, (start, stop, dv_ok)
                 groups = sys_.live(reqs)  # in member order
                 at = {j: p for p, j in enumerate(sys_.members)}
                 start, stop, dv_ok = ([c[old[j]] for j in at] for c in counters)
                 for j, p in at.items():
                     sys_.load(p, (*reqs[j][:6], 0)[:len(reqs[j])])  # no table op
-                    sys_.xv[p][:], sys_.tv[p][...] = xs[old[j]], tv[old[j]]
+                    q = old[j]
+                    sys_.xv[p][:], sys_.rv[p][:], sys_.tv[p][...] = xs[q], rs[q], tv[q]
             P, members, xv, ab, ridx = len(at), sys_.members, sys_.xv, sys_.ab, sys_.ridx
 
         k += 1

@@ -24,15 +24,16 @@ holds a PULSE corner is always a single step, and m restarts at 1 after it.
 Single-interval steps use trapezoidal companions after one backward-Euler
 startup step.  Longer steps are backward Euler: trapezoid on 640 ps steps
 leaves supply currents ringing at the uA level through quiet stretches,
-which L-stable backward Euler damps.  The controller keeps one table of Newton
+which L-stable backward Euler damps.  Each member has one table of Newton
 divided differences of the full solved state over the last four solved
-points since the last corner, newest first; a corner resets it to the point
-just solved.  The step predictor and the error estimate share it.  Newton
-starts from the table's polynomial at the new time, evaluated by Horner:
-cubic once the table holds four points, of lower order before, and none at
-all (the last solved state) on the step after a corner or the DC start.  A
-start that does not converge within the step's iteration limit is retried
-from the last solved state before the step is halved.  After each solve the
+points since the last corner, newest first, kept by the driver (see `_mna`);
+a corner resets it to the point just solved.  The step predictor and the
+error estimate share it.  Newton starts from the table's polynomial at the
+new time, evaluated by Horner: cubic once the table holds four points, of
+lower order before, and none at all (the last solved state) on the step
+after a corner or the DC start.  A start that does not converge within the
+step's iteration limit is retried from the last solved state before the
+step is halved.  After each solve the
 table is extended, and r = h^2 max|DD2(v)| / 1e-5 V, where DD2 is the
 second divided difference of the node voltages over the last three solved
 points (h^2 DD2 estimates backward Euler's local error h^2 v''/2).  A step
@@ -197,16 +198,18 @@ class _Stepper:
     generator of Newton requests (`run`)."""
 
     def __init__(self, sys_: _System, j: int, t: np.ndarray, opts: SolveOptions, gmin: float):
-        self.sys, self.j, self.t, self.opts, self.gmin = sys_, j, t, opts, gmin
+        self.sys, self.j, self.t = sys_, j, t
+        self.opts, self.gmin = opts, gmin
         self.n, self.C = sys_.n[j], sys_.C[j]
         self.corners = _corner_intervals(sys_.waves[j], t)
         self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving
         self.bases: dict = {}  # alpha -> base matrix
 
-    def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(), lev=1, table=0):
-        """One implicit step t0 -> t1, halving on failure; with `w`, of the
-        driver's table, at level `lev` after its op `table` (see `_mna`).
-        Returns (x, ic, worst accepted residual, max|DD2| or None)."""
+    def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(), lev=0, table=0):
+        """One implicit step t0 -> t1, halving on failure.  With `w` a step
+        of the driver's table (see `_mna`): of level `lev`, after its op
+        `table`, a whole step.  Returns (x, ic, worst accepted residual,
+        max|DD2| or None)."""
         n = self.n
         h = t1 - t0
         alpha = 2.0 / h if use_trap else 1.0 / h
@@ -214,10 +217,13 @@ class _Stepper:
         base = self.bases.get(alpha)
         if base is None:
             base = self.bases[alpha] = self.sys.base_matrix(self.j, self.gmin, alpha)
-        rhs = self.sys.rhs(self.j, t1, alpha * self.C.dot(x_from[:n]))
-        for lv in (lev, 1) if lev > 1 else (1,):
-            y = yield (x_from, base, rhs, ic_hist, self.iters) + (w and ((*w, lv), table))
+        rhs = None if lev else self.sys.rhs(self.j, t1, alpha * self.C.dot(x_from[:n]))
+        for lv in (lev, 1) if lev > 1 else (lev,):
+            y = yield (x_from, base, rhs, ic_hist, self.iters) + (
+                w and ((*w, lv, alpha, t1), table))
             table = 0
+            if y[3] and lev:  # a whole step, its history from the driver
+                return y[0], y[6], y[2], y[5]
             if y[3]:
                 ic_new = alpha * self.C.dot(y[0][:n] - x_from[:n])
                 if ic_hist is not None:
@@ -228,9 +234,11 @@ class _Stepper:
                 f"transient step at t={t1:.6g}s failed to converge after "
                 f"{_MAX_HALVINGS} halvings (min substep {h:.3g}s)"
             )
-        tm, depth = 0.5 * (t0 + t1), depth + 1
-        x_mid, ic_mid, r1, _ = yield from self.step(x_from, ic_from, t0, tm, use_trap, depth)
-        x_new, ic_new, r2, dd2 = yield from self.step(x_mid, ic_mid, tm, t1, use_trap, depth, w)
+        tm = 0.5 * (t0 + t1)
+        x_mid, ic_mid, r1, _ = yield from self.step(x_from, ic_from, t0, tm, use_trap,
+                                                    depth + 1)
+        x_new, ic_new, r2, dd2 = yield from self.step(x_mid, ic_mid, tm, t1, use_trap,
+                                                      depth + 1, w)
         return x_new, ic_new, max(r1, r2), dd2
 
     def run(self, ic):
@@ -239,7 +247,8 @@ class _Stepper:
         indices, the states there and their residuals."""
         op = ic if isinstance(ic, OpPoint) else (
             yield from _dc_requests(self.sys, self.j, self.opts, self.gmin, 0.0, None))
-        n, t, corners, n_steps = self.n, self.t, self.corners, len(self.t) - 1
+        n, t, corners = self.n, self.t, self.corners
+        n_steps = len(t) - 1
         x = op.state.as_vector()
         # the solved points in blocks of (grid indices, states, residuals);
         # each block starts with the last point of the one before

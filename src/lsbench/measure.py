@@ -288,12 +288,14 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
     for i, c in enumerate(circuits):
         t = None
         if waves is None:
-            try:  # the errors of a lone run, in its order; one grid per (tstep, tstop)
+            try:  # the errors of a lone run, in its order
                 g = _tstep_tstop(c, tstep, tstop)
-                t = times[g] = times[g] if g in times else engine._grid(*g)
+                if g not in times:  # grid times, shared by the circuits on one grid
+                    times[g] = engine._grid(*g)
             except ValueError as e:
                 errors[i] = e
                 continue
+            t = times[g]
         jobs.append((len(members), t, None if waves is None else waves[i]))
         members += [c, _pinned(c, "lo"), _pinned(c, "hi")]
     results = []
