@@ -237,16 +237,7 @@ class _System:
         self.xv, self.dxv, self.rv, self.icv = (per(self.xbuf, Ns), per(self.DX, Ns),
                                                 per(self.R, Ns), per(self.IC, ns))
         self.bv = [self.BASE[a:a + N * N].reshape(N, N) for a, N in zip(jo, Ns)]
-        # the step tables T and extensions NEW, each position's step spec as a
-        # column (ones where none), C*(NEW[0] - T[0]) and the histories
-        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((6, len(ms)))
-        self.tv, self.nv = ([a[:, o:o + N] for o, N in zip(xo, Ns)] for a in (self.T, self.NEW))
-        self.rowpos = np.repeat(np.arange(len(ms)), Ns)  # each row's position
-        self.D, self.CD, self.H = np.zeros((3, S))
-        self.dv, self.cdv, self.hv, self.t0v = (per(a, ns)
-                                                for a in (self.D, self.CD, self.H, self.T[0]))
-        self.rhsv = [(r[:n], r[n:], self.C[j], self.waves[j])  # what `predict` writes and reads
-                     for r, n, j in zip(self.rv, ns, ms)]
+        self.tv = None  # the step buffers, built when a step is loaded (`tables`)
         # reduceat bounds in ab: each position's rows, and its node rows then
         # its source rows.  ab's trailing 0 lets a segment start at S; an
         # empty segment (no node, or no unknown) reads the element at its
@@ -297,6 +288,23 @@ class _System:
         self._mflat = self._mbuf.reshape(-1)
         return self.groups
 
+    def tables(self) -> None:
+        """Build this plan's step buffers: the tables T and their extensions
+        NEW, NEW[0] - T[0], C times it and the histories, each position's step
+        spec as a column (ones where none) and each row's position, and views
+        of each position's rows of them."""
+        ms, xo, S = self.members, self.xo, self.xo[-1]
+        ns, Ns = [self.n[j] for j in ms], [self.N[j] for j in ms]
+        per = lambda a, ln: [a[o:o + k] for o, k in zip(xo, ln)]
+        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((6, len(ms)))
+        self.tv, self.nv = ([a[:, o:o + N] for o, N in zip(xo, Ns)] for a in (self.T, self.NEW))
+        self.rowpos = np.repeat(np.arange(len(ms)), Ns)
+        self.D, self.CD, self.H = np.zeros((3, S))
+        self.dv, self.cdv, self.hv, self.t0v = (per(a, ns)
+                                                for a in (self.D, self.CD, self.H, self.T[0]))
+        self.rhsv = [(r[:n], r[n:], self.C[j], self.waves[j])  # what `predict` writes and reads
+                     for r, n, j in zip(self.rv, ns, ms)]
+
     def load(self, p: int, req: tuple) -> None:
         """Load a request (see `_drive`) into live position p.  A member
         without a history keeps zero IC rows, which subtract exactly, while
@@ -309,6 +317,8 @@ class _System:
             self.icv[p][:] = 0.0 if ic is None else ic
             self.has_ic[p] = ic is not None
         if len(req) > 5:
+            if self.tv is None:
+                self.tables()
             self.spec[:, p] = req[5]
             if req[6]:  # commit the last extension, or restart at x0
                 self.tv[p][...] = self.nv[p] if req[6] == 1 else x0
@@ -332,11 +342,11 @@ class _System:
         """Start the steps at live positions p (ps: p -> level) at their tables'
         polynomials at t1, by Horner on all S rows; a short table starts at its top."""
         sp, T = self.spec.take(self.rowpos, axis=1), self.T
-        g = T[3].copy()
+        g, short = T[3].copy(), min(s[3] for s in ps.values()) < 4
         for i in (2, 1, 0):
             g *= sp[i]
             g += T[i]
-            if min(s[3] for s in ps.values()) < 4:
+            if short:
                 np.copyto(g, T[i], where=sp[3] <= i + 1)
         for p, (*_, alpha, t1) in ps.items():
             self.xv[p][:] = g[self.xo[p]:self.xo[p + 1]]
@@ -494,7 +504,8 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             ext = {j: r[0] for j, r in sends if r and r[3] and len(reqs[j]) > 5}  # steps done
             for j, x in ext.items():
                 sys_.nv[at[j]][0] = x
-            dd2, gone, pend = ext and sys_.extend([at[j] for j in ext]), False, {}
+            dd2 = sys_.extend([at[j] for j in ext]) if ext else None
+            gone, pend = False, {}
             for j, result in sends:
                 if j in ext:
                     result += (dd2[at[j]], sys_.hv[at[j]].copy())
@@ -527,12 +538,16 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                     return out
                 old, xs, rs, tv, counters = at, sys_.xv, sys_.rv, sys_.tv, (start, stop, dv_ok)
                 groups = sys_.live(reqs)  # in member order
+                if tv is not None:  # a halving member may be between steps
+                    sys_.tables()
                 at = {j: p for p, j in enumerate(sys_.members)}
                 start, stop, dv_ok = ([c[old[j]] for j in at] for c in counters)
                 for j, p in at.items():
-                    sys_.load(p, (*reqs[j][:6], 0)[:len(reqs[j])])  # no table op
+                    sys_.load(p, reqs[j])
                     q = old[j]
-                    sys_.xv[p][:], sys_.rv[p][:], sys_.tv[p][...] = xs[q], rs[q], tv[q]
+                    sys_.xv[p][:], sys_.rv[p][:] = xs[q], rs[q]
+                    if tv is not None:
+                        sys_.tv[p][...] = tv[q]
             P, members, xv, ab, ridx = len(at), sys_.members, sys_.xv, sys_.ab, sys_.ridx
 
         k += 1

@@ -419,6 +419,7 @@ def test_failed_guess_retries_from_the_step_start(monkeypatch):
     w = [t[4] - t[0], 1.0, 1.0]
 
     def whole_step(lev):  # a table through x0 and guess, predicting at level lev
+        sys_.tables()
         sys_.tv[0][:2] = x0, (guess - x0) / w[0]
         return (yield from stepper.step(x0, ic0, t[0], t[4], False, 0, w, lev))
 
