@@ -206,10 +206,13 @@ class _Stepper:
         self.bases: dict = {}  # alpha -> base matrix
 
     def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(), lev=0, table=0):
-        """One implicit step t0 -> t1, halving on failure.  With `w` a step
-        of the driver's table (see `_mna`): of level `lev`, after its op
-        `table`, a whole step.  Returns (x, ic, worst accepted residual,
-        max|DD2| or None)."""
+        """One implicit step t0 -> t1, halving on failure.  With `w`, the
+        denominators t1 - t_i of the member's table, the driver extends the
+        table on convergence.  A level `lev` of 1 or more makes it a whole
+        step: the driver applies the table op `table`, forms the rhs and
+        the history, and starts it at the table's polynomial of that level,
+        then at x_from (see `_mna`).  Returns (x, ic, worst accepted
+        residual, max|DD2| over the node rows or None)."""
         n = self.n
         h = t1 - t0
         alpha = 2.0 / h if use_trap else 1.0 / h
@@ -256,8 +259,10 @@ class _Stepper:
         ib[0], xb[0], rb[0] = 0, x, op.residual_max
         blocks, nb = [(ib, xb, rb)], 1
         ic_cur = None  # capacitor currents at the current solved point
-        # the driver's table of the divided differences since the last corner:
-        # `lev` rows, at most 4, row k over the newest k+1 points, at ts but the oldest
+        # the driver keeps the Newton divided differences of the solved states
+        # since the last corner, newest first: `lev` rows, at most four, row k
+        # over the newest k+1 points; ts holds their times but the oldest, and
+        # `table` is the next step's op (2 restarts the table at x, 1 commits)
         ts, lev, table = [0.0], 1, 2
         i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
         while i < n_steps:
