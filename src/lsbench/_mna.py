@@ -6,37 +6,38 @@ for static power).  Each member keeps its own node count n, unknown count
 N, matrices G (N x N) and C (n x n), and MOSFETs; the device parameters of
 all members form one array.  The solvers are generators of Newton
 requests: the DC stages and each member's transient controller, with
-`step()` and its halving, yield (start, base matrix, constant part of f,
-trapezoidal history, iteration limit) and receive (x, iterations,
-residual, converged, reason).  A member's transient is one generator from
-its DC start to its last step.  One driver, `_drive`, runs the requests of
-all live members in lock-step.  `live` lays them out back to back in flat
-buffers: over all S live unknowns the states, residuals and their
-negations, constant parts of f, trapezoidal histories (node rows, zeros
-elsewhere) and Newton updates; over their N*N entries the base matrices
-and Jacobians.  Members of one N form a group, whose arrays are views of
-consecutive rows.  Each iteration is one `assemble` (a matvec per group,
-then whole-batch passes for the constant parts, histories, device currents
-and Jacobians), one reduction for all worst node residuals, one solve per
-group (stacked over its members), one pass for all update norms and, when
-every member moves, one state update; only the convergence, damping and
-iteration-limit checks loop over members.  Step acceptance is batched as
-well: the transient steps that converge in one iteration extend their
-tables of divided differences, held in flat buffers too, and form their
-error norms and capacitor histories in one pass (`extend`) before their
-generators decide, and the steps loaded next get their predicted starts
-and constant parts of f in one more (`predict`).  A group of one keeps the vector
-matvec and solve, cheaper and bitwise equal; nothing else branches on
-group size.  Sizes are never padded to a common N: an identity block
-changes the bits of the solve.  A member whose request ends gets its
-result at once and joins the next iteration with its next request, so
-every member keeps its own step sequence; the live set is planned again
-only when a member ends.  A singular member makes its group's stacked
-solve raise; that group is then solved member by member, and only the
-singular one fails.  B = 1 is the only single-circuit path: `transient`
-and `dc_operating_point` are batches of one, and `transient_many` runs
-several.  During a batched transient members keep only their solved
-points; a member's grid is filled in when it is yielded.
+`step()` and its halving, yield (start, base matrix, constant part of f or
+None for a step, trapezoidal history, iteration limit) and receive (x,
+iterations, residual, converged, reason).  A member's transient is one
+generator from its DC start to its last step.  One driver, `_drive`, runs
+the requests of all live members in lock-step.  `live` lays them out back
+to back in flat buffers: over all S live unknowns the states, residuals
+and their negations, constant parts of f, trapezoidal histories (node
+rows, zeros elsewhere) and Newton updates; over their N*N entries the base
+matrices and Jacobians.  Members of one N form a group, whose arrays are
+views of consecutive rows.  Each iteration is one `assemble` (a matvec per
+group, then whole-batch passes for the constant parts, histories, device
+currents and Jacobians), one reduction for all worst node residuals, one
+solve per group (stacked over its members), one pass for all update norms
+and, when every member moves, one state update; only the convergence,
+damping and iteration-limit checks loop over members.  Step acceptance is
+batched as well: the transient steps, whole or halved, that converge in
+one iteration extend their tables of divided differences, held in flat
+buffers too, and form their error norms and capacitor histories in one
+pass (`extend`) before their generators decide, and the steps loaded next
+get their starts and constant parts of f in one more (`predict`), all from
+their step starts and tables.  A group of one keeps the vector matvec and
+solve, cheaper and bitwise equal; nothing else branches on group size.
+Sizes are never padded to a common N: an identity block changes the bits
+of the solve.  A member whose request ends gets its result at once and
+joins the next iteration with its next request, so every member keeps its
+own step sequence; the live set is planned again only when a member ends.
+A singular member makes its group's stacked solve raise; that group is
+then solved member by member, and only the singular one fails.  B = 1 is
+the only single-circuit path: `transient` and `dc_operating_point` are
+batches of one, and `transient_many` runs several.  During a batched
+transient members keep only their solved points; a member's grid is
+filled in when it is yielded.
 
 Stamp plan.  `_System` compiles each member once into flat arrays.  Per
 Newton iteration, `mos_currents` gathers the terminal voltages of every
@@ -229,10 +230,9 @@ class _System:
                                      for a in (Ns, [N * N for N in Ns])]
         S = xo[-1]
         self.xbuf, self.ab = np.zeros((2, S + 1))  # ab: |F| or |DX|, then a 0
-        self.IC = np.zeros(S)  # zeros but on the history rows
+        self.IC = np.zeros(S)  # the histories on the node rows, zeros elsewhere
         self.F, self.NF, self.DX, self.R = np.empty((4, S))
         self.BASE, self.J = np.empty((2, jo[-1]))
-        self.has_ic = [False] * len(ms)
         per = lambda a, ln: [a[o:o + k] for o, k in zip(xo, ln)]  # each position's rows
         self.xv, self.dxv, self.rv, self.icv = (per(self.xbuf, Ns), per(self.DX, Ns),
                                                 per(self.R, Ns), per(self.IC, ns))
@@ -290,48 +290,45 @@ class _System:
 
     def tables(self) -> None:
         """Build this plan's step buffers: the tables T and their extensions
-        NEW, NEW[0] - T[0], C times it and the histories, each position's step
-        spec as a column (ones where none) and each row's position, and views
-        of each position's rows of them."""
+        NEW, the step starts XF, NEW[0] - XF, C times it and the histories,
+        each position's step spec as a column (ones where none) and each
+        row's position, and views of each position's rows of them."""
         ms, xo, S = self.members, self.xo, self.xo[-1]
         ns, Ns = [self.n[j] for j in ms], [self.N[j] for j in ms]
         per = lambda a, ln: [a[o:o + k] for o, k in zip(xo, ln)]
         (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((6, len(ms)))
         self.tv, self.nv = ([a[:, o:o + N] for o, N in zip(xo, Ns)] for a in (self.T, self.NEW))
         self.rowpos = np.repeat(np.arange(len(ms)), Ns)
-        self.D, self.CD, self.H = np.zeros((3, S))
-        self.dv, self.cdv, self.hv, self.t0v = (per(a, ns)
-                                                for a in (self.D, self.CD, self.H, self.T[0]))
-        self.rhsv = [(r[:n], r[n:], self.C[j], self.waves[j])  # what `predict` writes and reads
-                     for r, n, j in zip(self.rv, ns, ms)]
+        self.XF, self.D, self.CD, self.H = np.zeros((4, S))
+        self.xfv = per(self.XF, Ns)
+        self.dv, self.cdv, self.hv = (per(a, ns) for a in (self.D, self.CD, self.H))
+        self.rhsv = [(r[:n], r[n:], self.C[j], self.waves[j], xf[:n])  # for `predict`
+                     for r, n, j, xf in zip(self.rv, ns, ms, self.xfv)]
 
     def load(self, p: int, req: tuple) -> None:
-        """Load a request (see `_drive`) into live position p.  A member
-        without a history keeps zero IC rows, which subtract exactly, while
-        another member's history is in use."""
+        """Load a request (see `_drive`) into live position p: zero IC rows
+        for one without a history, which subtract exactly, and for a step its
+        start x0 into XF, its spec and its table op."""
         x0, base, rhs, ic, _ = req[:5]
-        self.bv[p][:] = base
+        self.bv[p][:], self.icv[p][:] = base, 0.0 if ic is None else ic
         if rhs is not None:  # else `predict` forms the start and rhs
             self.xv[p][:], self.rv[p][:] = x0, rhs
-        if ic is not None or self.has_ic[p]:
-            self.icv[p][:] = 0.0 if ic is None else ic
-            self.has_ic[p] = ic is not None
         if len(req) > 5:
             if self.tv is None:
                 self.tables()
-            self.spec[:, p] = req[5]
+            self.xfv[p][:], self.spec[:, p] = x0, req[5]
             if req[6]:  # commit the last extension, or restart at x0
                 self.tv[p][...] = self.nv[p] if req[6] == 1 else x0
 
     def extend(self, ps) -> list:
         """Extend the tables at the states in NEW[0], NEW[i+1] = (NEW[i] - T[i]) /
         (t1 - t_i) on all S rows (rows not asked for, or past a short table, get
-        values nothing reads), and form the histories alpha*C*(NEW[0] - T[0]) - IC
+        values nothing reads), and form the histories alpha*C*(NEW[0] - XF) - IC
         of the positions ps in H; returns max|NEW[2]| on each position's node rows."""
         sp, T, NEW = self.spec.take(self.rowpos, axis=1), self.T, self.NEW
         for i in (0, 1, 2):
-            np.divide(np.subtract(NEW[i], T[i], out=self.D if i == 0 else NEW[i + 1]), sp[i],
-                      out=NEW[i + 1])
+            np.divide(np.subtract(NEW[i], T[i], out=NEW[i + 1]), sp[i], out=NEW[i + 1])
+        np.subtract(NEW[0], self.XF, out=self.D)
         for p in ps:
             np.dot(self.C[self.members[p]], self.dv[p], out=self.cdv[p])
         np.subtract(np.multiply(self.CD, sp[4], out=self.H), self.IC, out=self.H)
@@ -339,19 +336,20 @@ class _System:
         return np.maximum.reduceat(self.ab, self.ridx)[::2].tolist()
 
     def predict(self, ps) -> None:
-        """Start the steps at live positions p (ps: p -> level) at their tables'
-        polynomials at t1, by Horner on all S rows; a short table starts at its top."""
+        """Start the steps at live positions p (ps: p -> spec) at their tables'
+        polynomials at t1, by Horner on all S rows (a short table at its top,
+        level 0 or 1 at the step start XF), and form their rhs from XF."""
         sp, T = self.spec.take(self.rowpos, axis=1), self.T
         g, short = T[3].copy(), min(s[3] for s in ps.values()) < 4
         for i in (2, 1, 0):
             g *= sp[i]
             g += T[i]
             if short:
-                np.copyto(g, T[i], where=sp[3] <= i + 1)
+                np.copyto(g, T[i] if i else self.XF, where=sp[3] <= i + 1)
         for p, (*_, alpha, t1) in ps.items():
             self.xv[p][:] = g[self.xo[p]:self.xo[p + 1]]
-            node, src, C, waves = self.rhsv[p]
-            np.multiply(np.dot(C, self.t0v[p], out=node), alpha, out=node)
+            node, src, C, waves, xf = self.rhsv[p]
+            np.multiply(np.dot(C, xf, out=node), alpha, out=node)
             src[:] = [source_value(w, t1) for w in waves]
 
     # -- device evaluation ------------------------------------------------
@@ -421,8 +419,7 @@ class _System:
         for g in self.groups:  # a group of one: dot, cheaper than matmul and bitwise equal
             (np.dot if g.L == 1 else np.matmul)(g.BASE, g.X, out=g.F)
         F -= self.R
-        if True in self.has_ic:
-            F -= self.IC
+        F -= self.IC
         if self._mbuf.shape[1]:
             self.mos_currents()
             acc = np.bincount(self._bin, weights=self._sgn * self._mflat[self._gather],
@@ -450,13 +447,15 @@ class _System:
 # `rhs`, its trapezoidal history current (or None) and the iteration limit.
 # The generator receives (x, iterations, residual_max, converged,
 # failure_reason) back, and finally returns its result or raises SolverError.
-# A transient step appends (spec, op), spec = (t1 - t_i over its table's
-# times t_0..t_2, 1.0 past them; level; alpha; t1), op 1 committing the last
-# extension and 2 restarting the table at x0, and its result gains max|DD2|
-# over the node rows and its history.  A whole step, of level 1 or more, has
-# no rhs: `predict` forms it and starts at the table's polynomial.
+# A transient step, whole or halved, has rhs None and appends (spec, op),
+# spec = (t1 - t_i over its table's times t_0..t_2, 1.0 past them and for a
+# first half; level; alpha; t1), op 1 committing the last extension and 2
+# restarting the table at x0.  `predict` forms its rhs from x0 and starts it
+# at x0 (level 0 or 1) or the table's polynomial; its result gains max|DD2|
+# over the node rows and its history alpha*C*(x - x0) - ic.
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
+_VCLAMP = 0.5  # V, the largest node update of one Newton iteration
 
 
 def _solve_each(J, NF):
@@ -483,12 +482,12 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     group of one), takes the update norms with one more pass and, when every
     member moves, updates all states with one add.  Per member it applies
     damped Newton: converged when both max|dv| < vntol and the worst KCL
-    residual is below abstol, node updates clamped to +/-vclamp.  A member
+    residual is below abstol, node updates clamped to +/-0.5 V.  A member
     whose request ends gets its result at once and joins the next iteration
     with its next request, so it does the same arithmetic as it would
     alone.  The live members are planned again only when one of them ends;
     the others keep their states, requests and tables."""
-    abstol, vntol, vclamp = opts.abstol, opts.vntol, opts.vclamp
+    abstol, vntol, vclamp = opts.abstol, opts.vntol, _VCLAMP
     absolute, top, isfinite, solve = np.abs, np.maximum.reduceat, math.isfinite, np.linalg.solve
     out = [None] * len(gens)
     reqs = {j: None for j, g in enumerate(gens) if g is not None}  # member -> request

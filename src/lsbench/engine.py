@@ -9,13 +9,14 @@ positive into the + terminal.
 
 DC operating points run damped Newton (per-iteration node updates clamped to
 +/-0.5 V), converged when both max|dv| < vntol and the worst KCL residual is
-below abstol.  On failure the solver falls back to pseudo-transient
-continuation, which follows the circuit's own trajectory to a stable state:
-backward-Euler steps from zero with 1 fF added to every node, h from 1 ps,
-doubled after each converged step (up to 1 s) and quartered after a failed
-one, until no node moves 1 nV on a step longer than 1 us; plain Newton then
-polishes that state.  The stage takes at most _PTC_STEPS steps and ends
-when a step shorter than _PTC_MIN_H fails.
+below abstol, within _PLAIN_ITERS = 50 iterations (converging solves take
+under 30).  Otherwise the solver falls back to pseudo-transient continuation,
+which follows the circuit's own trajectory to a stable state: backward-Euler
+steps from zero with 1 fF added to every node, h from 1 ps, doubled after
+each converged step (up to 1 s) and quartered after a failed one, until no
+node moves 1 nV on a step longer than 1 us; plain Newton then polishes that
+state.  The stage takes at most _PTC_STEPS steps and ends when a step
+shorter than _PTC_MIN_H fails.
 
 Transient samples the uniform grid 0, tstep, ..., tstop through one
 step-size controller.  Every step spans m grid intervals, m a power of two
@@ -45,7 +46,8 @@ sample's `resid_max` is the larger residual of the two solves around it.
 Steps that fail to converge are retried with halved substeps, up to 8
 halvings deep.  The grid is capped at 1,000,000 intervals, checked before
 anything is allocated.  All capacitances here are constant, so companions
-reduce to a fixed matrix alpha*C plus a history current.
+reduce to a fixed matrix alpha*C plus a history current, which the driver
+forms from each step's start, halved substeps too.
 
 The compiled system and the driver that runs the Newton requests of a
 batch in lock-step are in `_mna`.
@@ -68,8 +70,7 @@ GMIN_DEFAULT = 1e-12
 class SolveOptions:
     abstol: float = 1e-9   # A, KCL residual bound
     vntol: float = 1e-6    # V, Newton update bound
-    max_iter: int = 200
-    vclamp: float = 0.5    # V, per-node per-iteration damping clamp
+    max_iter: int = 200    # per request; a DC solve's plain Newton stops at _PLAIN_ITERS
 
 
 @dataclass
@@ -110,23 +111,25 @@ def _state_from_vector(n: int, x: np.ndarray) -> SysState:
 _PTC_C = 1e-15      # F, added to every node's capacitance in the pseudo-transient
 _PTC_STEPS = 200    # steps the pseudo-transient may take
 _PTC_MIN_H = 4e-18  # s, a failed pseudo-transient step shorter than this ends it
+_PLAIN_ITERS = 50   # plain Newton iterations before pseudo-transient continuation
 
 
 def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
-                 t: float, x0: np.ndarray | None):
+                 x0: np.ndarray | None):
     """Member j's DC operating point as a generator of Newton requests:
     plain Newton, then pseudo-transient continuation (see the module
     docstring).  Returns an OpPoint; raises SolverError when both fail."""
     lim, n, N, C = opts.max_iter, sys_.n[j], sys_.N[j], sys_.C[j]
-    base, rhs = sys_.base_matrix(j, gmin), sys_.rhs(j, t)
-    y, total, res, ok, _ = yield (np.zeros(N) if x0 is None else x0, base, rhs, None, lim)
+    base, rhs = sys_.base_matrix(j, gmin), sys_.rhs(j, 0.0)
+    y, total, res, ok, _ = yield (np.zeros(N) if x0 is None else x0, base, rhs, None,
+                                  min(lim, _PLAIN_ITERS))
     if ok:
         return OpPoint(_state_from_vector(n, y), res, total, "none")
     x, h = np.zeros(N), 1e-12
     for _ in range(_PTC_STEPS):
         a, v = 1.0 / h, x[:n]
         y, it, res, ok, why = yield (x, sys_.base_matrix(j, gmin + a * _PTC_C, a),
-                                     sys_.rhs(j, t, a * (C.dot(v) + _PTC_C * v)), None, lim)
+                                     sys_.rhs(j, 0.0, a * (C.dot(v) + _PTC_C * v)), None, lim)
         total += it
         if ok and h > 1e-6 and np.abs(y[:n] - v).max() < 1e-9:
             y, it, res, ok, why = yield (y, base, rhs, None, lim)
@@ -149,7 +152,7 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
 
 
 def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
-                       gmin: float = GMIN_DEFAULT, t: float = 0.0,
+                       gmin: float = GMIN_DEFAULT,
                        x0: np.ndarray | None = None) -> OpPoint:
     """Solve the DC operating point with sources at their t=0 values.
 
@@ -158,7 +161,7 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
     """
     opts = opts or SolveOptions()
     sys_ = _System([circuit])
-    (op,) = _drive(sys_, [_dc_requests(sys_, 0, opts, gmin, t, x0)], opts)
+    (op,) = _drive(sys_, [_dc_requests(sys_, 0, opts, gmin, x0)], opts)
     if isinstance(op, SolverError):
         raise op
     return op
@@ -200,38 +203,29 @@ class _Stepper:
     def __init__(self, sys_: _System, j: int, t: np.ndarray, opts: SolveOptions, gmin: float):
         self.sys, self.j, self.t = sys_, j, t
         self.opts, self.gmin = opts, gmin
-        self.n, self.C = sys_.n[j], sys_.C[j]
+        self.n = sys_.n[j]
         self.corners = _corner_intervals(sys_.waves[j], t)
         self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving
         self.bases: dict = {}  # alpha -> base matrix
 
-    def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(), lev=0, table=0):
-        """One implicit step t0 -> t1, halving on failure.  With `w`, the
-        denominators t1 - t_i of the member's table, the driver extends the
-        table on convergence.  A level `lev` of 1 or more makes it a whole
-        step: the driver applies the table op `table`, forms the rhs and
-        the history, and starts it at the table's polynomial of that level,
-        then at x_from (see `_mna`).  Returns (x, ic, worst accepted
-        residual, max|DD2| over the node rows or None)."""
-        n = self.n
+    def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(1.0,) * 3, lev=0, table=0):
+        """One implicit step t0 -> t1 from x_from, halving on failure.  The
+        driver applies the table op `table`, starts at the table's polynomial
+        of level `lev`, then at x_from, forms the rhs and, on convergence, the
+        history, and extends the table over w = t1 - t_i (ones for a first
+        half, whose extension the second half's replaces; see `_mna`).
+        Returns (x, ic, worst accepted residual, max|DD2| over the node rows)."""
         h = t1 - t0
         alpha = 2.0 / h if use_trap else 1.0 / h
         ic_hist = ic_from if use_trap else None
         base = self.bases.get(alpha)
         if base is None:
             base = self.bases[alpha] = self.sys.base_matrix(self.j, self.gmin, alpha)
-        rhs = None if lev else self.sys.rhs(self.j, t1, alpha * self.C.dot(x_from[:n]))
         for lv in (lev, 1) if lev > 1 else (lev,):
-            y = yield (x_from, base, rhs, ic_hist, self.iters) + (
-                w and ((*w, lv, alpha, t1), table))
+            y = yield (x_from, base, None, ic_hist, self.iters, (*w, lv, alpha, t1), table)
             table = 0
-            if y[3] and lev:  # a whole step, its history from the driver
-                return y[0], y[6], y[2], y[5]
             if y[3]:
-                ic_new = alpha * self.C.dot(y[0][:n] - x_from[:n])
-                if ic_hist is not None:
-                    ic_new -= ic_hist
-                return y[0], ic_new, y[2], y[5] if w else None
+                return y[0], y[6], y[2], y[5]
         if depth >= _MAX_HALVINGS:
             raise SolverError(
                 f"transient step at t={t1:.6g}s failed to converge after "
@@ -249,7 +243,7 @@ class _Stepper:
         point where ic is "auto"; returns the blocks of the solved grid
         indices, the states there and their residuals."""
         op = ic if isinstance(ic, OpPoint) else (
-            yield from _dc_requests(self.sys, self.j, self.opts, self.gmin, 0.0, None))
+            yield from _dc_requests(self.sys, self.j, self.opts, self.gmin, None))
         n, t, corners = self.n, self.t, self.corners
         n_steps = len(t) - 1
         x = op.state.as_vector()

@@ -262,8 +262,8 @@ def _characterize_requests(sys_, j: int, t, waves, opts: SolveOptions,
     del waves  # the grid is dropped before the next member's is filled
     if isinstance(rep, MeasureError):
         return rep
-    lo = yield from engine._dc_requests(sys_, j + 1, opts, GMIN_DEFAULT, 0.0, None)
-    hi = yield from engine._dc_requests(sys_, j + 2, opts, GMIN_DEFAULT, 0.0, None)
+    lo = yield from engine._dc_requests(sys_, j + 1, opts, GMIN_DEFAULT, None)
+    hi = yield from engine._dc_requests(sys_, j + 2, opts, GMIN_DEFAULT, None)
     return replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
 
 

@@ -435,6 +435,36 @@ def test_failed_guess_retries_from_the_step_start(monkeypatch):
     assert got[2] == want[2]
 
 
+def test_halved_substep_takes_start_rhs_and_history_from_its_x0():
+    # a level-0 step request, as a halved substep sends, from an x0 away
+    # from the table's T[0]: `predict` must start it at x0 and form its rhs,
+    # and `extend` its history, with exactly the arithmetic the stepper
+    # itself once did, written out below
+    circ = elaborate(gen("cls"))
+    s = _System([circ])
+    s.live([0])
+    s.tables()
+    n, N, C = s.n[0], s.N[0], s.C[0]
+    rng = np.random.default_rng(7)
+    s.tv[0][...] = rng.uniform(-0.5, 3.5, (4, N))
+    x0, x_new = rng.uniform(-0.5, 3.5, (2, N))
+    t1, alpha = 3.3e-9, 2.0 / 5e-12
+    for ic in (None, rng.uniform(-1e-4, 1e-4, n)):
+        spec = (1.0, 1.0, 1.0, 0, alpha, t1)
+        s.load(0, (x0, s.base_matrix(0, GMIN, alpha), None, ic, 3, spec, 0))
+        s.predict({0: spec})
+        assert _same_bits(s.xv[0], x0)
+        assert _same_bits(s.rv[0][:n], alpha * C.dot(x0[:n]))
+        assert _same_bits(s.rv[0][n:], np.array([source_value(w, t1) for w in s.waves[0]]))
+        s.nv[0][0] = x_new
+        s.extend([0])
+        want = alpha * C.dot(x_new[:n] - x0[:n])
+        if ic is not None:
+            want -= ic
+        assert _same_bits(s.hv[0], want)
+    assert not _same_bits(s.tv[0][0], x0)
+
+
 def test_transient_newton_work_per_step(monkeypatch):
     # the cubic predictor's start converges in about one and a half
     # iterations per solved step on cmls_stacked (2.14 with a linear one)
@@ -556,8 +586,9 @@ def test_transient_many_equals_lone_runs():
 
 def _acceptance_events(monkeypatch) -> dict:
     """Drive iteration -> {(member, event)}, filled as transients run: what
-    each converged or failed whole step led to, "accept", "reject" (r > 1,
-    k > 1), "reset" (a corner restarts the table) or "halve"."""
+    each converged or failed whole step, or last substep of a halving, led
+    to, "accept", "reject" (r > 1, k > 1), "reset" (a corner restarts the
+    table) or "halve"."""
     events, tick = {}, [0]
     assemble, run = _System.assemble, engine._Stepper.run
 
@@ -572,11 +603,13 @@ def _acceptance_events(monkeypatch) -> dict:
                 req = gen.send(result)
             except StopIteration as e:
                 return e.value
-            if last is not None and len(last) > 6 and result is not None:
-                if result[3] and len(req) > 6:
+            # after a whole step or a halving's last substep: the steps whose
+            # spec holds their table's denominators (a first half's are ones)
+            if last is not None and len(last) > 6 and last[5][0] != 1.0 and result is not None:
+                if result[3]:
                     what = ("reject", "accept", "reset")[req[6]]
-                else:
-                    what = "halve" if not result[3] and len(req) == 5 else None
+                else:  # a halving starts with a first half, of level 0
+                    what = "halve" if req[5][3] == 0 else None
                 if what:
                     events.setdefault(tick[0], set()).add((stepper.j, what))
             last, result = req, (yield req)
@@ -682,7 +715,7 @@ def test_transient_many_flat_layout_edge_cases(monkeypatch):
     dc = [circs[0], _circ(_GATE_NODE.format("floats", "")),
           _circ("divider\nV1 in 0 DC 5\nR1 in out 1k\nR2 out 0 1k\n.end\n")]
     s, opts = _System(dc), engine.SolveOptions()
-    got = engine._drive(s, [engine._dc_requests(s, j, opts, 0.0, 0.0, None)
+    got = engine._drive(s, [engine._dc_requests(s, j, opts, 0.0, None)
                             for j in range(3)], opts)
     for c, op in zip(dc, got):
         try:

@@ -13,7 +13,7 @@ from lsbench.measure import (MeasureError, _pinned, average_power, characterize,
                              characterize_many, output_swing, propagation_delay,
                              static_power)
 from lsbench.netlist import TranCard, elaborate, parse_netlist, parse_seed_models
-from lsbench.topologies import TopoParams, gen
+from lsbench.topologies import TOPOLOGY_IDS, TopoParams, gen
 
 RC_LN2 = 1e3 * 1e-12 * math.log(2.0)
 
@@ -238,6 +238,22 @@ def test_characterize_many_on_two_grids_equals_lone_characterize(monkeypatch):
     assert got == [characterize(short), characterize(long_)]
 
 
+def test_bench_dc_solves_end_in_plain_newton_inside_its_cap():
+    # the DC solves of `bench all`: each topology's transient start and the
+    # static solves of its lo and hi pinned copies, the requests
+    # `characterize_many` runs for them, with the same defaults.  All end in
+    # plain Newton, within 30 iterations (21 at most today) of the 50 it may
+    # take before the fallback: a change that slowed them past that cap
+    # would move their results silently
+    ops = []
+    for topo in TOPOLOGY_IDS:
+        c = elaborate(gen(topo))
+        ops += [dc_operating_point(m) for m in (c, _pinned(c, "lo"), _pinned(c, "hi"))]
+    assert len(ops) == 18 and engine._PLAIN_ITERS == 50
+    assert {op.homotopy_used for op in ops} == {"none"}
+    assert max(op.iterations for op in ops) <= 30
+
+
 # dc_corners process corners whose DC solves plain Newton cannot finish,
 # with their continuation references from perfbench/refs/dc_corners.json,
 # static power (lo, hi) in W.  Source stepping failed on 0030, where the
@@ -251,9 +267,19 @@ PTC_CORNERS = [
 ]
 
 
+# Newton iterations of their (lo, hi) DC solves: plain Newton gives up after
+# engine._PLAIN_ITERS = 50 (at 200, the limit it once ran to, 263/261 and
+# 322/320), then pseudo-transient continuation and its polish take the rest
+PTC_ITERS = {"cls": (113, 111), "cls_stacked": (172, 170)}
+
+
 @pytest.mark.parametrize("topo, models, want", PTC_CORNERS)
 def test_pseudo_transient_corners_match_continuation_reference(topo, models, want):
     circ = elaborate(gen(topo), base_models=parse_seed_models(models))
+    iters = []
     for state, ref in zip(("lo", "hi"), want):
-        assert dc_operating_point(_pinned(circ, state)).homotopy_used == "ptc"
+        op = dc_operating_point(_pinned(circ, state))
+        assert op.homotopy_used == "ptc"
+        iters.append(op.iterations)
         assert static_power(circ, state) == pytest.approx(ref, rel=1e-6)
+    assert tuple(iters) == PTC_ITERS[topo]

@@ -1,13 +1,22 @@
 """Property tests of the netlist dialect: serialization round trips, and the
-typed-failure contract of parse + elaborate on arbitrary card text."""
+typed-failure contract of parse + elaborate on arbitrary card text; and of
+the simulator on the circuits that elaborate and on built-in topologies
+under random parameters: typed failures or finite figures, and batch members
+equal to their lone runs."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lsbench.devmodel import SourceWave
+from lsbench.engine import (SolveOptions, SolverError, dc_operating_point, transient,
+                            transient_many)
+from lsbench.measure import MeasureError, characterize
 from lsbench.netlist import (Circuit, ElaborationError, ParseError, elaborate,
                              parse_netlist, serialize_netlist)
+from lsbench.topologies import TOPOLOGY_IDS, TopoParams, gen, validate_params
 
 _MODEL_KEYS = ("VTH0", "KP", "N", "LAMBDA", "ETA", "GAMMA", "PHI", "COXA", "COVW", "CJW")
 _SUFFIXES = ("", "f", "p", "n", "u", "m", "k", "meg", "g", "F", "pF", "V", "Meg")
@@ -136,3 +145,96 @@ def test_arbitrary_card_text_fails_typed(text):
     except (ParseError, ElaborationError):
         return
     assert isinstance(circ, Circuit)
+
+
+# ---------------------------------------------------------------------------
+# simulated circuits: the typed-failure and batch contracts of the engine
+
+TSTEP, TSTOP = 20e-12, 4e-9  # the fixed 200-step grid every transient runs on
+
+
+@st.composite
+def _elaborated(draw):
+    """A Circuit from `_netlist()` text that parses and elaborates."""
+    text = draw(_netlist())
+    try:
+        return elaborate(parse_netlist(text))
+    except (ParseError, ElaborationError):
+        assume(False)
+
+
+@st.composite
+def _topology(draw):
+    """A built-in topology under random valid TopoParams, its stimulus a
+    pulse train of two or more periods on the fixed grid."""
+    vddh = draw(st.floats(0.5, 5.0))
+    vddl = vddh * draw(st.floats(0.2, 1.0))
+    size = st.floats(0.2e-6, 10e-6)
+    tr, tf = draw(st.floats(1e-12, 0.4e-9)), draw(st.floats(1e-12, 0.4e-9))
+    pw = draw(st.floats(1e-12, 0.8e-9))
+    p = TopoParams(vddh=vddh, vddl=vddl, vin_hi=vddl * draw(st.floats(0.1, 1.0)),
+                   l=draw(st.floats(0.2e-6, 2e-6)), w_p=draw(size), w_n=draw(size),
+                   w_n_stacked=draw(size), cload=draw(st.floats(1e-15, 1e-12)))
+    wave = SourceWave("pulse", 0.0, p.vin_hi, draw(st.floats(0.0, 0.1e-9)), tr, tf, pw,
+                      tr + pw + tf + draw(st.floats(0.0, 0.2e-9)))
+    validate_params(p)
+    return elaborate(gen(draw(st.sampled_from(TOPOLOGY_IDS)), replace(p, stimulus=wave)))
+
+
+_circuits = st.one_of(_elaborated(), _topology())
+_opts = st.sampled_from([SolveOptions(max_iter=k) for k in (200, 3, 5)])  # 3, 5: halvings
+
+
+def _all_finite(*arrays):
+    return all(np.isfinite(np.asarray(a, dtype=float)).all() for a in arrays)
+
+
+def _waves_bits(w):
+    """Every array of a Waveforms, as bytes."""
+    return [a.tobytes() for a in (w.t, w.resid_max, w.solved, *w.node_v.values(),
+                                  *w.supply_i.values())]
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(_circuits, _opts)
+def test_simulated_circuits_end_typed_or_finite(circ, opts):
+    # the DC operating point, a transient on the fixed grid and a
+    # characterization each end in a typed error or in finite figures,
+    # without a floating-point overflow, division by zero or invalid
+    # operation on the way (an exp underflowing to 0 in deep subthreshold
+    # is benign)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            op = dc_operating_point(circ, opts)
+            assert _all_finite(op.state.v, op.state.i_branch, op.residual_max)
+        except SolverError:
+            pass
+        try:
+            w = transient(circ, TSTEP, TSTOP, opts=opts)
+            assert _all_finite(w.resid_max, *w.node_v.values(), *w.supply_i.values())
+        except SolverError:
+            pass
+        try:
+            rep = characterize(circ, TSTEP, TSTOP, opts=opts)
+            assert _all_finite(astuple(rep)[1:])
+        except (SolverError, MeasureError):
+            pass
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(st.lists(_circuits, min_size=2, max_size=5), _opts)
+def test_batches_of_simulated_circuits_equal_lone_runs(circs, opts):
+    # every member of a `transient_many` batch, also one that halves steps
+    # or fails, ends exactly as its lone run
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = list(transient_many(circs, TSTEP, TSTOP, opts=opts))
+        assert len(got) == len(circs)
+        for c, w in zip(circs, got):
+            try:
+                want = transient(c, TSTEP, TSTOP, opts=opts)
+            except SolverError as e:
+                assert type(w) is SolverError and str(w) == str(e)
+                continue
+            assert _waves_bits(w) == _waves_bits(want)
+            assert list(w.node_v) == list(want.node_v)
+            assert list(w.supply_i) == list(want.supply_i)
