@@ -68,8 +68,11 @@ skipping an operation that is the identity on the values it meets
 (clipping an update already inside the clamp, subtracting a zero history),
 per-member scalars as per-row arrays, work on rows nothing reads (`where=`
 masks what is read, never a zero product: d + 0*g turns -0.0 into +0.0),
-adding a zero device bin to a base matrix, which holds no -0.0, and taking
-a maximum over any grouping of its terms.
+adding a zero device bin to a base matrix, which holds no -0.0, taking
+a maximum over any grouping of its terms, calling the LAPACK gufunc under
+the errstate `np.linalg.solve` would set (the same `dd->d` loop on the same
+operands, written with `out=`), and `ndarray.dot` for `np.dot` (the same
+BLAS routine).
 Not allowed: reordering sums or products (`ispec*qq*mlam` ->
 `(ispec*mlam)*qq`), algebraic identities that change rounding (sigma as
 e/(1+e)), or BLAS for the scatter.
@@ -81,6 +84,7 @@ import math
 from itertools import accumulate
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .devmodel import _core_eval, _eval_consts, cap_lumps, source_value
 from .netlist import Circuit
@@ -330,7 +334,7 @@ class _System:
             np.divide(np.subtract(NEW[i], T[i], out=NEW[i + 1]), sp[i], out=NEW[i + 1])
         np.subtract(NEW[0], self.XF, out=self.D)
         for p in ps:
-            np.dot(self.C[self.members[p]], self.dv[p], out=self.cdv[p])
+            self.C[self.members[p]].dot(self.dv[p], out=self.cdv[p])
         np.subtract(np.multiply(self.CD, sp[4], out=self.H), self.IC, out=self.H)
         np.absolute(NEW[2], out=self.ab[:-1])
         return np.maximum.reduceat(self.ab, self.ridx)[::2].tolist()
@@ -349,7 +353,7 @@ class _System:
         for p, (*_, alpha, t1) in ps.items():
             self.xv[p][:] = g[self.xo[p]:self.xo[p + 1]]
             node, src, C, waves, xf = self.rhsv[p]
-            np.multiply(np.dot(C, xf, out=node), alpha, out=node)
+            np.multiply(C.dot(xf, out=node), alpha, out=node)
             src[:] = [source_value(w, t1) for w in waves]
 
     # -- device evaluation ------------------------------------------------
@@ -417,7 +421,10 @@ class _System:
         +0.0."""
         F = self.F
         for g in self.groups:  # a group of one: dot, cheaper than matmul and bitwise equal
-            (np.dot if g.L == 1 else np.matmul)(g.BASE, g.X, out=g.F)
+            if g.L == 1:
+                g.BASE.dot(g.X, out=g.F)
+            else:
+                np.matmul(g.BASE, g.X, out=g.F)
         F -= self.R
         F -= self.IC
         if self._mbuf.shape[1]:
@@ -456,17 +463,32 @@ class _System:
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 _VCLAMP = 0.5  # V, the largest node update of one Newton iteration
+# `np.linalg.solve`'s gufuncs (LAPACK gesv) for one system and for stacked
+# ones, called without its Python wrapper under the errstate it sets
+_SOLVE1, _SOLVE = _umath_linalg.solve1, _umath_linalg.solve
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _lapack():
+    """The errstate `np.linalg.solve` runs its gufunc in: a singular J, which
+    LAPACK reports by setting `invalid`, raises `LinAlgError`."""
+    return np.errstate(call=_raise_singular, invalid="call",
+                       over="ignore", divide="ignore", under="ignore")
 
 
 def _solve_each(J, NF):
     """The Newton updates J^-1 NF of stacked systems one at a time, after the
-    stacked solve found a singular J, and the set of the singular rows."""
+    stacked solve found a singular J, and the set of the singular rows.
+    Runs inside the caller's `_lapack()` errstate."""
     dx = np.full_like(NF, np.nan)
     bad = set()
     for q in range(len(NF)):
         try:
-            dx[q] = np.linalg.solve(J[q], NF[q])
-        except np.linalg.LinAlgError:
+            dx[q] = _SOLVE1(J[q], NF[q])
+        except LinAlgError:
             bad.add(q)
     return dx, bad
 
@@ -488,7 +510,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     alone.  The live members are planned again only when one of them ends;
     the others keep their states, requests and tables."""
     abstol, vntol, vclamp = opts.abstol, opts.vntol, _VCLAMP
-    absolute, top, isfinite, solve = np.abs, np.maximum.reduceat, math.isfinite, np.linalg.solve
+    absolute, top, isfinite = np.abs, np.maximum.reduceat, math.isfinite
     out = [None] * len(gens)
     reqs = {j: None for j, g in enumerate(gens) if g is not None}  # member -> request
     if not reqs:
@@ -568,19 +590,22 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             if not todo:
                 continue
         bad = set()
-        for g in groups:
-            i = [q for q in range(g.L) if g.p0 + q not in done] if done else range(g.L)
-            if not i:
-                continue
-            try:  # one member: the vector solve, cheaper and bitwise equal
-                if len(i) == g.L:
-                    g.DX[...] = solve(g.J, g.NF)
-                else:
-                    g.DX[i] = solve(g.J[i], g.NF[i])
-            except np.linalg.LinAlgError:
-                dx, b = _solve_each(g.J.reshape(-1, g.N, g.N)[i], g.NF.reshape(-1, g.N)[i])
-                g.DX.reshape(-1, g.N)[i] = dx
-                bad.update(g.p0 + i[q] for q in b)
+        with _lapack():
+            for g in groups:
+                i = [q for q in range(g.L) if g.p0 + q not in done] if done else range(g.L)
+                if not i:
+                    continue
+                try:  # one member: the vector solve, cheaper and bitwise equal
+                    if g.L == 1:
+                        _SOLVE1(g.J, g.NF, out=g.DX)
+                    elif len(i) == g.L:
+                        _SOLVE(g.J, g.NF, out=g.DX)
+                    else:
+                        g.DX[i] = _SOLVE(g.J[i], g.NF[i])
+                except LinAlgError:
+                    dx, b = _solve_each(g.J.reshape(-1, g.N, g.N)[i], g.NF.reshape(-1, g.N)[i])
+                    g.DX.reshape(-1, g.N)[i] = dx
+                    bad.update(g.p0 + i[q] for q in b)
         DX = sys_.DX
         absolute(DX, out=ab[:-1])  # NaN and inf propagate through the maxima
         amax, dvm = top(ab, sys_.xidx).tolist(), top(ab, ridx)[::2].tolist()

@@ -70,7 +70,11 @@ GMIN_DEFAULT = 1e-12
 class SolveOptions:
     abstol: float = 1e-9   # A, KCL residual bound
     vntol: float = 1e-6    # V, Newton update bound
-    max_iter: int = 200    # per request; a DC solve's plain Newton stops at _PLAIN_ITERS
+    # Newton iterations per request.  A DC solve's plain Newton stops at
+    # _PLAIN_ITERS, and every pseudo-transient step gets max_iter too, so a
+    # limit small enough to force halved transient steps (3 or 5) also
+    # starves the DC fallback: it then fails where 200 converges
+    max_iter: int = 200
 
 
 @dataclass
@@ -193,7 +197,7 @@ def _corner_intervals(waves, t: np.ndarray) -> list:
         starts = w.td + w.per * np.arange(int((tstop - w.td) / w.per) + 1)
         c = (starts[:, None] + [0.0, w.tr, w.tr + w.pw, w.tr + w.pw + w.tf]).ravel()
         marks.append(np.minimum((c[c <= tstop] / tstep).astype(np.intp), n_steps - 1))
-    return np.unique(np.concatenate(marks)).tolist()
+    return sorted(set(np.concatenate(marks).tolist()))  # np.unique imports numpy.ma
 
 
 class _Stepper:

@@ -173,10 +173,19 @@ def output_swing(out_wave, t, settle):
             raise MeasureError(
                 f"no settled window of at least 10 samples for the {state} state"
             )
-    return (
-        float(np.median(np.concatenate(pools["lo"]))),
-        float(np.median(np.concatenate(pools["hi"]))),
-    )
+    return _median(np.concatenate(pools["lo"])), _median(np.concatenate(pools["hi"]))
+
+
+def _median(a) -> float:
+    """`np.median` of a non-empty 1-D float array, bit for bit, without the
+    `numpy.ma` import of its NaN check: the same partition, then the middle
+    value or the mean of the middle two, or the NaN the partition ends in.
+    The mean's sum starts at +0.0, which turns a -0.0 median into +0.0."""
+    k, odd = divmod(len(a), 2)
+    s = np.partition(a, [k, -1] if odd else [k - 1, k, -1])
+    if math.isnan(s[-1]):
+        return float(s[-1])
+    return float(s[k] + 0.0) if odd else float((s[k - 1] + s[k] + 0.0) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def run_lsbench():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "lsbench", *args],
+    def run(*args, flags=()):  # flags: the interpreter's own, before -m
+        return subprocess.run([sys.executable, *flags, "-m", "lsbench", *args],
                               capture_output=True, text=True, env=env)
     return run

@@ -294,6 +294,18 @@ def test_module_entry_point_exit_code(run_lsbench):
     assert res.stderr.startswith("error:")
 
 
+def test_bench_does_not_import_numpy_ma(run_lsbench, tmp_path):
+    # np.unique and np.median import numpy.ma (about 14 ms and 1.3 MB per
+    # process); a transient and its measurement use neither.  -X importtime
+    # lists every module the child imports on stderr
+    res = run_lsbench("bench", "cls", "-o", str(tmp_path / "b.csv"), flags=("-X", "importtime"))
+    assert res.returncode == 0 and (tmp_path / "b.csv").exists()
+    mods = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:")}
+    assert {"numpy", "numpy.linalg", "lsbench.measure"} <= mods
+    assert not {m for m in mods if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -287,11 +287,45 @@ def test_empty_circuit_solves():
     assert len(waves.t) == 21 and waves.node_v == {}
 
 
+_ERRSTATES = ({}, {"all": "raise"}, {"all": "ignore"})  # the caller's: default, strict, silent
+
+
 def test_singular_jacobian_reported():
-    # with the shunt disabled, a capacitor island has no DC path at all
+    # with the shunt disabled, a capacitor island has no DC path at all; the
+    # driver solves under its own errstate, so the caller's does not matter
     circ = _circ("cap island\nV1 a 0 DC 1\nC1 b 0 1p\n.end\n")
-    with pytest.raises(SolverError, match="singular Jacobian"):
-        dc_operating_point(circ, gmin=0.0)
+    for state in _ERRSTATES:
+        with np.errstate(**state), pytest.raises(SolverError, match="singular Jacobian"):
+            dc_operating_point(circ, gmin=0.0)
+
+
+def test_lapack_gufunc_solves_equal_numpy_solve():
+    # `_drive` calls np.linalg.solve's gufuncs without its wrapper: the lone
+    # one on vectors and the stacked one on (L, N, 1) columns, writing with
+    # out= into views of a flat buffer, or a subset of the stack by index.
+    # Each must give np.linalg.solve's bits; this also pins the private
+    # `_umath_linalg` import
+    from lsbench import _mna
+    rng = np.random.default_rng(14)
+    for N in range(1, 17):
+        for L in (1, 2, 5):
+            flat = rng.standard_normal(3 + L * N * (N + 2))  # J, then NF, then DX
+            J = flat[3:3 + L * N * N].reshape(L, N, N)
+            NF = flat[3 + L * N * N:3 + L * N * (N + 1)].reshape(L, N, 1)
+            DX = flat[3 + L * N * (N + 1):].reshape(L, N, 1)
+            want = np.linalg.solve(J, NF)
+            with _mna._lapack():
+                if L == 1:
+                    _mna._SOLVE1(J[0], NF[0, :, 0], out=DX[0, :, 0])
+                else:
+                    _mna._SOLVE(J, NF, out=DX)
+                some = _mna._SOLVE(J[[0, L - 1]], NF[[0, L - 1]])
+                each, bad = _mna._solve_each(J, NF[:, :, 0])
+            assert _same_bits(DX, want), (N, L)
+            assert _same_bits(some, want[[0, L - 1]]), (N, L)
+            assert _same_bits(each, want[:, :, 0]) and not bad, (N, L)
+            for q in range(L):
+                assert _same_bits(DX[q, :, 0], np.linalg.solve(J[q], NF[q, :, 0])), (N, L, q)
 
 
 def test_dc_fallback_that_runs_out_names_h_and_node(monkeypatch):
@@ -775,16 +809,20 @@ def test_transient_many_singular_member_fails_alone():
     # no resistor has an all-zero Jacobian row: the stacked solve raises,
     # and only that member may fail, with the message of its lone run.  All
     # start from zero, which keeps the singular member's DC out of the way.
+    # The same under the caller's default, strict and silent errstates: the
+    # driver solves under its own, as np.linalg.solve did.
     tied = [_circ(_GATE_NODE.format("is tied down", f"R1 g 0 {r}\n")) for r in ("1k", "3k")]
     floating = _circ(_GATE_NODE.format("floats", ""))
     run = dict(tstep=10e-12, tstop=20e-9, gmin=0.0,
                ic=OpPoint(SysState(v=np.zeros(2), i_branch=np.zeros(1)), 0.0, 0, "none"))
-    with pytest.raises(SolverError, match="halvings") as lone:
-        transient(floating, **run)
-    got = list(transient_many([tied[0], floating, tied[1]], **run))
-    assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
-    for c, w in zip(tied, (got[0], got[2])):
-        _assert_same_waves(w, transient(c, **run))
+    for state in _ERRSTATES:
+        with np.errstate(**state):
+            with pytest.raises(SolverError, match="halvings") as lone:
+                transient(floating, **run)
+            got = list(transient_many([tied[0], floating, tied[1]], **run))
+            assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
+            for c, w in zip(tied, (got[0], got[2])):
+                _assert_same_waves(w, transient(c, **run))
     # next to members with one and two more unknowns, all from their DC
     # operating points: the floating member's own vector solve raises in
     # every DC stage, and only it fails
@@ -792,12 +830,14 @@ def test_transient_many_singular_member_fails_alone():
               _circ(_GATE_NODE.format("is tied down by a ladder",
                                       "R1 g x 1k\nR2 x y 1k\nR3 y 0 2k\n"))]
     run = dict(tstep=10e-12, tstop=20e-9, gmin=0.0)
-    with pytest.raises(SolverError, match="singular Jacobian") as lone:
-        transient(floating, **run)
-    got = list(transient_many([others[0], floating, others[1]], **run))
-    assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
-    for c, w in zip(others, (got[0], got[2])):
-        _assert_same_waves(w, transient(c, **run))
+    for state in _ERRSTATES:
+        with np.errstate(**state):
+            with pytest.raises(SolverError, match="singular Jacobian") as lone:
+                transient(floating, **run)
+            got = list(transient_many([others[0], floating, others[1]], **run))
+            assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
+            for c, w in zip(others, (got[0], got[2])):
+                _assert_same_waves(w, transient(c, **run))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from lsbench import engine
 from lsbench.devmodel import SourceWave
 from lsbench.engine import SolverError, dc_operating_point, transient
-from lsbench.measure import (MeasureError, _pinned, average_power, characterize,
+from lsbench.measure import (MeasureError, _median, _pinned, average_power, characterize,
                              characterize_many, output_swing, propagation_delay,
                              static_power)
 from lsbench.netlist import TranCard, elaborate, parse_netlist, parse_seed_models
@@ -135,6 +135,21 @@ def test_swing_of_clean_square_wave():
     w = np.where(np.mod(t, 1.0) < 0.5, 3.3, 0.0)
     lo, hi = output_swing(w, t, settle=0.1)
     assert lo == 0.0 and hi == 3.3
+
+
+def test_median_equals_numpy_median_bit_for_bit():
+    # output_swing's median without np.median's NaN check, which imports
+    # numpy.ma: odd and even lengths, ties, signed zeros and NaN
+    rng = np.random.default_rng(7)
+    cases = [rng.standard_normal(n) for n in (1, 2, 9, 10, 101, 1000)]
+    cases += [rng.choice([-0.0, 0.0, 3.3], n) for n in (11, 12, 400, 401)]
+    cases += [np.array(a) for a in ([-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [-0.0, 1.0],
+                                    [1.0, math.nan, 2.0], [math.nan, 1.0], [-math.nan, 0.0, 2.0])]
+    for a in cases:
+        before = a.copy()
+        got, want = _median(a), float(np.median(a))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, got, want)
+        assert before.tobytes() == a.tobytes()
 
 
 def test_swing_error_names_missing_state():
