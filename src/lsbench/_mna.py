@@ -474,7 +474,7 @@ def _raise_singular(err, flag):
 
 def _lapack():
     """The errstate `np.linalg.solve` runs its gufunc in: a singular J, which
-    LAPACK reports by setting `invalid`, raises `LinAlgError`."""
+    the gufunc reports by raising the `invalid` flag, raises `LinAlgError`."""
     return np.errstate(call=_raise_singular, invalid="call",
                        over="ignore", divide="ignore", under="ignore")
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import refmodel as rm
-from lsbench import engine
+from lsbench import _mna, engine
 from lsbench.devmodel import (VT, MosBias, SourceWave, default_params,
                               effective_vth, mosfet_eval, source_value)
 from lsbench.engine import (GMIN_DEFAULT, OpPoint, SolverError, SysState, _System,
@@ -305,7 +305,6 @@ def test_lapack_gufunc_solves_equal_numpy_solve():
     # out= into views of a flat buffer, or a subset of the stack by index.
     # Each must give np.linalg.solve's bits; this also pins the private
     # `_umath_linalg` import
-    from lsbench import _mna
     rng = np.random.default_rng(14)
     for N in range(1, 17):
         for L in (1, 2, 5):
