@@ -5,7 +5,7 @@ from .devmodel import (DEFAULT_NMOS, DEFAULT_PMOS, MosBias, MosEval, MosParams,
                        SourceWave, default_params, effective_vth, mosfet_eval,
                        source_value)
 from .engine import (OpPoint, SolveOptions, SolverError, SysState, Waveforms,
-                     dc_operating_point, transient, transient_many)
+                     dc_operating_point, transient)
 from .measure import (MeasureError, Report, average_power, characterize,
                       characterize_many, output_swing, propagation_delay,
                       static_power)

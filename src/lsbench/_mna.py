@@ -1,9 +1,10 @@
 """The compiled batch system and its lock-step Newton driver.
 
 Batches.  `_System` compiles B circuits of any structures (a sweep's
-points, the six topologies of the bench, a circuit and its pinned copies
-for static power).  Each member keeps its own node count n, unknown count
-N, matrices G (N x N) and C (n x n), and MOSFETs; the device parameters of
+points, the six topologies of the bench), one member per circuit: a
+circuit's static-power solves run in its own member at other source
+values.  Each member keeps its own node count n, unknown count N,
+matrices G (N x N) and C (n x n), and MOSFETs; the device parameters of
 all members form one array.  The solvers are generators of Newton
 requests: the DC stages and each member's transient controller, with
 `step()` and its halving, yield (start, base matrix, constant part of f or
@@ -35,9 +36,9 @@ own step sequence; the live set is planned again only when a member ends.
 A singular member makes its group's stacked solve raise; that group is
 then solved member by member, and only the singular one fails.  B = 1 is
 the only single-circuit path: `transient` and `dc_operating_point` are
-batches of one, and `transient_many` runs several.  During a batched
-transient members keep only their solved points; a member's grid is
-filled in when it is yielded.
+batches of one, and `characterize_many` runs several.  During a batched
+transient members keep only their solved points until their grids are
+filled in.
 
 Stamp plan.  `_System` compiles each member once into flat arrays.  Per
 Newton iteration, `mos_currents` gathers the terminal voltages of every
@@ -389,15 +390,11 @@ class _System:
 
     # -- assembly ----------------------------------------------------------
 
-    def rhs(self, j: int, t: float, hist=None) -> np.ndarray:
+    def rhs(self, j: int, src, hist=None) -> np.ndarray:
         """Member j's constant part of f: the companion history alpha*C*v_prev
         on the node rows (zeros for DC, which subtract exactly) and the
-        source values at t on the source rows."""
-        n = self.n[j]
-        r = np.empty(self.N[j])
-        r[:n] = 0.0 if hist is None else hist
-        r[n:] = [source_value(w, t) for w in self.waves[j]]
-        return r
+        source values `src` on the source rows."""
+        return np.concatenate((np.zeros(self.n[j]) if hist is None else hist, src))
 
     def base_matrix(self, j: int, gmin: float, alpha: float = 0.0) -> np.ndarray:
         """Member j's linear part: G + alpha*C + gmin on the node diagonal
@@ -494,9 +491,9 @@ def _solve_each(J, NF):
 
 
 def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
-    """Run the Newton requests of the members' generators (None for a member
-    that does not take part) in lock-step until every generator has ended.
-    Returns each member's return value, or the SolverError it raised.
+    """Run the Newton requests of the members' generators, one per member,
+    in lock-step until every generator has ended.  Returns each member's
+    return value, or the SolverError it raised.
 
     Each iteration assembles every live member with one `assemble` call,
     takes every member's worst node residual with one reduction, solves
@@ -512,9 +509,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     abstol, vntol, vclamp = opts.abstol, opts.vntol, _VCLAMP
     absolute, top, isfinite = np.abs, np.maximum.reduceat, math.isfinite
     out = [None] * len(gens)
-    reqs = {j: None for j, g in enumerate(gens) if g is not None}  # member -> request
-    if not reqs:
-        return out
+    reqs = dict.fromkeys(range(len(gens)))  # member -> request
     groups = sys_.live(reqs)
     at = {j: p for p, j in enumerate(sys_.members)}  # member -> live position
     start, stop, dv_ok = [0] * len(at), [0] * len(at), [False] * len(at)
@@ -530,17 +525,12 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             for j, result in sends:
                 if j in ext:
                     result += (dd2[at[j]], sys_.hv[at[j]].copy())
-                gen = gens[j]
-                while True:
-                    try:
-                        req = gen.send(result)
-                    except StopIteration as e:
-                        out[j], req = e.value, None
-                    except SolverError as e:
-                        out[j], req = e, None
-                    if req is None or req[4] >= 1:
-                        break
-                    result = (req[0].copy(), req[4], np.inf, False, "iteration limit")
+                try:
+                    req = gens[j].send(result)
+                except StopIteration as e:
+                    out[j], req = e.value, None
+                except SolverError as e:
+                    out[j], req = e, None
                 if req is None:
                     del reqs[j]
                     gone = True

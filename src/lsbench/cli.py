@@ -456,10 +456,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ElaborationError) as e:
+    except (ValueError, OSError) as e:  # UsageError, ParseError, ElaborationError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as e:
@@ -468,12 +465,6 @@ def main(argv=None) -> int:
     except MeasureError as e:
         print(f"measurement error: {e}", file=sys.stderr)
         return EXIT_MEASURE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

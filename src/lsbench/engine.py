@@ -61,12 +61,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mna import SolverError, _drive, _System
+from .devmodel import source_value
 from .netlist import Circuit
 
 GMIN_DEFAULT = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
     abstol: float = 1e-9   # A, KCL residual bound
     vntol: float = 1e-6    # V, Newton update bound
@@ -75,6 +76,10 @@ class SolveOptions:
     # limit small enough to force halved transient steps (3 or 5) also
     # starves the DC fallback: it then fails where 200 converges
     max_iter: int = 200
+
+    def __post_init__(self):  # a request ends when its count equals max_iter
+        if type(self.max_iter) is not int or self.max_iter < 1:  # bool too
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -119,12 +124,16 @@ _PLAIN_ITERS = 50   # plain Newton iterations before pseudo-transient continuati
 
 
 def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
-                 x0: np.ndarray | None):
-    """Member j's DC operating point as a generator of Newton requests:
-    plain Newton, then pseudo-transient continuation (see the module
-    docstring).  Returns an OpPoint; raises SolverError when both fail."""
+                 x0: np.ndarray | None, src: list | None = None):
+    """Member j's DC operating point with its sources at the values `src`,
+    or at their t = 0 values where src is None, as a generator of Newton
+    requests: plain Newton, then pseudo-transient continuation (see the
+    module docstring).  Returns an OpPoint; raises SolverError when both
+    fail."""
     lim, n, N, C = opts.max_iter, sys_.n[j], sys_.N[j], sys_.C[j]
-    base, rhs = sys_.base_matrix(j, gmin), sys_.rhs(j, 0.0)
+    if src is None:
+        src = [source_value(w, 0.0) for w in sys_.waves[j]]
+    base, rhs = sys_.base_matrix(j, gmin), sys_.rhs(j, src)
     y, total, res, ok, _ = yield (np.zeros(N) if x0 is None else x0, base, rhs, None,
                                   min(lim, _PLAIN_ITERS))
     if ok:
@@ -133,7 +142,7 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
     for _ in range(_PTC_STEPS):
         a, v = 1.0 / h, x[:n]
         y, it, res, ok, why = yield (x, sys_.base_matrix(j, gmin + a * _PTC_C, a),
-                                     sys_.rhs(j, 0.0, a * (C.dot(v) + _PTC_C * v)), None, lim)
+                                     sys_.rhs(j, src, a * (C.dot(v) + _PTC_C * v)), None, lim)
         total += it
         if ok and h > 1e-6 and np.abs(y[:n] - v).max() < 1e-9:
             y, it, res, ok, why = yield (y, base, rhs, None, lim)
@@ -345,22 +354,16 @@ def _grid(tstep: float, tstop: float) -> np.ndarray:
     return t
 
 
-def transient_many(circuits, tstep: float, tstop: float, *, ic="auto",
-                   opts: SolveOptions | None = None, gmin: float = GMIN_DEFAULT):
-    """`transient` of several circuits, of any structures, solved together.
+def _transient_many(circuits, tstep: float, tstop: float, *, ic="auto",
+                    opts: SolveOptions | None = None, gmin: float = GMIN_DEFAULT) -> list:
+    """`transient` of several circuits, of any structures, solved together:
+    each member's Waveforms, or the SolverError it failed with, in order.
 
     Every member takes its own DC start and its own steps, exactly as it
     would alone; the Newton iterations of all members run in lock-step, with
     one device evaluation for the whole batch and one linear solve per
     group of members of one size (see the module docstring).  `ic` is
-    "auto" or one OpPoint that every member starts from.  Returns an
-    iterator that yields, in order, each member's Waveforms or the
-    SolverError that member failed with; a member's grid is filled in only
-    when it is yielded.  The batch holds every member's solved points until
-    it ends, so its memory grows with the number of circuits; a caller that
-    drops each Waveforms before asking for the next holds one grid at a time
-    (a zip over the iterator keeps the previous result in its reused tuple
-    while the next grid is filled).
+    "auto" or one OpPoint that every member starts from.
     """
     t = _grid(tstep, tstop)
     opts = opts or SolveOptions()
@@ -369,16 +372,8 @@ def transient_many(circuits, tstep: float, tstop: float, *, ic="auto",
         raise ValueError("ic must be 'auto' or an OpPoint")
     results = _drive(sys_, [_Stepper(sys_, j, t, opts, gmin).run(ic)
                             for j in range(len(sys_.circuits))], opts)
-    circuits = sys_.circuits
-    del sys_
-
-    def members():
-        for j, c in enumerate(circuits):
-            r, results[j] = results[j], None
-            if not isinstance(r, SolverError):
-                r = _waveforms(c, t, gmin, r)  # drops the solved points
-            yield r
-    return members()
+    return [r if isinstance(r, SolverError) else _waveforms(c, t, gmin, r)
+            for c, r in zip(sys_.circuits, results)]
 
 
 def transient(circuit: Circuit, tstep: float, tstop: float, *,
@@ -391,9 +386,10 @@ def transient(circuit: Circuit, tstep: float, tstop: float, *,
     interpolations, and `Waveforms.solved` lists the grid indices that are
     solver states.  The initial condition is the DC operating point at the
     sources' initial values unless an OpPoint is passed explicitly.  This is
-    `transient_many` of one circuit.
+    `_transient_many` of one circuit; `measure.characterize_many` runs
+    several circuits as one batch.
     """
-    (waves,) = transient_many([circuit], tstep, tstop, ic=ic, opts=opts, gmin=gmin)
+    (waves,) = _transient_many([circuit], tstep, tstop, ic=ic, opts=opts, gmin=gmin)
     if isinstance(waves, SolverError):
         raise waves
     return waves

@@ -259,10 +259,10 @@ def _characterize_requests(sys_, j: int, t, waves, opts: SolveOptions,
     """Member j's characterization as one generator of Newton requests, in
     the order of a lone run: its transient over the grid t from its
     DC operating point (or the given `waves`), the measurements, then the
-    static DC solves of members j+1 and j+2, its lo and hi pinned copies.
-    Their requests run in member j's row: a pinned copy has the same
-    devices and matrices, only other source values.  Returns the Report,
-    or the MeasureError; a SolverError propagates."""
+    static DC solves with its sources at the values of its lo and hi
+    pinned copies.  Those run in member j itself: a pinned copy has the
+    same devices and matrices, only other source values.  Returns the
+    Report, or the MeasureError; a SolverError propagates."""
     c = sys_.circuits[j]
     if waves is None:
         waves = engine._waveforms(c, t, GMIN_DEFAULT, (yield from engine._Stepper(
@@ -271,8 +271,9 @@ def _characterize_requests(sys_, j: int, t, waves, opts: SolveOptions,
     del waves  # the grid is dropped before the next member's is filled
     if isinstance(rep, MeasureError):
         return rep
-    lo = yield from engine._dc_requests(sys_, j + 1, opts, GMIN_DEFAULT, None)
-    hi = yield from engine._dc_requests(sys_, j + 2, opts, GMIN_DEFAULT, None)
+    src_lo, src_hi = ([s.wave.v1 for s in _pinned(c, st).sources] for st in ("lo", "hi"))
+    lo = yield from engine._dc_requests(sys_, j, opts, GMIN_DEFAULT, None, src_lo)
+    hi = yield from engine._dc_requests(sys_, j, opts, GMIN_DEFAULT, None, src_hi)
     return replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
 
 
@@ -281,19 +282,19 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
                       opts: SolveOptions | None = None, waves: list | None = None):
     """`characterize` of several circuits, of any structures, as one batch.
 
-    Each circuit and its two pinned copies for static power are members of
-    one compiled system.  A circuit's transient, from its DC start, its
-    measurements and its two static DC solves are one generator of Newton
-    requests, and the requests of all circuits run in lock-step.  A grid is
-    filled in and measured as soon as its last step is solved, and dropped
-    before the next one is filled.  `waves`, one Waveforms per circuit,
-    replaces the transients.  Yields, in order, each circuit's Report, equal
-    to its lone `characterize`, or the SolverError, MeasureError or
-    ValueError that one would raise.
+    Each circuit is one member of one compiled system.  A circuit's
+    transient, from its DC start, its measurements and its two static DC
+    solves, in its own member at its pinned source values, are one
+    generator of Newton requests, and the requests of all circuits run in
+    lock-step.  A grid is filled in and measured as soon as its last step
+    is solved, and dropped before the next one is filled.  `waves`, one
+    Waveforms per circuit, replaces the transients.  Yields, in order, each
+    circuit's Report, equal to its lone `characterize`, or the SolverError,
+    MeasureError or ValueError that one would raise.
     """
     opts = opts or SolveOptions()
     circuits = list(circuits)
-    members, jobs, times, errors = [], [], {}, {}
+    jobs, times, errors = [], {}, {}  # jobs: (circuit, grid, waves), one per member
     for i, c in enumerate(circuits):
         t = None
         if waves is None:
@@ -305,17 +306,15 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
                 errors[i] = e
                 continue
             t = times[g]
-        jobs.append((len(members), t, None if waves is None else waves[i]))
-        members += [c, _pinned(c, "lo"), _pinned(c, "hi")]
+        jobs.append((c, t, None if waves is None else waves[i]))
     results = []
-    if members:
-        sys_ = engine._System(members)
-        gens = [None] * len(members)
-        for j, t, w in jobs:
-            gens[j] = _characterize_requests(sys_, j, t, w, opts, in_node, out_node)
-        results = engine._drive(sys_, gens, opts)
-        del sys_, gens
-    done = iter([results[j] for j, _, _ in jobs])
+    if jobs:
+        sys_ = engine._System([c for c, _, _ in jobs])
+        results = engine._drive(sys_, [_characterize_requests(sys_, j, t, w, opts, in_node,
+                                                              out_node)
+                                       for j, (_, t, w) in enumerate(jobs)], opts)
+        del sys_
+    done = iter(results)
     for i in range(len(circuits)):
         yield errors[i] if i in errors else next(done)
 

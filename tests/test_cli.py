@@ -104,6 +104,20 @@ def test_run_explicit_paths(tmp_path, capsys):
     assert csv_p.exists() and json_p.exists()
 
 
+def test_run_compiles_one_member_per_system(monkeypatch, tmp_path):
+    # run compiles its circuit for the transient and again for the report,
+    # whose static solves run in the circuit's own member: no pinned copies
+    path = _gen(tmp_path, "ssls")
+    compiles, init = [], engine._System.__init__
+
+    def counted_init(self, circuits):
+        compiles.append(len(circuits))
+        init(self, circuits)
+    monkeypatch.setattr(engine._System, "__init__", counted_init)
+    assert main(["run", str(path), "--tstep", "200p", "--tstop", "210n"]) == 0
+    assert compiles == [1, 1]
+
+
 def test_run_invalid_model_exits_usage(tmp_path, capsys):
     # N=0 and PHI=-1 used to fail only after every DC homotopy stage, and
     # KP=-1 simulated with the output above the rail
@@ -280,7 +294,7 @@ def test_bench_compiles_once_and_holds_one_grid(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "_waveforms", checked_fill)
     assert main(argv) == 0
     assert out.read_text() == whole
-    assert compiles == [9] and len(filled) == 3  # 3 circuits and their 6 pinned copies
+    assert compiles == [3] and len(filled) == 3  # one member per circuit
 
 
 def test_bench_unknown_topology(capsys):
@@ -373,11 +387,11 @@ def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "_waveforms", checked_fill)
     assert rows() == whole
     assert sizes == [2, 2, 1] and len(filled) == 5
-    # one system per batch, of each point and its two pinned copies.  The
-    # 0.6 V point fails its measurement, so, as alone, it skips its static
-    # solves: the one with the input high fails, and its message would
-    # compile that circuit again to name the worst node.
-    assert compiles == [6, 6, 3]
+    # one system per batch, one member per point, whose static solves run in
+    # its own member.  The 0.6 V point fails its measurement, so, as alone,
+    # it skips its static solves: the one with the input high fails, and its
+    # message would compile that circuit again to name the worst node.
+    assert compiles == [2, 2, 1]
 
 
 def test_sweep_usage_errors(capsys):

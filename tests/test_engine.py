@@ -12,7 +12,7 @@ from lsbench import _mna, engine
 from lsbench.devmodel import (VT, MosBias, SourceWave, default_params,
                               effective_vth, mosfet_eval, source_value)
 from lsbench.engine import (GMIN_DEFAULT, OpPoint, SolverError, SysState, _System,
-                            dc_operating_point, transient, transient_many)
+                            dc_operating_point, transient)
 from lsbench.netlist import elaborate, parse_netlist, parse_seed_models
 from lsbench.topologies import TOPOLOGY_IDS, TopoParams, gen, stack_leakage_fixture
 
@@ -58,7 +58,7 @@ def _assemble(circuit, state, companion=None, t=0.0):
         alpha = (2.0 if companion["scheme"] == "trap" else 1.0) / companion["h"]
         hist, ic = alpha * s.C[0].dot(companion["prev"].v), companion.get("ic_prev")
     return s.assemble_one(0, state.as_vector(), s.base_matrix(0, GMIN, alpha),
-                          s.rhs(0, t, hist=hist), ic)
+                          s.rhs(0, [source_value(w, t) for w in s.waves[0]], hist=hist), ic)
 
 
 def test_assemble_resistor_row():
@@ -103,7 +103,8 @@ def _request(s, j, alpha, hist, t=1.5e-9):
     if hist:
         v_prev, ic = hist
         hc = alpha * s.C[j].dot(v_prev)
-    return s.base_matrix(j, GMIN, alpha), s.rhs(j, t, hist=hc), ic
+    return (s.base_matrix(j, GMIN, alpha),
+            s.rhs(j, [source_value(w, t) for w in s.waves[j]], hist=hc), ic)
 
 
 def _assemble_one(s, x, alpha, hist, j=0):
@@ -339,6 +340,18 @@ def test_dc_fallback_that_runs_out_names_h_and_node(monkeypatch):
     with pytest.raises(SolverError, match=r"\(3 steps spent at h=8e-12s; "
                                           r"largest residual at node '\w+'"):
         dc_operating_point(circ)
+
+
+def test_solve_options_reject_a_max_iter_that_is_not_a_positive_integer():
+    # the driver ends a request when its iteration count reaches the limit:
+    # at 2.5 a DC solve that did not converge ran on without end
+    for bad in (2.5, 0, -1, True):
+        with pytest.raises(ValueError, match=r"max_iter must be an integer >= 1, got "):
+            engine.SolveOptions(max_iter=bad)
+    opts = engine.SolveOptions(max_iter=1)
+    with pytest.raises(AttributeError):  # frozen: the check cannot be bypassed
+        opts.max_iter = 2.5
+    assert opts.max_iter == 1
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +613,7 @@ def test_transient_many_equals_lone_runs():
     # member takes its own step sequence, and the lock-step Newton
     # iterations must not change a single bit
     circs = [elaborate(gen("cls", TopoParams(vin_hi=v))) for v in (0.6, 0.9, 1.2, 1.6)]
-    got = list(transient_many(circs, 10e-12, 60e-9))
+    got = engine._transient_many(circs, 10e-12, 60e-9)
     assert len(got) == 4
     lengths = set()
     for c, w in zip(circs, got):
@@ -611,7 +624,7 @@ def test_transient_many_equals_lone_runs():
     # own: one device evaluation for all, one solve per member, DC starts
     # and steps in lock-step
     circs = [elaborate(gen(topo)) for topo in TOPOLOGY_IDS]
-    got = list(transient_many(circs, 10e-12, 30e-9))
+    got = engine._transient_many(circs, 10e-12, 30e-9)
     assert len(got) == 6
     for c, w in zip(circs, got):
         _assert_same_waves(w, transient(c, 10e-12, 30e-9))
@@ -668,7 +681,7 @@ def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
     run = dict(tstep=20e-12, tstop=60e-9, ic=dc_operating_point(circs[0]),
                opts=engine.SolveOptions(max_iter=3))
     events = _acceptance_events(monkeypatch)
-    got = list(transient_many(circs, **run))
+    got = engine._transient_many(circs, **run)
     want = {(0, "reject"), (1, "halve"), (2, "reset"), (3, "accept")}
     assert any(want <= ev for ev in events.values())
     for c, w in zip(circs, got):
@@ -695,7 +708,7 @@ def test_transient_many_damped_members_equal_lone_runs():
     # near-instant input steps of several volts: the first Newton update of
     # each step exceeds the 0.5 V clamp, so damping runs inside the batch
     circs = [_circ(_RC_PULSE.format(v)) for v in (3.3, 1.0, 5.0)]
-    for c, w in zip(circs, transient_many(circs, 10e-12, 10e-9)):
+    for c, w in zip(circs, engine._transient_many(circs, 10e-12, 10e-9)):
         _assert_same_waves(w, transient(c, 10e-12, 10e-9))
 
 
@@ -708,7 +721,7 @@ def test_transient_many_reads_no_unwritten_buffer(monkeypatch):
     circs = [_circ(_RC_PULSE.format(v)) for v in (3.3, 1.0, 5.0)]
     want = [transient(c, 10e-12, 10e-9) for c in circs]
     _poison_empty(monkeypatch)
-    got = list(transient_many(circs, 10e-12, 10e-9))
+    got = engine._transient_many(circs, 10e-12, 10e-9)
     monkeypatch.undo()
     for w, lone in zip(got, want):
         _assert_same_waves(w, lone)
@@ -734,7 +747,7 @@ def test_transient_many_flat_layout_edge_cases(monkeypatch):
     for poison in (False, True):
         if poison:
             _poison_empty(monkeypatch)
-        got = list(transient_many(circs, *run))
+        got = engine._transient_many(circs, *run)
         monkeypatch.undo()  # the assemble hook too: it records the first pass
         assert len(got) == len(circs)
         for w, lone in zip(got, want):
@@ -784,7 +797,7 @@ def test_transient_many_failing_member_fails_alone(monkeypatch):
             lone = e
         assert isinstance(lone, SolverError) == (budget == 0)
         for pair, alone in zip(pairs, want):
-            got = list(transient_many([pair[0], bad, pair[1]], 10e-12, 30e-9))
+            got = engine._transient_many([pair[0], bad, pair[1]], 10e-12, 30e-9)
             if budget:
                 _assert_same_waves(got[1], lone)
             else:
@@ -818,7 +831,7 @@ def test_transient_many_singular_member_fails_alone():
         with np.errstate(**state):
             with pytest.raises(SolverError, match="halvings") as lone:
                 transient(floating, **run)
-            got = list(transient_many([tied[0], floating, tied[1]], **run))
+            got = engine._transient_many([tied[0], floating, tied[1]], **run)
             assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
             for c, w in zip(tied, (got[0], got[2])):
                 _assert_same_waves(w, transient(c, **run))
@@ -833,7 +846,7 @@ def test_transient_many_singular_member_fails_alone():
         with np.errstate(**state):
             with pytest.raises(SolverError, match="singular Jacobian") as lone:
                 transient(floating, **run)
-            got = list(transient_many([others[0], floating, others[1]], **run))
+            got = engine._transient_many([others[0], floating, others[1]], **run)
             assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
             for c, w in zip(others, (got[0], got[2])):
                 _assert_same_waves(w, transient(c, **run))

@@ -230,6 +230,15 @@ def test_characterize_many_equals_lone_characterize(monkeypatch):
                 assert type(r) is type(want) and str(r) == str(want)
             else:
                 assert r == want
+        if budget:
+            # the corner's lo and hi static solves both need the fallback;
+            # run in the circuit's own member at its pinned source values,
+            # they give the bits of static_power, which solves pinned copies
+            c = circs[3]
+            assert {dc_operating_point(_pinned(c, st)).homotopy_used
+                    for st in ("lo", "hi")} == {"ptc"}
+            assert ([got[3].power_static_lo.hex(), got[3].power_static_hi.hex()]
+                    == [static_power(c, st).hex() for st in ("lo", "hi")])
 
 
 def test_characterize_many_on_two_grids_equals_lone_characterize(monkeypatch):
@@ -249,7 +258,7 @@ def test_characterize_many_on_two_grids_equals_lone_characterize(monkeypatch):
                         lambda s, members: plans.append([list(members), 0]) or live(s, members))
     monkeypatch.setattr(engine._System, "load", counted)
     got = list(characterize_many([short, long_]))
-    assert [m for m, _ in plans] == [[0, 3], [3]] and plans[1][1] > 100
+    assert [m for m, _ in plans] == [[0, 1], [1]] and plans[1][1] > 100
     assert got == [characterize(short), characterize(long_)]
 
 
