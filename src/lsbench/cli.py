@@ -335,6 +335,9 @@ _SWEEP_COLUMNS = ("topology", "param", "value") + _BENCH_COLUMNS[1:]
 # points characterized as one batch: each point holds its solved states
 # until its transient ends, so the batch size bounds a sweep's memory
 _SWEEP_BATCH = 8
+# points per sweep, checked before anything is allocated: every elaborated
+# point is held until the rows are written
+_SWEEP_MAX_STEPS = 10_000
 
 
 def cmd_sweep(args) -> int:
@@ -348,8 +351,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"w_n_stacked has no effect on {topo}")
     if not args.sweep_from < args.sweep_to:
         raise UsageError("--from must be less than --to")
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
+    if not 2 <= args.steps <= _SWEEP_MAX_STEPS:
+        raise UsageError(f"--steps must be at least 2 and at most {_SWEEP_MAX_STEPS:,}")
 
     seed = _seed_models()
     rows, points = [], []  # points: (row, params, circuit) of the valid values
@@ -443,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="A", help="range start")
     s.add_argument("--to", dest="sweep_to", type=parse_value, required=True,
                    metavar="B", help="range end")
-    s.add_argument("--steps", type=int, required=True, help="number of points (>= 2)")
+    s.add_argument("--steps", type=int, required=True,
+                   help=f"number of points (2 to {_SWEEP_MAX_STEPS:,})")
     s.add_argument("-o", "--out", default=None, help="output CSV (default stdout)")
     s.set_defaults(func=cmd_sweep)
     return p

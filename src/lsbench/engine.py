@@ -32,9 +32,9 @@ a corner resets it to the point just solved.  The step predictor and the
 error estimate share it.  Newton starts from the table's polynomial at the
 new time, evaluated by Horner: cubic once the table holds four points, of
 lower order before, and none at all (the last solved state) on the step
-after a corner or the DC start.  A start that does not converge within the
-step's iteration limit is retried from the last solved state before the
-step is halved.  After each solve the
+after a corner or the DC start.  A start that does not converge within
+_STEP_ITERS = 60 iterations is retried from the last solved state before
+the step is halved.  After each solve the
 table is extended, and r = h^2 max|DD2(v)| / 1e-5 V, where DD2 is the
 second divided difference of the node voltages over the last three solved
 points (h^2 DD2 estimates backward Euler's local error h^2 v''/2).  A step
@@ -71,10 +71,10 @@ GMIN_DEFAULT = 1e-12
 class SolveOptions:
     abstol: float = 1e-9   # A, KCL residual bound
     vntol: float = 1e-6    # V, Newton update bound
-    # Newton iterations per request.  A DC solve's plain Newton stops at
-    # _PLAIN_ITERS, and every pseudo-transient step gets max_iter too, so a
-    # limit small enough to force halved transient steps (3 or 5) also
-    # starves the DC fallback: it then fails where 200 converges
+    # Newton iterations per request of `dc_operating_point`: its plain Newton
+    # stops at _PLAIN_ITERS, and every pseudo-transient step gets max_iter.
+    # Transients and characterizations run at the defaults, and a transient
+    # step stops at _STEP_ITERS
     max_iter: int = 200
 
     def __post_init__(self):  # a request ends when its count equals max_iter
@@ -108,7 +108,6 @@ class Waveforms:
     # KCL residual per grid point: a solver state's own, or for an
     # interpolated sample the larger of its two bracketing solves'
     resid_max: np.ndarray | None = None
-    gmin: float = GMIN_DEFAULT           # shunt used in the run; power corrections need it
     solved: np.ndarray | None = None     # grid indices that are solver states
 
 
@@ -123,8 +122,8 @@ _PTC_MIN_H = 4e-18  # s, a failed pseudo-transient step shorter than this ends i
 _PLAIN_ITERS = 50   # plain Newton iterations before pseudo-transient continuation
 
 
-def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
-                 x0: np.ndarray | None, src: list | None = None):
+def _dc_requests(sys_: _System, j: int, opts: SolveOptions = SolveOptions(),
+                 x0: np.ndarray | None = None, src: list | None = None):
     """Member j's DC operating point with its sources at the values `src`,
     or at their t = 0 values where src is None, as a generator of Newton
     requests: plain Newton, then pseudo-transient continuation (see the
@@ -133,7 +132,7 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
     lim, n, N, C = opts.max_iter, sys_.n[j], sys_.N[j], sys_.C[j]
     if src is None:
         src = [source_value(w, 0.0) for w in sys_.waves[j]]
-    base, rhs = sys_.base_matrix(j, gmin), sys_.rhs(j, src)
+    base, rhs = sys_.base_matrix(j, GMIN_DEFAULT), sys_.rhs(j, src)
     y, total, res, ok, _ = yield (np.zeros(N) if x0 is None else x0, base, rhs, None,
                                   min(lim, _PLAIN_ITERS))
     if ok:
@@ -141,7 +140,7 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
     x, h = np.zeros(N), 1e-12
     for _ in range(_PTC_STEPS):
         a, v = 1.0 / h, x[:n]
-        y, it, res, ok, why = yield (x, sys_.base_matrix(j, gmin + a * _PTC_C, a),
+        y, it, res, ok, why = yield (x, sys_.base_matrix(j, GMIN_DEFAULT + a * _PTC_C, a),
                                      sys_.rhs(j, src, a * (C.dot(v) + _PTC_C * v)), None, lim)
         total += it
         if ok and h > 1e-6 and np.abs(y[:n] - v).max() < 1e-9:
@@ -165,7 +164,6 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions, gmin: float,
 
 
 def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
-                       gmin: float = GMIN_DEFAULT,
                        x0: np.ndarray | None = None) -> OpPoint:
     """Solve the DC operating point with sources at their t=0 values.
 
@@ -174,13 +172,14 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
     """
     opts = opts or SolveOptions()
     sys_ = _System([circuit])
-    (op,) = _drive(sys_, [_dc_requests(sys_, 0, opts, gmin, x0)], opts)
+    (op,) = _drive(sys_, [_dc_requests(sys_, 0, opts, x0)], opts)
     if isinstance(op, SolverError):
         raise op
     return op
 
 
 _MAX_HALVINGS = 8
+_STEP_ITERS = 60             # Newton iterations of a step start before a fallback
 _MAX_GRID_STEPS = 1_000_000  # grid intervals; bounds every waveform allocation
 _MAX_MULT = 64               # longest step, in grid intervals
 _LTE_TOL = 1e-5              # V, per-step error target of the step control
@@ -213,12 +212,10 @@ class _Stepper:
     """Member j's transient on the grid t, its DC start included, as one
     generator of Newton requests (`run`)."""
 
-    def __init__(self, sys_: _System, j: int, t: np.ndarray, opts: SolveOptions, gmin: float):
+    def __init__(self, sys_: _System, j: int, t: np.ndarray):
         self.sys, self.j, self.t = sys_, j, t
-        self.opts, self.gmin = opts, gmin
         self.n = sys_.n[j]
         self.corners = _corner_intervals(sys_.waves[j], t)
-        self.iters = min(opts.max_iter, 60)  # failed steps fall back to halving
         self.bases: dict = {}  # alpha -> base matrix
 
     def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(1.0,) * 3, lev=0, table=0):
@@ -233,9 +230,9 @@ class _Stepper:
         ic_hist = ic_from if use_trap else None
         base = self.bases.get(alpha)
         if base is None:
-            base = self.bases[alpha] = self.sys.base_matrix(self.j, self.gmin, alpha)
+            base = self.bases[alpha] = self.sys.base_matrix(self.j, GMIN_DEFAULT, alpha)
         for lv in (lev, 1) if lev > 1 else (lev,):
-            y = yield (x_from, base, None, ic_hist, self.iters, (*w, lv, alpha, t1), table)
+            y = yield (x_from, base, None, ic_hist, _STEP_ITERS, (*w, lv, alpha, t1), table)
             table = 0
             if y[3]:
                 return y[0], y[6], y[2], y[5]
@@ -251,12 +248,10 @@ class _Stepper:
                                                       depth + 1, w)
         return x_new, ic_new, max(r1, r2), dd2
 
-    def run(self, ic):
-        """Step over the grid from `ic`, an OpPoint, or from the DC operating
-        point where ic is "auto"; returns the blocks of the solved grid
-        indices, the states there and their residuals."""
-        op = ic if isinstance(ic, OpPoint) else (
-            yield from _dc_requests(self.sys, self.j, self.opts, self.gmin, None))
+    def run(self):
+        """Step over the grid from the DC operating point; returns the blocks
+        of the solved grid indices, the states there and their residuals."""
+        op = yield from _dc_requests(self.sys, self.j)
         n, t, corners = self.n, self.t, self.corners
         n_steps = len(t) - 1
         x = op.state.as_vector()
@@ -309,7 +304,7 @@ class _Stepper:
         return blocks
 
 
-def _waveforms(circuit: Circuit, t: np.ndarray, gmin: float, blocks: list) -> Waveforms:
+def _waveforms(circuit: Circuit, t: np.ndarray, blocks: list) -> Waveforms:
     """The grid record of one member from the blocks of its solved points:
     samples between two solves lie on the line joining them,
     x + w*(x_new - x), and carry the larger of the two residuals."""
@@ -333,7 +328,6 @@ def _waveforms(circuit: Circuit, t: np.ndarray, gmin: float, blocks: list) -> Wa
         supply_i={s.name: rec[:, n + k] for k, s in enumerate(circuit.sources)},
         source_nodes={s.name: (gname(s.p), gname(s.m)) for s in circuit.sources},
         resid_max=rrec,
-        gmin=gmin,
         solved=np.concatenate([blocks[0][0]] + [ix[1:] for ix, _, _ in blocks[1:]]),
     )
 
@@ -354,42 +348,35 @@ def _grid(tstep: float, tstop: float) -> np.ndarray:
     return t
 
 
-def _transient_many(circuits, tstep: float, tstop: float, *, ic="auto",
-                    opts: SolveOptions | None = None, gmin: float = GMIN_DEFAULT) -> list:
+def _transient_many(circuits, tstep: float, tstop: float) -> list:
     """`transient` of several circuits, of any structures, solved together:
     each member's Waveforms, or the SolverError it failed with, in order.
 
     Every member takes its own DC start and its own steps, exactly as it
     would alone; the Newton iterations of all members run in lock-step, with
     one device evaluation for the whole batch and one linear solve per
-    group of members of one size (see the module docstring).  `ic` is
-    "auto" or one OpPoint that every member starts from.
+    group of members of one size (see the module docstring).
     """
     t = _grid(tstep, tstop)
-    opts = opts or SolveOptions()
     sys_ = _System(list(circuits))
-    if not (isinstance(ic, OpPoint) or ic == "auto"):
-        raise ValueError("ic must be 'auto' or an OpPoint")
-    results = _drive(sys_, [_Stepper(sys_, j, t, opts, gmin).run(ic)
-                            for j in range(len(sys_.circuits))], opts)
-    return [r if isinstance(r, SolverError) else _waveforms(c, t, gmin, r)
+    results = _drive(sys_, [_Stepper(sys_, j, t).run() for j in range(len(sys_.circuits))],
+                     SolveOptions())
+    return [r if isinstance(r, SolverError) else _waveforms(c, t, r)
             for c, r in zip(sys_.circuits, results)]
 
 
-def transient(circuit: Circuit, tstep: float, tstop: float, *,
-              ic: OpPoint | str = "auto", opts: SolveOptions | None = None,
-              gmin: float = GMIN_DEFAULT) -> Waveforms:
+def transient(circuit: Circuit, tstep: float, tstop: float) -> Waveforms:
     """Implicit transient analysis on the uniform grid 0, tstep, ..., tstop.
 
     Steps span 1 to 64 grid intervals under local-error control (see the
     module docstring); samples between solved points are linear
     interpolations, and `Waveforms.solved` lists the grid indices that are
-    solver states.  The initial condition is the DC operating point at the
-    sources' initial values unless an OpPoint is passed explicitly.  This is
-    `_transient_many` of one circuit; `measure.characterize_many` runs
-    several circuits as one batch.
+    solver states.  The run starts from the DC operating point at the
+    sources' initial values and uses the default `SolveOptions` and the
+    GMIN_DEFAULT shunt.  This is `_transient_many` of one circuit;
+    `measure.characterize_many` runs several circuits as one batch.
     """
-    (waves,) = _transient_many([circuit], tstep, tstop, ic=ic, opts=opts, gmin=gmin)
+    (waves,) = _transient_many([circuit], tstep, tstop)
     if isinstance(waves, SolverError):
         raise waves
     return waves

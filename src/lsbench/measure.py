@@ -118,7 +118,7 @@ def average_power(waves: Waveforms, window) -> float:
         )
     p = source_power(waves)
     for v in waves.node_v.values():
-        p = p - waves.gmin * v * v
+        p = p - GMIN_DEFAULT * v * v
     return _window_integral(t, p, t0, t1) / (t1 - t0)
 
 
@@ -254,8 +254,7 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
     )
 
 
-def _characterize_requests(sys_, j: int, t, waves, opts: SolveOptions,
-                           in_node: str, out_node: str):
+def _characterize_requests(sys_, j: int, t, waves, in_node: str, out_node: str):
     """Member j's characterization as one generator of Newton requests, in
     the order of a lone run: its transient over the grid t from its
     DC operating point (or the given `waves`), the measurements, then the
@@ -265,21 +264,19 @@ def _characterize_requests(sys_, j: int, t, waves, opts: SolveOptions,
     Report, or the MeasureError; a SolverError propagates."""
     c = sys_.circuits[j]
     if waves is None:
-        waves = engine._waveforms(c, t, GMIN_DEFAULT, (yield from engine._Stepper(
-            sys_, j, t, opts, GMIN_DEFAULT).run("auto")))
+        waves = engine._waveforms(c, t, (yield from engine._Stepper(sys_, j, t).run()))
     rep = _figures(c, waves, in_node, out_node)
     del waves  # the grid is dropped before the next member's is filled
     if isinstance(rep, MeasureError):
         return rep
     src_lo, src_hi = ([s.wave.v1 for s in _pinned(c, st).sources] for st in ("lo", "hi"))
-    lo = yield from engine._dc_requests(sys_, j, opts, GMIN_DEFAULT, None, src_lo)
-    hi = yield from engine._dc_requests(sys_, j, opts, GMIN_DEFAULT, None, src_hi)
+    lo = yield from engine._dc_requests(sys_, j, src=src_lo)
+    hi = yield from engine._dc_requests(sys_, j, src=src_hi)
     return replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
 
 
 def characterize_many(circuits, tstep: float | None = None, tstop: float | None = None, *,
-                      in_node: str = "in", out_node: str = "out",
-                      opts: SolveOptions | None = None, waves: list | None = None):
+                      in_node: str = "in", out_node: str = "out", waves: list | None = None):
     """`characterize` of several circuits, of any structures, as one batch.
 
     Each circuit is one member of one compiled system.  A circuit's
@@ -292,7 +289,6 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
     circuit's Report, equal to its lone `characterize`, or the SolverError,
     MeasureError or ValueError that one would raise.
     """
-    opts = opts or SolveOptions()
     circuits = list(circuits)
     jobs, times, errors = [], {}, {}  # jobs: (circuit, grid, waves), one per member
     for i, c in enumerate(circuits):
@@ -310,9 +306,8 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
     results = []
     if jobs:
         sys_ = engine._System([c for c, _, _ in jobs])
-        results = engine._drive(sys_, [_characterize_requests(sys_, j, t, w, opts, in_node,
-                                                              out_node)
-                                       for j, (_, t, w) in enumerate(jobs)], opts)
+        results = engine._drive(sys_, [_characterize_requests(sys_, j, t, w, in_node, out_node)
+                                       for j, (_, t, w) in enumerate(jobs)], SolveOptions())
         del sys_
     done = iter(results)
     for i in range(len(circuits)):
@@ -321,8 +316,7 @@ def characterize_many(circuits, tstep: float | None = None, tstop: float | None 
 
 def characterize(circuit: Circuit, tstep: float | None = None,
                  tstop: float | None = None, *, in_node: str = "in",
-                 out_node: str = "out", waves: Waveforms | None = None,
-                 opts: SolveOptions | None = None) -> Report:
+                 out_node: str = "out", waves: Waveforms | None = None) -> Report:
     """Simulate (or reuse `waves`) and extract the full report: a batch of
     one in `characterize_many`, so the transient, its DC start and the two
     static-power solves share one compiled system.
@@ -331,7 +325,7 @@ def characterize(circuit: Circuit, tstep: float | None = None,
     on; the settle margin for swing extraction is 20% of the period.
     """
     (rep,) = characterize_many([circuit], tstep, tstop, in_node=in_node, out_node=out_node,
-                               opts=opts, waves=None if waves is None else [waves])
+                               waves=None if waves is None else [waves])
     if isinstance(rep, Exception):
         raise rep
     return rep

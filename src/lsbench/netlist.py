@@ -25,6 +25,7 @@ resolved device parameters.  Both report errors with the source line number.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -66,7 +67,8 @@ def parse_value(token: str) -> float:
     """Parse one numeric token with an optional engineering suffix.
 
     Returns the magnitude as a float.  Unit letters after the suffix (or after
-    a bare number) are ignored: "10pF" == "10p", "3.3V" == "3.3".
+    a bare number) are ignored: "10pF" == "10p", "3.3V" == "3.3".  A value
+    that overflows a float ("1e400", "1e305g") is a ValueError.
     """
     m = _VALUE_RE.match(token.strip())
     if not m:
@@ -75,7 +77,10 @@ def parse_value(token: str) -> float:
     tail = m.group("tail").lower()
     for suf, mult in SUFFIXES:
         if tail.startswith(suf):
-            return mag * mult
+            mag *= mult
+            break
+    if not math.isfinite(mag):
+        raise ValueError(f"numeric token {token!r} overflows a float")
     return mag
 
 

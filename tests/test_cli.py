@@ -66,6 +66,14 @@ def test_gen_unknown_topology(capsys):
     assert "valid:" in capsys.readouterr().err
 
 
+def test_gen_overflowing_flag_exits_usage(tmp_path, capsys):
+    # --cload 1e400 once wrote "CL out 0 inf", which `run` then refused
+    path = tmp_path / "x.sp"
+    assert main(["gen", "cls", "--cload", "1e400", "-o", str(path)]) == 2
+    assert "argument --cload: invalid parse_value value: '1e400'" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_gen_single_supply_vddl_warns(tmp_path, capsys):
     assert main(["gen", "ssls", "--vddl", "2.0", "-o", str(tmp_path / "x.sp")]) == 0
     assert "no effect" in capsys.readouterr().err
@@ -154,6 +162,19 @@ def test_run_voltage_source_loop_exits_usage(tmp_path, capsys):
                    ".tran 1n 20n\n.end\n")
     assert main(["run", str(src)]) == 2
     assert "line 3: voltage source V2 closes a loop" in capsys.readouterr().err
+
+
+def test_run_singular_transient_exits_solver(tmp_path, capsys):
+    # a 1e290 F capacitor: the DC start converges, then every step solve
+    # from 0.64 ns on is singular at the default gmin, down to the last
+    # halving
+    src = tmp_path / "huge_cap.sp"
+    src.write_text("huge capacitor\nV1 x 0 PULSE(0 1 1n 1n 1n 3n 10n)\nR0 x b 1k\n"
+                   "R1 b 0 1k\nR2 c 0 1k\nC1 b c 1e290\n.tran 10p 2n\n.end\n")
+    assert main(["run", str(src)]) == 3
+    assert ("solver error: transient step at t=6.6125e-10s failed to converge after "
+            "8 halvings" in capsys.readouterr().err)
+    assert not (tmp_path / "huge_cap.csv").exists()
 
 
 def test_run_dc_only_skips_report(tmp_path):
@@ -407,6 +428,13 @@ def test_sweep_usage_errors(capsys):
     assert main(["sweep", "cls", "--param", "vddh",
                  "--from", "2", "--to", "3", "--steps", "1"]) == 2
     assert "at least 2" in capsys.readouterr().err
+    # refused before np.linspace tries to allocate the points
+    assert main(["sweep", "cls", "--param", "vddh",
+                 "--from", "2", "--to", "3", "--steps", "10000000000000"]) == 2
+    assert "at most 10,000" in capsys.readouterr().err
+    assert main(["sweep", "cls", "--param", "cload",
+                 "--from", "1f", "--to", "1e400", "--steps", "2"]) == 2
+    assert "argument --to: invalid parse_value value: '1e400'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """MNA assembly, DC operating point, and implicit transient integration."""
 
+import inspect
 import tokenize
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import refmodel as rm
-from lsbench import _mna, engine
+from lsbench import _mna, engine, measure
 from lsbench.devmodel import (VT, MosBias, SourceWave, default_params,
                               effective_vth, mosfet_eval, source_value)
-from lsbench.engine import (GMIN_DEFAULT, OpPoint, SolverError, SysState, _System,
+from lsbench.engine import (GMIN_DEFAULT, SolverError, SysState, _System,
                             dc_operating_point, transient)
 from lsbench.netlist import elaborate, parse_netlist, parse_seed_models
 from lsbench.topologies import TOPOLOGY_IDS, TopoParams, gen, stack_leakage_fixture
@@ -291,13 +293,14 @@ def test_empty_circuit_solves():
 _ERRSTATES = ({}, {"all": "raise"}, {"all": "ignore"})  # the caller's: default, strict, silent
 
 
-def test_singular_jacobian_reported():
+def test_singular_jacobian_reported(monkeypatch):
     # with the shunt disabled, a capacitor island has no DC path at all; the
     # driver solves under its own errstate, so the caller's does not matter
     circ = _circ("cap island\nV1 a 0 DC 1\nC1 b 0 1p\n.end\n")
+    monkeypatch.setattr(engine, "GMIN_DEFAULT", 0.0)
     for state in _ERRSTATES:
         with np.errstate(**state), pytest.raises(SolverError, match="singular Jacobian"):
-            dc_operating_point(circ, gmin=0.0)
+            dc_operating_point(circ)
 
 
 def test_lapack_gufunc_solves_equal_numpy_solve():
@@ -456,7 +459,7 @@ def test_failed_guess_retries_from_the_step_start(monkeypatch):
     circ = elaborate(gen("cls"))
     sys_, opts = _System([circ]), engine.SolveOptions()
     t = engine._grid(circ.tran.tstep, circ.tran.tstop)
-    stepper = engine._Stepper(sys_, 0, t, opts, GMIN)
+    stepper = engine._Stepper(sys_, 0, t)
     x0 = dc_operating_point(circ).state.as_vector()
     n = circ.n_nodes
     ic0 = np.zeros(n)
@@ -476,7 +479,7 @@ def test_failed_guess_retries_from_the_step_start(monkeypatch):
         (out,) = engine._drive(sys_, [whole_step(lev)], opts)
         runs.append((out, len(calls)))
     (got, n_guess), (want, n_plain) = runs
-    assert n_guess == stepper.iters + n_plain  # the guess used up its limit
+    assert n_guess == engine._STEP_ITERS + n_plain  # the guess used up its limit
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
     assert got[2] == want[2]
 
@@ -642,8 +645,8 @@ def _acceptance_events(monkeypatch) -> dict:
         tick[0] += 1
         return assemble(s)
 
-    def logged(stepper, ic):
-        gen, result, last = run(stepper, ic), None, None
+    def logged(stepper):
+        gen, result, last = run(stepper), None, None
         while True:
             try:
                 req = gen.send(result)
@@ -666,20 +669,20 @@ def _acceptance_events(monkeypatch) -> dict:
 
 
 def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
-    # four cls members whose pulses start and rise at different times, with
-    # 3 Newton iterations per request: in one drive iteration one member
-    # accepts a step, one rejects one, one halves a step that failed and one
-    # restarts its table at a corner, so one pass extends and predicts
-    # short and full tables side by side; every member keeps the bits of
-    # its lone run
+    # four cls members whose pulses start and rise at different times, each
+    # from its own DC start, with 3 Newton iterations per step start: in
+    # one drive iteration one member accepts a step, one rejects one, one
+    # halves a step that failed and one restarts its table at a corner, so
+    # one pass extends and predicts short and full tables side by side;
+    # every member keeps the bits of its lone run
     def member(vin_hi, td, tr):
         wave = SourceWave("pulse", 0.0, vin_hi, td, tr, tr, 20e-9, 45e-9)
         return elaborate(gen("cls", TopoParams(vin_hi=vin_hi, stimulus=wave)))
 
     circs = [member(1.2, 1e-9, 1e-9), member(0.9, 2e-9, 1e-9), member(0.9, 1.25e-9, 0.5e-9),
              member(0.9, 1e-9, 0.5e-9)]
-    run = dict(tstep=20e-12, tstop=60e-9, ic=dc_operating_point(circs[0]),
-               opts=engine.SolveOptions(max_iter=3))
+    run = dict(tstep=20e-12, tstop=60e-9)
+    monkeypatch.setattr(engine, "_STEP_ITERS", 3)
     events = _acceptance_events(monkeypatch)
     got = engine._transient_many(circs, **run)
     want = {(0, "reject"), (1, "halve"), (2, "reset"), (3, "accept")}
@@ -760,12 +763,13 @@ def test_transient_many_flat_layout_edge_cases(monkeypatch):
     # still converge in its one iteration, and each member end as alone
     dc = [circs[0], _circ(_GATE_NODE.format("floats", "")),
           _circ("divider\nV1 in 0 DC 5\nR1 in out 1k\nR2 out 0 1k\n.end\n")]
-    s, opts = _System(dc), engine.SolveOptions()
-    got = engine._drive(s, [engine._dc_requests(s, j, opts, 0.0, None)
-                            for j in range(3)], opts)
+    monkeypatch.setattr(engine, "GMIN_DEFAULT", 0.0)
+    s = _System(dc)
+    got = engine._drive(s, [engine._dc_requests(s, j) for j in range(3)],
+                        engine.SolveOptions())
     for c, op in zip(dc, got):
         try:
-            want = dc_operating_point(c, gmin=0.0)
+            want = dc_operating_point(c)
         except SolverError as e:
             assert isinstance(op, SolverError) and str(op) == str(e)
             continue
@@ -816,32 +820,48 @@ V1 a 0 PULSE(0 1 1n 1n 1n 3n 10n)
 """
 
 
-def test_transient_many_singular_member_fails_alone():
-    # without the gmin shunt and without gate capacitance, a gate node with
-    # no resistor has an all-zero Jacobian row: the stacked solve raises,
-    # and only that member may fail, with the message of its lone run.  All
-    # start from zero, which keeps the singular member's DC out of the way.
-    # The same under the caller's default, strict and silent errstates: the
-    # driver solves under its own, as np.linalg.solve did.
-    tied = [_circ(_GATE_NODE.format("is tied down", f"R1 g 0 {r}\n")) for r in ("1k", "3k")]
-    floating = _circ(_GATE_NODE.format("floats", ""))
-    run = dict(tstep=10e-12, tstop=20e-9, gmin=0.0,
-               ic=OpPoint(SysState(v=np.zeros(2), i_branch=np.zeros(1)), 0.0, 0, "none"))
+# a 1e290 F capacitor: its DC start converges in one iteration, and from
+# 0.64 ns on every step solve is singular at the default gmin, down to the
+# eighth halving
+_HUGE_CAP = """\
+huge capacitor
+V1 x 0 PULSE(0 1 1n 1n 1n 3n 10n)
+R0 x b 1k
+R1 b 0 1k
+R2 c 0 1k
+C1 b c 1e290
+.tran 10p 2n
+.end
+"""
+
+
+def test_transient_many_singular_member_fails_alone(monkeypatch):
+    # the huge capacitor's step solves are singular: next to two members of
+    # its size, with 1 pF and 3 pF, the stacked solve raises, and only that
+    # member may fail, with the message of its lone run.  The same under
+    # the caller's default, strict and silent errstates: the driver solves
+    # under its own, as np.linalg.solve did.
+    huge = _circ(_HUGE_CAP)
+    tied = [_circ(_HUGE_CAP.replace("1e290", c)) for c in ("1p", "3p")]
+    run = dict(tstep=10e-12, tstop=20e-9)
     for state in _ERRSTATES:
         with np.errstate(**state):
             with pytest.raises(SolverError, match="halvings") as lone:
-                transient(floating, **run)
-            got = engine._transient_many([tied[0], floating, tied[1]], **run)
+                transient(huge, **run)
+            got = engine._transient_many([tied[0], huge, tied[1]], **run)
             assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
             for c, w in zip(tied, (got[0], got[2])):
                 _assert_same_waves(w, transient(c, **run))
-    # next to members with one and two more unknowns, all from their DC
-    # operating points: the floating member's own vector solve raises in
-    # every DC stage, and only it fails
+    # without the gmin shunt and without gate capacitance, a gate node with
+    # no resistor has an all-zero Jacobian row.  Next to members with one
+    # and two more unknowns, all from their DC operating points: the
+    # floating member's own vector solve raises in every DC stage, and only
+    # it fails
+    floating = _circ(_GATE_NODE.format("floats", ""))
     others = [_circ(_GATE_NODE.format("is tied down by a divider", "R1 g x 1k\nR2 x 0 1k\n")),
               _circ(_GATE_NODE.format("is tied down by a ladder",
                                       "R1 g x 1k\nR2 x y 1k\nR3 y 0 2k\n"))]
-    run = dict(tstep=10e-12, tstop=20e-9, gmin=0.0)
+    monkeypatch.setattr(engine, "GMIN_DEFAULT", 0.0)
     for state in _ERRSTATES:
         with np.errstate(**state):
             with pytest.raises(SolverError, match="singular Jacobian") as lone:
@@ -875,3 +895,30 @@ def test_every_module_stays_below_the_token_buffer_doubling():
             f"which the parser's token buffer doubles and the compile's peak memory "
             f"grows by about 0.45 MB (CHANGES.md, FOUND: importing `lsbench` compiles "
             f"`engine.py` from source); delete code to stay under")
+
+
+# ---------------------------------------------------------------------------
+# public settings
+
+
+def _params(fn) -> list:
+    """The parameter names of fn, with "*" before the keyword-only ones."""
+    out = []
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.KEYWORD_ONLY and "*" not in out:
+            out.append("*")
+        out.append(p.name)
+    return out
+
+
+def test_public_settings_are_pinned():
+    # the bench and the sweep set no solver tolerance, gmin shunt or initial
+    # condition, so these take none: a new parameter or field is a new
+    # setting, which needs a caller outside the tests that sets it
+    assert _params(transient) == ["circuit", "tstep", "tstop"]
+    assert _params(dc_operating_point) == ["circuit", "opts", "x0"]
+    for fn, first in ((measure.characterize, "circuit"), (measure.characterize_many, "circuits")):
+        assert _params(fn) == [first, "tstep", "tstop", "*", "in_node", "out_node", "waves"]
+    assert [f.name for f in fields(engine.Waveforms)] == [
+        "t", "node_v", "supply_i", "source_nodes", "resid_max", "solved"]
+    assert [f.name for f in fields(engine.SolveOptions)] == ["abstol", "vntol", "max_iter"]

@@ -1,20 +1,20 @@
 """Property tests of the netlist dialect: serialization round trips, and the
 typed-failure contract of parse + elaborate on arbitrary card text; and of
-the simulator on the circuits that elaborate and on built-in topologies
-under random parameters: typed failures or finite figures, and batch members
-equal to their lone runs."""
+the simulator on netlists built to elaborate and on built-in topologies
+under random parameters, with the Newton iterations of a step start cut to
+force halvings: typed failures or finite figures, and batch members equal
+to their lone runs."""
 
 from dataclasses import astuple, replace
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsbench.devmodel import SourceWave
-from lsbench.engine import SolveOptions, SolverError, dc_operating_point, transient
-# derandomize seeds a test's examples from its code: the batch test keeps
-# the name it calls, and with it the examples it has always drawn
-from lsbench.engine import _transient_many as transient_many
+from lsbench import engine
+from lsbench.devmodel import _RANGE, SourceWave, resolve_model_keys
+from lsbench.engine import SolverError, dc_operating_point, transient
 from lsbench.measure import MeasureError, characterize
 from lsbench.netlist import (Circuit, ElaborationError, ParseError, elaborate,
                              parse_netlist, serialize_netlist)
@@ -155,14 +155,49 @@ def test_arbitrary_card_text_fails_typed(text):
 TSTEP, TSTOP = 20e-12, 4e-9  # the fixed 200-step grid every transient runs on
 
 
+def _node_key(name):
+    """The node a name denotes, as elaboration reads it."""
+    return "0" if name.lower() in ("0", "gnd") else name.lower()
+
+
 @st.composite
 def _elaborated(draw):
-    """A Circuit from `_netlist()` text that parses and elaborates."""
-    text = draw(_netlist())
-    try:
-        return elaborate(parse_netlist(text))
-    except (ParseError, ElaborationError):
-        assume(False)
+    """A Circuit from netlist text that elaborates by construction: two
+    .model cards with every value in its physical range, MOSFETs on those
+    models, R and C cards across two distinct nodes, and voltage sources
+    that close no loop of sources (a source whose drawn terminals the
+    sources before it already join takes a new + node, longer than any
+    drawn name)."""
+    lines = ["valid by construction"]
+    for k in range(2):
+        body = " ".join(
+            f"{key}={draw(st.floats(*_RANGE[resolve_model_keys(key)], exclude_min=key == 'KP'))!r}"
+            for key in draw(st.lists(st.sampled_from(_MODEL_KEYS), max_size=4)))
+        lines.append(f".model mod{k} {draw(st.sampled_from(('nmos', 'pmos')))} ({body})")
+    joined = {}  # the sources' union-find over node keys
+
+    def root(key):
+        while key in joined:
+            key = joined[key]
+        return key
+
+    for k in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from("MVRC"))
+        if kind == "M":
+            nodes = " ".join(draw(_nodes) for _ in range(4))
+            lines.append(f"M{k} {nodes} mod{draw(st.integers(0, 1))} W={draw(_value_text())} "
+                         f"L={draw(_value_text())}")
+        elif kind == "V":
+            a, b = draw(_nodes), draw(_nodes)
+            if root(_node_key(a)) == root(_node_key(b)):
+                a = f"src{k}_p"
+            joined[root(_node_key(a))] = root(_node_key(b))
+            spec = draw(st.one_of(_pulse(), _finite.map(lambda v: f"DC {v!r}")))
+            lines.append(f"V{k} {a} {b} {spec}")
+        else:
+            a, b = draw(st.lists(_nodes, min_size=2, max_size=2, unique_by=_node_key))
+            lines.append(f"{kind}{k} {a} {b} {draw(_value_text())}")
+    return elaborate(parse_netlist("\n".join(lines + [".end"]) + "\n"))
 
 
 @st.composite
@@ -184,7 +219,8 @@ def _topology(draw):
 
 
 _circuits = st.one_of(_elaborated(), _topology())
-_opts = st.sampled_from([SolveOptions(max_iter=k) for k in (200, 3, 5)])  # 3, 5: halvings
+# Newton iterations of a step start: 3 and 5 force halved steps
+_step_iters = st.sampled_from((3, 5, engine._STEP_ITERS))
 
 
 def _all_finite(*arrays):
@@ -198,42 +234,46 @@ def _waves_bits(w):
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)
-@given(_circuits, _opts)
-def test_simulated_circuits_end_typed_or_finite(circ, opts):
+@given(_circuits, _step_iters)
+def test_simulated_circuits_end_typed_or_finite(circ, iters):
     # the DC operating point, a transient on the fixed grid and a
     # characterization each end in a typed error or in finite figures,
     # without a floating-point overflow, division by zero or invalid
     # operation on the way (an exp underflowing to 0 in deep subthreshold
     # is benign)
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="raise", divide="raise",
+                                                         invalid="raise"):
+        mp.setattr(engine, "_STEP_ITERS", iters)
         try:
-            op = dc_operating_point(circ, opts)
+            op = dc_operating_point(circ)
             assert _all_finite(op.state.v, op.state.i_branch, op.residual_max)
         except SolverError:
             pass
         try:
-            w = transient(circ, TSTEP, TSTOP, opts=opts)
+            w = transient(circ, TSTEP, TSTOP)
             assert _all_finite(w.resid_max, *w.node_v.values(), *w.supply_i.values())
         except SolverError:
             pass
         try:
-            rep = characterize(circ, TSTEP, TSTOP, opts=opts)
+            rep = characterize(circ, TSTEP, TSTOP)
             assert _all_finite(astuple(rep)[1:])
         except (SolverError, MeasureError):
             pass
 
 
 @settings(deadline=None, derandomize=True, max_examples=20)
-@given(st.lists(_circuits, min_size=2, max_size=5), _opts)
-def test_batches_of_simulated_circuits_equal_lone_runs(circs, opts):
+@given(st.lists(_circuits, min_size=2, max_size=5), _step_iters)
+def test_batches_of_simulated_circuits_equal_lone_runs(circs, iters):
     # every member of an `engine._transient_many` batch, also one that
     # halves steps or fails, ends exactly as its lone run
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        got = list(transient_many(circs, TSTEP, TSTOP, opts=opts))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="raise", divide="raise",
+                                                         invalid="raise"):
+        mp.setattr(engine, "_STEP_ITERS", iters)
+        got = engine._transient_many(circs, TSTEP, TSTOP)
         assert len(got) == len(circs)
         for c, w in zip(circs, got):
             try:
-                want = transient(c, TSTEP, TSTOP, opts=opts)
+                want = transient(c, TSTEP, TSTOP)
             except SolverError as e:
                 assert type(w) is SolverError and str(w) == str(e)
                 continue

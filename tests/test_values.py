@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsbench.netlist import ParseError, parse_value
+from lsbench.netlist import ParseError, parse_netlist, parse_value
 
 SUFFIXES = {
     "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6,
@@ -56,6 +56,16 @@ def test_case_insensitive():
 def test_malformed_rejected(bad):
     with pytest.raises(ValueError):
         parse_value(bad)
+
+
+@pytest.mark.parametrize("big", ["1e400", "-1e400", "1e305g", "2e302meg"])
+def test_overflowing_value_rejected(big):
+    # float() reads these as +-inf; a netlist value or CLI flag of inf went
+    # on to a netlist that could not be read back, or to NaN figures
+    with pytest.raises(ValueError, match="overflows a float"):
+        parse_value(big)
+    with pytest.raises(ParseError, match=r"^line 2: numeric token .* overflows a float"):
+        parse_netlist(f"t\nR1 a 0 {big}\n.end\n")
 
 
 @settings(max_examples=300, derandomize=True)
