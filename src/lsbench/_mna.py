@@ -27,8 +27,8 @@ one iteration extend their tables of divided differences, held in flat
 buffers too, and form their error norms and capacitor histories in one
 pass (`extend`) before their generators decide, and the steps loaded next
 get their starts and constant parts of f in one more (`predict`), all from
-their step starts and tables.  A group of one keeps the vector matvec and
-solve, cheaper and bitwise equal; nothing else branches on group size.
+their step starts and tables.  A group of one keeps the vector matvec,
+cheaper and bitwise equal; nothing else branches on group size.
 Sizes are never padded to a common N: an identity block changes the bits
 of the solve.  A member whose request ends gets its result at once and
 joins the next iteration with its next request, so every member keeps its
@@ -72,8 +72,10 @@ masks what is read, never a zero product: d + 0*g turns -0.0 into +0.0),
 adding a zero device bin to a base matrix, which holds no -0.0, taking
 a maximum over any grouping of its terms, calling the LAPACK gufunc under
 the errstate `np.linalg.solve` would set (the same `dd->d` loop on the same
-operands, written with `out=`), and `ndarray.dot` for `np.dot` (the same
-BLAS routine).
+operands, written with `out=`), solving a stack of vectors with the
+vector gufunc `solve1` instead of `solve` on (L, N, 1) columns (the same
+`gesv` call on each member's operands), and `ndarray.dot` for `np.dot` (the
+same BLAS routine).
 Not allowed: reordering sums or products (`ispec*qq*mlam` ->
 `(ispec*mlam)*qq`), algebraic identities that change rounding (sigma as
 e/(1+e)), or BLAS for the scatter.
@@ -176,15 +178,16 @@ class _Group:
     """The live members of one unknown count N, at the live positions
     p0 .. p0+L-1: views of their rows of the system's flat buffers, states
     X, base matrices BASE, residuals F, negated residuals NF, updates DX and
-    Jacobians J.  A group of one sees a vector and an N x N matrix, for the
-    vector matvec and solve; a larger group (L, N, 1) columns and (L, N, N)
-    matrices, for the stacked ones."""
+    Jacobians J.  A group of one sees vectors and N x N matrices, for the
+    vector matvec; a larger group (L, N, 1) columns of X and F, for the
+    stacked matmul, (L, N) rows of NF and DX and (L, N, N) matrices.  The
+    vector solve takes either."""
 
     def __init__(self, s, p0, L, N, xo, jo):
         self.p0, self.L, self.N = p0, L, N
         vs, ms = ((N,), (N, N)) if L == 1 else ((L, N, 1), (L, N, N))
-        self.X, self.F, self.NF, self.DX = (a[xo:xo + L * N].reshape(vs)
-                                            for a in (s.xbuf, s.F, s.NF, s.DX))
+        self.X, self.F = (a[xo:xo + L * N].reshape(vs) for a in (s.xbuf, s.F))
+        self.NF, self.DX = (a[xo:xo + L * N].reshape(vs[:2]) for a in (s.NF, s.DX))
         self.BASE, self.J = (a[jo:jo + L * N * N].reshape(ms) for a in (s.BASE, s.J))
 
 
@@ -245,11 +248,12 @@ class _System:
         self.tv = None  # the step buffers, built when a step is loaded (`tables`)
         # reduceat bounds in ab: each position's rows, and its node rows then
         # its source rows.  ab's trailing 0 lets a segment start at S; an
-        # empty segment (no node, or no unknown) reads the element at its
-        # start, so `_drive` zeroes the maxima of the `nodeless` positions
+        # empty segment reads the element at its start, so `_drive` zeroes
+        # the maxima of the `nodeless` positions, which have no unknown at
+        # all (a source needs a node)
         self.xidx = np.array(xo[:-1], dtype=np.intp)
         self.ridx = np.array([o + d for o, n in zip(xo, ns) for d in (0, n)], dtype=np.intp)
-        self.nodeless = [(p, Ns[p]) for p, n in enumerate(ns) if not n]
+        self.nodeless = [p for p, n in enumerate(ns) if not n]
         self.nrows, self.mrows = np.zeros((2, S), bool)  # node rows, with MOSFETs
         self.groups, gidx, gather, bins, sgn, spans = [], [], [], [], [], []
         p = 0
@@ -460,9 +464,9 @@ class _System:
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 _VCLAMP = 0.5  # V, the largest node update of one Newton iteration
-# `np.linalg.solve`'s gufuncs (LAPACK gesv) for one system and for stacked
-# ones, called without its Python wrapper under the errstate it sets
-_SOLVE1, _SOLVE = _umath_linalg.solve1, _umath_linalg.solve
+# `np.linalg.solve`'s vector gufunc (LAPACK gesv), for one system or a stack
+# of them, called without its Python wrapper under the errstate it sets
+_SOLVE1 = _umath_linalg.solve1
 
 
 def _raise_singular(err, flag):
@@ -497,11 +501,11 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
 
     Each iteration assembles every live member with one `assemble` call,
     takes every member's worst node residual with one reduction, solves
-    each group of one size with one stacked solve (one vector solve for a
-    group of one), takes the update norms with one more pass and, when every
-    member moves, updates all states with one add.  Per member it applies
-    damped Newton: converged when both max|dv| < vntol and the worst KCL
-    residual is below abstol, node updates clamped to +/-0.5 V.  A member
+    each group of one size with one stacked solve, takes the update norms
+    with one more pass and, when every member moves, updates all states
+    with one add.  Per member it applies damped Newton: converged when both
+    max|dv| < vntol and the worst KCL residual is below abstol, node updates
+    clamped to +/-0.5 V.  A member
     whose request ends gets its result at once and joins the next iteration
     with its next request, so it does the same arithmetic as it would
     alone.  The live members are planned again only when one of them ends;
@@ -565,7 +569,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
         _, F = sys_.assemble()
         absolute(F, out=ab[:-1])
         res = top(ab, ridx)[::2].tolist()  # each member's worst node residual
-        for p, _ in sys_.nodeless:  # an empty segment reads the element at its start
+        for p in sys_.nodeless:  # an empty segment reads the element at its start
             res[p] = 0.0
         np.negative(F, out=sys_.NF)
         todo, done = range(P), ()
@@ -585,13 +589,11 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 i = [q for q in range(g.L) if g.p0 + q not in done] if done else range(g.L)
                 if not i:
                     continue
-                try:  # one member: the vector solve, cheaper and bitwise equal
-                    if g.L == 1:
+                try:
+                    if len(i) == g.L:
                         _SOLVE1(g.J, g.NF, out=g.DX)
-                    elif len(i) == g.L:
-                        _SOLVE(g.J, g.NF, out=g.DX)
                     else:
-                        g.DX[i] = _SOLVE(g.J[i], g.NF[i])
+                        g.DX[i] = _SOLVE1(g.J[i], g.NF[i])
                 except LinAlgError:
                     dx, b = _solve_each(g.J.reshape(-1, g.N, g.N)[i], g.NF.reshape(-1, g.N)[i])
                     g.DX.reshape(-1, g.N)[i] = dx
@@ -599,10 +601,8 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
         DX = sys_.DX
         absolute(DX, out=ab[:-1])  # NaN and inf propagate through the maxima
         amax, dvm = top(ab, sys_.xidx).tolist(), top(ab, ridx)[::2].tolist()
-        for p, N in sys_.nodeless:
-            dvm[p] = 0.0
-            if not N:
-                amax[p] = 0.0
+        for p in sys_.nodeless:
+            dvm[p] = amax[p] = 0.0
         moved, post, clamp = [], [], False
         for p in todo:
             if p in bad or not isfinite(amax[p]):

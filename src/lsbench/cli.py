@@ -18,6 +18,7 @@ built-in default device parameters for every command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -90,7 +91,8 @@ def _csv_num(x) -> str:
 
 
 def _out_stream(path):
-    return open(path, "w") if path else sys.stdout
+    """The file at `path`, or stdout (left open) when no path is given."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -299,30 +301,21 @@ def _emit_bench_table(fh, rows, pairs) -> None:
 
 
 def cmd_bench(args) -> int:
-    requested = args.topologies or ["all"]
-    if requested == ["all"]:
-        topologies = list(TOPOLOGY_IDS)
-    else:
-        bad = [t for t in requested if t not in TOPOLOGY_IDS]
-        if bad:
-            raise UsageError(
-                f"unknown topology {bad[0]!r} (valid: all, {', '.join(TOPOLOGY_IDS)})"
-            )
-        topologies = [t for t in TOPOLOGY_IDS if t in requested]
+    requested = args.topologies
+    bad = [t for t in requested if t not in TOPOLOGY_IDS and t != "all"]
+    if bad:
+        raise UsageError(f"unknown topology {bad[0]!r} (valid: all, {', '.join(TOPOLOGY_IDS)})")
+    topologies = [t for t in TOPOLOGY_IDS if t in requested or "all" in requested]
     seed = _seed_models()
     rows = _bench_rows(topologies, seed)
     pairs = _bench_pairs(rows)
-    fh = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as fh:
         if args.format == "csv":
             _emit_bench_csv(fh, rows)
         elif args.format == "json":
             _emit_bench_json(fh, rows, pairs)
         else:
             _emit_bench_table(fh, rows, pairs)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 1 if any(r.status != "ok" for r in rows) else 0
 
 
@@ -374,15 +367,11 @@ def cmd_sweep(args) -> int:
         for row, p, _ in batch:
             _fill_row(row, next(reps), p.vddh)
 
-    fh = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_SWEEP_COLUMNS)
         for v, r in rows:
             w.writerow([topo, param, repr(v)] + _row_cells(r)[1:])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 1 if any(r.status == "failed" for _, r in rows) else 0
 
 
@@ -434,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="characterize built-in topologies")
     b.add_argument("topologies", nargs="*", default=["all"],
-                   help="'all' (default) or a list of topology ids")
+                   help="topology ids; 'all' (the default) adds every one")
     b.add_argument("--format", choices=("table", "json", "csv"), default="table")
     b.add_argument("-o", "--out", default=None, help="output file (default stdout)")
     b.set_defaults(func=cmd_bench)

@@ -275,41 +275,38 @@ def _characterize_requests(sys_, j: int, t, waves, in_node: str, out_node: str):
     return replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
 
 
-def characterize_many(circuits, tstep: float | None = None, tstop: float | None = None, *,
-                      in_node: str = "in", out_node: str = "out", waves: list | None = None):
-    """`characterize` of several circuits, of any structures, as one batch.
+def _reports(jobs, in_node: str = "in", out_node: str = "out") -> list:
+    """Drive the characterizations of jobs, (circuit, grid, waves or None)
+    each, as one batch: one compiled system, one member per circuit.  A
+    member's transient on its grid, from its DC start, or the given waves,
+    its measurements and its two static DC solves, in its own member at its
+    pinned source values, are one generator of Newton requests, and the
+    requests of all members run in lock-step.  A grid is filled in and
+    measured as soon as its last step is solved, and dropped before the next
+    one is filled.  Returns each job's Report, MeasureError or SolverError."""
+    sys_ = engine._System([c for c, _, _ in jobs])
+    return engine._drive(sys_, [_characterize_requests(sys_, j, t, w, in_node, out_node)
+                                for j, (_, t, w) in enumerate(jobs)], SolveOptions())
 
-    Each circuit is one member of one compiled system.  A circuit's
-    transient, from its DC start, its measurements and its two static DC
-    solves, in its own member at its pinned source values, are one
-    generator of Newton requests, and the requests of all circuits run in
-    lock-step.  A grid is filled in and measured as soon as its last step
-    is solved, and dropped before the next one is filled.  `waves`, one
-    Waveforms per circuit, replaces the transients.  Yields, in order, each
-    circuit's Report, equal to its lone `characterize`, or the SolverError,
-    MeasureError or ValueError that one would raise.
-    """
+
+def characterize_many(circuits):
+    """`characterize` of several circuits, of any structures, as one batch:
+    each on the grid of its own .tran card, from node "in" to node "out".
+    Yields, in order, each circuit's Report, equal to its lone
+    `characterize`, or the SolverError, MeasureError or ValueError that one
+    would raise."""
     circuits = list(circuits)
-    jobs, times, errors = [], {}, {}  # jobs: (circuit, grid, waves), one per member
+    jobs, times, errors = [], {}, {}
     for i, c in enumerate(circuits):
-        t = None
-        if waves is None:
-            try:  # the errors of a lone run, in its order
-                g = _tstep_tstop(c, tstep, tstop)
-                if g not in times:  # grid times, shared by the circuits on one grid
-                    times[g] = engine._grid(*g)
-            except ValueError as e:
-                errors[i] = e
-                continue
-            t = times[g]
-        jobs.append((c, t, None if waves is None else waves[i]))
-    results = []
-    if jobs:
-        sys_ = engine._System([c for c, _, _ in jobs])
-        results = engine._drive(sys_, [_characterize_requests(sys_, j, t, w, in_node, out_node)
-                                       for j, (_, t, w) in enumerate(jobs)], SolveOptions())
-        del sys_
-    done = iter(results)
+        try:  # the errors of a lone run, in its order
+            g = _tstep_tstop(c, None, None)
+            if g not in times:  # grid times, shared by the circuits on one grid
+                times[g] = engine._grid(*g)
+        except ValueError as e:
+            errors[i] = e
+            continue
+        jobs.append((c, times[g], None))
+    done = iter(_reports(jobs) if jobs else ())
     for i in range(len(circuits)):
         yield errors[i] if i in errors else next(done)
 
@@ -318,14 +315,14 @@ def characterize(circuit: Circuit, tstep: float | None = None,
                  tstop: float | None = None, *, in_node: str = "in",
                  out_node: str = "out", waves: Waveforms | None = None) -> Report:
     """Simulate (or reuse `waves`) and extract the full report: a batch of
-    one in `characterize_many`, so the transient, its DC start and the two
-    static-power solves share one compiled system.
+    one, so the transient, its DC start and the two static-power solves
+    share one compiled system.
 
     Average power integrates complete stimulus periods from the second one
     on; the settle margin for swing extraction is 20% of the period.
     """
-    (rep,) = characterize_many([circuit], tstep, tstop, in_node=in_node, out_node=out_node,
-                               waves=None if waves is None else [waves])
+    t = None if waves is not None else engine._grid(*_tstep_tstop(circuit, tstep, tstop))
+    (rep,) = _reports([(circuit, t, waves)], in_node, out_node)
     if isinstance(rep, Exception):
         raise rep
     return rep

@@ -50,11 +50,9 @@ class TopoParams:
     w_n: float = 1.0e-6
     w_n_stacked: float = 0.5e-6
     cload: float = 10e-15
-    stimulus: SourceWave | None = None  # None -> default pulse train below
 
     def wave(self) -> SourceWave:
-        if self.stimulus is not None:
-            return self.stimulus
+        """The input pulse train: 0 to vin_hi, 1 ns edges, 100 ns period."""
         return SourceWave("pulse", 0.0, self.vin_hi, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9)
 
 
@@ -269,11 +267,10 @@ def _split_series(card: MosCard, k: int) -> list:
     ]
 
 
-def stack_leakage_fixture(k: int, w_total: float, p: MosParams, vdd: float,
-                          l: float = 0.35e-6) -> NetlistDoc:
+def stack_leakage_fixture(k: int, w_total: float, p: MosParams, vdd: float) -> NetlistDoc:
     """Off-state leakage fixture: one supply and a k-series stack of total
-    width w_total with every gate at the off rail.  The supply branch current
-    is the stack's leakage."""
+    width w_total and the default length (`TopoParams.l`) with every gate at
+    the off rail.  The supply branch current is the stack's leakage."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     overrides = tuple(
@@ -281,9 +278,9 @@ def stack_leakage_fixture(k: int, w_total: float, p: MosParams, vdd: float,
     )
     model = ModelCard("MLEAK", p.polarity, overrides)
     if p.polarity == "nmos":
-        dut = MosCard("MX1", "vdd", "0", "0", "0", "MLEAK", w_total, l)
+        dut = MosCard("MX1", "vdd", "0", "0", "0", "MLEAK", w_total, TopoParams.l)
     else:
-        dut = MosCard("MX1", "0", "vdd", "vdd", "vdd", "MLEAK", w_total, l)
+        dut = MosCard("MX1", "0", "vdd", "vdd", "vdd", "MLEAK", w_total, TopoParams.l)
     devs = (SourceCard("VDD", "vdd", "0", SourceWave("dc", vdd)), dut)
     doc = NetlistDoc(f"{p.polarity} off-state stack leakage fixture, k={k}",
                      devs, (model,), None)

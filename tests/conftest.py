@@ -1,9 +1,10 @@
-"""Shared fixtures: simulations reused by several test modules, and the CLI
-run as a child process."""
+"""Shared fixtures: simulations reused by several test modules, the CLI run
+as a child process, and a built-in topology under another stimulus."""
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,14 @@ import pytest
 import lsbench
 from lsbench.engine import transient
 from lsbench.netlist import elaborate, parse_netlist
+from lsbench.topologies import gen
+
+
+def gen_with_stimulus(topology, wave, p=None):
+    """`gen(topology, p)` with its VIN card driven by `wave`."""
+    doc = gen(topology, p)
+    return replace(doc, devices=tuple(replace(c, wave=wave) if c.name == "VIN" else c
+                                      for c in doc.devices))
 
 # A minimal inverter driving a known load with a slow squarewave, sized so
 # almost all supply energy goes into charging the 10 fF cap: the average

@@ -323,6 +323,16 @@ def test_bench_unknown_topology(capsys):
     assert "valid: all" in capsys.readouterr().err
 
 
+def test_bench_all_among_topologies_runs_all_six(capsys):
+    # "all" may stand anywhere in the list: with it, every topology runs,
+    # once and in its order
+    assert main(["bench", "all", "--format", "csv"]) == 0
+    whole = capsys.readouterr().out
+    assert main(["bench", "all", "cls", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == whole
+    assert len(whole.splitlines()) == 7  # the header and six rows
+
+
 def test_module_entry_point_exit_code(run_lsbench):
     res = run_lsbench("bench", "xyz")
     assert res.returncode == 2
@@ -389,9 +399,9 @@ def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
     sizes, compiles, filled = [], [], []
     many, init, fill = cli.characterize_many, engine._System.__init__, engine._waveforms
 
-    def counted_many(circuits, *a, **k):
+    def counted_many(circuits):
         sizes.append(len(circuits))
-        return many(circuits, *a, **k)
+        return many(circuits)
 
     def counted_init(self, circuits):
         compiles.append(len(circuits))

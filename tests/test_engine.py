@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import refmodel as rm
+from conftest import gen_with_stimulus
 from lsbench import _mna, engine, measure
 from lsbench.devmodel import (VT, MosBias, SourceWave, default_params,
                               effective_vth, mosfet_eval, source_value)
@@ -304,31 +305,31 @@ def test_singular_jacobian_reported(monkeypatch):
 
 
 def test_lapack_gufunc_solves_equal_numpy_solve():
-    # `_drive` calls np.linalg.solve's gufuncs without its wrapper: the lone
-    # one on vectors and the stacked one on (L, N, 1) columns, writing with
-    # out= into views of a flat buffer, or a subset of the stack by index.
-    # Each must give np.linalg.solve's bits; this also pins the private
-    # `_umath_linalg` import
+    # `_drive` calls np.linalg.solve's vector gufunc without its wrapper, on
+    # one vector or on a stack of (L, N) rows, writing with out= into views
+    # of a flat buffer, or on a subset of the stack by index.  Each must give
+    # the bits of np.linalg.solve on (L, N, 1) columns; this also pins the
+    # private `_umath_linalg` import
     rng = np.random.default_rng(14)
     for N in range(1, 17):
-        for L in (1, 2, 5):
+        for L in (1, 2, 3, 5, 8):
             flat = rng.standard_normal(3 + L * N * (N + 2))  # J, then NF, then DX
             J = flat[3:3 + L * N * N].reshape(L, N, N)
-            NF = flat[3 + L * N * N:3 + L * N * (N + 1)].reshape(L, N, 1)
-            DX = flat[3 + L * N * (N + 1):].reshape(L, N, 1)
-            want = np.linalg.solve(J, NF)
+            NF = flat[3 + L * N * N:3 + L * N * (N + 1)].reshape(L, N)
+            DX = flat[3 + L * N * (N + 1):].reshape(L, N)
+            want = np.linalg.solve(J, NF[:, :, None])[:, :, 0]
             with _mna._lapack():
                 if L == 1:
-                    _mna._SOLVE1(J[0], NF[0, :, 0], out=DX[0, :, 0])
+                    _mna._SOLVE1(J[0], NF[0], out=DX[0])
                 else:
-                    _mna._SOLVE(J, NF, out=DX)
-                some = _mna._SOLVE(J[[0, L - 1]], NF[[0, L - 1]])
-                each, bad = _mna._solve_each(J, NF[:, :, 0])
+                    _mna._SOLVE1(J, NF, out=DX)
+                some = _mna._SOLVE1(J[[0, L - 1]], NF[[0, L - 1]])
+                each, bad = _mna._solve_each(J, NF)
             assert _same_bits(DX, want), (N, L)
             assert _same_bits(some, want[[0, L - 1]]), (N, L)
-            assert _same_bits(each, want[:, :, 0]) and not bad, (N, L)
+            assert _same_bits(each, want) and not bad, (N, L)
             for q in range(L):
-                assert _same_bits(DX[q, :, 0], np.linalg.solve(J[q], NF[q, :, 0])), (N, L, q)
+                assert _same_bits(DX[q], np.linalg.solve(J[q], NF[q])), (N, L, q)
 
 
 def test_dc_fallback_that_runs_out_names_h_and_node(monkeypatch):
@@ -677,7 +678,7 @@ def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
     # every member keeps the bits of its lone run
     def member(vin_hi, td, tr):
         wave = SourceWave("pulse", 0.0, vin_hi, td, tr, tr, 20e-9, 45e-9)
-        return elaborate(gen("cls", TopoParams(vin_hi=vin_hi, stimulus=wave)))
+        return elaborate(gen_with_stimulus("cls", wave, TopoParams(vin_hi=vin_hi)))
 
     circs = [member(1.2, 1e-9, 1e-9), member(0.9, 2e-9, 1e-9), member(0.9, 1.25e-9, 0.5e-9),
              member(0.9, 1e-9, 0.5e-9)]
@@ -786,7 +787,7 @@ def test_transient_many_failing_member_fails_alone(monkeypatch):
     # batch; with the fallback's step budget at 0 it fails at its start,
     # alone, with the message of its lone run under the same budget
     high_first = SourceWave("pulse", 1.6, 0.0, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9)
-    bad = elaborate(gen("cls", TopoParams(stimulus=high_first)),
+    bad = elaborate(gen_with_stimulus("cls", high_first),
                     base_models=parse_seed_models(_BATCH_SEED))
     assert dc_operating_point(bad).homotopy_used == "ptc"
     # members of its size, then of other sizes, which share its device evaluation
@@ -917,8 +918,12 @@ def test_public_settings_are_pinned():
     # setting, which needs a caller outside the tests that sets it
     assert _params(transient) == ["circuit", "tstep", "tstop"]
     assert _params(dc_operating_point) == ["circuit", "opts", "x0"]
-    for fn, first in ((measure.characterize, "circuit"), (measure.characterize_many, "circuits")):
-        assert _params(fn) == [first, "tstep", "tstop", "*", "in_node", "out_node", "waves"]
+    assert _params(measure.characterize) == [
+        "circuit", "tstep", "tstop", "*", "in_node", "out_node", "waves"]
+    assert _params(measure.characterize_many) == ["circuits"]
+    assert [f.name for f in fields(TopoParams)] == [
+        "vddh", "vddl", "vin_hi", "l", "w_p", "w_n", "w_n_stacked", "cload"]
+    assert _params(stack_leakage_fixture) == ["k", "w_total", "p", "vdd"]
     assert [f.name for f in fields(engine.Waveforms)] == [
         "t", "node_v", "supply_i", "source_nodes", "resid_max", "solved"]
     assert [f.name for f in fields(engine.SolveOptions)] == ["abstol", "vntol", "max_iter"]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from lsbench import engine
-from lsbench.devmodel import SourceWave
 from lsbench.engine import SolverError, dc_operating_point, transient
 from lsbench.measure import (MeasureError, _median, _pinned, average_power, characterize,
                              characterize_many, output_swing, propagation_delay,
@@ -212,9 +211,7 @@ def test_characterize_many_equals_lone_characterize(monkeypatch):
     corner = ".model NCH NMOS (VTH0=0.4 KP=0.000152)\n.model PCH PMOS (VTH0=1 KP=3.84e-05)\n"
     circs = [_circ(rc.format(".tran 10p 40n\n")), _circ(rc.format("")),
              _dc_inverter(3.3, 0.0),
-             elaborate(gen("cls", TopoParams(stimulus=SourceWave(
-                 "pulse", 0.0, 1.6, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9))),
-                 base_models=parse_seed_models(corner))]
+             elaborate(gen("cls"), base_models=parse_seed_models(corner))]
     circs[3] = replace(circs[3], tran=TranCard(10e-12, 210e-9))
     for budget, last in ((engine._PTC_STEPS, "Report"), (0, "SolverError")):
         monkeypatch.setattr(engine, "_PTC_STEPS", budget)

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gen_with_stimulus
 from lsbench import engine
 from lsbench.devmodel import _RANGE, SourceWave, resolve_model_keys
 from lsbench.engine import SolverError, dc_operating_point, transient
-from lsbench.measure import MeasureError, characterize
-from lsbench.netlist import (Circuit, ElaborationError, ParseError, elaborate,
+from lsbench.measure import MeasureError, characterize, characterize_many
+from lsbench.netlist import (Circuit, ElaborationError, ParseError, TranCard, elaborate,
                              parse_netlist, serialize_netlist)
-from lsbench.topologies import TOPOLOGY_IDS, TopoParams, gen, validate_params
+from lsbench.topologies import TOPOLOGY_IDS, TopoParams, validate_params
 
 _MODEL_KEYS = ("VTH0", "KP", "N", "LAMBDA", "ETA", "GAMMA", "PHI", "COXA", "COVW", "CJW")
 _SUFFIXES = ("", "f", "p", "n", "u", "m", "k", "meg", "g", "F", "pF", "V", "Meg")
@@ -215,12 +216,12 @@ def _topology(draw):
     wave = SourceWave("pulse", 0.0, p.vin_hi, draw(st.floats(0.0, 0.1e-9)), tr, tf, pw,
                       tr + pw + tf + draw(st.floats(0.0, 0.2e-9)))
     validate_params(p)
-    return elaborate(gen(draw(st.sampled_from(TOPOLOGY_IDS)), replace(p, stimulus=wave)))
+    return elaborate(gen_with_stimulus(draw(st.sampled_from(TOPOLOGY_IDS)), wave, p))
 
 
 _circuits = st.one_of(_elaborated(), _topology())
-# Newton iterations of a step start: 3 and 5 force halved steps
-_step_iters = st.sampled_from((3, 5, engine._STEP_ITERS))
+# Newton iterations of a step start: 2, 3 and 5 force halved steps
+_step_iters = st.sampled_from((2, 3, 5, engine._STEP_ITERS))
 
 
 def _all_finite(*arrays):
@@ -234,8 +235,8 @@ def _waves_bits(w):
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)
-@given(_circuits, _step_iters)
-def test_simulated_circuits_end_typed_or_finite(circ, iters):
+@given(_step_iters, _circuits)
+def test_simulated_circuits_end_typed_or_finite(iters, circ):
     # the DC operating point, a transient on the fixed grid and a
     # characterization each end in a typed error or in finite figures,
     # without a floating-point overflow, division by zero or invalid
@@ -280,3 +281,33 @@ def test_batches_of_simulated_circuits_equal_lone_runs(circs, iters):
             assert _waves_bits(w) == _waves_bits(want)
             assert list(w.node_v) == list(want.node_v)
             assert list(w.supply_i) == list(want.supply_i)
+
+
+# two built-in topologies whose 1.6 ns pulse train the fixed grid measures
+_measured = st.sampled_from(("ssls", "cmls")).map(lambda topo: elaborate(gen_with_stimulus(
+    topo, SourceWave("pulse", 0.0, 1.6, 0.0, 20e-12, 20e-12, 0.78e-9, 1.6e-9))))
+
+
+def _report_bits(rep):
+    """A Report's fields, each float as its hex string (NaN equal to NaN)."""
+    return [x.hex() if isinstance(x, float) else x for x in astuple(rep)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=10)
+@given(st.lists(_circuits | _measured, min_size=1, max_size=4), _step_iters)
+def test_characterize_many_of_simulated_circuits_equals_lone_runs(circs, iters):
+    # each circuit on the fixed grid as its .tran: the batch yields what its
+    # lone `characterize` returns, or an error of the type and message that
+    # one raises
+    circs = [replace(c, tran=TranCard(TSTEP, TSTOP)) for c in circs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_STEP_ITERS", iters)
+        got = list(characterize_many(circs))
+        assert len(got) == len(circs)
+        for c, r in zip(circs, got):
+            try:
+                want = characterize(c)
+            except (SolverError, MeasureError) as e:
+                assert type(r) is type(e) and str(r) == str(e)
+                continue
+            assert _report_bits(r) == _report_bits(want)
