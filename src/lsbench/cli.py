@@ -163,6 +163,7 @@ def cmd_run(args) -> int:
     has_stimulus = any(s.wave.kind == "pulse" for s in circ.sources)
     if in_node and out_node and (has_stimulus or explicit):
         rep = characterize(circ, in_node=in_node, out_node=out_node, waves=waves)
+        _warn_negative_delays(args.netlist, rep)
         report_path = args.report_json or stem + ".report.json"
         with open(report_path, "w") as fh:
             json.dump(_report_dict(rep), fh, indent=2)
@@ -218,6 +219,16 @@ def _fill_row(row: BenchRow, rep, vddh: float) -> None:
     row.status, row.note = _classify(rep, vddh)
 
 
+def _warn_negative_delays(name: str, rep) -> None:
+    """One stderr line per negative delay of a Report, whose output crossed
+    its mid-swing before the input did (an error in its place has none)."""
+    for key in ("delay_rise", "delay_fall"):
+        d = getattr(rep, key, 0.0)
+        if d < 0.0:
+            print(f"warning: {name}: {key} is {_eng(d, 's')} (output before input)",
+                  file=sys.stderr)
+
+
 def _bench_rows(topologies, seed) -> list:
     """The rows of `topologies`, characterized as one batch."""
     rows = {t: BenchRow(t) for t in topologies}
@@ -230,7 +241,9 @@ def _bench_rows(topologies, seed) -> list:
     reps = characterize_many(circs.values())
     vddh = TopoParams().vddh
     for topo in circs:
-        _fill_row(rows[topo], next(reps), vddh)
+        rep = next(reps)
+        _warn_negative_delays(topo, rep)
+        _fill_row(rows[topo], rep, vddh)
     for topo in topologies:
         base = topo[:-len("_stacked")] if topo.endswith("_stacked") else None
         if base in rows and rows[base].status == "ok" and rows[topo].status == "ok":
@@ -365,7 +378,9 @@ def cmd_sweep(args) -> int:
         batch = points[lo:lo + _SWEEP_BATCH]
         reps = characterize_many([c for _, _, c in batch])
         for row, p, _ in batch:
-            _fill_row(row, next(reps), p.vddh)
+            rep = next(reps)
+            _warn_negative_delays(f"{topo} {param}={getattr(p, param)!r}", rep)
+            _fill_row(row, rep, p.vddh)
 
     with _out_stream(args.out) as fh:
         w = csv.writer(fh, lineterminator="\n")

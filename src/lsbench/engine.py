@@ -35,7 +35,7 @@ lower order before, and none at all (the last solved state) on the step
 after a corner or the DC start.  A start that does not converge within
 _STEP_ITERS = 60 iterations is retried from the last solved state before
 the step is halved.  After each solve the
-table is extended, and r = h^2 max|DD2(v)| / 1e-5 V, where DD2 is the
+table is extended, and r = h^2 max|DD2(v)| / 4e-5 V, where DD2 is the
 second divided difference of the node voltages over the last three solved
 points (h^2 DD2 estimates backward Euler's local error h^2 v''/2).  A step
 with r > 1 and m > 1 is rejected, its extension discarded, and retried with
@@ -182,7 +182,7 @@ _MAX_HALVINGS = 8
 _STEP_ITERS = 60             # Newton iterations of a step start before a fallback
 _MAX_GRID_STEPS = 1_000_000  # grid intervals; bounds every waveform allocation
 _MAX_MULT = 64               # longest step, in grid intervals
-_LTE_TOL = 1e-5              # V, per-step error target of the step control
+_LTE_TOL = 4e-5              # V, per-step error target of the step control
 _FILL_ROWS = 512             # grid rows interpolated per block
 _BLOCK = 128                 # solved points recorded per block
 

@@ -61,11 +61,12 @@ def six_runs():
     return out, time.perf_counter() - t0
 
 
-# solved steps per topology at the default 10 ps / 300 ns grid, 16,289 in
-# all: any change to the step control that moves a step shows here, not
-# only in the bench output's sha256
-STEPS = {"cls": 1933, "cls_stacked": 3152, "ssls": 1261, "ssls_stacked": 2793,
-         "cmls": 3058, "cmls_stacked": 4092}
+# solved steps per topology at the default 10 ps / 300 ns grid and the
+# 4e-5 V step target, 13,016 in all (16,289 at 1e-5 V): any change to the
+# step control that moves a step shows here, not only in the bench output's
+# sha256
+STEPS = {"cls": 1892, "cls_stacked": 2377, "ssls": 1215, "ssls_stacked": 1954,
+         "cmls": 2524, "cmls_stacked": 3054}
 
 
 def test_step_sequence_pinned(six_runs):
@@ -136,7 +137,9 @@ def test_figures_match_fine_grid_reference(six_runs):
     # bounds the time-discretization error of every reported figure: powers
     # relative to themselves, delay relative to the reference delay_max,
     # swings relative to vddh.  The fixed 10 ps trapezoidal grid read 6.96e-4
-    # at worst (cls_stacked power_avg).
+    # at worst (cls_stacked power_avg), the step control at a 1e-5 V target
+    # 6.942e-4 and at 4e-5 V 6.644e-4 (both cls_stacked power_avg).  A step
+    # control change may not spend the margin below the 1e-5 V worst.
     runs, _ = six_runs
     worst, where = 0.0, ""
     for topo, (p_avg, p_static, d_max, s_hi, s_lo) in FINE_GRID_REFS.items():
@@ -153,6 +156,7 @@ def test_figures_match_fine_grid_reference(six_runs):
             if not e <= worst:
                 worst, where = e, f"{topo} {name}"
     assert worst <= 1e-3, f"{where} is {worst:.3e} from its 2.5 ps reference"
+    assert worst <= 6.942e-4, f"{where} is {worst:.3e} from its 2.5 ps reference"
 
 
 def test_criterion_4_stack_leakage_fixture():

@@ -257,6 +257,15 @@ def test_bench_subset_pairs_and_order(tmp_path):
     assert pair["delay_ratio"] > 1.0
 
 
+def test_bench_warns_of_negative_delays(capsys):
+    # ssls's output falls before its input crosses mid-swing: one stderr
+    # line names it, and the table on stdout carries no trace of it
+    assert main(["bench", "ssls"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: ssls: delay_fall is -21.76 ps (output before input)\n"
+    assert "warning" not in out
+
+
 def _report(swing_lo, swing_hi):
     return Report("fabricated", 1e-5, 1e-9, 1e-9, 1e-9, 1e-9, 1e-9,
                   swing_lo=swing_lo, swing_hi=swing_hi)

@@ -517,12 +517,25 @@ def test_halved_substep_takes_start_rhs_and_history_from_its_x0():
 
 def test_transient_newton_work_per_step(monkeypatch):
     # the cubic predictor's start converges in about one and a half
-    # iterations per solved step on cmls_stacked (2.14 with a linear one)
+    # iterations per solved step on cmls_stacked (2.14 with a linear one),
+    # on the step sequence of a 1e-5 V target it was measured on: at the
+    # shipped 4e-5 V the longer steps take more iterations each (4,847 for
+    # 3,054 steps, 1.59), while the total falls
+    monkeypatch.setattr(engine, "_LTE_TOL", 1e-5)
     circ = elaborate(gen("cmls_stacked"))
     calls = _count_assembles(monkeypatch)
     waves = transient(circ, circ.tran.tstep, circ.tran.tstop)
     steps = len(waves.solved) - 1
     assert len(calls) <= 1.55 * steps, (len(calls), steps)
+
+
+def test_transient_newton_work_at_the_step_target(monkeypatch):
+    # bench_six runs as long as its slowest member, cmls_stacked, iterates:
+    # 4,847 Newton iterations at the 4e-5 V step target, 5,942 at 1e-5 V
+    circ = elaborate(gen("cmls_stacked"))
+    calls = _count_assembles(monkeypatch)
+    transient(circ, circ.tran.tstep, circ.tran.tstop)
+    assert len(calls) <= 4_900, len(calls)
 
 
 def test_off_grid_corner_gets_a_single_step():
@@ -683,7 +696,10 @@ def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
     circs = [member(1.2, 1e-9, 1e-9), member(0.9, 2e-9, 1e-9), member(0.9, 1.25e-9, 0.5e-9),
              member(0.9, 1e-9, 0.5e-9)]
     run = dict(tstep=20e-12, tstop=60e-9)
+    # the members were built to reject, halve, reset and accept at once
+    # on the step sequence of a 1e-5 V target; at 4e-5 V none rejects
     monkeypatch.setattr(engine, "_STEP_ITERS", 3)
+    monkeypatch.setattr(engine, "_LTE_TOL", 1e-5)
     events = _acceptance_events(monkeypatch)
     got = engine._transient_many(circs, **run)
     want = {(0, "reject"), (1, "halve"), (2, "reset"), (3, "accept")}

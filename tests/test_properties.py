@@ -222,6 +222,9 @@ def _topology(draw):
 _circuits = st.one_of(_elaborated(), _topology())
 # Newton iterations of a step start: 2, 3 and 5 force halved steps
 _step_iters = st.sampled_from((2, 3, 5, engine._STEP_ITERS))
+# two built-in topologies whose 1.6 ns pulse train the fixed grid measures
+_measured = st.sampled_from(("ssls", "cmls")).map(lambda topo: elaborate(gen_with_stimulus(
+    topo, SourceWave("pulse", 0.0, 1.6, 0.0, 20e-12, 20e-12, 0.78e-9, 1.6e-9))))
 
 
 def _all_finite(*arrays):
@@ -235,13 +238,14 @@ def _waves_bits(w):
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)
-@given(_step_iters, _circuits)
+@given(_step_iters, _circuits | _measured)
 def test_simulated_circuits_end_typed_or_finite(iters, circ):
     # the DC operating point, a transient on the fixed grid and a
     # characterization each end in a typed error or in finite figures,
     # without a floating-point overflow, division by zero or invalid
     # operation on the way (an exp underflowing to 0 in deep subthreshold
-    # is benign)
+    # is benign); `_measured` circuits measure, so finite Reports are
+    # checked too, not only errors
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="raise", divide="raise",
                                                          invalid="raise"):
         mp.setattr(engine, "_STEP_ITERS", iters)
@@ -281,11 +285,6 @@ def test_batches_of_simulated_circuits_equal_lone_runs(circs, iters):
             assert _waves_bits(w) == _waves_bits(want)
             assert list(w.node_v) == list(want.node_v)
             assert list(w.supply_i) == list(want.supply_i)
-
-
-# two built-in topologies whose 1.6 ns pulse train the fixed grid measures
-_measured = st.sampled_from(("ssls", "cmls")).map(lambda topo: elaborate(gen_with_stimulus(
-    topo, SourceWave("pulse", 0.0, 1.6, 0.0, 20e-12, 20e-12, 0.78e-9, 1.6e-9))))
 
 
 def _report_bits(rep):

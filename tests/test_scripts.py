@@ -1,9 +1,12 @@
 """Smoke tests of the example scripts under scripts/ and of the README's
-library examples."""
+library examples, and a check that the README states the engine's step
+error target."""
 
 import importlib.util
 import re
 from pathlib import Path
+
+from lsbench import engine
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -34,3 +37,13 @@ def test_readme_python_examples_run(capsys):
     for code in blocks:
         exec(compile(code, str(readme), "exec"), ns)
     assert capsys.readouterr().out
+
+
+def test_step_error_target_prose_matches_the_constant():
+    # the target the README's Transient section and the engine docstring
+    # state is the one the step control divides by
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### Transient\n", 1)[1].split("\n## ", 1)[0]
+    (micro,) = re.findall(r"under (\d+) uV", section)
+    (volts,) = re.findall(r"max\|DD2\(v\)\| / (\S+) V", engine.__doc__)
+    assert float(f"{micro}e-6") == float(volts) == engine._LTE_TOL
