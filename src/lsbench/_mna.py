@@ -35,10 +35,10 @@ joins the next iteration with its next request, so every member keeps its
 own step sequence; the live set is planned again only when a member ends.
 A singular member makes its group's stacked solve raise; that group is
 then solved member by member, and only the singular one fails.  B = 1 is
-the only single-circuit path: `transient` and `dc_operating_point` are
-batches of one, and `characterize_many` runs several.  During a batched
-transient members keep only their solved points until their grids are
-filled in.
+the only single-circuit path: `transient`, `dc_operating_point` and
+`static_power` are batches of one, and `characterize_many` runs several.
+During a batched transient members keep only their solved points until
+their grids are filled in.
 
 Stamp plan.  `_System` compiles each member once into flat arrays.  Per
 Newton iteration, `mos_currents` gathers the terminal voltages of every

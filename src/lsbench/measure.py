@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .devmodel import SourceWave
-from .engine import GMIN_DEFAULT, SolveOptions, SolverError, Waveforms, dc_operating_point
+from .engine import GMIN_DEFAULT, SolveOptions, SolverError, Waveforms
 from .netlist import Circuit
 
 
@@ -122,24 +121,17 @@ def average_power(waves: Waveforms, window) -> float:
     return _window_integral(t, p, t0, t1) / (t1 - t0)
 
 
-def _pinned(circuit: Circuit, input_state: str) -> Circuit:
-    """`circuit` with every pulse source pinned at its lo (v1) or hi (v2)
-    level: the same structure, DC sources only."""
-    if input_state not in ("lo", "hi"):
-        raise ValueError(f"input_state must be 'lo' or 'hi', got {input_state!r}")
-    return replace(circuit, sources=[
-        replace(s, wave=SourceWave("dc", s.wave.v1 if input_state == "lo" else s.wave.v2))
-        if s.wave.kind == "pulse" else s
-        for s in circuit.sources
-    ])
-
-
-def _static(circuit: Circuit, op) -> float:
-    """The power the sources of `circuit` deliver at the DC operating point
-    `op`, less the synthetic gmin currents."""
+def _static_requests(sys_, j: int, input_state: str, opts: SolveOptions = SolveOptions()):
+    """Member j's static power as one generator of Newton requests: its DC
+    solve in member j itself, with every pulse source at its lo (v1) or hi
+    (v2) level, then the power its sources deliver there, less the
+    synthetic gmin currents.  Returns the power; a SolverError propagates."""
+    hi = input_state == "hi"
+    src = [w.v2 if hi and w.kind == "pulse" else w.v1 for w in sys_.waves[j]]
+    op = yield from engine._dc_requests(sys_, j, opts, src=src)
     v = op.state.v
     total = 0.0
-    for k, s in enumerate(circuit.sources):
+    for k, s in enumerate(sys_.circuits[j].sources):
         vs = (v[s.p] if s.p >= 0 else 0.0) - (v[s.m] if s.m >= 0 else 0.0)
         total += vs * (-float(op.state.i_branch[k]))
     return total - GMIN_DEFAULT * float(np.dot(v, v))
@@ -148,9 +140,17 @@ def _static(circuit: Circuit, op) -> float:
 def static_power(circuit: Circuit, input_state: str,
                  opts: SolveOptions | None = None) -> float:
     """DC power with every pulse source pinned at its lo (v1) or hi (v2)
-    level.  The gmin currents are numerical, not physical, and are excluded."""
-    pinned = _pinned(circuit, input_state)
-    return _static(pinned, dc_operating_point(pinned, opts))
+    level, solved as `characterize` solves it: a batch of one, in the
+    circuit's own compiled member at the pinned source values.  The gmin
+    currents are numerical, not physical, and are excluded."""
+    if input_state not in ("lo", "hi"):
+        raise ValueError(f"input_state must be 'lo' or 'hi', got {input_state!r}")
+    opts = opts or SolveOptions()
+    sys_ = engine._System([circuit])
+    (p,) = engine._drive(sys_, [_static_requests(sys_, 0, input_state, opts)], opts)
+    if isinstance(p, SolverError):
+        raise p
+    return p
 
 
 def output_swing(out_wave, t, settle):
@@ -258,21 +258,19 @@ def _characterize_requests(sys_, j: int, t, waves, in_node: str, out_node: str):
     """Member j's characterization as one generator of Newton requests, in
     the order of a lone run: its transient over the grid t from its
     DC operating point (or the given `waves`), the measurements, then the
-    static DC solves with its sources at the values of its lo and hi
-    pinned copies.  Those run in member j itself: a pinned copy has the
-    same devices and matrices, only other source values.  Returns the
-    Report, or the MeasureError; a SolverError propagates."""
-    c = sys_.circuits[j]
+    static powers with its pulse sources pinned lo and hi, solved in
+    member j itself: a pinned circuit has the same devices and matrices,
+    only other source values.  Returns the Report, or the MeasureError; a
+    SolverError propagates."""
     if waves is None:
-        waves = engine._waveforms(c, t, (yield from engine._Stepper(sys_, j, t).run()))
-    rep = _figures(c, waves, in_node, out_node)
+        waves = yield from engine._Stepper(sys_, j, t).run()
+    rep = _figures(sys_.circuits[j], waves, in_node, out_node)
     del waves  # the grid is dropped before the next member's is filled
     if isinstance(rep, MeasureError):
         return rep
-    src_lo, src_hi = ([s.wave.v1 for s in _pinned(c, st).sources] for st in ("lo", "hi"))
-    lo = yield from engine._dc_requests(sys_, j, src=src_lo)
-    hi = yield from engine._dc_requests(sys_, j, src=src_hi)
-    return replace(rep, power_static_lo=_static(c, lo), power_static_hi=_static(c, hi))
+    lo = yield from _static_requests(sys_, j, "lo")
+    hi = yield from _static_requests(sys_, j, "hi")
+    return replace(rep, power_static_lo=lo, power_static_hi=hi)
 
 
 def _reports(jobs, in_node: str = "in", out_node: str = "out") -> list:

@@ -1,5 +1,6 @@
 """Shared fixtures: simulations reused by several test modules, the CLI run
-as a child process, and a built-in topology under another stimulus."""
+as a child process, a built-in topology under another stimulus, and an
+independent static-power reference on pinned circuit copies."""
 
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import lsbench
-from lsbench.engine import transient
+from lsbench.devmodel import SourceWave
+from lsbench.engine import GMIN_DEFAULT, dc_operating_point, transient
 from lsbench.netlist import elaborate, parse_netlist
 from lsbench.topologies import gen
 
@@ -20,6 +22,29 @@ def gen_with_stimulus(topology, wave, p=None):
     doc = gen(topology, p)
     return replace(doc, devices=tuple(replace(c, wave=wave) if c.name == "VIN" else c
                                       for c in doc.devices))
+
+def pinned(circuit, state):
+    """`circuit` with every pulse source pinned at its lo (v1) or hi (v2)
+    level: the same structure, DC sources only."""
+    return replace(circuit, sources=[
+        replace(s, wave=SourceWave("dc", s.wave.v1 if state == "lo" else s.wave.v2))
+        if s.wave.kind == "pulse" else s
+        for s in circuit.sources
+    ])
+
+
+def pinned_static_power(circuit, state):
+    """Static power by a route of its own: the DC operating point of the
+    pinned copy, then the power its sources deliver there less the
+    synthetic gmin currents, as perfbench/make_refs.py restates it."""
+    p = pinned(circuit, state)
+    op = dc_operating_point(p)
+    v = op.state.v
+    total = 0.0
+    for k, s in enumerate(p.sources):
+        vs = (v[s.p] if s.p >= 0 else 0.0) - (v[s.m] if s.m >= 0 else 0.0)
+        total += vs * (-float(op.state.i_branch[k]))
+    return total - GMIN_DEFAULT * float(v @ v)
 
 # A minimal inverter driving a known load with a slow squarewave, sized so
 # almost all supply energy goes into charging the 10 fF cap: the average

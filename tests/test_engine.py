@@ -937,6 +937,7 @@ def test_public_settings_are_pinned():
     assert _params(measure.characterize) == [
         "circuit", "tstep", "tstop", "*", "in_node", "out_node", "waves"]
     assert _params(measure.characterize_many) == ["circuits"]
+    assert _params(measure.static_power) == ["circuit", "input_state", "opts"]
     assert [f.name for f in fields(TopoParams)] == [
         "vddh", "vddl", "vin_hi", "l", "w_p", "w_n", "w_n_stacked", "cload"]
     assert _params(stack_leakage_fixture) == ["k", "w_total", "p", "vdd"]

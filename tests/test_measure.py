@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import pinned, pinned_static_power
 from lsbench import engine
 from lsbench.engine import SolverError, dc_operating_point, transient
-from lsbench.measure import (MeasureError, _median, _pinned, average_power, characterize,
+from lsbench.measure import (MeasureError, _median, average_power, characterize,
                              characterize_many, output_swing, propagation_delay,
                              static_power)
 from lsbench.netlist import TranCard, elaborate, parse_netlist, parse_seed_models
@@ -230,12 +231,31 @@ def test_characterize_many_equals_lone_characterize(monkeypatch):
         if budget:
             # the corner's lo and hi static solves both need the fallback;
             # run in the circuit's own member at its pinned source values,
-            # they give the bits of static_power, which solves pinned copies
+            # they give the bits of a DC solve of a pinned copy, and so does
+            # static_power, of the corner and of every built-in
             c = circs[3]
-            assert {dc_operating_point(_pinned(c, st)).homotopy_used
+            assert {dc_operating_point(pinned(c, st)).homotopy_used
                     for st in ("lo", "hi")} == {"ptc"}
             assert ([got[3].power_static_lo.hex(), got[3].power_static_hi.hex()]
-                    == [static_power(c, st).hex() for st in ("lo", "hi")])
+                    == [pinned_static_power(c, st).hex() for st in ("lo", "hi")])
+            for c in [c] + [elaborate(gen(topo)) for topo in TOPOLOGY_IDS]:
+                assert ([static_power(c, st).hex() for st in ("lo", "hi")]
+                        == [pinned_static_power(c, st).hex() for st in ("lo", "hi")])
+
+
+def test_static_power_compiles_the_callers_circuit(monkeypatch):
+    # static_power solves in the circuit's own compiled member at the pinned
+    # source values, as characterize does: one system, holding the caller's
+    # own object and no pinned copy
+    c = elaborate(gen("cls"))
+    compiled, init = [], engine._System.__init__
+
+    def recorded(self, circuits):
+        compiled.append(list(circuits))
+        init(self, circuits)
+    monkeypatch.setattr(engine._System, "__init__", recorded)
+    static_power(c, "hi")
+    assert len(compiled) == 1 and len(compiled[0]) == 1 and compiled[0][0] is c
 
 
 def test_characterize_many_on_two_grids_equals_lone_characterize(monkeypatch):
@@ -269,7 +289,7 @@ def test_bench_dc_solves_end_in_plain_newton_inside_its_cap():
     ops = []
     for topo in TOPOLOGY_IDS:
         c = elaborate(gen(topo))
-        ops += [dc_operating_point(m) for m in (c, _pinned(c, "lo"), _pinned(c, "hi"))]
+        ops += [dc_operating_point(m) for m in (c, pinned(c, "lo"), pinned(c, "hi"))]
     assert len(ops) == 18 and engine._PLAIN_ITERS == 50
     assert {op.homotopy_used for op in ops} == {"none"}
     assert max(op.iterations for op in ops) <= 30
@@ -299,7 +319,7 @@ def test_pseudo_transient_corners_match_continuation_reference(topo, models, wan
     circ = elaborate(gen(topo), base_models=parse_seed_models(models))
     iters = []
     for state, ref in zip(("lo", "hi"), want):
-        op = dc_operating_point(_pinned(circ, state))
+        op = dc_operating_point(pinned(circ, state))
         assert op.homotopy_used == "ptc"
         iters.append(op.iterations)
         assert static_power(circ, state) == pytest.approx(ref, rel=1e-6)
