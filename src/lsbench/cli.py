@@ -30,8 +30,8 @@ import numpy as np
 
 from .engine import SolverError, Waveforms, transient
 from .measure import MeasureError, Report, _tstep_tstop, characterize, characterize_many
-from .netlist import (ElaborationError, ParseError, elaborate, parse_netlist,
-                      parse_seed_models, parse_value, serialize_netlist)
+from .netlist import (ParseError, elaborate, parse_netlist, parse_seed_models,
+                      parse_value, serialize_netlist)
 from .topologies import TOPOLOGY_IDS, TopoParams, gen, validate_params
 
 EXIT_USAGE = 2
@@ -107,11 +107,8 @@ def cmd_gen(args) -> int:
         print(f"warning: {args.topology} is single-supply; --vddl has no effect",
               file=sys.stderr)
     text = serialize_netlist(gen(args.topology, _topo_params(args)))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _out_stream(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -225,35 +222,26 @@ def _warn_negative_delays(name: str, rep) -> None:
 
 def _bench_rows(topologies, seed) -> list:
     """The rows of `topologies`, characterized as one batch."""
-    rows = {t: BenchRow(t) for t in topologies}
-    circs = {}
-    for topo in topologies:
-        try:
-            circs[topo] = elaborate(gen(topo), base_models=seed)
-        except ElaborationError as e:
-            rows[topo].status, rows[topo].note = "failed", str(e)
-    reps = characterize_many(circs.values())
+    rows = [BenchRow(t) for t in topologies]
+    reps = characterize_many(elaborate(gen(t), base_models=seed) for t in topologies)
     vddh = TopoParams().vddh
-    for topo in circs:
-        rep = next(reps)
-        _warn_negative_delays(topo, rep)
-        _fill_row(rows[topo], rep, vddh)
-    for topo in topologies:
-        base = topo[:-len("_stacked")] if topo.endswith("_stacked") else None
-        if base in rows and rows[base].status == "ok" and rows[topo].status == "ok":
-            rows[topo].reduction_ratio = rows[base].power_avg / rows[topo].power_avg
-    return [rows[t] for t in topologies]
+    for row, rep in zip(rows, reps):
+        _warn_negative_delays(row.topology, rep)
+        _fill_row(row, rep, vddh)
+    return rows
 
 
 def _bench_pairs(rows) -> list:
+    """Each "ok" row paired with its "ok" `_stacked` row, whose reduction_ratio it fills."""
     by_id = {r.topology: r for r in rows}
     pairs = []
-    for base in ("cls", "ssls", "cmls"):
-        rb, rs = by_id.get(base), by_id.get(base + "_stacked")
-        if rb and rs and rb.status == "ok" and rs.status == "ok":
+    for rb in rows:
+        rs = by_id.get(rb.topology + "_stacked")
+        if rs and rb.status == "ok" and rs.status == "ok":
+            rs.reduction_ratio = rb.power_avg / rs.power_avg
             pairs.append({
-                "baseline": base,
-                "stacked": base + "_stacked",
+                "baseline": rb.topology,
+                "stacked": rs.topology,
                 "reduction_ratio": rs.reduction_ratio,
                 "static_ratio": rb.power_static_avg / rs.power_static_avg,
                 "delay_ratio": rs.delay_max / rb.delay_max,

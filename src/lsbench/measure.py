@@ -214,7 +214,8 @@ def _tstep_tstop(circuit: Circuit, tstep: float | None, tstop: float | None) -> 
     if tstep is None or tstop is None:
         tr = circuit.tran
         if tr is None:
-            raise ValueError("no timestep given and the netlist has no .tran")
+            missing = [n for n, v in (("tstep", tstep), ("tstop", tstop)) if v is None]
+            raise ValueError(f"no {' or '.join(missing)} given and the netlist has no .tran")
         tstep = tstep if tstep is not None else tr.tstep
         tstop = tstop if tstop is not None else tr.tstop
     return tstep, tstop

@@ -14,10 +14,12 @@ Six circuits, three families x {baseline, stacked}:
         exactly when the opposing NMOS pulls its node down.
 
 The *_stacked variants replace selected NMOS pull-downs with two series
-halves of equal total width.  Off-state series devices bias their shared
-node a little above ground, which reverse-biases and DIBL-relieves the top
-device; leakage drops well below a single device of the summed width.  The
-same transform is exposed generically as apply_stack.
+halves of equal total width (the stack effect): cls's MNA, MNB and MN3 and
+cmls's MN3, MN4 and MN5, 3 added transistors each, and ssls's MN2 and MN3,
+2 added, with MN1 narrowed to w_n_stacked.  Off-state series devices bias
+their shared node a little above ground, which reverse-biases and
+DIBL-relieves the top device; leakage drops well below a single device of
+the summed width.  The same transform is exposed generically as apply_stack.
 
 All generators emit inverting circuits (out is the logical complement of
 in); titles say so.
@@ -30,8 +32,6 @@ from dataclasses import dataclass, fields as dc_fields, replace
 from .devmodel import MosParams, SourceWave
 from .netlist import (ModelCard, MosCard, NetlistDoc, SourceCard, TranCard,
                       TwoTermCard)
-
-TOPOLOGY_IDS = ("cls", "cls_stacked", "ssls", "ssls_stacked", "cmls", "cmls_stacked")
 
 NMOS_MODEL = "NCH"
 PMOS_MODEL = "PCH"
@@ -110,19 +110,6 @@ def _gen_cls(p: TopoParams) -> NetlistDoc:
                       devs, _models(), _tran())
 
 
-# Stacking the latch pull-downs (MN1/MN2) would break the flip: a half-width
-# series pair driven at vddl cannot out-pull a full-width PMOS at vsg=vddh.
-# The three non-latch NMOS are stacked instead.
-_CLS_STACK = ("MNA", "MNB", "MN3")
-
-
-def _gen_cls_stacked(p: TopoParams) -> NetlistDoc:
-    doc = apply_stack(_gen_cls(p), StackSpec(_CLS_STACK, 2))
-    doc = _override_stack_widths(doc, _CLS_STACK, p)
-    return replace(doc, title="cls_stacked: cross-coupled level shifter, "
-                               "stacked inverter NMOS (inverting)")
-
-
 def _gen_ssls(p: TopoParams) -> NetlistDoc:
     devs = (
         SourceCard("VDDH", "vddh", "0", SourceWave("dc", p.vddh)),
@@ -137,22 +124,6 @@ def _gen_ssls(p: TopoParams) -> NetlistDoc:
     )
     return NetlistDoc("ssls: single-supply level shifter, under-driven first "
                       "stage (inverting)", devs, _models(), _tran())
-
-
-_SSLS_STACK = ("MN2", "MN3")
-
-
-def _gen_ssls_stacked(p: TopoParams) -> NetlistDoc:
-    doc = _gen_ssls(p)
-    devs = tuple(
-        replace(c, w=p.w_n_stacked)
-        if isinstance(c, MosCard) and c.name == "MN1" else c
-        for c in doc.devices
-    )
-    doc = apply_stack(replace(doc, devices=devs), StackSpec(_SSLS_STACK, 2))
-    doc = _override_stack_widths(doc, _SSLS_STACK, p)
-    return replace(doc, title="ssls_stacked: single-supply level shifter, "
-                               "narrow/stacked NMOS (inverting)")
 
 
 def _gen_cmls(p: TopoParams) -> NetlistDoc:
@@ -180,49 +151,49 @@ def _gen_cmls(p: TopoParams) -> NetlistDoc:
                       "(inverting)", devs, _models(), _tran())
 
 
-_CMLS_STACK = ("MN3", "MN4", "MN5")
-
-
-def _gen_cmls_stacked(p: TopoParams) -> NetlistDoc:
-    doc = apply_stack(_gen_cmls(p), StackSpec(_CMLS_STACK, 2))
-    doc = _override_stack_widths(doc, _CMLS_STACK, p)
-    return replace(doc, title="cmls_stacked: contention-mitigated level "
-                               "shifter, stacked core NMOS (inverting)")
-
-
-def _override_stack_widths(doc: NetlistDoc, targets: tuple, p: TopoParams) -> NetlistDoc:
-    """Honor w_n_stacked when it differs from the default split w_n/2."""
-    if p.w_n_stacked == p.w_n / 2:
-        return doc
-    names = {f"{t}_S{i}" for t in targets for i in (1, 2)}
-    devs = tuple(
-        replace(c, w=p.w_n_stacked)
-        if isinstance(c, MosCard) and c.name in names else c
-        for c in doc.devices
-    )
-    return replace(doc, devices=devs)
-
-
-_BUILDERS = {
-    "cls": _gen_cls,
-    "cls_stacked": _gen_cls_stacked,
-    "ssls": _gen_ssls,
-    "ssls_stacked": _gen_ssls_stacked,
-    "cmls": _gen_cmls,
-    "cmls_stacked": _gen_cmls_stacked,
+# family: (baseline builder, StackSpec of the NMOS split into series halves,
+# NMOS narrowed to w_n_stacked, stacked title).  cls keeps its latch
+# pull-downs MN1/MN2 whole: a half-width series pair driven at vddl cannot
+# out-pull a full-width PMOS at vsg=vddh, and the latch would not flip.
+_STACKED = {
+    "cls": (_gen_cls, StackSpec(("MNA", "MNB", "MN3")), frozenset(),
+            "cls_stacked: cross-coupled level shifter, stacked inverter NMOS (inverting)"),
+    "ssls": (_gen_ssls, StackSpec(("MN2", "MN3")), frozenset({"MN1"}),
+             "ssls_stacked: single-supply level shifter, narrow/stacked NMOS (inverting)"),
+    "cmls": (_gen_cmls, StackSpec(("MN3", "MN4", "MN5")), frozenset(),
+             "cmls_stacked: contention-mitigated level shifter, stacked core NMOS (inverting)"),
 }
+
+TOPOLOGY_IDS = tuple(t for f in _STACKED for t in (f, f + "_stacked"))
+
+
+def _gen_stacked(family: str, p: TopoParams) -> NetlistDoc:
+    """The family's baseline, its targets split into halves of w_n/2 each; its
+    narrowed NMOS take w_n_stacked, as do the halves when it is not w_n/2."""
+    build, spec, narrowed, title = _STACKED[family]
+    doc = apply_stack(build(p), spec)
+    names = narrowed
+    if p.w_n_stacked != p.w_n / 2:
+        names = names.union(f"{t}_S{i}" for t in spec.targets for i in (1, 2))
+    if names:
+        doc = replace(doc, devices=tuple(
+            replace(c, w=p.w_n_stacked)
+            if isinstance(c, MosCard) and c.name in names else c
+            for c in doc.devices
+        ))
+    return replace(doc, title=title)
 
 
 def gen(topology: str, p: TopoParams | None = None) -> NetlistDoc:
     """Generate one of the built-in topologies as a NetlistDoc."""
     p = p if p is not None else TopoParams()
-    builder = _BUILDERS.get(topology)
-    if builder is None:
-        raise ValueError(
-            f"unknown topology {topology!r} (expected one of {', '.join(TOPOLOGY_IDS)})"
-        )
+    family = topology.removesuffix("_stacked")
+    entry = _STACKED.get(family)
+    if entry is None:
+        raise ValueError(f"unknown topology {topology!r} "
+                         f"(expected one of {', '.join(TOPOLOGY_IDS)})")
     validate_params(p)
-    return builder(p)
+    return entry[0](p) if family == topology else _gen_stacked(family, p)
 
 
 def apply_stack(doc: NetlistDoc, spec: StackSpec) -> NetlistDoc:

@@ -204,6 +204,10 @@ def test_run_error_exits(tmp_path, capsys):
     no_tran.write_text("rc\nVIN a 0 DC 1\nR1 a 0 1k\n.end\n")
     assert main(["run", str(no_tran)]) == 2
     assert ".tran" in capsys.readouterr().err
+    # a timestep alone is not enough: the error names the stop time missing
+    assert main(["run", str(no_tran), "--tstep", "1n"]) == 2
+    err = capsys.readouterr().err
+    assert "no tstop given" in err and ".tran" in err
 
 
 def test_run_unphysical_model_value_exits_2(tmp_path, capsys):
@@ -288,10 +292,14 @@ def test_classify_swing_marks(lo, hi, status):
 
 def test_bench_pairs_table_ratios():
     rows = [BenchRow("cls", 4e-5, 6e-10, 1.6e-9, 3.3, 0.0),
-            BenchRow("cls_stacked", 2e-5, 4e-10, 2.0e-9, 3.3, 0.0, 2.0),
+            BenchRow("cls_stacked", 2e-5, 4e-10, 2.0e-9, 3.3, 0.0),
             BenchRow("ssls", 1e-4, 1e-4, 6e-10, 3.3, 0.0),
             BenchRow("ssls_stacked", status="non-functional", note="swing")]
     (pair,) = _bench_pairs(rows)  # a pair with a non-ok side is left out
+    # the pairing owns reduction_ratio: it fills the ok stacked row's and
+    # leaves the non-ok one's empty
+    assert rows[1].reduction_ratio == pair["reduction_ratio"] == 2.0
+    assert rows[3].reduction_ratio is None
     assert pair["static_ratio"] == 1.5
     assert pair["delay_ratio"] == 1.25
     out = io.StringIO()

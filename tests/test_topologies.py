@@ -132,31 +132,56 @@ def test_stack_target_errors():
         apply_stack(doc, StackSpec(("MNA",), 0))
 
 
-@pytest.mark.parametrize("base,stacked,targets,narrowed", [
+STACKED_FAMILIES = [
     ("cls", "cls_stacked", ("MNA", "MNB", "MN3"), None),
     ("ssls", "ssls_stacked", ("MN2", "MN3"), "MN1"),
     ("cmls", "cmls_stacked", ("MN3", "MN4", "MN5"), None),
-])
+]
+
+STACKED_TITLES = {
+    "cls_stacked": "cls_stacked: cross-coupled level shifter, stacked inverter NMOS "
+                   "(inverting)",
+    "ssls_stacked": "ssls_stacked: single-supply level shifter, narrow/stacked NMOS "
+                    "(inverting)",
+    "cmls_stacked": "cmls_stacked: contention-mitigated level shifter, stacked core "
+                    "NMOS (inverting)",
+}
+
+
+@pytest.mark.parametrize("base,stacked,targets,narrowed", STACKED_FAMILIES)
 def test_stacked_variant_equals_transformed_baseline(base, stacked, targets, narrowed):
-    p = TopoParams()
-    doc = gen(base, p)
-    if narrowed is not None:
-        devs = tuple(
-            replace(c, w=p.w_n_stacked)
-            if isinstance(c, MosCard) and c.name == narrowed else c
-            for c in doc.devices
-        )
-        doc = replace(doc, devices=devs)
-    transformed = apply_stack(doc, StackSpec(targets, 2))
-    assert transformed.devices == gen(stacked, p).devices
-    assert transformed.models == gen(stacked, p).models
+    for p in (TopoParams(), TopoParams(w_n=1.3e-6, w_n_stacked=0.4e-6)):
+        doc = gen(base, p)
+        if narrowed is not None:
+            devs = tuple(
+                replace(c, w=p.w_n_stacked)
+                if isinstance(c, MosCard) and c.name == narrowed else c
+                for c in doc.devices
+            )
+            doc = replace(doc, devices=devs)
+        transformed = apply_stack(doc, StackSpec(targets, 2))
+        if p.w_n_stacked != p.w_n / 2:  # the halves take w_n_stacked, not w_n/2
+            halves = {f"{t}_S{i}" for t in targets for i in (1, 2)}
+            transformed = replace(transformed, devices=tuple(
+                replace(c, w=p.w_n_stacked)
+                if isinstance(c, MosCard) and c.name in halves else c
+                for c in transformed.devices))
+        assert transformed.devices == gen(stacked, p).devices, p
+        assert transformed.models == gen(stacked, p).models, p
+        assert gen(stacked, p).title == STACKED_TITLES[stacked], p
 
 
 def test_stack_width_override():
-    doc = gen("cls_stacked", TopoParams(w_n_stacked=0.3e-6))
-    by = {m.name: m for m in _mos(doc)}
-    assert by["MNA_S1"].w == 0.3e-6 and by["MN3_S2"].w == 0.3e-6
-    assert by["MN1"].w == 1.0e-6  # the latch pull-downs stay full width
+    for base, stacked, targets, narrowed in STACKED_FAMILIES:
+        by = {m.name: m for m in _mos(gen(stacked, TopoParams(w_n_stacked=0.3e-6)))}
+        for t in targets:
+            assert by[f"{t}_S1"].w == by[f"{t}_S2"].w == 0.3e-6, t
+        if narrowed is not None:
+            assert by[narrowed].w == 0.3e-6
+        # every other device, cls's latch pull-downs MN1/MN2 too, keeps its width
+        for m in _mos(gen(base)):
+            if m.name not in targets and m.name != narrowed:
+                assert by[m.name].w == m.w, m.name
 
 
 # ---------------------------------------------------------------------------
