@@ -26,9 +26,10 @@ batched as well: the transient steps, whole or halved, that converge in
 one iteration extend their tables of divided differences, held in flat
 buffers too, and form their error norms and capacitor histories in one
 pass (`extend`) before their generators decide, and the steps loaded next
-get their starts and constant parts of f in one more (`predict`), all from
-their step starts and tables.  A group of one keeps the vector matvec,
-cheaper and bitwise equal; nothing else branches on group size.
+get their starts, constant parts of f and BDF2 histories in one more
+(`predict`), all from their step starts and tables.  A group of one keeps
+the vector matvec, cheaper and bitwise equal; nothing else branches on
+group size.
 Sizes are never padded to a common N: an identity block changes the bits
 of the solve.  A member whose request ends gets its result at once and
 joins the next iteration with its next request, so every member keeps its
@@ -305,14 +306,16 @@ class _System:
         ms, xo, S = self.members, self.xo, self.xo[-1]
         ns, Ns = [self.n[j] for j in ms], [self.N[j] for j in ms]
         per = lambda a, ln: [a[o:o + k] for o, k in zip(xo, ln)]
-        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((6, len(ms)))
+        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((7, len(ms)))
+        self.ab2 = np.zeros((2, S + 1))  # |NEW[2:4]|, then a 0 (see `live`)
         self.tv, self.nv = ([a[:, o:o + N] for o, N in zip(xo, Ns)] for a in (self.T, self.NEW))
         self.rowpos = np.repeat(np.arange(len(ms)), Ns)
         self.XF, self.D, self.CD, self.H = np.zeros((4, S))
         self.xfv = per(self.XF, Ns)
         self.dv, self.cdv, self.hv = (per(a, ns) for a in (self.D, self.CD, self.H))
-        self.rhsv = [(r[:n], r[n:], self.C[j], self.waves[j], xf[:n])  # for `predict`
-                     for r, n, j, xf in zip(self.rv, ns, ms, self.xfv)]
+        self.rhsv = [(r[:n], r[n:], self.C[j], self.waves[j], xf[:n], ic, tb[1, :n])
+                     for r, n, j, xf, ic, tb in zip(self.rv, ns, ms, self.xfv, self.icv,
+                                                    self.tv)]  # for `predict`
 
     def load(self, p: int, req: tuple) -> None:
         """Load a request (see `_drive`) into live position p: zero IC rows
@@ -333,7 +336,8 @@ class _System:
         """Extend the tables at the states in NEW[0], NEW[i+1] = (NEW[i] - T[i]) /
         (t1 - t_i) on all S rows (rows not asked for, or past a short table, get
         values nothing reads), and form the histories alpha*C*(NEW[0] - XF) - IC
-        of the positions ps in H; returns max|NEW[2]| on each position's node rows."""
+        of the positions ps in H; returns [max|NEW[2]|, max|NEW[3]|] on each
+        position's node rows."""
         sp, T, NEW = self.spec.take(self.rowpos, axis=1), self.T, self.NEW
         for i in (0, 1, 2):
             np.divide(np.subtract(NEW[i], T[i], out=NEW[i + 1]), sp[i], out=NEW[i + 1])
@@ -341,13 +345,14 @@ class _System:
         for p in ps:
             self.C[self.members[p]].dot(self.dv[p], out=self.cdv[p])
         np.subtract(np.multiply(self.CD, sp[4], out=self.H), self.IC, out=self.H)
-        np.absolute(NEW[2], out=self.ab[:-1])
-        return np.maximum.reduceat(self.ab, self.ridx)[::2].tolist()
+        np.absolute(NEW[2:4], out=self.ab2[:, :-1])
+        return np.maximum.reduceat(self.ab2, self.ridx, axis=1)[:, ::2].T.tolist()
 
     def predict(self, ps) -> None:
         """Start the steps at live positions p (ps: p -> spec) at their tables'
         polynomials at t1, by Horner on all S rows (a short table at its top,
-        level 0 or 1 at the step start XF), and form their rhs from XF."""
+        level 0 or 1 at the step start XF), and form their rhs from XF and a
+        BDF2 step's history kappa*C*T[1] in IC."""
         sp, T = self.spec.take(self.rowpos, axis=1), self.T
         g, short = T[3].copy(), min(s[3] for s in ps.values()) < 4
         for i in (2, 1, 0):
@@ -355,11 +360,13 @@ class _System:
             g += T[i]
             if short:
                 np.copyto(g, T[i] if i else self.XF, where=sp[3] <= i + 1)
-        for p, (*_, alpha, t1) in ps.items():
+        for p, (*_, alpha, t1, kappa) in ps.items():
             self.xv[p][:] = g[self.xo[p]:self.xo[p + 1]]
-            node, src, C, waves, xf = self.rhsv[p]
+            node, src, C, waves, xf, ic, dd1 = self.rhsv[p]
             np.multiply(C.dot(xf, out=node), alpha, out=node)
             src[:] = [source_value(w, t1) for w in waves]
+            if kappa:
+                np.multiply(C.dot(dd1, out=ic), kappa, out=ic)
 
     # -- device evaluation ------------------------------------------------
 
@@ -457,10 +464,11 @@ class _System:
 # failure_reason) back, and finally returns its result or raises SolverError.
 # A transient step, whole or halved, has rhs None and appends (spec, op),
 # spec = (t1 - t_i over its table's times t_0..t_2, 1.0 past them and for a
-# first half; level; alpha; t1), op 1 committing the last extension and 2
-# restarting the table at x0.  `predict` forms its rhs from x0 and starts it
-# at x0 (level 0 or 1) or the table's polynomial; its result gains max|DD2|
-# over the node rows and its history alpha*C*(x - x0) - ic.
+# first half; level; alpha; t1; kappa, 0 but for BDF2), op 1 committing the
+# last extension and 2 restarting the table at x0.  `predict` forms its rhs
+# from x0, a BDF2 history ic = kappa*C*DD1 from the table, and starts it at
+# x0 (level 0 or 1) or the table's polynomial; its result gains [max|DD2|,
+# max|DD3|] over the node rows and its history alpha*C*(x - x0) - ic.
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 _VCLAMP = 0.5  # V, the largest node update of one Newton iteration
@@ -524,11 +532,11 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             ext = {j: r[0] for j, r in sends if r and r[3] and len(reqs[j]) > 5}  # steps done
             for j, x in ext.items():
                 sys_.nv[at[j]][0] = x
-            dd2 = sys_.extend([at[j] for j in ext]) if ext else None
+            dd = sys_.extend([at[j] for j in ext]) if ext else None
             gone, pend = False, {}
             for j, result in sends:
                 if j in ext:
-                    result += (dd2[at[j]], sys_.hv[at[j]].copy())
+                    result += (dd[at[j]], sys_.hv[at[j]].copy())
                 try:
                     req = gens[j].send(result)
                 except StopIteration as e:
@@ -551,7 +559,8 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             if gone:  # a new plan, carrying the other members over
                 if not reqs:
                     return out
-                old, xs, rs, tv, counters = at, sys_.xv, sys_.rv, sys_.tv, (start, stop, dv_ok)
+                old, xs, rs, ics, tv = at, sys_.xv, sys_.rv, sys_.icv, sys_.tv
+                counters = start, stop, dv_ok
                 groups = sys_.live(reqs)  # in member order
                 if tv is not None:  # a halving member may be between steps
                     sys_.tables()
@@ -560,7 +569,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 for j, p in at.items():
                     sys_.load(p, reqs[j])
                     q = old[j]
-                    sys_.xv[p][:], sys_.rv[p][:] = xs[q], rs[q]
+                    sys_.xv[p][:], sys_.rv[p][:], sys_.icv[p][:] = xs[q], rs[q], ics[q]
                     if tv is not None:
                         sys_.tv[p][...] = tv[q]
             P, members, xv, ab, ridx = len(at), sys_.members, sys_.xv, sys_.ab, sys_.ridx

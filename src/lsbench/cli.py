@@ -375,6 +375,15 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
+def _number(token: str) -> float:
+    """`parse_value` for a flag: argparse prints an ArgumentTypeError's
+    message, where a ValueError would show only the converter's name."""
+    try:
+        return parse_value(token)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _add_param_flags(sp) -> None:
     helps = {
         "vddh": "high supply rail (V)",
@@ -387,7 +396,7 @@ def _add_param_flags(sp) -> None:
         "cload": "output load capacitance (F)",
     }
     for f in _PARAM_FLAGS:
-        sp.add_argument("--" + f.replace("_", "-"), dest=f, type=parse_value,
+        sp.add_argument("--" + f.replace("_", "-"), dest=f, type=_number,
                         default=None, metavar="V", help=helps[f])
 
 
@@ -406,9 +415,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="simulate a netlist")
     r.add_argument("netlist", help="netlist file")
-    r.add_argument("--tstep", type=parse_value, default=None,
+    r.add_argument("--tstep", type=_number, default=None,
                    help="time step (overrides .tran)")
-    r.add_argument("--tstop", type=parse_value, default=None,
+    r.add_argument("--tstop", type=_number, default=None,
                    help="stop time (overrides .tran)")
     r.add_argument("-o", "--out-csv", default=None,
                    help="waveform CSV path (default <netlist>.csv)")
@@ -428,9 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="characterize one topology across a range")
     s.add_argument("topology", help=f"one of: {', '.join(TOPOLOGY_IDS)}")
     s.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
-    s.add_argument("--from", dest="sweep_from", type=parse_value, required=True,
+    s.add_argument("--from", dest="sweep_from", type=_number, required=True,
                    metavar="A", help="range start")
-    s.add_argument("--to", dest="sweep_to", type=parse_value, required=True,
+    s.add_argument("--to", dest="sweep_to", type=_number, required=True,
                    metavar="B", help="range end")
     s.add_argument("--steps", type=int, required=True,
                    help=f"number of points (2 to {_SWEEP_MAX_STEPS:,})")

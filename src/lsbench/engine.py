@@ -23,31 +23,41 @@ step-size controller.  Every step spans m grid intervals, m a power of two
 from 1 to 64, so every solved point is a grid sample.  A grid interval that
 holds a PULSE corner is always a single step, and m restarts at 1 after it.
 Single-interval steps use trapezoidal companions after one backward-Euler
-startup step.  Longer steps are backward Euler: trapezoid on 640 ps steps
-leaves supply currents ringing at the uA level through quiet stretches,
-which L-stable backward Euler damps.  Each member has one table of Newton
-divided differences of the full solved state over the last four solved
-points since the last corner, newest first, kept by the driver (see `_mna`);
-a corner resets it to the point just solved.  The step predictor and the
-error estimate share it.  Newton starts from the table's polynomial at the
+(BE) startup step.  Longer steps are BE or, where its estimate allows a
+longer step, variable-step BDF2: trapezoid on 640 ps steps leaves supply
+currents ringing at the uA level through quiet stretches, which the
+L-stable BE and BDF2 damp.  A BDF2 step from t0 to t1 = t0 + h, t_p the
+solved point before t0, has alpha = 1/h + 1/(t1 - t_p) and the history
+kappa*C*DD1, kappa = h / (t1 - t_p) and DD1 the first divided difference
+at t0.  Each member has one table of Newton divided differences of the
+full solved state over the last four solved points since the last corner,
+newest first, kept by the driver (see `_mna`); a corner resets it to the
+point just solved.  The step predictor, the BDF2 history and the error
+estimates share it.  Newton starts from the table's polynomial at the
 new time, evaluated by Horner: cubic once the table holds four points, of
 lower order before, and none at all (the last solved state) on the step
 after a corner or the DC start.  A start that does not converge within
 _STEP_ITERS = 60 iterations is retried from the last solved state before
-the step is halved.  After each solve the
-table is extended, and r = h^2 max|DD2(v)| / 4e-5 V, where DD2 is the
-second divided difference of the node voltages over the last three solved
-points (h^2 DD2 estimates backward Euler's local error h^2 v''/2).  A step
-with r > 1 and m > 1 is rejected, its extension discarded, and retried with
-m halved; otherwise the next m is the largest power of two <= m sqrt(0.5/r),
-at most 2m.  Samples between solved points are linear interpolations;
-`Waveforms.solved` lists the solved grid indices, and an interpolated
-sample's `resid_max` is the larger residual of the two solves around it.
-Steps that fail to converge are retried with halved substeps, up to 8
-halvings deep.  The grid is capped at 1,000,000 intervals, checked before
-anything is allocated.  All capacitances here are constant, so companions
-reduce to a fixed matrix alpha*C plus a history current, which the driver
-forms from each step's start, halved substeps too.
+the step is halved.  After each solve the table is extended, and
+r = h^2 max|DD2(v)| / 4e-5 V, where DD2 is the second divided difference
+of the node voltages over the last three solved points (h^2 DD2 estimates
+BE's local error h^2 v''/2); from four points on, also
+r3 = (2/9) w0 w1 w2 max|DD3| over the same target, w_i = t1 - t_i over the
+table's times, which is BDF2's (2/9) h^3 v''' on equal steps.  A step with
+m > 1 whose own scheme's ratio exceeds 1 is rejected, its extension
+discarded, and retried with m halved.  Otherwise the next m is the largest
+power of two <= m sqrt(0.5/r), at most 2m; after a step with m > 1 and r3,
+the next step is BDF2 if m (0.5/r3)^(1/3) gives a strictly larger one, and
+takes that.  Ties keep BE, which is monotone where BDF2 is not, and r
+alone grows single-interval steps.  Samples between solved points are
+linear interpolations; `Waveforms.solved` lists the solved grid indices,
+and an interpolated sample's `resid_max` is the larger residual of the two
+solves around it.  Steps that fail to converge are retried with halved
+substeps of their own scheme, BE for BDF2, up to 8 halvings deep.  The
+grid is capped at 1,000,000 intervals, checked before anything is
+allocated.  All capacitances here are constant, so companions reduce to a
+fixed matrix alpha*C plus a history current, which the driver forms from
+each step's start, halved substeps too.
 
 The compiled system and the driver that runs the Newton requests of a
 batch in lock-step are in `_mna`.
@@ -218,21 +228,27 @@ class _Stepper:
         self.corners = _corner_intervals(sys_.waves[j], t)
         self.bases: dict = {}  # alpha -> base matrix
 
-    def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(1.0,) * 3, lev=0, table=0):
-        """One implicit step t0 -> t1 from x_from, halving on failure.  The
-        driver applies the table op `table`, starts at the table's polynomial
-        of level `lev`, then at x_from, forms the rhs and, on convergence, the
-        history, and extends the table over w = t1 - t_i (ones for a first
-        half, whose extension the second half's replaces; see `_mna`).
-        Returns (x, ic, worst accepted residual, max|DD2| over the node rows)."""
+    def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(1.0,) * 3, lev=0, table=0,
+             bdf2=False):
+        """One implicit step t0 -> t1 from x_from, halving on failure (into
+        BE or trapezoidal halves).  The driver applies the table op `table`,
+        starts at the table's polynomial of level `lev`, then at x_from, forms
+        the rhs and, on convergence, the history, and extends the table over
+        w = t1 - t_i (ones for a first half, whose extension the second
+        half's replaces; see `_mna`).  A BDF2 step's history kappa*C*DD1 comes
+        from the table's DD1 at t0, kappa = h / (t1 - t_p).  Returns (x, ic,
+        worst accepted residual, [max|DD2|, max|DD3|] over the node rows)."""
         h = t1 - t0
-        alpha = 2.0 / h if use_trap else 1.0 / h
+        alpha, kappa = 2.0 / h if use_trap else 1.0 / h, 0.0
+        if bdf2:
+            alpha, kappa = 1.0 / h + 1.0 / w[1], h / w[1]
         ic_hist = ic_from if use_trap else None
         base = self.bases.get(alpha)
         if base is None:
             base = self.bases[alpha] = self.sys.base_matrix(self.j, GMIN_DEFAULT, alpha)
         for lv in (lev, 1) if lev > 1 else (lev,):
-            y = yield (x_from, base, None, ic_hist, _STEP_ITERS, (*w, lv, alpha, t1), table)
+            y = yield (x_from, base, None, ic_hist, _STEP_ITERS, (*w, lv, alpha, t1, kappa),
+                       table)
             table = 0
             if y[3]:
                 return y[0], y[6], y[2], y[5]
@@ -244,9 +260,9 @@ class _Stepper:
         tm = 0.5 * (t0 + t1)
         x_mid, ic_mid, r1, _ = yield from self.step(x_from, ic_from, t0, tm, use_trap,
                                                     depth + 1)
-        x_new, ic_new, r2, dd2 = yield from self.step(x_mid, ic_mid, tm, t1, use_trap,
-                                                      depth + 1, w)
-        return x_new, ic_new, max(r1, r2), dd2
+        x_new, ic_new, r2, dd = yield from self.step(x_mid, ic_mid, tm, t1, use_trap,
+                                                     depth + 1, w)
+        return x_new, ic_new, max(r1, r2), dd
 
     def run(self):
         """Step over the grid from the DC operating point; returns the
@@ -267,6 +283,7 @@ class _Stepper:
         # `table` is the next step's op (2 restarts the table at x, 1 commits)
         ts, lev, table = [0.0], 1, 2
         i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
+        bdf2 = False  # the next multi-interval step is BDF2, else BE
         while i < n_steps:
             while corners[c] < i:
                 c += 1
@@ -274,22 +291,31 @@ class _Stepper:
             k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
             t0, t1 = t.item(i), t.item(i + k)
             w = [t1 - tk for tk in ts] + [1.0] * (3 - len(ts))
-            x_new, ic_new, res, dd2 = yield from self.step(
-                x, ic_cur, t0, t1, k == 1 and i > 0, 0, w, lev, table)
+            used = bdf2 and k > 1  # this step's scheme: BDF2, else BE or trapezoid
+            x_new, ic_new, res, (dd2, dd3) = yield from self.step(
+                x, ic_cur, t0, t1, k == 1 and i > 0, 0, w, lev, table, used)
             table = 0
             if at_corner:
-                ts, lev, table, m = [t1], 1, 2, 1
+                ts, lev, table, m, bdf2 = [t1], 1, 2, 1, False
             else:
                 grow = k  # no estimate yet: hold the step
                 if lev > 1 and n:
                     r = (t1 - t0) ** 2 * dd2 / _LTE_TOL
-                    if r > 1.0 and k > 1:
+                    r3 = 2.0 / 9.0 * w[0] * w[1] * w[2] * dd3 / _LTE_TOL  # read at lev > 2
+                    if (r3 if used else r) > 1.0 and k > 1:
                         m = k // 2  # reject: retry from the same point, half the step
                         continue
-                    # sqrt(0.5/r) >= 2 exactly when r <= 1/8: only then is
-                    # the step doubled, and 0.5/r never overflows
+                    # sqrt(0.5/r) >= 2 exactly when r <= 1/8, and the cube
+                    # root when r3 <= 1/16: only then is the step doubled,
+                    # and 0.5/r never overflows
                     grow = (min(_MAX_MULT, k * math.sqrt(0.5 / r)) if r > 0.125
                             else min(2 * k, _MAX_MULT))
+                    bdf2 = False  # BDF2 next only where its step is a longer power of two
+                    if k > 1 and lev > 2:
+                        g3 = (min(_MAX_MULT, k * (0.5 / r3) ** (1.0 / 3.0)) if r3 > 0.0625
+                              else min(2 * k, _MAX_MULT))
+                        bdf2 = int(g3).bit_length() > int(grow).bit_length()
+                        grow = max(grow, g3)
                 ts, lev, table = [t1, *ts[:2]], min(lev + 1, 4), 1
                 m = 1 << max(int(grow).bit_length() - 1, 0)
             x, ic_cur, i = x_new, ic_new, i + k

@@ -20,7 +20,8 @@ Each test verifies one shipped guarantee and prints a single PASS/FAIL line
     a child process as `python -m lsbench`, so no install is needed)
 
 Beside them, every figure of the six reports must sit within 1e-3 of a
-2.5 ps-grid reference, which bounds the time-discretization error.
+2.5 ps-grid reference, on the shipped 10 ps grid and on 5 and 2.5 ps
+grids, which bounds the time-discretization error.
 """
 
 import json
@@ -62,11 +63,11 @@ def six_runs():
 
 
 # solved steps per topology at the default 10 ps / 300 ns grid and the
-# 4e-5 V step target, 13,016 in all (16,289 at 1e-5 V): any change to the
-# step control that moves a step shows here, not only in the bench output's
-# sha256
-STEPS = {"cls": 1892, "cls_stacked": 2377, "ssls": 1215, "ssls_stacked": 1954,
-         "cmls": 2524, "cmls_stacked": 3054}
+# 4e-5 V step target, 10,312 in all (13,016 with backward Euler on every
+# multi-interval step): any change to the step control that moves a step
+# shows here, not only in the bench output's sha256
+STEPS = {"cls": 1869, "cls_stacked": 1990, "ssls": 1203, "ssls_stacked": 1447,
+         "cmls": 1739, "cmls_stacked": 2064}
 
 
 def test_step_sequence_pinned(six_runs):
@@ -133,17 +134,13 @@ def test_criterion_3_stacking_never_faster(six_runs):
     _verdict(3, ok, "delay_max(stacked)/delay_max(baseline): " + ", ".join(details))
 
 
-def test_figures_match_fine_grid_reference(six_runs):
-    # bounds the time-discretization error of every reported figure: powers
-    # relative to themselves, delay relative to the reference delay_max,
-    # swings relative to vddh.  The fixed 10 ps trapezoidal grid read 6.96e-4
-    # at worst (cls_stacked power_avg), the step control at a 1e-5 V target
-    # 6.942e-4 and at 4e-5 V 6.644e-4 (both cls_stacked power_avg).  A step
-    # control change may not spend the margin below the 1e-5 V worst.
-    runs, _ = six_runs
+def _worst_figure_error(reports) -> tuple:
+    """(worst error, where) of the six reports' figures against
+    FINE_GRID_REFS: powers relative to themselves, delay relative to the
+    reference delay_max, swings relative to vddh."""
     worst, where = 0.0, ""
     for topo, (p_avg, p_static, d_max, s_hi, s_lo) in FINE_GRID_REFS.items():
-        r = runs[topo][2]
+        r = reports[topo]
         static = 0.5 * (r.power_static_lo + r.power_static_hi)
         errs = {
             "power_avg": abs(r.power_avg - p_avg) / p_avg,
@@ -155,8 +152,33 @@ def test_figures_match_fine_grid_reference(six_runs):
         for name, e in errs.items():
             if not e <= worst:
                 worst, where = e, f"{topo} {name}"
+    return worst, where
+
+
+def test_figures_match_fine_grid_reference(six_runs):
+    # bounds the time-discretization error of every reported figure.  The
+    # fixed 10 ps trapezoidal grid read 6.96e-4 at worst (cls_stacked
+    # power_avg), the step control at a 1e-5 V target 6.942e-4 and at
+    # 4e-5 V 6.644e-4 with backward Euler alone, 6.676e-4 with BDF2 steps
+    # (all cls_stacked power_avg).  A step control change may not spend the
+    # margin below the 1e-5 V worst.
+    runs, _ = six_runs
+    worst, where = _worst_figure_error({t: r for t, (_, _, r) in runs.items()})
     assert worst <= 1e-3, f"{where} is {worst:.3e} from its 2.5 ps reference"
     assert worst <= 6.942e-4, f"{where} is {worst:.3e} from its 2.5 ps reference"
+
+
+@pytest.mark.parametrize("tstep", [5e-12, 2.5e-12])
+def test_figures_on_finer_grids_match_fine_grid_reference(tstep):
+    # the same bound on grids twice and four times as fine as the shipped
+    # one.  With backward Euler alone 5 ps read 3.90e-4 and 2.5 ps 1.83e-3
+    # (cls power_avg), over the bound; with BDF2 steps 7.19e-4 (cls
+    # delay_max) and 7.29e-4 (cls power_avg).
+    # A 20 ps grid reads 3.24e-3 (cls power_avg) either way and is not held
+    reports = {topo: characterize(elaborate(gen(topo)), tstep, 300e-9)
+               for topo in FINE_GRID_REFS}
+    worst, where = _worst_figure_error(reports)
+    assert worst <= 1e-3, f"{where} is {worst:.3e} from its 2.5 ps reference"
 
 
 def test_criterion_4_stack_leakage_fixture():

@@ -70,7 +70,7 @@ def test_gen_overflowing_flag_exits_usage(tmp_path, capsys):
     # --cload 1e400 once wrote "CL out 0 inf", which `run` then refused
     path = tmp_path / "x.sp"
     assert main(["gen", "cls", "--cload", "1e400", "-o", str(path)]) == 2
-    assert "argument --cload: invalid parse_value value: '1e400'" in capsys.readouterr().err
+    assert "argument --cload: numeric token '1e400' overflows a float" in capsys.readouterr().err
     assert not path.exists()
 
 
@@ -461,7 +461,10 @@ def test_sweep_usage_errors(capsys):
     assert "at most 10,000" in capsys.readouterr().err
     assert main(["sweep", "cls", "--param", "cload",
                  "--from", "1f", "--to", "1e400", "--steps", "2"]) == 2
-    assert "argument --to: invalid parse_value value: '1e400'" in capsys.readouterr().err
+    assert "argument --to: numeric token '1e400' overflows a float" in capsys.readouterr().err
+    assert main(["sweep", "cls", "--param", "vin_hi",
+                 "--from", "nan", "--to", "1", "--steps", "2"]) == 2
+    assert "argument --from: malformed numeric token 'nan'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
