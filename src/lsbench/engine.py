@@ -20,8 +20,9 @@ shorter than _PTC_MIN_H fails.
 
 Transient samples the uniform grid 0, tstep, ..., tstop through one
 step-size controller.  Every step spans m grid intervals, m a power of two
-from 1 to 64, so every solved point is a grid sample.  A grid interval that
-holds a PULSE corner is always a single step, and m restarts at 1 after it.
+that the error estimates below allow and that fits before the next PULSE
+corner or the grid's end, so every solved point is a grid sample.  A grid
+interval that holds a PULSE corner is a single step, and m restarts at 1.
 Single-interval steps use trapezoidal companions after one backward-Euler
 (BE) startup step.  Longer steps are BE or, where its estimate allows a
 longer step, variable-step BDF2: trapezoid on 640 ps steps leaves supply
@@ -191,7 +192,6 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
 _MAX_HALVINGS = 8
 _STEP_ITERS = 60             # Newton iterations of a step start before a fallback
 _MAX_GRID_STEPS = 1_000_000  # grid intervals; bounds every waveform allocation
-_MAX_MULT = 64               # longest step, in grid intervals
 _LTE_TOL = 4e-5              # V, per-step error target of the step control
 _FILL_ROWS = 512             # grid rows interpolated per block
 _BLOCK = 128                 # solved points recorded per block
@@ -307,13 +307,12 @@ class _Stepper:
                         continue
                     # sqrt(0.5/r) >= 2 exactly when r <= 1/8, and the cube
                     # root when r3 <= 1/16: only then is the step doubled,
-                    # and 0.5/r never overflows
-                    grow = (min(_MAX_MULT, k * math.sqrt(0.5 / r)) if r > 0.125
-                            else min(2 * k, _MAX_MULT))
+                    # and 0.5/r never overflows.  Growth of at most 2x also
+                    # keeps variable-step BDF2 zero-stable (below 1 + sqrt 2)
+                    grow = k * math.sqrt(0.5 / r) if r > 0.125 else 2 * k
                     bdf2 = False  # BDF2 next only where its step is a longer power of two
                     if k > 1 and lev > 2:
-                        g3 = (min(_MAX_MULT, k * (0.5 / r3) ** (1.0 / 3.0)) if r3 > 0.0625
-                              else min(2 * k, _MAX_MULT))
+                        g3 = k * (0.5 / r3) ** (1.0 / 3.0) if r3 > 0.0625 else 2 * k
                         bdf2 = int(g3).bit_length() > int(grow).bit_length()
                         grow = max(grow, g3)
                 ts, lev, table = [t1, *ts[:2]], min(lev + 1, 4), 1
@@ -395,8 +394,8 @@ def _transient_many(circuits, tstep: float, tstop: float) -> list:
 def transient(circuit: Circuit, tstep: float, tstop: float) -> Waveforms:
     """Implicit transient analysis on the uniform grid 0, tstep, ..., tstop.
 
-    Steps span 1 to 64 grid intervals under local-error control (see the
-    module docstring); samples between solved points are linear
+    Steps span a power of two grid intervals under local-error control (see
+    the module docstring); samples between solved points are linear
     interpolations, and `Waveforms.solved` lists the grid indices that are
     solver states.  The run starts from the DC operating point at the
     sources' initial values and uses the default `SolveOptions` and the

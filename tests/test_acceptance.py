@@ -63,11 +63,12 @@ def six_runs():
 
 
 # solved steps per topology at the default 10 ps / 300 ns grid and the
-# 4e-5 V step target, 10,312 in all (13,016 with backward Euler on every
-# multi-interval step): any change to the step control that moves a step
-# shows here, not only in the bench output's sha256
-STEPS = {"cls": 1869, "cls_stacked": 1990, "ssls": 1203, "ssls_stacked": 1447,
-         "cmls": 1739, "cmls_stacked": 2064}
+# 4e-5 V step target, 8,457 in all (10,312 with steps capped at 64
+# intervals, 13,016 with backward Euler on every multi-interval step): any
+# change to the step control that moves a step shows here, not only in the
+# bench output's sha256
+STEPS = {"cls": 1482, "cls_stacked": 1758, "ssls": 807, "ssls_stacked": 1197,
+         "cmls": 1370, "cmls_stacked": 1843}
 
 
 def test_step_sequence_pinned(six_runs):
@@ -168,17 +169,50 @@ def test_figures_match_fine_grid_reference(six_runs):
     assert worst <= 6.942e-4, f"{where} is {worst:.3e} from its 2.5 ps reference"
 
 
+@pytest.fixture(scope="module")
+def fine_runs():
+    """topology -> (circuit, waveforms) over 300 ns on the 2.5 ps grid."""
+    out = {}
+    for topo in FINE_GRID_REFS:
+        circ = elaborate(gen(topo))
+        out[topo] = circ, transient(circ, 2.5e-12, 300e-9)
+    return out
+
+
 @pytest.mark.parametrize("tstep", [5e-12, 2.5e-12])
-def test_figures_on_finer_grids_match_fine_grid_reference(tstep):
+def test_figures_on_finer_grids_match_fine_grid_reference(tstep, request):
     # the same bound on grids twice and four times as fine as the shipped
     # one.  With backward Euler alone 5 ps read 3.90e-4 and 2.5 ps 1.83e-3
     # (cls power_avg), over the bound; with BDF2 steps 7.19e-4 (cls
     # delay_max) and 7.29e-4 (cls power_avg).
     # A 20 ps grid reads 3.24e-3 (cls power_avg) either way and is not held
-    reports = {topo: characterize(elaborate(gen(topo)), tstep, 300e-9)
-               for topo in FINE_GRID_REFS}
+    if tstep == 2.5e-12:
+        reports = {topo: characterize(circ, waves=waves)
+                   for topo, (circ, waves) in request.getfixturevalue("fine_runs").items()}
+    else:
+        reports = {topo: characterize(elaborate(gen(topo)), tstep, 300e-9)
+                   for topo in FINE_GRID_REFS}
     worst, where = _worst_figure_error(reports)
     assert worst <= 1e-3, f"{where} is {worst:.3e} from its 2.5 ps reference"
+
+
+def test_quiet_stretches_match_the_fine_grid(six_runs, fine_runs):
+    # a step of 64 intervals or more spans a quiet stretch, and its grid
+    # samples are a line between two solves: each must lie within 1e-4 V
+    # of the 2.5 ps run on every node and within 1e-10 A on every supply.
+    # Steps as long as the error estimates allow read at most 5.8e-5 V and
+    # 2.6e-11 A; with steps capped at 64 intervals, 2.6e-4 V
+    runs, _ = six_runs
+    for topo, (_, waves, _) in runs.items():
+        fine = fine_runs[topo][1]
+        a, b = waves.solved[:-1], waves.solved[1:]
+        long = b - a >= 64
+        rows = np.concatenate([np.arange(i + 1, j) for i, j in zip(a[long], b[long])])
+        np.testing.assert_allclose(waves.t[rows], fine.t[4 * rows], rtol=1e-12)
+        for rec, tol in (("node_v", 1e-4), ("supply_i", 1e-10)):
+            for name, wave in getattr(waves, rec).items():
+                err = np.abs(wave[rows] - getattr(fine, rec)[name][4 * rows]).max()
+                assert err <= tol, (topo, name, err)
 
 
 def test_criterion_4_stack_leakage_fixture():
