@@ -20,7 +20,8 @@ views of consecutive rows.  Each iteration is one `assemble` (a matvec per
 group, then whole-batch passes for the constant parts, histories, device
 currents and Jacobians), one reduction for all worst node residuals, one
 solve per group (stacked over its members), one pass for all update norms
-and, when every member moves, one state update; only the convergence,
+and, when every member moves, one state update, then while a DC request is
+bounded one projection onto per-row bounds; only the convergence,
 damping and iteration-limit checks loop over members.  Step acceptance is
 batched as well: the transient steps, whole or halved, that converge in
 one iteration extend their tables of divided differences, held in flat
@@ -142,6 +143,26 @@ def _linear_matrices(circuit: Circuit, n: int, N: int):
     return _dense(gi, gv, N), _dense(ci, cv, n)
 
 
+def _source_forest(circuit: Circuit) -> tuple:
+    """The voltage sources as a forest (they close no loop): (edges, trees).
+    Edge (k, a, b, sign) sets node b to node a, set before, plus sign times
+    source k; each tree lists its nodes from its root, at potential 0:
+    ground (-1) for the first."""
+    adj = {}
+    for k, s in enumerate(circuit.sources):
+        adj.setdefault(s.p, []).append((k, s.m, -1.0))
+        adj.setdefault(s.m, []).append((k, s.p, 1.0))
+    edges, trees, seen = [], [], set()
+    for root in (-1, *adj):
+        if root not in seen:
+            trees.append([root]); seen.add(root)
+            for a in trees[-1]:  # breadth first: the loop reaches the nodes it appends
+                for k, b, sign in adj.get(a, ()):
+                    if b not in seen:
+                        trees[-1].append(b); seen.add(b); edges.append((k, a, b, sign))
+    return edges, trees
+
+
 _MOS_FIELDS = ("vth0", "n_slope", "kp", "lam", "eta_dibl", "gamma_body", "phi_s")
 
 
@@ -209,6 +230,7 @@ class _System:
                                for c, n, N in zip(circuits, self.n, self.N)])
         self.waves = [[s.wave for s in c.sources] for c in circuits]
         self.plans = [_stamp_plan(c, n, N) for c, n, N in zip(circuits, self.n, self.N)]
+        self.forests = [_source_forest(c) for c in circuits]
         # the MOSFETs of all members back to back, member j's from m0[j]:
         # polarity signs, the seven model parameters then w and l (9, M),
         # and their bias-independent terms
@@ -247,6 +269,9 @@ class _System:
                                                 per(self.R, Ns), per(self.IC, ns))
         self.bv = [self.BASE[a:a + N * N].reshape(N, N) for a, N in zip(jo, Ns)]
         self.tv = None  # the step buffers, built when a step is loaded (`tables`)
+        # node-row bounds: a bounded DC request's hull at the positions in `bounded`
+        self.LO, self.HI = np.full(S, -math.inf), np.full(S, math.inf)
+        self.lov, self.hiv, self.bounded = per(self.LO, ns), per(self.HI, ns), set()
         # reduceat bounds in ab: each position's rows, and its node rows then
         # its source rows.  ab's trailing 0 lets a segment start at S; an
         # empty segment reads the element at its start, so `_drive` zeroes
@@ -319,13 +344,20 @@ class _System:
 
     def load(self, p: int, req: tuple) -> None:
         """Load a request (see `_drive`) into live position p: zero IC rows
-        for one without a history, which subtract exactly, and for a step its
-        start x0 into XF, its spec and its table op."""
+        for one without a history, which subtract exactly, the node rows'
+        bounds, and for a step its start x0 into XF, its spec and its table
+        op."""
         x0, base, rhs, ic, _ = req[:5]
         self.bv[p][:], self.icv[p][:] = base, 0.0 if ic is None else ic
+        if len(req) == 6:
+            self.lov[p][:], self.hiv[p][:] = req[5]
+            self.bounded.add(p)
+        elif p in self.bounded:
+            self.lov[p][:], self.hiv[p][:] = -math.inf, math.inf
+            self.bounded.discard(p)
         if rhs is not None:  # else `predict` forms the start and rhs
             self.xv[p][:], self.rv[p][:] = x0, rhs
-        if len(req) > 5:
+        else:
             if self.tv is None:
                 self.tables()
             self.xfv[p][:], self.spec[:, p] = x0, req[5]
@@ -407,6 +439,18 @@ class _System:
         source values `src` on the source rows."""
         return np.concatenate((np.zeros(self.n[j]) if hist is None else hist, src))
 
+    def hull(self, j: int, src) -> tuple:
+        """(lo, hi), the hull of every DC solution of member j at the source
+        values `src` (see `engine`): ground and the potentials its sources
+        tie to it, widened by the spans of the source trees that float."""
+        edges, trees = self.forests[j]
+        pot = [0.0] * (self.n[j] + 1)  # ground is pot[-1]
+        for k, a, b, sign in edges:
+            pot[b] = pot[a] + sign * src[k]
+        span = sum(max(pot[i] for i in t) - min(pot[i] for i in t) for t in trees[1:])
+        tied = [pot[i] for i in trees[0]]
+        return min(tied) - span, max(tied) + span
+
     def base_matrix(self, j: int, gmin: float, alpha: float = 0.0) -> np.ndarray:
         """Member j's linear part: G + alpha*C + gmin on the node diagonal
         (a copy of G with alpha*C added to its node block: G holds no -0.0,
@@ -462,6 +506,8 @@ class _System:
 # `rhs`, its trapezoidal history current (or None) and the iteration limit.
 # The generator receives (x, iterations, residual_max, converged,
 # failure_reason) back, and finally returns its result or raises SolverError.
+# A plain-Newton DC request appends its hull (lo, hi), which its node rows
+# are projected onto after each update.
 # A transient step, whole or halved, has rhs None and appends (spec, op),
 # spec = (t1 - t_i over its table's times t_0..t_2, 1.0 past them and for a
 # first half; level; alpha; t1; kappa, 0 but for BDF2), op 1 committing the
@@ -513,7 +559,8 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     with one more pass and, when every member moves, updates all states
     with one add.  Per member it applies damped Newton: converged when both
     max|dv| < vntol and the worst KCL residual is below abstol, node updates
-    clamped to +/-0.5 V.  A member
+    clamped to +/-0.5 V, and the nodes of a request with a hull projected
+    onto it.  A member
     whose request ends gets its result at once and joins the next iteration
     with its next request, so it does the same arithmetic as it would
     alone.  The live members are planned again only when one of them ends;
@@ -529,7 +576,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     k = 0  # iterations so far
     while True:
         if sends:
-            ext = {j: r[0] for j, r in sends if r and r[3] and len(reqs[j]) > 5}  # steps done
+            ext = {j: r[0] for j, r in sends if r and r[3] and reqs[j][2] is None}  # steps done
             for j, x in ext.items():
                 sys_.nv[at[j]][0] = x
             dd = sys_.extend([at[j] for j in ext]) if ext else None
@@ -638,6 +685,9 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
         else:
             for p in moved:
                 xv[p] += sys_.dxv[p]
+        if sys_.bounded:  # onto the hulls: the identity on open rows
+            X = sys_.xbuf[:-1]
+            np.minimum(np.maximum(X, sys_.LO, out=X), sys_.HI, out=X)
         for p, ok, why in post:
             sends.append((members[p], (xv[p].copy(), k - start[p], res[p], ok, why)))
 

@@ -9,14 +9,24 @@ positive into the + terminal.
 
 DC operating points run damped Newton (per-iteration node updates clamped to
 +/-0.5 V), converged when both max|dv| < vntol and the worst KCL residual is
-below abstol, within _PLAIN_ITERS = 50 iterations (converging solves take
-under 30).  Otherwise the solver falls back to pseudo-transient continuation,
-which follows the circuit's own trajectory to a stable state: backward-Euler
-steps from zero with 1 fF added to every node, h from 1 ps, doubled after
-each converged step (up to 1 s) and quartered after a failed one, until no
-node moves 1 nV on a step longer than 1 us; plain Newton then polishes that
-state.  The stage takes at most _PTC_STEPS steps and ends when a step
-shorter than _PTC_MIN_H fails.
+below abstol, within _PLAIN_ITERS = 50 iterations (converging solves take at
+most 28 on perfbench's 625 process corners).  Otherwise the solver falls back
+to pseudo-transient continuation, which follows the circuit's own trajectory
+to a stable state: backward-Euler steps from zero with 1 fF added to every
+node, h from 1 ps, doubled after each converged step (up to 1 s) and
+quartered after a failed one, until no node moves 1 nV on a step longer than
+1 us; plain Newton then polishes that state.  The stage takes at most
+_PTC_STEPS steps and ends when a step shorter than _PTC_MIN_H fails.
+Plain Newton, first attempt and polish, projects each update's node voltages
+onto the hull [min(0, p) - s, max(0, p) + s] (`_System.hull`): p the
+potentials the DC sources tie to ground, s the summed spans of source trees
+that float.  No DC solution leaves it (no-gain; Wolaver, IEEE Trans. Circuit
+Theory, 1970): channel current runs from the higher terminal to the lower
+(kp, n > 0, lam >= 0), gates and bodies draw none, R > 0, capacitors are
+open and gmin goes to ground, so the nodes above a level over max(0, p) lose
+current that only a floating source tree spanning the level can return.
+Transient and pseudo-transient steps stay unbounded: capacitive coupling
+can carry them past a rail.
 
 Transient samples the uniform grid 0, tstep, ..., tstop through one
 step-size controller.  Every step spans m grid intervals, m a power of two
@@ -143,9 +153,9 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions = SolveOptions(),
     lim, n, N, C = opts.max_iter, sys_.n[j], sys_.N[j], sys_.C[j]
     if src is None:
         src = [source_value(w, 0.0) for w in sys_.waves[j]]
-    base, rhs = sys_.base_matrix(j, GMIN_DEFAULT), sys_.rhs(j, src)
+    base, rhs, hull = sys_.base_matrix(j, GMIN_DEFAULT), sys_.rhs(j, src), sys_.hull(j, src)
     y, total, res, ok, _ = yield (np.zeros(N) if x0 is None else x0, base, rhs, None,
-                                  min(lim, _PLAIN_ITERS))
+                                  min(lim, _PLAIN_ITERS), hull)
     if ok:
         return OpPoint(_state_from_vector(n, y), res, total, "none")
     x, h = np.zeros(N), 1e-12
@@ -155,7 +165,7 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions = SolveOptions(),
                                      sys_.rhs(j, src, a * (C.dot(v) + _PTC_C * v)), None, lim)
         total += it
         if ok and h > 1e-6 and np.abs(y[:n] - v).max() < 1e-9:
-            y, it, res, ok, why = yield (y, base, rhs, None, lim)
+            y, it, res, ok, why = yield (y, base, rhs, None, lim, hull)
             if ok:
                 return OpPoint(_state_from_vector(n, y), res, total + it, "ptc")
             break

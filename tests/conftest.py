@@ -1,6 +1,7 @@
 """Shared fixtures: simulations reused by several test modules, the CLI run
-as a child process, a built-in topology under another stimulus, and an
-independent static-power reference on pinned circuit copies."""
+as a child process, a built-in topology under another stimulus, the device
+models of a process corner, and an independent static-power reference on
+pinned circuit copies."""
 
 import os
 import subprocess
@@ -22,6 +23,21 @@ def gen_with_stimulus(topology, wave, p=None):
     doc = gen(topology, p)
     return replace(doc, devices=tuple(replace(c, wave=wave) if c.name == "VIN" else c
                                       for c in doc.devices))
+
+# (name, polarity, nominal VTH0 in V, nominal KP in A/V^2) of the corner grid
+_CORNER_NOMINAL = (("NCH", "NMOS", 0.50, 190e-6), ("PCH", "PMOS", 0.95, 48e-6))
+
+
+def corner_models(key):
+    """The `.model` cards of perfbench's grid corner `key`, written as
+    perfbench/workloads.py writes them: four digits 0..4, one per NCH VTH0,
+    NCH KP, PCH VTH0 and PCH KP, 2 at nominal and each step one sigma
+    (50 mV of VTH0, 10% of KP)."""
+    z = [int(ch) - 2 for ch in key]
+    return "".join(f".model {name} {pol} (VTH0={vth0 + z[2 * i] * 0.05:.6g} "
+                   f"KP={kp * (1 + z[2 * i + 1] * 0.10):.6g})\n"
+                   for i, (name, pol, vth0, kp) in enumerate(_CORNER_NOMINAL))
+
 
 def pinned(circuit, state):
     """`circuit` with every pulse source pinned at its lo (v1) or hi (v2)

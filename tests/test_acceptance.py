@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 import refmodel as rm
+from conftest import pinned
 from lsbench import cli
 from lsbench.devmodel import VT, MosBias, default_params, effective_vth, mosfet_eval
 from lsbench.engine import dc_operating_point, transient
@@ -74,6 +75,20 @@ STEPS = {"cls": 1482, "cls_stacked": 1758, "ssls": 807, "ssls_stacked": 1197,
 def test_step_sequence_pinned(six_runs):
     runs, _ = six_runs
     assert {t: len(w.solved) - 1 for t, (_, w, _) in runs.items()} == STEPS
+
+
+# Newton iterations of each topology's DC start, the same Newton problem as
+# its lo static solve, and of its hi static solve, with the iterates kept
+# inside the hull of the sources (161 in all; 189 with them unbounded): any
+# change to the DC path shows here, as step-control changes show in STEPS
+DC_ITERS = {"cls": (9, 9), "cls_stacked": (11, 11), "ssls": (9, 10), "ssls_stacked": (11, 14),
+            "cmls": (13, 13), "cmls_stacked": (13, 13)}
+
+
+def test_dc_iterations_pinned(six_runs):
+    runs, _ = six_runs
+    assert {t: (dc_operating_point(c).iterations, dc_operating_point(pinned(c, "hi")).iterations)
+            for t, (c, _, _) in runs.items()} == DC_ITERS
 
 
 PAIRS = (("cls", "cls_stacked"), ("ssls", "ssls_stacked"), ("cmls", "cmls_stacked"))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import refmodel as rm
-from conftest import gen_with_stimulus
+from conftest import corner_models, gen_with_stimulus
 from lsbench import _mna, engine, measure
 from lsbench.devmodel import (VT, MosBias, SourceWave, default_params,
                               effective_vth, mosfet_eval, source_value)
@@ -140,12 +140,9 @@ def _assemble_live(s, members, xs, alpha, hists):
 
 # three members of one structure: the nominal circuit, a lower input swing,
 # and a process corner (every device parameter differs)
-_BATCH_SEED = ".model NCH NMOS (VTH0=0.4 KP=0.000152)\n.model PCH PMOS (VTH0=1 KP=3.84e-05)\n"
-
-
 def _batch_members(topo):
     return [elaborate(gen(topo)), elaborate(gen(topo, TopoParams(vin_hi=0.9))),
-            elaborate(gen(topo), base_models=parse_seed_models(_BATCH_SEED))]
+            elaborate(gen(topo), base_models=parse_seed_models(corner_models("0030")))]
 
 
 @pytest.mark.parametrize("topo", TOPOLOGY_IDS)
@@ -298,6 +295,40 @@ def test_empty_circuit_solves():
     assert len(waves.t) == 21 and waves.node_v == {}
 
 
+# an inverter on the top of a stack of two sources tied to ground, and one
+# on the top of a floating pair of sources that a divider holds at half
+# VDD: both outputs sit above every source value.  The hulls (`hull`):
+# ground to VDDL + VDDH, and ground to VDD widened by the pair's span
+_ABOVE_THE_SOURCES = """\
+inverter above the sources
+.model N NMOS ()
+.model P PMOS ()
+{}VIN in 0 DC 0
+MP out in top top P W=1u L=0.35u
+MN out in 0 0 N W=1u L=0.35u
+.end
+"""
+
+
+@pytest.mark.parametrize("sources, want, hull", [
+    ("VDDL vl 0 DC 1.6\nVDDH top vl DC 3.3\n",
+     {"vl": 1.6, "top": 4.9, "out": 4.9}, (0.0, 4.9)),
+    ("VDD vdd 0 DC 3.3\nR1 vdd y 1k\nR2 y 0 1k\nV1 x y DC 1\nV2 top x DC 1\n",
+     {"y": 1.65, "x": 2.65, "top": 3.65, "out": 3.65}, (-2.0, 5.3)),
+])
+def test_dc_nodes_above_every_source_value_converge(sources, want, hull):
+    # a hull of the source values alone would clip the stack's top, and one
+    # without the floating pair's span the pair's: plain Newton converges to
+    # the exact potentials inside the hull
+    circ = _circ(_ABOVE_THE_SOURCES.format(sources))
+    s = _System([circ])
+    assert s.hull(0, [w.v1 for w in s.waves[0]]) == pytest.approx(hull, abs=1e-15)
+    op = dc_operating_point(circ)
+    assert op.homotopy_used == "none"
+    for node, v in want.items():
+        assert op.state.v[circ.node_index[node]] == pytest.approx(v, abs=1e-6), node
+
+
 _ERRSTATES = ({}, {"all": "raise"}, {"all": "ignore"})  # the caller's: default, strict, silent
 
 
@@ -340,10 +371,10 @@ def test_lapack_gufunc_solves_equal_numpy_solve():
 
 
 def test_dc_fallback_that_runs_out_names_h_and_node(monkeypatch):
-    # corner 0030 of dc_corners needs the pseudo-transient fallback: three
+    # corner 0040 of dc_corners needs the pseudo-transient fallback: three
     # steps of its budget end it far from settled, and a Newton limit of 2
     # iterations fails every step until h reaches its floor
-    circ = elaborate(gen("cls"), base_models=parse_seed_models(_BATCH_SEED))
+    circ = elaborate(gen("cls"), base_models=parse_seed_models(corner_models("0040")))
     with pytest.raises(SolverError, match=r"\(iteration limit at h=3\.81e-18s; "
                                           r"largest residual at node '\w+'"):
         dc_operating_point(circ, engine.SolveOptions(max_iter=2))
@@ -853,13 +884,13 @@ def test_transient_many_flat_layout_edge_cases(monkeypatch):
 
 def test_transient_many_failing_member_fails_alone(monkeypatch):
     # a process corner whose DC operating point plain Newton cannot find
-    # (dc_corners corner 0030), at t = 0 with the input high.  Solved by the
+    # (dc_corners corner 0040), at t = 0 with the input high.  Solved by the
     # pseudo-transient fallback, it keeps the bits of its lone run in a
     # batch; with the fallback's step budget at 0 it fails at its start,
     # alone, with the message of its lone run under the same budget
     high_first = SourceWave("pulse", 1.6, 0.0, 1e-9, 1e-9, 1e-9, 48e-9, 100e-9)
     bad = elaborate(gen_with_stimulus("cls", high_first),
-                    base_models=parse_seed_models(_BATCH_SEED))
+                    base_models=parse_seed_models(corner_models("0040")))
     assert dc_operating_point(bad).homotopy_used == "ptc"
     # members of its size, then of other sizes, which share its device evaluation
     pairs = ([elaborate(gen("cls", TopoParams(vin_hi=v))) for v in (1.0, 1.6)],

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import pinned, pinned_static_power
+from conftest import corner_models, pinned, pinned_static_power
 from lsbench import engine
 from lsbench.engine import SolverError, dc_operating_point, transient
 from lsbench.measure import (MeasureError, _median, average_power, characterize,
@@ -204,15 +204,14 @@ def test_characterize_many_equals_lone_characterize(monkeypatch):
     # one batch of circuits of four sizes, each with the outcome of its lone
     # characterize: a report, a missing .tran (ValueError before any solve),
     # a DC-only circuit (MeasureError after its transient), and a process
-    # corner (dc_corners corner 0030) whose DC solves need the
+    # corner (dc_corners corner 0040) whose DC solves need the
     # pseudo-transient fallback: a report, or with the fallback's step
     # budget at 0 a SolverError, as alone under the same budget
     rc = ("rc pulse train\nVIN in 0 PULSE(0 3.3 0 1p 1p 7.998n 16n)\n"
           "R1 in out 1k\nC1 out 0 1p\n{}.end\n")
-    corner = ".model NCH NMOS (VTH0=0.4 KP=0.000152)\n.model PCH PMOS (VTH0=1 KP=3.84e-05)\n"
     circs = [_circ(rc.format(".tran 10p 40n\n")), _circ(rc.format("")),
              _dc_inverter(3.3, 0.0),
-             elaborate(gen("cls"), base_models=parse_seed_models(corner))]
+             elaborate(gen("cls"), base_models=parse_seed_models(corner_models("0040")))]
     circs[3] = replace(circs[3], tran=TranCard(10e-12, 210e-9))
     for budget, last in ((engine._PTC_STEPS, "Report"), (0, "SolverError")):
         monkeypatch.setattr(engine, "_PTC_STEPS", budget)
@@ -268,7 +267,7 @@ def test_characterize_many_on_two_grids_equals_lone_characterize(monkeypatch):
     plans, live, load = [], engine._System.live, engine._System.load
 
     def counted(s, p, req):  # steps loaded under each plan
-        plans[-1][1] += len(req) > 5
+        plans[-1][1] += req[2] is None
         return load(s, p, req)
 
     monkeypatch.setattr(engine._System, "live",
@@ -283,7 +282,7 @@ def test_bench_dc_solves_end_in_plain_newton_inside_its_cap():
     # the DC solves of `bench all`: each topology's transient start and the
     # static solves of its lo and hi pinned copies, the requests
     # `characterize_many` runs for them, with the same defaults.  All end in
-    # plain Newton, within 30 iterations (21 at most today) of the 50 it may
+    # plain Newton, within 30 iterations (14 at most today) of the 50 it may
     # take before the fallback: a change that slowed them past that cap
     # would move their results silently
     ops = []
@@ -295,23 +294,19 @@ def test_bench_dc_solves_end_in_plain_newton_inside_its_cap():
     assert max(op.iterations for op in ops) <= 30
 
 
-# dc_corners process corners whose DC solves plain Newton cannot finish,
-# with their continuation references from perfbench/refs/dc_corners.json,
-# static power (lo, hi) in W.  Source stepping failed on 0030, where the
-# latch folds under scaled supplies, and finished 0131.
+# dc_corners grid corners whose DC solves plain Newton cannot finish, even
+# inside the hull of their sources, with their continuation references from
+# perfbench/refs/dc_corners.json, static power (lo, hi) in W
 PTC_CORNERS = [
-    ("cls", ".model NCH NMOS (VTH0=0.4 KP=0.000152)\n.model PCH PMOS (VTH0=1 KP=3.84e-05)\n",
-     (1.2333729552014622e-09, 9.249891999460876e-10)),   # corner 0030
-    ("cls_stacked",
-     ".model NCH NMOS (VTH0=0.4 KP=0.000171)\n.model PCH PMOS (VTH0=1 KP=4.32e-05)\n",
-     (6.43089863989489e-10, 8.981619399457636e-10)),     # corner 0131
+    ("cls", corner_models("0040"), (1.23337279027914e-09, 7.509562266876006e-10)),
+    ("cls_stacked", corner_models("0140"), (6.43089656367811e-10, 6.940245081189996e-10)),
 ]
 
 
 # Newton iterations of their (lo, hi) DC solves: plain Newton gives up after
-# engine._PLAIN_ITERS = 50 (at 200, the limit it once ran to, 263/261 and
-# 322/320), then pseudo-transient continuation and its polish take the rest
-PTC_ITERS = {"cls": (113, 111), "cls_stacked": (172, 170)}
+# engine._PLAIN_ITERS = 50, then pseudo-transient continuation and its
+# polish take the rest
+PTC_ITERS = {"cls": (113, 112), "cls_stacked": (172, 170)}
 
 
 @pytest.mark.parametrize("topo, models, want", PTC_CORNERS)
@@ -324,3 +319,15 @@ def test_pseudo_transient_corners_match_continuation_reference(topo, models, wan
         iters.append(op.iterations)
         assert static_power(circ, state) == pytest.approx(ref, rel=1e-6)
     assert tuple(iters) == PTC_ITERS[topo]
+
+
+def test_corners_where_the_hull_removes_most_fallbacks():
+    # the 25 grid corners 0x3x (NCH VTH0 at -2 sigma, PCH VTH0 at +1 sigma),
+    # cls and cls_stacked at lo and hi: all 100 static solves converge, and
+    # plain Newton inside the hull of the sources finishes all but 11 of
+    # them (with unbounded iterates 64 took the pseudo-transient fallback)
+    circs = [elaborate(gen(topo), base_models=parse_seed_models(corner_models(f"0{b}3{d}")))
+             for b in range(5) for d in range(5) for topo in ("cls", "cls_stacked")]
+    ops = [dc_operating_point(pinned(c, st)) for c in circs for st in ("lo", "hi")]
+    assert len(ops) == 100
+    assert sum(op.homotopy_used == "ptc" for op in ops) <= 11

@@ -2,24 +2,25 @@
 typed-failure contract of parse + elaborate on arbitrary card text; and of
 the simulator on netlists built to elaborate and on built-in topologies
 under random parameters, with the Newton iterations of a step start cut to
-force halvings: typed failures or finite figures, and batch members equal
-to their lone runs."""
+force halvings: typed failures or finite figures, batch members equal to
+their lone runs, and DC solutions inside the hull of their sources."""
 
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_with_stimulus
-from lsbench import engine
-from lsbench.devmodel import _RANGE, SourceWave, resolve_model_keys
+from conftest import corner_models, gen_with_stimulus
+from lsbench import _mna, engine
+from lsbench.devmodel import _RANGE, SourceWave, resolve_model_keys, source_value
 from lsbench.engine import SolverError, dc_operating_point, transient
 from lsbench.measure import MeasureError, characterize, characterize_many
 from lsbench.netlist import (Circuit, ElaborationError, ParseError, TranCard, elaborate,
-                             parse_netlist, serialize_netlist)
-from lsbench.topologies import TOPOLOGY_IDS, TopoParams, validate_params
+                             parse_netlist, parse_seed_models, serialize_netlist)
+from lsbench.topologies import TOPOLOGY_IDS, TopoParams, gen, validate_params
 
 _MODEL_KEYS = ("VTH0", "KP", "N", "LAMBDA", "ETA", "GAMMA", "PHI", "COXA", "COVW", "CJW")
 _SUFFIXES = ("", "f", "p", "n", "u", "m", "k", "meg", "g", "F", "pF", "V", "Meg")
@@ -239,6 +240,8 @@ def _waves_bits(w):
 
 @settings(deadline=None, derandomize=True, max_examples=30)
 @given(_step_iters, _circuits | _measured)
+@example(engine._STEP_ITERS,  # a corner whose DC solves take the pseudo-transient fallback
+         elaborate(gen("cls"), base_models=parse_seed_models(corner_models("0040"))))
 def test_simulated_circuits_end_typed_or_finite(iters, circ):
     # the DC operating point, a transient on the fixed grid and a
     # characterization each end in a typed error or in finite figures,
@@ -264,6 +267,25 @@ def test_simulated_circuits_end_typed_or_finite(iters, circ):
             assert _all_finite(astuple(rep)[1:])
         except (SolverError, MeasureError):
             pass
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(_circuits)
+def test_dc_solutions_lie_inside_the_hull_of_their_sources(circ):
+    # the no-gain argument of `engine`: a DC solution that plain Newton finds
+    # with its iterates left unbounded lies inside the hull of its sources
+    # all the same, within the Newton tolerance vntol, so bounding the
+    # iterates to the hull excludes no solution
+    s = _mna._System([circ])
+    lo, hi = s.hull(0, [source_value(w, 0.0) for w in s.waves[0]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_mna._System, "hull", lambda self, j, src: (-math.inf, math.inf))
+        try:
+            op = dc_operating_point(circ)
+        except SolverError:
+            return
+    tol = engine.SolveOptions().vntol
+    assert ((lo - tol <= op.state.v) & (op.state.v <= hi + tol)).all(), (lo, hi, op.state.v)
 
 
 @settings(deadline=None, derandomize=True, max_examples=20)
