@@ -5,40 +5,42 @@ points, the six topologies of the bench), one member per circuit: a
 circuit's static-power solves run in its own member at other source
 values.  Each member keeps its own node count n, unknown count N,
 matrices G (N x N) and C (n x n), and MOSFETs; the device parameters of
-all members form one array.  The solvers are generators of Newton
-requests: the DC stages and each member's transient controller, with
-`step()` and its halving, yield (start, base matrix, constant part of f or
-None for a step, trapezoidal history, iteration limit) and receive (x,
-iterations, residual, converged, reason).  A member's transient is one
-generator from its DC start to its last step.  One driver, `_drive`, runs
-the requests of all live members in lock-step.  `live` lays them out back
-to back in flat buffers: over all S live unknowns the states, residuals
-and their negations, constant parts of f, trapezoidal histories (node
-rows, zeros elsewhere) and Newton updates; over their N*N entries the base
-matrices and Jacobians.  Members of one N form a group, whose arrays are
-views of consecutive rows.  Each iteration is one `assemble` (a matvec per
-group, then whole-batch passes for the constant parts, histories, device
-currents and Jacobians), one reduction for all worst node residuals, one
-solve per group (stacked over its members), one pass for all update norms
-and, when every member moves, one state update, then while a DC request is
-bounded one projection onto per-row bounds; only the convergence,
-damping and iteration-limit checks loop over members.  Step acceptance is
-batched as well: the transient steps, whole or halved, that converge in
-one iteration extend their tables of divided differences, held in flat
-buffers too, and form their error norms and capacitor histories in one
-pass (`extend`) before their generators decide, and the steps loaded next
-get their starts, constant parts of f and BDF2 histories in one more
-(`predict`), all from their step starts and tables.  A group of one keeps
-the vector matvec, cheaper and bitwise equal; nothing else branches on
-group size.
+all members form one array.  The solvers are generator functions of one
+member's Newton requests: the DC stages, and the transient with every
+step and its halving (`engine._step`), yield (start, base matrix,
+constant part of f or None for a step, trapezoidal history, iteration
+limit) and receive (x, iterations, residual, converged, reason).  A
+member's transient is one generator from its DC start to its last step.
+One driver, `_drive`, runs the requests of all live members in lock-step.
+`live` lays them out back to back in flat buffers: over all S live
+unknowns the states, residuals and their negations, constant parts of f,
+trapezoidal histories (node rows, zeros elsewhere) and Newton updates;
+over their N*N entries the base matrices and Jacobians.  Members of one N
+form a group, whose arrays are views of consecutive rows.  Each iteration
+is one `assemble` (a matvec per group, then whole-batch passes for the
+constant parts, histories, device currents and Jacobians), one reduction
+for all worst node residuals, one solve per group (stacked over its
+members), one pass for all update norms and, when every member moves, one
+state update, then while a DC request is bounded one projection onto
+per-row bounds; only the convergence, damping and iteration-limit checks
+loop over members.  Step acceptance is batched as well: the transient
+steps, whole or halved, that converge in one iteration extend their tables
+of divided differences, held in flat buffers too, and form their error
+norms and capacitor histories in one pass (`extend`) before their
+generators decide, and the steps loaded next get their starts, constant
+parts of f and BDF2 histories in one more (`predict`), all from their step
+starts and tables.  A group of one keeps the vector matvec, cheaper and
+bitwise equal; nothing else branches on group size.
 Sizes are never padded to a common N: an identity block changes the bits
 of the solve.  A member whose request ends gets its result at once and
 joins the next iteration with its next request, so every member keeps its
 own step sequence; the live set is planned again only when a member ends.
 A singular member makes its group's stacked solve raise; that group is
 then solved member by member, and only the singular one fails.  B = 1 is
-the only single-circuit path: `transient`, `dc_operating_point` and
-`static_power` are batches of one, and `characterize_many` runs several.
+the only single-circuit path: every public solve is `engine._run`, one
+compiled system and one `_drive`; `transient`, `dc_operating_point`,
+`static_power` and `characterize` are batches of one, and
+`characterize_many` runs several.
 During a batched transient members keep only their solved points until
 their grids are filled in.
 
@@ -307,17 +309,14 @@ class _System:
         cat = lambda parts: parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         self._gidx, self._gather = cat(gidx), cat(gather)
         self._bin, self._sgn = cat(bins), cat(sgn)
-        # the live devices' rows of the parameter arrays: views where they
-        # are consecutive, as for one member or a whole batch in order
+        # the live devices' rows of `_core_eval`'s parameters and constants:
+        # views where they are consecutive, as for one member or a whole batch
         if all(a == b for (_, a), (b, _) in zip(spans, spans[1:])):
             rows = slice(spans[0][0], spans[-1][1])
         else:
             rows = np.concatenate([np.arange(a, b) for a, b in spans])
-        (self.p_vth0, self.p_n, self.p_kp, self.p_lam, self.p_eta, self.p_gamma,
-         self.p_phi, self.m_w, self.m_l) = self._p[:, rows]
-        nhphi, sqphi, a, a2, etas, ispec, ispec_lam = self._c
-        self.c_eval = (nhphi[rows], sqphi[rows], a[rows], a2[rows], etas[:, rows],
-                       ispec[rows], ispec_lam[rows])
+        vth0, _, _, lam, eta, gamma, phi, _, _ = self._p[:, rows]
+        self._dev = (vth0, lam, eta, gamma, phi, tuple(a[..., rows] for a in self._c))
         self._msgn = self.m_sgn[rows]
         self._mbuf = np.zeros((5, M))
         self._mflat = self._mbuf.reshape(-1)
@@ -413,12 +412,7 @@ class _System:
         hi = np.maximum(vd, vs)
         lo = np.minimum(vd, vs)
         swap = vd < vs
-        idn, gm, gds, gmb = _core_eval(
-            vg - lo, hi - lo, lo - vb,
-            self.p_vth0, self.p_n, self.p_kp, self.p_lam,
-            self.p_eta, self.p_gamma, self.p_phi, self.m_w, self.m_l,
-            c=self.c_eval,
-        )
+        idn, gm, gds, gmb = _core_eval(vg - lo, hi - lo, lo - vb, *self._dev)
         # conductances are reflection-invariant; swapping exchanges the roles
         # of the drain and source columns and flips the gate/body signs
         gmb_gm = gm + gmb

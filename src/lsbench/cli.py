@@ -148,11 +148,11 @@ def cmd_run(args) -> int:
     _write_waveform_csv(out_csv, waves)
     print(f"wrote {out_csv}")
 
-    explicit = args.in_node is not None or args.out_node is not None
-    in_node = args.in_node or ("in" if "in" in circ.node_index else None)
-    out_node = args.out_node or ("out" if "out" in circ.node_index else None)
-    has_stimulus = any(s.wave.kind == "pulse" for s in circ.sources)
-    if in_node and out_node and (has_stimulus or explicit):
+    # a named node always asks for the report; unnamed, a stimulus and both defaults do
+    in_node, out_node = args.in_node or "in", args.out_node or "out"
+    if args.in_node or args.out_node or (
+            in_node in circ.node_index and out_node in circ.node_index
+            and any(s.wave.kind == "pulse" for s in circ.sources)):
         rep = characterize(circ, in_node=in_node, out_node=out_node, waves=waves)
         _warn_negative_delays(args.netlist, rep)
         report_path = args.report_json or stem + ".report.json"
@@ -220,15 +220,20 @@ def _warn_negative_delays(name: str, rep) -> None:
                   file=sys.stderr)
 
 
-def _bench_rows(topologies, seed) -> list:
-    """The rows of `topologies`, characterized as one batch."""
-    rows = [BenchRow(t) for t in topologies]
-    reps = characterize_many(elaborate(gen(t), base_models=seed) for t in topologies)
-    vddh = TopoParams().vddh
-    for row, rep in zip(rows, reps):
-        _warn_negative_delays(row.topology, rep)
-        _fill_row(row, rep, vddh)
-    return rows
+# circuits characterized as one batch: each holds its solved states until
+# its transient ends, so the batch size bounds a bench's or sweep's memory
+_BATCH = 8
+
+
+def _fill_rows(jobs) -> None:
+    """Characterize jobs, (row, name, vddh, circuit) each, in batches of at
+    most _BATCH circuits, and fill each row from its result; `name` labels
+    the row's negative-delay warnings."""
+    for lo in range(0, len(jobs), _BATCH):
+        batch = jobs[lo:lo + _BATCH]
+        for (row, name, vddh, _), rep in zip(batch, characterize_many([c for *_, c in batch])):
+            _warn_negative_delays(name, rep)
+            _fill_row(row, rep, vddh)
 
 
 def _bench_pairs(rows) -> list:
@@ -302,7 +307,9 @@ def cmd_bench(args) -> int:
         raise UsageError(f"unknown topology {bad[0]!r} (valid: all, {', '.join(TOPOLOGY_IDS)})")
     topologies = [t for t in TOPOLOGY_IDS if t in requested or "all" in requested]
     seed = _seed_models()
-    rows = _bench_rows(topologies, seed)
+    rows, vddh = [BenchRow(t) for t in topologies], TopoParams().vddh
+    _fill_rows([(r, r.topology, vddh, elaborate(gen(r.topology), base_models=seed))
+                for r in rows])
     pairs = _bench_pairs(rows)
     with _out_stream(args.out) as fh:
         if args.format == "csv":
@@ -320,9 +327,6 @@ def cmd_bench(args) -> int:
 _SWEEP_PARAMS = ("vddh", "vddl", "vin_hi", "cload", "w_n_stacked")
 
 _SWEEP_COLUMNS = ("topology", "param", "value") + _BENCH_COLUMNS[1:]
-# points characterized as one batch: each point holds its solved states
-# until its transient ends, so the batch size bounds a sweep's memory
-_SWEEP_BATCH = 8
 # points per sweep, checked before anything is allocated: every elaborated
 # point is held until the rows are written
 _SWEEP_MAX_STEPS = 10_000
@@ -343,7 +347,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--steps must be at least 2 and at most {_SWEEP_MAX_STEPS:,}")
 
     seed = _seed_models()
-    rows, points = [], []  # points: (row, params, circuit) of the valid values
+    rows, jobs = [], []  # jobs: (row, name, vddh, circuit) of the valid values
     for v in np.linspace(args.sweep_from, args.sweep_to, args.steps):
         v = float(v)
         p = replace(TopoParams(), **{param: v})
@@ -354,15 +358,9 @@ def cmd_sweep(args) -> int:
         except ValueError as e:
             row.status, row.note = "invalid", str(e)
             continue
-        points.append((row, p, elaborate(gen(topo, p), base_models=seed)))
-
-    for lo in range(0, len(points), _SWEEP_BATCH):
-        batch = points[lo:lo + _SWEEP_BATCH]
-        reps = characterize_many([c for _, _, c in batch])
-        for row, p, _ in batch:
-            rep = next(reps)
-            _warn_negative_delays(f"{topo} {param}={getattr(p, param)!r}", rep)
-            _fill_row(row, rep, p.vddh)
+        jobs.append((row, f"{topo} {param}={v!r}", p.vddh,
+                     elaborate(gen(topo, p), base_models=seed)))
+    _fill_rows(jobs)
 
     with _out_stream(args.out) as fh:
         w = csv.writer(fh, lineterminator="\n")

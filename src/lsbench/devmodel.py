@@ -174,22 +174,17 @@ def _eval_consts(n, kp, lam, eta, gamma, phi, w, l):
             ispec, ispec * lam)
 
 
-def _core_eval(vgs, vds, vsb, vth0, n, kp, lam, eta, gamma, phi, w, l, c=None):
-    """Vectorized current and exact partials in the normalized frame.
+def _core_eval(vgs, vds, vsb, vth0, lam, eta, gamma, phi, c):
+    """Vectorized current and exact partials in the normalized frame, with
+    c = _eval_consts(...) of the same devices: n, kp, w and l enter only
+    through it.
 
     Returns (id, gm, gds, gmb) as arrays broadcast over the inputs.  All vte
     dependencies (body effect on vsb, DIBL on vds) are differentiated, so a
     central-difference probe of id agrees with gm/gds/gmb to roundoff.
-    Callers in the hot path pass c = _eval_consts(...) of parameter arrays
-    shaped like the bias arrays; without it every input is broadcast to one
-    shape and the terms are computed here.
     The forward and reverse channel ends are evaluated stacked, as the rows
     of one (2, ...) array.
     """
-    if c is None:
-        vgs, vds, vsb, vth0, n, kp, lam, eta, gamma, phi, w, l = np.broadcast_arrays(
-            vgs, vds, vsb, vth0, n, kp, lam, eta, gamma, phi, w, l)
-        c = _eval_consts(n, kp, lam, eta, gamma, phi, w, l)
     nhphi, sqphi, a, a2, etas, ispec, ispec_lam = c
     vsb_c = np.maximum(vsb, nhphi)
     sphi = np.sqrt(phi + vsb_c)
@@ -219,10 +214,9 @@ def mosfet_eval(p: MosParams, bias: MosBias, w: float, l: float) -> MosEval:
     The caller owns polarity reflection and drain/source swapping; given the
     same parameter values, NMOS and PMOS evaluate identically here.
     """
-    idr, gm, gds, gmb = _core_eval(
-        bias.vgs, bias.vds, bias.vsb,
-        p.vth0, p.n_slope, p.kp, p.lam, p.eta_dibl, p.gamma_body, p.phi_s, w, l,
-    )
+    c = _eval_consts(p.n_slope, p.kp, p.lam, p.eta_dibl, p.gamma_body, p.phi_s, w, l)
+    idr, gm, gds, gmb = _core_eval(bias.vgs, bias.vds, bias.vsb, p.vth0, p.lam,
+                                   p.eta_dibl, p.gamma_body, p.phi_s, c)
     return MosEval(float(idr), float(gm), float(gds), float(gmb))
 
 

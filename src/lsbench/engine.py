@@ -71,7 +71,9 @@ fixed matrix alpha*C plus a history current, which the driver forms from
 each step's start, halved substeps too.
 
 The compiled system and the driver that runs the Newton requests of a
-batch in lock-step are in `_mna`.
+batch in lock-step are in `_mna`.  Every public solve is one `_run` of
+them, over one request generator per member (`_dc_requests`,
+`_transient_requests` with its `_step`, and `measure`'s).
 """
 
 from __future__ import annotations
@@ -137,6 +139,23 @@ def _state_from_vector(n: int, x: np.ndarray) -> SysState:
     return SysState(v=x[:n].copy(), i_branch=x[n:].copy())
 
 
+def _run(circuits, requests, opts: SolveOptions = SolveOptions()) -> list:
+    """Compile `circuits` as one system, one member each, and drive
+    `requests(sys_, j)`, member j's generator of Newton requests, for every
+    member in lock-step: each member's return value, or the SolverError it
+    raised, in order."""
+    sys_ = _System(list(circuits))
+    return _drive(sys_, [requests(sys_, j) for j in range(len(sys_.circuits))], opts)
+
+
+def _run_one(circuit: Circuit, requests, opts: SolveOptions = SolveOptions()):
+    """`_run` of one circuit: its result, or the error it ended with, raised."""
+    (out,) = _run([circuit], requests, opts)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 _PTC_C = 1e-15      # F, added to every node's capacitance in the pseudo-transient
 _PTC_STEPS = 200    # steps the pseudo-transient may take
 _PTC_MIN_H = 4e-18  # s, a failed pseudo-transient step shorter than this ends it
@@ -192,11 +211,7 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
     module docstring).  Raises SolverError when both fail.
     """
     opts = opts or SolveOptions()
-    sys_ = _System([circuit])
-    (op,) = _drive(sys_, [_dc_requests(sys_, 0, opts, x0)], opts)
-    if isinstance(op, SolverError):
-        raise op
-    return op
+    return _run_one(circuit, lambda s, j: _dc_requests(s, j, opts, x0), opts)
 
 
 _MAX_HALVINGS = 8
@@ -228,118 +243,112 @@ def _corner_intervals(waves, t: np.ndarray) -> list:
     return sorted(set(np.concatenate(marks).tolist()))  # np.unique imports numpy.ma
 
 
-class _Stepper:
+def _step(sys_: _System, j: int, bases: dict, x_from, ic_from, t0, t1, use_trap, depth,
+          w=(1.0,) * 3, lev=0, table=0, bdf2=False):
+    """Member j's implicit step t0 -> t1 from x_from as a generator of
+    Newton requests, halving on failure (into BE or trapezoidal halves);
+    `bases` caches the member's base matrices by alpha.  The driver applies
+    the table op `table`, starts at the table's polynomial of level `lev`,
+    then at x_from, forms the rhs and, on convergence, the history, and
+    extends the table over w = t1 - t_i (ones for a first half, whose
+    extension the second half's replaces; see `_mna`).  A BDF2 step's
+    history kappa*C*DD1 comes from the table's DD1 at t0, kappa = h / (t1 -
+    t_p).  Returns (x, ic, worst accepted residual, [max|DD2|, max|DD3|]
+    over the node rows)."""
+    h = t1 - t0
+    alpha, kappa = 2.0 / h if use_trap else 1.0 / h, 0.0
+    if bdf2:
+        alpha, kappa = 1.0 / h + 1.0 / w[1], h / w[1]
+    ic_hist = ic_from if use_trap else None
+    base = bases.get(alpha)
+    if base is None:
+        base = bases[alpha] = sys_.base_matrix(j, GMIN_DEFAULT, alpha)
+    for lv in (lev, 1) if lev > 1 else (lev,):
+        y = yield (x_from, base, None, ic_hist, _STEP_ITERS, (*w, lv, alpha, t1, kappa), table)
+        table = 0
+        if y[3]:
+            return y[0], y[6], y[2], y[5]
+    if depth >= _MAX_HALVINGS:
+        raise SolverError(
+            f"transient step at t={t1:.6g}s failed to converge after "
+            f"{_MAX_HALVINGS} halvings (min substep {h:.3g}s)"
+        )
+    tm = 0.5 * (t0 + t1)
+    x_mid, ic_mid, r1, _ = yield from _step(sys_, j, bases, x_from, ic_from, t0, tm,
+                                            use_trap, depth + 1)
+    x_new, ic_new, r2, dd = yield from _step(sys_, j, bases, x_mid, ic_mid, tm, t1,
+                                             use_trap, depth + 1, w)
+    return x_new, ic_new, max(r1, r2), dd
+
+
+def _transient_requests(sys_: _System, j: int, t: np.ndarray):
     """Member j's transient on the grid t, its DC start included, as one
-    generator of Newton requests (`run`)."""
-
-    def __init__(self, sys_: _System, j: int, t: np.ndarray):
-        self.sys, self.j, self.t = sys_, j, t
-        self.n = sys_.n[j]
-        self.corners = _corner_intervals(sys_.waves[j], t)
-        self.bases: dict = {}  # alpha -> base matrix
-
-    def step(self, x_from, ic_from, t0, t1, use_trap, depth, w=(1.0,) * 3, lev=0, table=0,
-             bdf2=False):
-        """One implicit step t0 -> t1 from x_from, halving on failure (into
-        BE or trapezoidal halves).  The driver applies the table op `table`,
-        starts at the table's polynomial of level `lev`, then at x_from, forms
-        the rhs and, on convergence, the history, and extends the table over
-        w = t1 - t_i (ones for a first half, whose extension the second
-        half's replaces; see `_mna`).  A BDF2 step's history kappa*C*DD1 comes
-        from the table's DD1 at t0, kappa = h / (t1 - t_p).  Returns (x, ic,
-        worst accepted residual, [max|DD2|, max|DD3|] over the node rows)."""
-        h = t1 - t0
-        alpha, kappa = 2.0 / h if use_trap else 1.0 / h, 0.0
-        if bdf2:
-            alpha, kappa = 1.0 / h + 1.0 / w[1], h / w[1]
-        ic_hist = ic_from if use_trap else None
-        base = self.bases.get(alpha)
-        if base is None:
-            base = self.bases[alpha] = self.sys.base_matrix(self.j, GMIN_DEFAULT, alpha)
-        for lv in (lev, 1) if lev > 1 else (lev,):
-            y = yield (x_from, base, None, ic_hist, _STEP_ITERS, (*w, lv, alpha, t1, kappa),
-                       table)
-            table = 0
-            if y[3]:
-                return y[0], y[6], y[2], y[5]
-        if depth >= _MAX_HALVINGS:
-            raise SolverError(
-                f"transient step at t={t1:.6g}s failed to converge after "
-                f"{_MAX_HALVINGS} halvings (min substep {h:.3g}s)"
-            )
-        tm = 0.5 * (t0 + t1)
-        x_mid, ic_mid, r1, _ = yield from self.step(x_from, ic_from, t0, tm, use_trap,
-                                                    depth + 1)
-        x_new, ic_new, r2, dd = yield from self.step(x_mid, ic_mid, tm, t1, use_trap,
-                                                     depth + 1, w)
-        return x_new, ic_new, max(r1, r2), dd
-
-    def run(self):
-        """Step over the grid from the DC operating point; returns the
-        member's Waveforms, filled in from the blocks of its solved points."""
-        op = yield from _dc_requests(self.sys, self.j)
-        n, t, corners = self.n, self.t, self.corners
-        n_steps = len(t) - 1
-        x = op.state.as_vector()
-        # the solved points in blocks of (grid indices, states, residuals);
-        # each block starts with the last point of the one before
-        ib, xb, rb = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
-        ib[0], xb[0], rb[0] = 0, x, op.residual_max
-        blocks, nb = [(ib, xb, rb)], 1
-        ic_cur = None  # capacitor currents at the current solved point
-        # the driver keeps the Newton divided differences of the solved states
-        # since the last corner, newest first: `lev` rows, at most four, row k
-        # over the newest k+1 points; ts holds their times but the oldest, and
-        # `table` is the next step's op (2 restarts the table at x, 1 commits)
-        ts, lev, table = [0.0], 1, 2
-        i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
-        bdf2 = False  # the next multi-interval step is BDF2, else BE
-        while i < n_steps:
-            while corners[c] < i:
-                c += 1
-            at_corner = corners[c] == i
-            k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
-            t0, t1 = t.item(i), t.item(i + k)
-            w = [t1 - tk for tk in ts] + [1.0] * (3 - len(ts))
-            used = bdf2 and k > 1  # this step's scheme: BDF2, else BE or trapezoid
-            x_new, ic_new, res, (dd2, dd3) = yield from self.step(
-                x, ic_cur, t0, t1, k == 1 and i > 0, 0, w, lev, table, used)
-            table = 0
-            if at_corner:
-                ts, lev, table, m, bdf2 = [t1], 1, 2, 1, False
-            else:
-                grow = k  # no estimate yet: hold the step
-                if lev > 1 and n:
-                    r = (t1 - t0) ** 2 * dd2 / _LTE_TOL
-                    r3 = 2.0 / 9.0 * w[0] * w[1] * w[2] * dd3 / _LTE_TOL  # read at lev > 2
-                    if (r3 if used else r) > 1.0 and k > 1:
-                        m = k // 2  # reject: retry from the same point, half the step
-                        continue
-                    # sqrt(0.5/r) >= 2 exactly when r <= 1/8, and the cube
-                    # root when r3 <= 1/16: only then is the step doubled,
-                    # and 0.5/r never overflows.  Growth of at most 2x also
-                    # keeps variable-step BDF2 zero-stable (below 1 + sqrt 2)
-                    grow = k * math.sqrt(0.5 / r) if r > 0.125 else 2 * k
-                    bdf2 = False  # BDF2 next only where its step is a longer power of two
-                    if k > 1 and lev > 2:
-                        g3 = k * (0.5 / r3) ** (1.0 / 3.0) if r3 > 0.0625 else 2 * k
-                        bdf2 = int(g3).bit_length() > int(grow).bit_length()
-                        grow = max(grow, g3)
-                ts, lev, table = [t1, *ts[:2]], min(lev + 1, 4), 1
-                m = 1 << max(int(grow).bit_length() - 1, 0)
-            x, ic_cur, i = x_new, ic_new, i + k
-            if nb == _BLOCK:
-                ib, xb, rb = np.empty_like(ib), np.empty_like(xb), np.empty_like(rb)
-                ib[0], xb[0], rb[0] = (a[-1] for a in blocks[-1])
-                blocks.append((ib, xb, rb))
-                nb = 1
-            ib[nb], xb[nb], rb[nb] = i, x, res
-            nb += 1
-        blocks[-1] = (ib[:nb], xb[:nb], rb[:nb])
-        # the step matrices go before the grid is filled: freed after it,
-        # they fragment the heap, and repeated sweeps peak 1.1 MB higher
-        self.bases.clear()
-        return _waveforms(self.sys.circuits[self.j], t, blocks)
+    generator of Newton requests: steps over the grid from the DC operating
+    point and returns the member's Waveforms, filled in from the blocks of
+    its solved points."""
+    op = yield from _dc_requests(sys_, j)
+    n, corners, bases = sys_.n[j], _corner_intervals(sys_.waves[j], t), {}
+    n_steps = len(t) - 1
+    x = op.state.as_vector()
+    # the solved points in blocks of (grid indices, states, residuals);
+    # each block starts with the last point of the one before
+    ib, xb, rb = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
+    ib[0], xb[0], rb[0] = 0, x, op.residual_max
+    blocks, nb = [(ib, xb, rb)], 1
+    ic_cur = None  # capacitor currents at the current solved point
+    # the driver keeps the Newton divided differences of the solved states
+    # since the last corner, newest first: `lev` rows, at most four, row k
+    # over the newest k+1 points; ts holds their times but the oldest, and
+    # `table` is the next step's op (2 restarts the table at x, 1 commits)
+    ts, lev, table = [0.0], 1, 2
+    i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
+    bdf2 = False  # the next multi-interval step is BDF2, else BE
+    while i < n_steps:
+        while corners[c] < i:
+            c += 1
+        at_corner = corners[c] == i
+        k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
+        t0, t1 = t.item(i), t.item(i + k)
+        w = [t1 - tk for tk in ts] + [1.0] * (3 - len(ts))
+        used = bdf2 and k > 1  # this step's scheme: BDF2, else BE or trapezoid
+        x_new, ic_new, res, (dd2, dd3) = yield from _step(
+            sys_, j, bases, x, ic_cur, t0, t1, k == 1 and i > 0, 0, w, lev, table, used)
+        table = 0
+        if at_corner:
+            ts, lev, table, m, bdf2 = [t1], 1, 2, 1, False
+        else:
+            grow = k  # no estimate yet: hold the step
+            if lev > 1 and n:
+                r = (t1 - t0) ** 2 * dd2 / _LTE_TOL
+                r3 = 2.0 / 9.0 * w[0] * w[1] * w[2] * dd3 / _LTE_TOL  # read at lev > 2
+                if (r3 if used else r) > 1.0 and k > 1:
+                    m = k // 2  # reject: retry from the same point, half the step
+                    continue
+                # sqrt(0.5/r) >= 2 exactly when r <= 1/8, and the cube
+                # root when r3 <= 1/16: only then is the step doubled,
+                # and 0.5/r never overflows.  Growth of at most 2x also
+                # keeps variable-step BDF2 zero-stable (below 1 + sqrt 2)
+                grow = k * math.sqrt(0.5 / r) if r > 0.125 else 2 * k
+                bdf2 = False  # BDF2 next only where its step is a longer power of two
+                if k > 1 and lev > 2:
+                    g3 = k * (0.5 / r3) ** (1.0 / 3.0) if r3 > 0.0625 else 2 * k
+                    bdf2 = int(g3).bit_length() > int(grow).bit_length()
+                    grow = max(grow, g3)
+            ts, lev, table = [t1, *ts[:2]], min(lev + 1, 4), 1
+            m = 1 << max(int(grow).bit_length() - 1, 0)
+        x, ic_cur, i = x_new, ic_new, i + k
+        if nb == _BLOCK:
+            ib, xb, rb = np.empty_like(ib), np.empty_like(xb), np.empty_like(rb)
+            ib[0], xb[0], rb[0] = (a[-1] for a in blocks[-1])
+            blocks.append((ib, xb, rb))
+            nb = 1
+        ib[nb], xb[nb], rb[nb] = i, x, res
+        nb += 1
+    blocks[-1] = (ib[:nb], xb[:nb], rb[:nb])
+    # the step matrices go before the grid is filled: freed after it,
+    # they fragment the heap, and repeated sweeps peak 1.1 MB higher
+    bases.clear()
+    return _waveforms(sys_.circuits[j], t, blocks)
 
 
 def _waveforms(circuit: Circuit, t: np.ndarray, blocks: list) -> Waveforms:
@@ -387,18 +396,11 @@ def _grid(tstep: float, tstop: float) -> np.ndarray:
 
 
 def _transient_many(circuits, tstep: float, tstop: float) -> list:
-    """`transient` of several circuits, of any structures, solved together:
-    each member's Waveforms, or the SolverError it failed with, in order.
-
-    Every member takes its own DC start and its own steps, exactly as it
-    would alone; the Newton iterations of all members run in lock-step, with
-    one device evaluation for the whole batch and one linear solve per
-    group of members of one size (see the module docstring).
-    """
+    """`transient` of several circuits, of any structures, as one `_run`:
+    each member's Waveforms, or the SolverError it failed with, in order,
+    each with the bits of its lone run."""
     t = _grid(tstep, tstop)
-    sys_ = _System(list(circuits))
-    return _drive(sys_, [_Stepper(sys_, j, t).run() for j in range(len(sys_.circuits))],
-                  SolveOptions())
+    return _run(circuits, lambda s, j: _transient_requests(s, j, t))
 
 
 def transient(circuit: Circuit, tstep: float, tstop: float) -> Waveforms:
@@ -409,10 +411,8 @@ def transient(circuit: Circuit, tstep: float, tstop: float) -> Waveforms:
     interpolations, and `Waveforms.solved` lists the grid indices that are
     solver states.  The run starts from the DC operating point at the
     sources' initial values and uses the default `SolveOptions` and the
-    GMIN_DEFAULT shunt.  This is `_transient_many` of one circuit;
-    `measure.characterize_many` runs several circuits as one batch.
+    GMIN_DEFAULT shunt.  `_transient_many` and `measure.characterize_many`
+    run several circuits as one batch.
     """
-    (waves,) = _transient_many([circuit], tstep, tstop)
-    if isinstance(waves, SolverError):
-        raise waves
-    return waves
+    t = _grid(tstep, tstop)
+    return _run_one(circuit, lambda s, j: _transient_requests(s, j, t))

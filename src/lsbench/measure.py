@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .engine import GMIN_DEFAULT, SolveOptions, SolverError, Waveforms
+from .engine import GMIN_DEFAULT, SolveOptions, Waveforms
 from .netlist import Circuit
 
 
@@ -146,11 +146,8 @@ def static_power(circuit: Circuit, input_state: str,
     if input_state not in ("lo", "hi"):
         raise ValueError(f"input_state must be 'lo' or 'hi', got {input_state!r}")
     opts = opts or SolveOptions()
-    sys_ = engine._System([circuit])
-    (p,) = engine._drive(sys_, [_static_requests(sys_, 0, input_state, opts)], opts)
-    if isinstance(p, SolverError):
-        raise p
-    return p
+    return engine._run_one(circuit, lambda s, j: _static_requests(s, j, input_state, opts),
+                           opts)
 
 
 def output_swing(out_wave, t, settle):
@@ -255,16 +252,19 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
     )
 
 
-def _characterize_requests(sys_, j: int, t, waves, in_node: str, out_node: str):
+def _characterize_requests(sys_, j: int, t, waves=None, in_node: str = "in",
+                           out_node: str = "out"):
     """Member j's characterization as one generator of Newton requests, in
     the order of a lone run: its transient over the grid t from its
     DC operating point (or the given `waves`), the measurements, then the
     static powers with its pulse sources pinned lo and hi, solved in
     member j itself: a pinned circuit has the same devices and matrices,
-    only other source values.  Returns the Report, or the MeasureError; a
-    SolverError propagates."""
+    only other source values.  A batch fills in and measures each grid as
+    soon as its last step is solved, and drops it before the next one is
+    filled.  Returns the Report, or the MeasureError; a SolverError
+    propagates."""
     if waves is None:
-        waves = yield from engine._Stepper(sys_, j, t).run()
+        waves = yield from engine._transient_requests(sys_, j, t)
     rep = _figures(sys_.circuits[j], waves, in_node, out_node)
     del waves  # the grid is dropped before the next member's is filled
     if isinstance(rep, MeasureError):
@@ -274,20 +274,6 @@ def _characterize_requests(sys_, j: int, t, waves, in_node: str, out_node: str):
     return replace(rep, power_static_lo=lo, power_static_hi=hi)
 
 
-def _reports(jobs, in_node: str = "in", out_node: str = "out") -> list:
-    """Drive the characterizations of jobs, (circuit, grid, waves or None)
-    each, as one batch: one compiled system, one member per circuit.  A
-    member's transient on its grid, from its DC start, or the given waves,
-    its measurements and its two static DC solves, in its own member at its
-    pinned source values, are one generator of Newton requests, and the
-    requests of all members run in lock-step.  A grid is filled in and
-    measured as soon as its last step is solved, and dropped before the next
-    one is filled.  Returns each job's Report, MeasureError or SolverError."""
-    sys_ = engine._System([c for c, _, _ in jobs])
-    return engine._drive(sys_, [_characterize_requests(sys_, j, t, w, in_node, out_node)
-                                for j, (_, t, w) in enumerate(jobs)], SolveOptions())
-
-
 def characterize_many(circuits):
     """`characterize` of several circuits, of any structures, as one batch:
     each on the grid of its own .tran card, from node "in" to node "out".
@@ -295,7 +281,7 @@ def characterize_many(circuits):
     `characterize`, or the SolverError, MeasureError or ValueError that one
     would raise."""
     circuits = list(circuits)
-    jobs, times, errors = [], {}, {}
+    jobs, grids, times, errors = [], [], {}, {}
     for i, c in enumerate(circuits):
         try:  # the errors of a lone run, in its order
             g = _tstep_tstop(c, None, None)
@@ -304,8 +290,10 @@ def characterize_many(circuits):
         except ValueError as e:
             errors[i] = e
             continue
-        jobs.append((c, times[g], None))
-    done = iter(_reports(jobs) if jobs else ())
+        jobs.append(c)
+        grids.append(times[g])
+    done = iter(engine._run(jobs, lambda s, j: _characterize_requests(s, j, grids[j]))
+                if jobs else ())
     for i in range(len(circuits)):
         yield errors[i] if i in errors else next(done)
 
@@ -321,7 +309,5 @@ def characterize(circuit: Circuit, tstep: float | None = None,
     on; the settle margin for swing extraction is 20% of the period.
     """
     t = None if waves is not None else engine._grid(*_tstep_tstop(circuit, tstep, tstop))
-    (rep,) = _reports([(circuit, t, waves)], in_node, out_node)
-    if isinstance(rep, Exception):
-        raise rep
-    return rep
+    return engine._run_one(
+        circuit, lambda s, j: _characterize_requests(s, j, t, waves, in_node, out_node))

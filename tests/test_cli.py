@@ -3,6 +3,7 @@ child-process run of `python -m lsbench` for its exit code."""
 
 import io
 import json
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -183,6 +184,23 @@ def test_run_dc_only_skips_report(tmp_path):
     assert main(["run", str(path)]) == 0
     assert (tmp_path / "dc.csv").exists()
     assert not (tmp_path / "dc.report.json").exists()
+
+
+def test_run_named_node_always_writes_or_fails_the_report(tmp_path, capsys):
+    # one named node asks for the report even on a netlist without the
+    # other default node: the run ends in the measurement error for that
+    # node after the CSV, as when both are named, and writes no report
+    path = _gen(tmp_path, "cls")
+    path.write_text(re.sub(r"\bout\b", "z", re.sub(r"\bin\b", "a", path.read_text())))
+    grid = ["--tstep", "100p", "--tstop", "210n"]
+    for flags, missing in ((["--in-node", "a"], "out"), (["--out-node", "z"], "in")):
+        assert main(["run", str(path), *grid, *flags]) == 4
+        out, err = capsys.readouterr()
+        assert f"wrote {tmp_path / 'cls.csv'}" in out
+        assert f"measurement error: no node named {missing!r} in waveforms" in err
+        assert not (tmp_path / "cls.report.json").exists()
+    assert main(["run", str(path), *grid, "--in-node", "a", "--out-node", "z"]) == 0
+    assert json.loads((tmp_path / "cls.report.json").read_text())["swing_hi_v"] > 3.2
 
 
 def test_run_error_exits(tmp_path, capsys):
@@ -402,7 +420,7 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path):
 
 
 def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
-    # a sweep characterizes its points in batches of at most _SWEEP_BATCH,
+    # a sweep characterizes its points in batches of at most _BATCH,
     # one compiled system each, so its memory does not grow with --steps,
     # and it drops each point's grid before the next one is filled; the
     # rows do not depend on the batching
@@ -429,7 +447,7 @@ def test_sweep_batches_are_bounded_and_hold_one_grid(monkeypatch, tmp_path):
         waves = fill(*a, **k)
         filled.append(weakref.ref(waves))
         return waves
-    monkeypatch.setattr(cli, "_SWEEP_BATCH", 2)
+    monkeypatch.setattr(cli, "_BATCH", 2)
     monkeypatch.setattr(cli, "characterize_many", counted_many)
     monkeypatch.setattr(engine._System, "__init__", counted_init)
     monkeypatch.setattr(engine, "_waveforms", checked_fill)

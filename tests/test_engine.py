@@ -512,7 +512,6 @@ def test_failed_guess_retries_from_the_step_start(monkeypatch):
     circ = elaborate(gen("cls"))
     sys_, opts = _System([circ]), engine.SolveOptions()
     t = engine._grid(circ.tran.tstep, circ.tran.tstop)
-    stepper = engine._Stepper(sys_, 0, t)
     x0 = dc_operating_point(circ).state.as_vector()
     n = circ.n_nodes
     ic0 = np.zeros(n)
@@ -523,7 +522,7 @@ def test_failed_guess_retries_from_the_step_start(monkeypatch):
     def whole_step(lev):  # a table through x0 and guess, predicting at level lev
         sys_.tables()
         sys_.tv[0][:2] = x0, (guess - x0) / w[0]
-        return (yield from stepper.step(x0, ic0, t[0], t[4], False, 0, w, lev))
+        return (yield from engine._step(sys_, 0, {}, x0, ic0, t[0], t[4], False, 0, w, lev))
 
     calls = _count_assembles(monkeypatch)
     runs = []
@@ -740,14 +739,14 @@ def _acceptance_events(monkeypatch) -> dict:
     to, "accept", "reject" (r > 1, k > 1), "reset" (a corner restarts the
     table) or "halve"."""
     events, tick = {}, [0]
-    assemble, run = _System.assemble, engine._Stepper.run
+    assemble, run = _System.assemble, engine._transient_requests
 
     def counted(s):
         tick[0] += 1
         return assemble(s)
 
-    def logged(stepper):
-        gen, result, last = run(stepper), None, None
+    def logged(sys_, j, t):
+        gen, result, last = run(sys_, j, t), None, None
         while True:
             try:
                 req = gen.send(result)
@@ -761,11 +760,11 @@ def _acceptance_events(monkeypatch) -> dict:
                 else:  # a halving starts with a first half, of level 0
                     what = "halve" if req[5][3] == 0 else None
                 if what:
-                    events.setdefault(tick[0], set()).add((stepper.j, what))
+                    events.setdefault(tick[0], set()).add((j, what))
             last, result = req, (yield req)
 
     monkeypatch.setattr(_System, "assemble", counted)
-    monkeypatch.setattr(engine._Stepper, "run", logged)
+    monkeypatch.setattr(engine, "_transient_requests", logged)
     return events
 
 
@@ -867,9 +866,7 @@ def test_transient_many_flat_layout_edge_cases(monkeypatch):
     dc = [circs[0], _circ(_GATE_NODE.format("floats", "")),
           _circ("divider\nV1 in 0 DC 5\nR1 in out 1k\nR2 out 0 1k\n.end\n")]
     monkeypatch.setattr(engine, "GMIN_DEFAULT", 0.0)
-    s = _System(dc)
-    got = engine._drive(s, [engine._dc_requests(s, j) for j in range(3)],
-                        engine.SolveOptions())
+    got = engine._run(dc, engine._dc_requests)
     for c, op in zip(dc, got):
         try:
             want = dc_operating_point(c)

@@ -245,16 +245,27 @@ def test_characterize_many_equals_lone_characterize(monkeypatch):
 def test_static_power_compiles_the_callers_circuit(monkeypatch):
     # static_power solves in the circuit's own compiled member at the pinned
     # source values, as characterize does: one system, holding the caller's
-    # own object and no pinned copy
-    c = elaborate(gen("cls"))
+    # own object and no pinned copy.  So does every public entry: each one
+    # compiles one system whose members are the caller's circuit objects
+    c, other = elaborate(gen("cls")), elaborate(gen("ssls"))
+    waves = transient(c, c.tran.tstep, c.tran.tstop)
     compiled, init = [], engine._System.__init__
 
     def recorded(self, circuits):
         compiled.append(list(circuits))
         init(self, circuits)
     monkeypatch.setattr(engine._System, "__init__", recorded)
-    static_power(c, "hi")
-    assert len(compiled) == 1 and len(compiled[0]) == 1 and compiled[0][0] is c
+    entries = [lambda: static_power(c, "hi"), lambda: dc_operating_point(c),
+               lambda: transient(c, c.tran.tstep, c.tran.tstop), lambda: characterize(c),
+               lambda: characterize(c, waves=waves)]
+    for entry in entries:
+        compiled.clear()
+        entry()
+        assert len(compiled) == 1 and len(compiled[0]) == 1 and compiled[0][0] is c
+    compiled.clear()
+    list(characterize_many([c, other]))
+    assert len(compiled) == 1 and len(compiled[0]) == 2
+    assert compiled[0][0] is c and compiled[0][1] is other
 
 
 def test_characterize_many_on_two_grids_equals_lone_characterize(monkeypatch):
