@@ -4,13 +4,13 @@ Batches.  `_System` compiles B circuits of any structures (a sweep's
 points, the six topologies of the bench), one member per circuit: a
 circuit's static-power solves run in its own member at other source
 values.  Each member keeps its own node count n, unknown count N,
-matrices G (N x N) and C (n x n), and MOSFETs; the device parameters of
-all members form one array.  The solvers are generator functions of one
-member's Newton requests: the DC stages, and the transient with every
-step and its halving (`engine._step`), yield (start, base matrix,
-constant part of f or None for a step, trapezoidal history, iteration
-limit) and receive (x, iterations, residual, converged, reason).  A
-member's transient is one generator from its DC start to its last step.
+matrices G (N x N) and C (n x n), and MOSFETs.  The solvers are generator
+functions of one member's Newton requests: the DC stages, and the
+transient with every step and its halving (`engine._step`), yield (start,
+base matrix, constant part of f or None for a step, trapezoidal history,
+iteration limit) and receive (x, iterations, residual, converged,
+reason).  A member's transient is one generator from its DC start to its
+last step.
 One driver, `_drive`, runs the requests of all live members in lock-step.
 `live` lays them out back to back in flat buffers: over all S live
 unknowns the states, residuals and their negations, constant parts of f,
@@ -44,7 +44,8 @@ compiled system and one `_drive`; `transient`, `dc_operating_point`,
 During a batched transient members keep only their solved points until
 their grids are filled in.
 
-Stamp plan.  `_System` compiles each member once into flat arrays.  Per
+Stamp plan.  `live` builds the stamp plan and the device arrays of
+exactly the live members from their circuits, at their live offsets.  Per
 Newton iteration, `mos_currents` gathers the terminal voltages of every
 live MOSFET straight from the flat states, which end in a 0 for ground,
 evaluates them with one `_core_eval` call and writes a (5, M) buffer: the
@@ -168,34 +169,34 @@ def _source_forest(circuit: Circuit) -> tuple:
 _MOS_FIELDS = ("vth0", "n_slope", "kp", "lam", "eta_dibl", "gamma_body", "phi_s")
 
 
-def _stamp_plan(circuit: Circuit, n: int, N: int) -> tuple:
-    """One circuit's stamp plan: the (d, g, s, b) nodes of its M MOSFETs as
-    a (4, M) array, ground being node N (one past the unknowns of its state
-    vector, where the live plan keeps a 0), then per stamp term the entry of its
-    (5, M) device buffer it gathers (row 0 the drain->source currents, rows
-    1..4 the d, g, s, b conductances), its accumulator bin and its sign.
-    The bins are those of the member alone: 0..n-1 the node rows of f and
-    N + row*N + col the entries of J.  The f terms come first, +i at the
+def _stamp_plan(circuit: Circuit, o: int, S: int, jb: int, mo: int, M: int) -> tuple:
+    """The stamp plan of one live member at its offsets: o its first state
+    among the S live unknowns, jb its first J bin, mo its first device among
+    the M live ones.  Returns the live states of the (d, g, s, b) nodes of
+    its MOSFETs, one row each, ground being S (where the live states keep a
+    0), then per stamp term the entry of the (5, M) device buffer it gathers
+    (row 0 the drain->source currents, rows 1..4 the d, g, s, b
+    conductances), its accumulator bin and its sign.  The f bins are o +
+    row and the J bins jb + row*N + col.  The f terms come first, +i at the
     drain row and -i at the source row; the J terms follow, rows
     (d,+1),(s,-1) x cols (d,g,s,b), each part in device order."""
+    N = circuit.n_nodes + len(circuit.sources)
     mos = circuit.mosfets
-    M = len(mos)
-    gather, bins, sgn = [], [], []
-    for k, m in enumerate(mos):
+    term, gather, bins, sgn = [], [], [], []
+    for k, m in enumerate(mos, mo):
+        term.append([o + t if t >= 0 else S for t in (m.d, m.g, m.s, m.b)])
         for row, rs in ((m.d, 1.0), (m.s, -1.0)):
             if row >= 0:
-                gather.append(k); bins.append(row); sgn.append(rs)
-    for k, m in enumerate(mos):
+                gather.append(k); bins.append(o + row); sgn.append(rs)
+    for k, m in enumerate(mos, mo):
         cols = ((m.d, 1), (m.g, 2), (m.s, 3), (m.b, 4))
         for row, rs in ((m.d, 1.0), (m.s, -1.0)):
             if row < 0:
                 continue
             for col, c in cols:
                 if col >= 0:
-                    gather.append(c * M + k); bins.append(N + row * N + col); sgn.append(rs)
-    term = np.array([[m.d, m.g, m.s, m.b] for m in mos], dtype=np.intp).reshape(M, 4).T
-    return (np.where(term >= 0, term, N), np.array(gather, dtype=np.intp),
-            np.array(bins, dtype=np.intp), np.array(sgn))
+                    gather.append(c * M + k); bins.append(jb + row * N + col); sgn.append(rs)
+    return term, gather, bins, sgn
 
 
 class _Group:
@@ -216,11 +217,11 @@ class _Group:
 
 
 class _System:
-    """Compiled stamping plans for a batch of circuits of any structures.
+    """A batch of circuits of any structures, one member each.
 
-    Member j keeps its own sizes n[j] and N[j], matrices G[j], C[j] and
-    stamp plan; the devices of all members share one parameter array.
-    `live` plans the members that `assemble` works on."""
+    Member j keeps what it is on its own: its sizes n[j] and N[j], matrices
+    G[j] and C[j], source waves and source forest.  `live` builds the stamp
+    plan and device arrays of the members that `assemble` works on."""
 
     def __init__(self, circuits: list):
         if not circuits:
@@ -231,17 +232,7 @@ class _System:
         self.G, self.C = zip(*[_linear_matrices(c, n, N)
                                for c, n, N in zip(circuits, self.n, self.N)])
         self.waves = [[s.wave for s in c.sources] for c in circuits]
-        self.plans = [_stamp_plan(c, n, N) for c, n, N in zip(circuits, self.n, self.N)]
         self.forests = [_source_forest(c) for c in circuits]
-        # the MOSFETs of all members back to back, member j's from m0[j]:
-        # polarity signs, the seven model parameters then w and l (9, M),
-        # and their bias-independent terms
-        self.m0 = list(accumulate((len(c.mosfets) for c in circuits), initial=0))
-        ms = [m for c in circuits for m in c.mosfets]
-        self.m_sgn = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in ms])
-        self._p = np.array([getattr(m.params, f) for f in _MOS_FIELDS for m in ms]
-                           + [m.w for m in ms] + [m.l for m in ms]).reshape(9, len(ms))
-        self._c = _eval_consts(*self._p[1:])
 
     def live(self, members) -> list:
         """Plan `members`, a list of member indices, for `assemble` and
@@ -251,9 +242,11 @@ class _System:
         xo[p] .. xo[p+1]-1 of the flat buffers over all S live unknowns (the
         states `xbuf`, whose entry S stays 0 for ground, F, NF, DX, R and IC,
         node rows then source rows) and entries jo[p] .. jo[p+1]-1 of BASE and
-        J.  The live devices form one array in the same order; a member's f
-        bins sit at its state offset and its J bins at S + its matrix offset,
-        so every member sums the same terms in the same order as alone."""
+        J.  The stamp plans and device arrays are built from the live
+        circuits at these offsets, their devices back to back in the same
+        order: a member's f bins sit at its state offset and its J bins at S
+        + its matrix offset, so every member sums the same terms in the same
+        order as alone."""
         sizes = {}
         for j in members:
             sizes.setdefault(self.N[j], []).append(j)
@@ -282,42 +275,31 @@ class _System:
         self.xidx = np.array(xo[:-1], dtype=np.intp)
         self.ridx = np.array([o + d for o, n in zip(xo, ns) for d in (0, n)], dtype=np.intp)
         self.nodeless = [p for p, n in enumerate(ns) if not n]
-        self.nrows, self.mrows = np.zeros((2, S), bool)  # node rows, with MOSFETs
-        self.groups, gidx, gather, bins, sgn, spans = [], [], [], [], [], []
-        p = 0
+        self.groups, p = [], 0
         for N, g in sizes.items():
             self.groups.append(_Group(self, p, len(g), N, xo[p], jo[p]))
-            for j in g:
-                o, n = xo[p], ns[p]
-                term, gt, b, sg = self.plans[j]
-                if S > N:  # the member's rows and bins move to its offsets
-                    term = np.where(term < N, term + o, S)
-                    b = np.where(b < N, b + o, b + (S - N + jo[p]))
-                gidx.append(term); gather.append(gt); bins.append(b); sgn.append(sg)
-                spans.append((self.m0[j], self.m0[j + 1]))
-                self.nrows[o:o + n] = True
-                self.mrows[o:o + n] = self.m0[j] < self.m0[j + 1]
-                p += 1
-        self.n_bins = S + jo[-1]
-        M = sum(b - a for a, b in spans)
-        if len(ms) > 1:  # a member's buffer entry (r, k) moves to (r, its offset + k)
-            mo = 0
-            for i, (a, b) in enumerate(spans):
-                if b > a:
-                    gather[i] = gather[i] // (b - a) * M + gather[i] % (b - a) + mo
-                mo += b - a
-        cat = lambda parts: parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        self._gidx, self._gather = cat(gidx), cat(gather)
-        self._bin, self._sgn = cat(bins), cat(sgn)
-        # the live devices' rows of `_core_eval`'s parameters and constants:
-        # views where they are consecutive, as for one member or a whole batch
-        if all(a == b for (_, a), (b, _) in zip(spans, spans[1:])):
-            rows = slice(spans[0][0], spans[-1][1])
-        else:
-            rows = np.concatenate([np.arange(a, b) for a, b in spans])
-        vth0, _, _, lam, eta, gamma, phi, _, _ = self._p[:, rows]
-        self._dev = (vth0, lam, eta, gamma, phi, tuple(a[..., rows] for a in self._c))
-        self._msgn = self.m_sgn[rows]
+            p += len(g)
+        mos = [self.circuits[j].mosfets for j in ms]
+        mo = list(accumulate(map(len, mos), initial=0))  # each position's first device
+        M, self.n_bins = mo[-1], S + jo[-1]
+        self.nrows, self.mrows = np.zeros((2, S), bool)  # node rows, with MOSFETs
+        plan = [], [], [], []
+        for p, j in enumerate(ms):
+            self.nrows[xo[p]:xo[p] + ns[p]] = True
+            self.mrows[xo[p]:xo[p] + ns[p]] = bool(mos[p])
+            for a, b in zip(plan, _stamp_plan(self.circuits[j], xo[p], S, S + jo[p], mo[p], M)):
+                a += b
+        self._gidx = np.array(plan[0], dtype=np.intp).reshape(M, 4).T
+        self._gather, self._bin = (np.array(a, dtype=np.intp) for a in plan[1:3])
+        self._sgn = np.array(plan[3])
+        # the live devices' polarity signs and `_core_eval`'s parameter rows
+        # and bias-independent terms, from the seven model parameters, w and l
+        flat = [m for d in mos for m in d]
+        self._msgn = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in flat])
+        par = np.array([getattr(m.params, f) for f in _MOS_FIELDS for m in flat]
+                       + [m.w for m in flat] + [m.l for m in flat]).reshape(9, M)
+        vth0, _, _, lam, eta, gamma, phi, _, _ = par
+        self._dev = (vth0, lam, eta, gamma, phi, _eval_consts(*par[1:]))
         self._mbuf = np.zeros((5, M))
         self._mflat = self._mbuf.reshape(-1)
         return self.groups
@@ -463,8 +445,8 @@ class _System:
         device conductances.  All live devices are evaluated in one call and
         scattered with one `bincount` whose first S bins line up with F and
         the rest with J.  A zero bin is added to BASE, which holds no -0.0
-        (see `base_matrix`), but not to f, where it would turn -0.0 into
-        +0.0."""
+        (see `base_matrix`), so a plan without devices gets J = BASE bit for
+        bit, but not to f, where it would turn -0.0 into +0.0."""
         F = self.F
         for g in self.groups:  # a group of one: dot, cheaper than matmul and bitwise equal
             if g.L == 1:
@@ -473,14 +455,11 @@ class _System:
                 np.matmul(g.BASE, g.X, out=g.F)
         F -= self.R
         F -= self.IC
-        if self._mbuf.shape[1]:
-            self.mos_currents()
-            acc = np.bincount(self._bin, weights=self._sgn * self._mflat[self._gather],
-                              minlength=self.n_bins)
-            np.add(F, acc[:len(F)], out=F, where=self.mrows)
-            np.add(self.BASE, acc[len(F):], out=self.J)
-        else:
-            self.J[:] = self.BASE
+        self.mos_currents()
+        acc = np.bincount(self._bin, weights=self._sgn * self._mflat[self._gather],
+                          minlength=self.n_bins)
+        np.add(F, acc[:len(F)], out=F, where=self.mrows)
+        np.add(self.BASE, acc[len(F):], out=self.J)
         return self.J, F
 
     def assemble_one(self, j: int, x, base, rhs, ic=None):

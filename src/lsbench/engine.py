@@ -218,8 +218,8 @@ _MAX_HALVINGS = 8
 _STEP_ITERS = 60             # Newton iterations of a step start before a fallback
 _MAX_GRID_STEPS = 1_000_000  # grid intervals; bounds every waveform allocation
 _LTE_TOL = 4e-5              # V, per-step error target of the step control
-_FILL_ROWS = 512             # grid rows interpolated per block
-_BLOCK = 128                 # solved points recorded per block
+_FILL_ROWS = 512             # grid rows interpolated at a time
+_BLOCK = 128                 # solved points the record holds before it first doubles
 
 
 def _corner_intervals(waves, t: np.ndarray) -> list:
@@ -284,17 +284,16 @@ def _step(sys_: _System, j: int, bases: dict, x_from, ic_from, t0, t1, use_trap,
 def _transient_requests(sys_: _System, j: int, t: np.ndarray):
     """Member j's transient on the grid t, its DC start included, as one
     generator of Newton requests: steps over the grid from the DC operating
-    point and returns the member's Waveforms, filled in from the blocks of
-    its solved points."""
+    point and returns the member's Waveforms, filled in from its solved
+    points."""
     op = yield from _dc_requests(sys_, j)
     n, corners, bases = sys_.n[j], _corner_intervals(sys_.waves[j], t), {}
     n_steps = len(t) - 1
     x = op.state.as_vector()
-    # the solved points in blocks of (grid indices, states, residuals);
-    # each block starts with the last point of the one before
-    ib, xb, rb = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
-    ib[0], xb[0], rb[0] = 0, x, op.residual_max
-    blocks, nb = [(ib, xb, rb)], 1
+    # the solved points: one record of grid indices, states and residuals,
+    # its first nb rows written, doubled when full
+    ix, xs, rs = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
+    ix[0], xs[0], rs[0], nb = 0, x, op.residual_max, 1
     ic_cur = None  # capacitor currents at the current solved point
     # the driver keeps the Newton divided differences of the solved states
     # since the last corner, newest first: `lev` rows, at most four, row k
@@ -337,35 +336,31 @@ def _transient_requests(sys_: _System, j: int, t: np.ndarray):
             ts, lev, table = [t1, *ts[:2]], min(lev + 1, 4), 1
             m = 1 << max(int(grow).bit_length() - 1, 0)
         x, ic_cur, i = x_new, ic_new, i + k
-        if nb == _BLOCK:
-            ib, xb, rb = np.empty_like(ib), np.empty_like(xb), np.empty_like(rb)
-            ib[0], xb[0], rb[0] = (a[-1] for a in blocks[-1])
-            blocks.append((ib, xb, rb))
-            nb = 1
-        ib[nb], xb[nb], rb[nb] = i, x, res
+        if nb == len(ix):
+            ix, xs, rs = (np.concatenate((a, np.empty_like(a))) for a in (ix, xs, rs))
+        ix[nb], xs[nb], rs[nb] = i, x, res
         nb += 1
-    blocks[-1] = (ib[:nb], xb[:nb], rb[:nb])
     # the step matrices go before the grid is filled: freed after it,
     # they fragment the heap, and repeated sweeps peak 1.1 MB higher
     bases.clear()
-    return _waveforms(sys_.circuits[j], t, blocks)
+    return _waveforms(sys_.circuits[j], t, ix[:nb], xs[:nb], rs[:nb])
 
 
-def _waveforms(circuit: Circuit, t: np.ndarray, blocks: list) -> Waveforms:
-    """The grid record of one member from the blocks of its solved points:
-    samples between two solves lie on the line joining them,
+def _waveforms(circuit: Circuit, t: np.ndarray, ix, xs, rs) -> Waveforms:
+    """The grid record of one member from its solved points: rising grid
+    indices ix from 0 to the grid's end, states xs and residuals rs.
+    Samples between two solves lie on the line joining them,
     x + w*(x_new - x), and carry the larger of the two residuals."""
-    rec = np.empty((len(t), blocks[0][1].shape[1]))  # one row per grid sample
+    rec = np.empty((len(t), xs.shape[1]))  # one row per grid sample
     rrec = np.empty(len(t))
-    for ix, xs, rs in blocks:
-        for lo in range(ix[0], ix[-1], _FILL_ROWS):  # bounded temporaries
-            hi = min(lo + _FILL_ROWS, ix[-1])
-            s = np.searchsorted(ix, np.arange(lo, hi), side="right") - 1  # solve before
-            a, b = ix[s], ix[s + 1]
-            w = ((t[lo:hi] - t[a]) / (t[b] - t[a]))[:, None]
-            rec[lo:hi] = xs[s] + w * (xs[s + 1] - xs[s])
-            rrec[lo:hi] = np.maximum(rs[s], rs[s + 1])
-        rec[ix], rrec[ix] = xs, rs
+    for lo in range(0, ix[-1], _FILL_ROWS):  # bounded temporaries
+        hi = min(lo + _FILL_ROWS, ix[-1])
+        s = np.searchsorted(ix, np.arange(lo, hi), side="right") - 1  # solve before
+        a, b = ix[s], ix[s + 1]
+        w = ((t[lo:hi] - t[a]) / (t[b] - t[a]))[:, None]
+        rec[lo:hi] = xs[s] + w * (xs[s + 1] - xs[s])
+        rrec[lo:hi] = np.maximum(rs[s], rs[s + 1])
+    rec[ix], rrec[ix] = xs, rs
     n = circuit.n_nodes
     names = circuit.node_names
     gname = lambda i: "0" if i < 0 else names[i]
@@ -375,7 +370,7 @@ def _waveforms(circuit: Circuit, t: np.ndarray, blocks: list) -> Waveforms:
         supply_i={s.name: rec[:, n + k] for k, s in enumerate(circuit.sources)},
         source_nodes={s.name: (gname(s.p), gname(s.m)) for s in circuit.sources},
         resid_max=rrec,
-        solved=np.concatenate([blocks[0][0]] + [ix[1:] for ix, _, _ in blocks[1:]]),
+        solved=ix,
     )
 
 

@@ -162,15 +162,16 @@ def test_assemble_jacobian_matches_central_differences(topo):
     batch = _System(members)
     lone = [_System([c]) for c in members]
     n, N = s.n[0], s.N[0]
-    term = s.plans[0][0]  # MOSFET terminals, N = ground
+    s.live([0])  # one member alone: its MOSFET terminals' states, N = ground
+    term, sgn = s._gidx, s._msgn
     rng = np.random.default_rng(20261018)
     h = 1e-6
     swapped = {1.0: set(), -1.0: set()}
     for _ in range(4):
         x = np.concatenate([rng.uniform(-0.5, 4.0, n), rng.uniform(-1e-3, 1e-3, N - n)])
-        vt = np.append(x, 0.0)[term] * s.m_sgn
+        vt = np.append(x, 0.0)[term] * sgn
         for pol in swapped:
-            swapped[pol].update(vt[0][s.m_sgn == pol] < vt[2][s.m_sgn == pol])
+            swapped[pol].update(vt[0][sgn == pol] < vt[2][sgn == pol])
         v_prev = rng.uniform(-0.5, 4.0, n)
         ic_prev = rng.uniform(-1e-4, 1e-4, n)
         for alpha, hist in ((0.0, ()), (2.0 / 10e-12, (v_prev, ic_prev))):
@@ -195,16 +196,19 @@ def test_assemble_jacobian_matches_central_differences(topo):
 
 
 def test_ragged_assemble_equals_lone_assembly():
-    # one _System over the three members of every topology: six sizes, so
-    # the live plan mixes stacked groups, groups of one (a live subset in
-    # scrambled order, whose device rows are not consecutive) and members
-    # with different node, unknown and device counts.  Every member's J and
-    # f must equal its one-member assembly bit for bit.
-    circuits = [c for topo in TOPOLOGY_IDS for c in _batch_members(topo)]
+    # one _System over the three members of every topology and the
+    # MOSFET-free RC_STEP: seven sizes, so the live plan mixes stacked
+    # groups, groups of one (a live subset in scrambled order, whose device
+    # rows are not consecutive), members with different node, unknown and
+    # device counts, and a member with no device.  Every member's J and f
+    # must equal its one-member assembly bit for bit.  A plan of the RC
+    # member alone has no device at all (M = 0): there J is BASE and f is
+    # BASE x - R - IC, bit for bit.
+    circuits = [c for topo in TOPOLOGY_IDS for c in _batch_members(topo)] + [_circ(RC_STEP)]
     batch = _System(circuits)
-    assert len(set(batch.N)) == 6
+    assert len(set(batch.N)) == 7 and not circuits[18].mosfets
     rng = np.random.default_rng(6)
-    for members in (list(range(18)), [17, 0, 5, 9, 3, 10, 4]):
+    for members in (list(range(19)), [17, 0, 5, 18, 9, 3, 10, 4], [18]):
         X, hists = [], []
         for j in members:
             n, N = batch.n[j], batch.N[j]
@@ -216,6 +220,13 @@ def test_ragged_assemble_equals_lone_assembly():
             for i, j in enumerate(members):
                 J1, f1 = _assemble_one(_System([circuits[j]]), X[i], alpha, hs[i])
                 assert _same_bits(got[i][0], J1) and _same_bits(got[i][1], f1), (alpha, j)
+            if members == [18]:
+                assert batch._mbuf.shape == (5, 0)
+                base, rhs, ic = _request(batch, 18, alpha, hs[0])
+                f = base.dot(X[0]) - rhs
+                if ic is not None:  # on the node rows; the source rows subtract a 0
+                    f[:batch.n[18]] -= ic
+                assert _same_bits(J1, base) and _same_bits(f1, f)
 
 
 def test_mos_currents_match_scalar_model():
@@ -797,16 +808,17 @@ _RC_PULSE = "rc step\nVIN in 0 PULSE(0 {} 0 1f 1f 2n 4n)\nR1 in out 1k\nC1 out 0
 
 
 def _poison_empty(monkeypatch):
-    """Make every buffer the engine's np.empty hands out come back poisoned
-    (NaN, or -1 for integer arrays), so any read before a write changes the
-    result."""
-    real_empty = np.empty
-
-    def poisoned(*a, **k):
-        arr = real_empty(*a, **k)
-        arr.fill(np.nan if arr.dtype.kind == "f" else -1)
-        return arr
-    monkeypatch.setattr(engine.np, "empty", poisoned)
+    """Make every buffer the engine's np.empty and np.empty_like hand out
+    come back poisoned (NaN, or -1 for integer arrays), so any read before a
+    write changes the result."""
+    def poison(real):
+        def poisoned(*a, **k):
+            arr = real(*a, **k)
+            arr.fill(np.nan if arr.dtype.kind == "f" else -1)
+            return arr
+        return poisoned
+    monkeypatch.setattr(engine.np, "empty", poison(np.empty))
+    monkeypatch.setattr(engine.np, "empty_like", poison(np.empty_like))
 
 
 def test_transient_many_damped_members_equal_lone_runs():
@@ -839,8 +851,9 @@ def test_transient_many_flat_layout_edge_cases(monkeypatch):
     # others, so that alone its segments start at S, past the end; the
     # MOSFET-free RC_STEP and a damped RC member, one group of two whose
     # node rows take no device currents; and two topologies.  Each member
-    # must equal its lone run bit for bit, also with every np.empty buffer
-    # poisoned, so no flat buffer is read before it is written.
+    # must equal its lone run bit for bit, also with every np.empty and
+    # np.empty_like buffer poisoned, so no flat buffer, and no row of a
+    # solved-point record that has doubled, is read before it is written.
     circs = [_circ("nothing\n.end\n"), _circ(RC_STEP),
              _circ("rc, 5 V step\nVIN in 0 PULSE(0 5 0 1f 1f 20n 40n)\n"
                    "R1 in out 2k\nC1 out 0 1p\n.end\n"),
@@ -857,6 +870,8 @@ def test_transient_many_flat_layout_edge_cases(monkeypatch):
         assert len(got) == len(circs)
         for w, lone in zip(got, want):
             _assert_same_waves(w, lone)
+    # the premise of the poisoned run: a record grew past its first capacity
+    assert max(len(w.solved) for w in got) > engine._BLOCK
     # the premises: the empty circuit ran next to all the others, and alone
     assert {0, sum(c.n_nodes + len(c.sources) for c in circs)} <= plans
     # DC of the empty circuit first, then a singular member and a divider
