@@ -20,8 +20,8 @@ form a group, whose arrays are views of consecutive rows.  Each iteration
 is one `assemble` (a matvec per group, then whole-batch passes for the
 constant parts, histories, device currents and Jacobians), one reduction
 for all worst node residuals, one solve per group (stacked over its
-members), one pass for all update norms and, when every member moves, one
-state update, then while a DC request is bounded one projection onto
+members), one pass for all update norms and one state update over all
+members, then while a DC request is bounded one projection onto
 per-row bounds; only the convergence, damping and iteration-limit checks
 loop over members.  Step acceptance is batched as well: the transient
 steps, whole or halved, that converge in one iteration extend their tables
@@ -260,8 +260,7 @@ class _System:
         self.F, self.NF, self.DX, self.R = np.empty((4, S))
         self.BASE, self.J = np.empty((2, jo[-1]))
         per = lambda a, ln: [a[o:o + k] for o, k in zip(xo, ln)]  # each position's rows
-        self.xv, self.dxv, self.rv, self.icv = (per(self.xbuf, Ns), per(self.DX, Ns),
-                                                per(self.R, Ns), per(self.IC, ns))
+        self.xv, self.rv, self.icv = per(self.xbuf, Ns), per(self.R, Ns), per(self.IC, ns)
         self.bv = [self.BASE[a:a + N * N].reshape(N, N) for a, N in zip(jo, Ns)]
         self.tv = None  # the step buffers, built when a step is loaded (`tables`)
         # node-row bounds: a bounded DC request's hull at the positions in `bounded`
@@ -507,18 +506,19 @@ def _lapack():
                        over="ignore", divide="ignore", under="ignore")
 
 
-def _solve_each(J, NF):
-    """The Newton updates J^-1 NF of stacked systems one at a time, after the
-    stacked solve found a singular J, and the set of the singular rows.
-    Runs inside the caller's `_lapack()` errstate."""
-    dx = np.full_like(NF, np.nan)
-    bad = set()
-    for q in range(len(NF)):
+def _solve_each(g: _Group) -> list:
+    """Solve group g's systems into its DX one at a time, after the stacked
+    solve found a singular J, and return the live positions of the singular
+    ones (their rows get what LAPACK leaves).  Runs inside the caller's
+    `_lapack()` errstate."""
+    J, NF, DX = g.J.reshape(-1, g.N, g.N), g.NF.reshape(-1, g.N), g.DX.reshape(-1, g.N)
+    bad = []
+    for q in range(g.L):
         try:
-            dx[q] = _SOLVE1(J[q], NF[q])
+            _SOLVE1(J[q], NF[q], out=DX[q])
         except LinAlgError:
-            bad.add(q)
-    return dx, bad
+            bad.append(g.p0 + q)
+    return bad
 
 
 def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
@@ -529,11 +529,10 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     Each iteration assembles every live member with one `assemble` call,
     takes every member's worst node residual with one reduction, solves
     each group of one size with one stacked solve, takes the update norms
-    with one more pass and, when every member moves, updates all states
-    with one add.  Per member it applies damped Newton: converged when both
-    max|dv| < vntol and the worst KCL residual is below abstol, node updates
-    clamped to +/-0.5 V, and the nodes of a request with a hull projected
-    onto it.  A member
+    with one more pass and updates all states with one add.  Per member it
+    applies damped Newton: converged when both max|dv| < vntol and the
+    worst KCL residual is below abstol, node updates clamped to +/-0.5 V,
+    and the nodes of a request with a hull projected onto it.  A member
     whose request ends gets its result at once and joins the next iteration
     with its next request, so it does the same arithmetic as it would
     alone.  The live members are planned again only when one of them ends;
@@ -601,13 +600,12 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
         for p in sys_.nodeless:  # an empty segment reads the element at its start
             res[p] = 0.0
         np.negative(F, out=sys_.NF)
-        todo, done = range(P), ()
+        todo = range(P)
         if True in dv_ok:  # converged: the last update and this residual are small
-            todo, done = [], set()
+            todo = []
             for p in range(P):
                 if dv_ok[p] and res[p] < abstol:
                     sends.append((members[p], (xv[p].copy(), k - start[p], res[p], True, "")))
-                    done.add(p)
                 else:
                     todo.append(p)
             if not todo:
@@ -615,30 +613,21 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
         bad = set()
         with _lapack():
             for g in groups:
-                i = [q for q in range(g.L) if g.p0 + q not in done] if done else range(g.L)
-                if not i:
-                    continue
                 try:
-                    if len(i) == g.L:
-                        _SOLVE1(g.J, g.NF, out=g.DX)
-                    else:
-                        g.DX[i] = _SOLVE1(g.J[i], g.NF[i])
+                    _SOLVE1(g.J, g.NF, out=g.DX)
                 except LinAlgError:
-                    dx, b = _solve_each(g.J.reshape(-1, g.N, g.N)[i], g.NF.reshape(-1, g.N)[i])
-                    g.DX.reshape(-1, g.N)[i] = dx
-                    bad.update(g.p0 + i[q] for q in b)
+                    bad.update(_solve_each(g))
         DX = sys_.DX
         absolute(DX, out=ab[:-1])  # NaN and inf propagate through the maxima
         amax, dvm = top(ab, sys_.xidx).tolist(), top(ab, ridx)[::2].tolist()
         for p in sys_.nodeless:
             dvm[p] = amax[p] = 0.0
-        moved, post, clamp = [], [], False
+        post, clamp = [], False
         for p in todo:
             if p in bad or not isfinite(amax[p]):
                 why = _SINGULAR if p in bad else "non-finite Newton update"
                 sends.append((members[p], (xv[p].copy(), k - start[p], res[p], False, why)))
                 continue
-            moved.append(p)
             dv = dvm[p]
             if dv > vclamp:
                 clamp = True
@@ -648,19 +637,14 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 dv_ok[p] = dv < vntol
                 if k == stop[p]:
                     post.append((p, False, "iteration limit"))
-        if not moved:
-            continue
         if clamp:  # clip node rows, the identity on updates inside the clamp
             np.minimum(DX, vclamp, out=DX, where=sys_.nrows)
             np.maximum(DX, -vclamp, out=DX, where=sys_.nrows)
-        if len(moved) == P:
-            sys_.xbuf[:-1] += DX
-        else:
-            for p in moved:
-                xv[p] += sys_.dxv[p]
+        # a member that replied above gets its rows rewritten (`load`, `predict`)
+        # or leaves the plan before the next `assemble`; NaN or inf adds silently
+        sys_.xbuf[:-1] += DX
         if sys_.bounded:  # onto the hulls: the identity on open rows
             X = sys_.xbuf[:-1]
             np.minimum(np.maximum(X, sys_.LO, out=X), sys_.HI, out=X)
         for p, ok, why in post:
             sends.append((members[p], (xv[p].copy(), k - start[p], res[p], ok, why)))
-

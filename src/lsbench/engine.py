@@ -216,7 +216,7 @@ def dc_operating_point(circuit: Circuit, opts: SolveOptions | None = None,
 
 _MAX_HALVINGS = 8
 _STEP_ITERS = 60             # Newton iterations of a step start before a fallback
-_MAX_GRID_STEPS = 1_000_000  # grid intervals; bounds every waveform allocation
+_MAX_GRID_STEPS = 1_000_000  # grid intervals; bounds the grid's length, not its record's N
 _LTE_TOL = 4e-5              # V, per-step error target of the step control
 _FILL_ROWS = 512             # grid rows interpolated at a time
 _BLOCK = 128                 # solved points the record holds before it first doubles

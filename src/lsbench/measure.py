@@ -235,7 +235,8 @@ def _figures(circuit: Circuit, waves: Waveforms, in_node: str, out_node: str):
         vin = waves.node_v[in_node]
         vout = waves.node_v[out_node]
         delays = propagation_delay(vin, vout, waves.t)
-        p_avg = average_power(waves, (per, n_per * per))
+        # n_per * per may round past t[-1], which the 1e-9 slack above admits
+        p_avg = average_power(waves, (per, min(n_per * per, waves.t[-1])))
         s_lo, s_hi = output_swing(vout, waves.t, 0.2 * per)
     except MeasureError as e:
         return e.with_traceback(None)

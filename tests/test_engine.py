@@ -5,6 +5,7 @@ import tokenize
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -354,11 +355,12 @@ def test_singular_jacobian_reported(monkeypatch):
 
 
 def test_lapack_gufunc_solves_equal_numpy_solve():
-    # `_drive` calls np.linalg.solve's vector gufunc without its wrapper, on
-    # one vector or on a stack of (L, N) rows, writing with out= into views
-    # of a flat buffer, or on a subset of the stack by index.  Each must give
-    # the bits of np.linalg.solve on (L, N, 1) columns; this also pins the
-    # private `_umath_linalg` import
+    # `_drive` calls np.linalg.solve's vector gufunc without its wrapper on
+    # each group whole, one vector or a stack of (L, N) rows, writing with
+    # out= into views of a flat buffer, and after a singular J in the stack
+    # on each member alone (`_solve_each`).  Each must give the bits of
+    # np.linalg.solve on (L, N, 1) columns, and only the singular member
+    # fails; this also pins the private `_umath_linalg` import
     rng = np.random.default_rng(14)
     for N in range(1, 17):
         for L in (1, 2, 3, 5, 8):
@@ -367,17 +369,19 @@ def test_lapack_gufunc_solves_equal_numpy_solve():
             NF = flat[3 + L * N * N:3 + L * N * (N + 1)].reshape(L, N)
             DX = flat[3 + L * N * (N + 1):].reshape(L, N)
             want = np.linalg.solve(J, NF[:, :, None])[:, :, 0]
+            shape = (lambda a: a[0]) if L == 1 else (lambda a: a)  # as `_Group` holds them
+            g = SimpleNamespace(p0=4, L=L, N=N, J=shape(J), NF=shape(NF), DX=shape(DX))
             with _mna._lapack():
-                if L == 1:
-                    _mna._SOLVE1(J[0], NF[0], out=DX[0])
-                else:
-                    _mna._SOLVE1(J, NF, out=DX)
-                some = _mna._SOLVE1(J[[0, L - 1]], NF[[0, L - 1]])
-                each, bad = _mna._solve_each(J, NF)
-            assert _same_bits(DX, want), (N, L)
-            assert _same_bits(some, want[[0, L - 1]]), (N, L)
-            assert _same_bits(each, want) and not bad, (N, L)
-            for q in range(L):
+                _mna._SOLVE1(g.J, g.NF, out=g.DX)
+                assert _same_bits(DX, want), (N, L)
+                DX[:] = 0.0
+                assert _mna._solve_each(g) == [] and _same_bits(DX, want), (N, L)
+                J[L - 1] = 0.0
+                with pytest.raises(np.linalg.LinAlgError):
+                    _mna._SOLVE1(g.J, g.NF, out=g.DX)
+                assert _mna._solve_each(g) == [4 + L - 1], (N, L)
+            assert _same_bits(DX[:L - 1], want[:L - 1]), (N, L)
+            for q in range(L - 1):
                 assert _same_bits(DX[q], np.linalg.solve(J[q], NF[q])), (N, L, q)
 
 
@@ -779,19 +783,24 @@ def _acceptance_events(monkeypatch) -> dict:
     return events
 
 
-def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
-    # four cls members whose pulses start and rise at different times, each
-    # from its own DC start, with 3 Newton iterations per step start: in
-    # one drive iteration one member accepts a step, one rejects one, one
-    # halves a step that failed and one restarts its table at a corner, so
-    # one pass extends and predicts short and full tables side by side;
-    # every member keeps the bits of its lone run
+def _cls_members() -> list:
+    """Four cls members whose pulses start and rise at different times."""
     def member(vin_hi, td, tr):
         wave = SourceWave("pulse", 0.0, vin_hi, td, tr, tr, 20e-9, 45e-9)
         return elaborate(gen_with_stimulus("cls", wave, TopoParams(vin_hi=vin_hi)))
 
-    circs = [member(1.2, 1e-9, 1e-9), member(0.9, 1e-9, 1e-9), member(0.9, 2.3e-9, 0.5e-9),
-             member(0.9, 1e-9, 0.5e-9)]
+    return [member(1.2, 1e-9, 1e-9), member(0.9, 1e-9, 1e-9), member(0.9, 2.3e-9, 0.5e-9),
+            member(0.9, 1e-9, 0.5e-9)]
+
+
+def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
+    # four cls members, each from its own DC start, with 3 Newton
+    # iterations per step start: in one drive iteration one member accepts
+    # a step, one rejects one, one halves a step that failed and one
+    # restarts its table at a corner, so one pass extends and predicts
+    # short and full tables side by side; every member keeps the bits of
+    # its lone run
+    circs = _cls_members()
     run = dict(tstep=20e-12, tstop=60e-9)
     # the members were built to reject, halve, reset and accept at once on
     # the step sequences of the shipped step control
@@ -802,6 +811,29 @@ def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
     assert any(want <= ev for ev in events.values())
     for c, w in zip(circs, got):
         _assert_same_waves(w, transient(c, **run))
+
+
+def test_a_loaded_position_reads_none_of_its_old_rows(monkeypatch):
+    # `_drive` solves every group whole and adds every update, also into
+    # the rows of members that replied in that iteration: it relies on
+    # `load` (and `predict`, for a step) rewriting a loaded position's
+    # state, constant part of f and history before anything reads them.
+    # The four members reply at different iterations; with those rows NaN
+    # before every load, each still keeps the bits of its lone run
+    circs = _cls_members()
+    run = dict(tstep=20e-12, tstop=60e-9)
+    monkeypatch.setattr(engine, "_STEP_ITERS", 3)
+    want = [transient(c, **run) for c in circs]
+    load = _System.load
+
+    def poisoned(self, p, req):
+        for rows in (self.xv, self.rv, self.icv):
+            rows[p][:] = np.nan
+        load(self, p, req)
+
+    monkeypatch.setattr(_System, "load", poisoned)
+    for w, lone in zip(engine._transient_many(circs, **run), want):
+        _assert_same_waves(w, lone)
 
 
 _RC_PULSE = "rc step\nVIN in 0 PULSE(0 {} 0 1f 1f 2n 4n)\nR1 in out 1k\nC1 out 0 1p\n.end\n"

@@ -191,6 +191,19 @@ def test_characterize_needs_two_periods():
         characterize(_circ(text), tstep=1e-10, tstop=50e-9)
 
 
+def test_average_power_window_ends_at_the_record():
+    # three whole periods whose product n_per * per rounds past t[-1]: the
+    # window ends at the record, and a tstop a hair short of 300 ns reads
+    # the power of the full one
+    text = ("rc window\nV1 in 0 PULSE(0 1 0.5n 1n 1n 3n 9n)\nR1 in out 1k\n"
+            "C1 out 0 0.1p\n.tran 10p 27n\n.end\n")
+    assert math.isfinite(characterize(_circ(text)).power_avg)
+    circ = elaborate(gen("cls"))
+    want = characterize(circ).power_avg
+    got = characterize(circ, tstop=300e-9 * (1 - 2e-10)).power_avg
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_delay_grows_with_load():
     delays = []
     for cload in (5e-15, 10e-15, 20e-15, 40e-15):
