@@ -5,12 +5,11 @@ points, the six topologies of the bench), one member per circuit: a
 circuit's static-power solves run in its own member at other source
 values.  Each member keeps its own node count n, unknown count N,
 matrices G (N x N) and C (n x n), and MOSFETs.  The solvers are generator
-functions of one member's Newton requests: the DC stages, and the
-transient with every step and its halving (`engine._step`), yield (start,
-base matrix, constant part of f or None for a step, trapezoidal history,
+functions of one member's Newton requests: the DC stages, and a
+transient's retried and halved steps (`engine._step`), yield (start, base
+matrix, constant part of f or None for a step, trapezoidal history,
 iteration limit) and receive (x, iterations, residual, converged,
-reason).  A member's transient is one generator from its DC start to its
-last step.
+reason); its whole steps are the driver's (`engine._Steps`).
 One driver, `_drive`, runs the requests of all live members in lock-step.
 `live` lays them out back to back in flat buffers: over all S live
 unknowns the states, residuals and their negations, constant parts of f,
@@ -21,16 +20,16 @@ is one `assemble` (a matvec per group, then whole-batch passes for the
 constant parts, histories, device currents and Jacobians), one reduction
 for all worst node residuals, one solve per group (stacked over its
 members), one pass for all update norms and one state update over all
-members, then while a DC request is bounded one projection onto
-per-row bounds; only the convergence, damping and iteration-limit checks
-loop over members.  Step acceptance is batched as well: the transient
-steps, whole or halved, that converge in one iteration extend their tables
-of divided differences, held in flat buffers too, and form their error
-norms and capacitor histories in one pass (`extend`) before their
-generators decide, and the steps loaded next get their starts, constant
-parts of f and BDF2 histories in one more (`predict`), all from their step
-starts and tables.  A group of one keeps the vector matvec, cheaper and
-bitwise equal; nothing else branches on group size.
+members, then while a DC request is bounded one projection onto per-row
+bounds; only the convergence, damping and iteration-limit checks loop
+over members.  Steps are batched as well: the transient steps, whole or
+halved, that converge in one iteration extend their tables of divided
+differences, held in flat buffers too, and form their error norms and
+capacitor histories in one pass (`extend`); the whole ones are decided and
+their successors loaded in one loop that resumes no generator
+(`load_steps`), and every step loaded next gets its start, constant part
+of f and BDF2 history in one more pass (`predict`).  A group of one keeps
+the vector matvec, cheaper and bitwise equal.
 Sizes are never padded to a common N: an identity block changes the bits
 of the solve.  A member whose request ends gets its result at once and
 joins the next iteration with its next request, so every member keeps its
@@ -92,6 +91,7 @@ import math
 from itertools import accumulate
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .devmodel import _core_eval, _eval_consts, cap_lumps, source_value
@@ -262,7 +262,7 @@ class _System:
         per = lambda a, ln: [a[o:o + k] for o, k in zip(xo, ln)]  # each position's rows
         self.xv, self.rv, self.icv = per(self.xbuf, Ns), per(self.R, Ns), per(self.IC, ns)
         self.bv = [self.BASE[a:a + N * N].reshape(N, N) for a, N in zip(jo, Ns)]
-        self.tv = None  # the step buffers, built when a step is loaded (`tables`)
+        self.tv = self.n0v = None  # the step buffers, built when a step is loaded (`tables`)
         # node-row bounds: a bounded DC request's hull at the positions in `bounded`
         self.LO, self.HI = np.full(S, -math.inf), np.full(S, math.inf)
         self.lov, self.hiv, self.bounded = per(self.LO, ns), per(self.HI, ns), set()
@@ -304,32 +304,31 @@ class _System:
         return self.groups
 
     def tables(self) -> None:
-        """Build this plan's step buffers: the tables T and their extensions
-        NEW, the step starts XF, NEW[0] - XF, C times it and the histories,
-        each position's step spec as a column (ones where none) and each
-        row's position, and views of each position's rows of them."""
+        """Build this plan's step buffers: tables T, extensions NEW, step starts XF,
+        NEW[0] - XF, C times it, histories H, start currents I0, specs, views."""
         ms, xo, S = self.members, self.xo, self.xo[-1]
         ns, Ns = [self.n[j] for j in ms], [self.N[j] for j in ms]
         per = lambda a, ln: [a[o:o + k] for o, k in zip(xo, ln)]
-        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((7, len(ms)))
-        self.ab2 = np.zeros((2, S + 1))  # |NEW[2:4]|, then a 0 (see `live`)
+        (self.T, self.NEW), self.spec = np.zeros((2, 4, S)), np.ones((len(ms), 7))
+        # |NEW[2]| then |NEW[3]|, then a 0 (see `live`), and their reduceat bounds
+        self.ab2, self.ridx2 = np.zeros(2 * S + 1), np.concatenate((self.ridx, self.ridx + S))
         self.tv, self.nv = ([a[:, o:o + N] for o, N in zip(xo, Ns)] for a in (self.T, self.NEW))
-        self.rowpos = np.repeat(np.arange(len(ms)), Ns)
-        self.XF, self.D, self.CD, self.H = np.zeros((4, S))
-        self.xfv = per(self.XF, Ns)
-        self.dv, self.cdv, self.hv = (per(a, ns) for a in (self.D, self.CD, self.H))
-        self.rhsv = [(r[:n], r[n:], self.C[j], self.waves[j], xf[:n], ic, tb[1, :n])
-                     for r, n, j, xf, ic, tb in zip(self.rv, ns, ms, self.xfv, self.icv,
-                                                    self.tv)]  # for `predict`
+        self.rowpos, self.Tr, self.NEWr = np.repeat(np.arange(len(ms)), Ns), list(self.T), list(self.NEW)
+        self.XF, self.D, self.CD, self.H, self.I0 = np.zeros((5, S))
+        self.xfv, self.n0v = per(self.XF, Ns), per(self.NEW[0], Ns)
+        self.dv, self.cdv, self.hv, self.i0v = (per(a, ns) for a in (self.D, self.CD, self.H, self.I0))
+        # for `predict`: C, node rhs, source rhs, waves, node rows of XF and T[1]
+        self.rhsv = [(self.C[j], r[:n], r[n:], self.waves[j], xf[:n], tb[1, :n])
+                     for r, n, j, xf, tb in zip(self.rv, ns, ms, self.xfv, self.tv)]
+        self.sp = self.spec.take(self.rowpos, axis=0).T  # the specs by row, as `predict` left them
 
     def load(self, p: int, req: tuple) -> None:
         """Load a request (see `_drive`) into live position p: zero IC rows
         for one without a history, which subtract exactly, the node rows'
-        bounds, and for a step its start x0 into XF, its spec and its table
-        op."""
+        bounds, and for a step its start x0 into XF and its spec."""
         x0, base, rhs, ic, _ = req[:5]
         self.bv[p][:], self.icv[p][:] = base, 0.0 if ic is None else ic
-        if len(req) == 6:
+        if len(req) == 6 and rhs is not None:
             self.lov[p][:], self.hiv[p][:] = req[5]
             self.bounded.add(p)
         elif p in self.bounded:
@@ -338,47 +337,66 @@ class _System:
         if rhs is not None:  # else `predict` forms the start and rhs
             self.xv[p][:], self.rv[p][:] = x0, rhs
         else:
-            if self.tv is None:
-                self.tables()
-            self.xfv[p][:], self.spec[:, p] = x0, req[5]
-            if req[6]:  # commit the last extension, or restart at x0
-                self.tv[p][...] = self.nv[p] if req[6] == 1 else x0
+            self.xfv[p][:], self.spec[p] = x0, req[5]
+
+    def load_steps(self, steps: list) -> None:
+        """Load the next whole step of each (position, `engine._Steps`): op 1 or 2
+        starts it at NEW[0], keeping its currents H in I0, and commits NEW or
+        restarts there; IC gets I0 for a trapezoid step."""
+        xfv, n0v, i0v, icv, tv = self.xfv, self.n0v, self.i0v, self.icv, self.tv
+        for p, st in steps:
+            if st.op:
+                xfv[p][...] = n0v[p]
+                i0v[p][...] = self.hv[p]
+                tv[p][...] = self.nv[p] if st.op == 1 else n0v[p]
+            icv[p][...] = i0v[p] if st.trap else 0.0
+            if st.base is not st.loaded:
+                self.bv[p][...] = st.loaded = st.base
+            self.spec[p] = st.spec
+
+    def rows(self) -> list:
+        """The views by position of the rows that outlive an iteration."""
+        return [self.xv, self.rv, self.icv, self.bv, self.lov, self.hiv] + (
+            [] if self.tv is None else [self.tv, self.xfv, self.i0v, [*self.spec]])
 
     def extend(self, ps) -> list:
         """Extend the tables at the states in NEW[0], NEW[i+1] = (NEW[i] - T[i]) /
-        (t1 - t_i) on all S rows (rows not asked for, or past a short table, get
-        values nothing reads), and form the histories alpha*C*(NEW[0] - XF) - IC
-        of the positions ps in H; returns [max|NEW[2]|, max|NEW[3]|] on each
-        position's node rows."""
-        sp, T, NEW = self.spec.take(self.rowpos, axis=1), self.T, self.NEW
+        (t1 - t_i) on all S rows (rows not asked for get values nothing reads),
+        and form the histories alpha*C*(NEW[0] - XF) - IC of the positions ps in
+        H; returns max|NEW[2]|, then max|NEW[3]|, on each position's node rows."""
+        sp, T, NEW = self.sp, self.Tr, self.NEWr
         for i in (0, 1, 2):
             np.divide(np.subtract(NEW[i], T[i], out=NEW[i + 1]), sp[i], out=NEW[i + 1])
         np.subtract(NEW[0], self.XF, out=self.D)
+        C, ms, dv, cdv = self.C, self.members, self.dv, self.cdv
         for p in ps:
-            self.C[self.members[p]].dot(self.dv[p], out=self.cdv[p])
+            C[ms[p]].dot(dv[p], out=cdv[p])
         np.subtract(np.multiply(self.CD, sp[4], out=self.H), self.IC, out=self.H)
-        np.absolute(NEW[2:4], out=self.ab2[:, :-1])
-        return np.maximum.reduceat(self.ab2, self.ridx, axis=1)[:, ::2].T.tolist()
+        np.absolute(self.NEW[2:4].reshape(-1), out=self.ab2[:-1])
+        return np.maximum.reduceat(self.ab2, self.ridx2)[::2].tolist()
 
     def predict(self, ps) -> None:
         """Start the steps at live positions p (ps: p -> spec) at their tables'
         polynomials at t1, by Horner on all S rows (a short table at its top,
         level 0 or 1 at the step start XF), and form their rhs from XF and a
         BDF2 step's history kappa*C*T[1] in IC."""
-        sp, T = self.spec.take(self.rowpos, axis=1), self.T
-        g, short = T[3].copy(), min(s[3] for s in ps.values()) < 4
+        self.sp = sp = self.spec.take(self.rowpos, axis=0).T
+        T, g, short = self.Tr, self.Tr[3].copy(), min(s[3] for s in ps.values()) < 4
         for i in (2, 1, 0):
             g *= sp[i]
             g += T[i]
             if short:
                 np.copyto(g, T[i] if i else self.XF, where=sp[3] <= i + 1)
-        for p, (*_, alpha, t1, kappa) in ps.items():
-            self.xv[p][:] = g[self.xo[p]:self.xo[p + 1]]
-            node, src, C, waves, xf, ic, dd1 = self.rhsv[p]
-            np.multiply(C.dot(xf, out=node), alpha, out=node)
+        xv, xo, icv, rhsv = self.xv, self.xo, self.icv, self.rhsv
+        for p, s in ps.items():
+            xv[p][...] = g[xo[p]:xo[p + 1]]
+            C, node, src, waves, xf, dd1 = rhsv[p]
+            np.multiply(C.dot(xf, out=node), s[4], out=node)
+            t1 = s[5]
             src[:] = [source_value(w, t1) for w in waves]
-            if kappa:
-                np.multiply(C.dot(dd1, out=ic), kappa, out=ic)
+            if s[6]:
+                ic = icv[p]
+                np.multiply(C.dot(dd1, out=ic), s[6], out=ic)
 
     # -- device evaluation ------------------------------------------------
 
@@ -480,13 +498,14 @@ class _System:
 # failure_reason) back, and finally returns its result or raises SolverError.
 # A plain-Newton DC request appends its hull (lo, hi), which its node rows
 # are projected onto after each update.
-# A transient step, whole or halved, has rhs None and appends (spec, op),
-# spec = (t1 - t_i over its table's times t_0..t_2, 1.0 past them and for a
-# first half; level; alpha; t1; kappa, 0 but for BDF2), op 1 committing the
-# last extension and 2 restarting the table at x0.  `predict` forms its rhs
+# A transient step, retried or halved, has rhs None and appends its spec
+# (t1 - t_i over its table's times t_0..t_2, 1.0 past them and for a first
+# half; level; alpha; t1; kappa, 0 but for BDF2).  `predict` forms its rhs
 # from x0, a BDF2 history ic = kappa*C*DD1 from the table, and starts it at
 # x0 (level 0 or 1) or the table's polynomial; its result gains [max|DD2|,
 # max|DD3|] over the node rows and its history alpha*C*(x - x0) - ic.
+# A transient yields its `engine._Steps` for its whole steps and is resumed
+# with None at its end, or with a failed whole step's start currents.
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 _VCLAMP = 0.5  # V, the largest node update of one Newton iteration
@@ -499,18 +518,19 @@ def _raise_singular(err, flag):
     raise LinAlgError("Singular matrix")
 
 
-def _lapack():
-    """The errstate `np.linalg.solve` runs its gufunc in: a singular J, which
-    the gufunc reports by raising the `invalid` flag, raises `LinAlgError`."""
-    return np.errstate(call=_raise_singular, invalid="call",
-                       over="ignore", divide="ignore", under="ignore")
+# the errstate `np.linalg.solve` runs its gufunc in: a singular J, which the
+# gufunc reports by raising the `invalid` flag, raises `LinAlgError`.  `_drive`
+# sets it as numpy keeps it (`_LAPACK_STATE`): an errstate object per
+# iteration cost about as much as the solve
+_LAPACK = dict(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+_LAPACK_STATE = _make_extobj(**_LAPACK)
 
 
 def _solve_each(g: _Group) -> list:
     """Solve group g's systems into its DX one at a time, after the stacked
     solve found a singular J, and return the live positions of the singular
-    ones (their rows get what LAPACK leaves).  Runs inside the caller's
-    `_lapack()` errstate."""
+    ones (their rows get what LAPACK leaves).  Runs under the caller's
+    `_LAPACK` state."""
     J, NF, DX = g.J.reshape(-1, g.N, g.N), g.NF.reshape(-1, g.N), g.DX.reshape(-1, g.N)
     bad = []
     for q in range(g.L):
@@ -535,27 +555,44 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     and the nodes of a request with a hull projected onto it.  A member
     whose request ends gets its result at once and joins the next iteration
     with its next request, so it does the same arithmetic as it would
-    alone.  The live members are planned again only when one of them ends;
-    the others keep their states, requests and tables."""
+    alone; a whole transient step is decided and its successor loaded here.
+    The live members are planned again only when one of them ends; the
+    others keep their rows."""
     abstol, vntol, vclamp = opts.abstol, opts.vntol, _VCLAMP
     absolute, top, isfinite = np.abs, np.maximum.reduceat, math.isfinite
     out = [None] * len(gens)
-    reqs = dict.fromkeys(range(len(gens)))  # member -> request
-    groups = sys_.live(reqs)
-    at = {j: p for p, j in enumerate(sys_.members)}  # member -> live position
+    reqs = dict.fromkeys(range(len(gens)))  # member -> request, or the `_Steps` it steps by
+    groups, members = sys_.live(reqs), sys_.members
+    at = {j: p for p, j in enumerate(members)}  # member -> live position
     start, stop, dv_ok = [0] * len(at), [0] * len(at), [False] * len(at)
-    sends = [(j, None) for j in reqs]  # (member, result for its generator)
+    sends, solved = [(j, None) for j in reqs], []  # (member, reply), (position, residual)
     k = 0  # iterations so far
+
+    def reply(p, ok, why):  # a converged whole step goes to the step pass
+        if ok and type(reqs[members[p]]) is not tuple:
+            n0v[p][...] = xv[p]
+            solved.append((p, res[p]))
+        else:
+            sends.append((members[p], (xv[p].copy(), k - start[p], res[p], ok, why)))
+
     while True:
-        if sends:
-            ext = {j: r[0] for j, r in sends if r and r[3] and reqs[j][2] is None}  # steps done
+        if sends or solved:
+            ext = {j: r[0] for j, r in sends if r and r[3] and reqs[j][2] is None}  # substeps
             for j, x in ext.items():
-                sys_.nv[at[j]][0] = x
-            dd = sys_.extend([at[j] for j in ext]) if ext else None
-            gone, pend = False, {}
+                sys_.n0v[at[j]][...] = x
+            dd = sys_.extend([at[j] for j in ext] + [p for p, _ in solved]) if ext or solved else None
+            gone, pend, loads = False, {}, []
+            for p, r in solved:  # accept, reject or reset each here
+                st = reqs[members[p]]
+                if st.solved(r, dd[p], dd[P + p], n0v[p]):
+                    loads.append((p, st))
+                else:  # the grid's end
+                    sends.append((members[p], None))
             for j, result in sends:
-                if j in ext:
-                    result += (dd[at[j]], sys_.hv[at[j]].copy())
+                if result and type(reqs[j]) is not tuple:  # a whole step that failed:
+                    result = sys_.i0v[at[j]].copy()  # its generator retries it
+                elif result and j in ext:
+                    result += ((dd[at[j]], dd[P + at[j]]), sys_.hv[at[j]].copy())
                 try:
                     req = gens[j].send(result)
                 except StopIteration as e:
@@ -566,32 +603,50 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                     del reqs[j]
                     gone = True
                     continue
-                reqs[j] = req
-                p = at[j]
-                sys_.load(p, req)
-                if req[2] is None:
-                    pend[p] = req[5]
-                start[p], stop[p], dv_ok[p] = k, k + req[4], False
-            sends = []
+                reqs[j], p = req, at[j]
+                if type(req) is tuple:
+                    sys_.load(p, req)
+                    if req[2] is None:
+                        pend[p] = req[5]
+                    start[p], stop[p], dv_ok[p] = k, k + req[4], False
+                    continue
+                req.loaded, done, req.halved = None, req.halved, None
+                if done is None:  # its DC start: no hull, the table restarts there
+                    if sys_.tv is None:
+                        sys_.tables()
+                    sys_.load(p, (req.xs[0], req.base, None, None, 0, req.spec))
+                    sys_.n0v[p][...] = req.xs[0]
+                elif not req.solved(done[2], *done[3], sys_.n0v[p]):
+                    sends.append((j, None))  # a retried step (its last solve extended
+                    continue  # the table over the whole step in this pass) ended it
+                loads.append((p, req))
+            if loads:
+                sys_.load_steps(loads)
+                for p, st in loads:
+                    pend[p] = st.spec
+                    start[p], stop[p], dv_ok[p] = k, k + st.iters, False
+            sends, solved = [], []
             if pend:
                 sys_.predict(pend)
-            if gone:  # a new plan, carrying the other members over
+            if gone:  # a new plan, carrying the other members' rows over
                 if not reqs:
                     return out
-                old, xs, rs, ics, tv = at, sys_.xv, sys_.rv, sys_.icv, sys_.tv
+                old, was, tabled = at, sys_.rows(), sys_.tv is not None
+                bounded = {sys_.members[q] for q in sys_.bounded}
                 counters = start, stop, dv_ok
                 groups = sys_.live(reqs)  # in member order
-                if tv is not None:  # a halving member may be between steps
+                if tabled:  # a member may be between steps
                     sys_.tables()
                 at = {j: p for p, j in enumerate(sys_.members)}
                 start, stop, dv_ok = ([c[old[j]] for j in at] for c in counters)
-                for j, p in at.items():
-                    sys_.load(p, reqs[j])
-                    q = old[j]
-                    sys_.xv[p][:], sys_.rv[p][:], sys_.icv[p][:] = xs[q], rs[q], ics[q]
-                    if tv is not None:
-                        sys_.tv[p][...] = tv[q]
+                sys_.bounded = {at[j] for j in bounded if j in at}
+                for now, then in zip(sys_.rows(), was):
+                    for j, p in at.items():
+                        now[p][...] = then[old[j]]
+                if tabled:
+                    sys_.sp = sys_.spec.take(sys_.rowpos, axis=0).T
             P, members, xv, ab, ridx = len(at), sys_.members, sys_.xv, sys_.ab, sys_.ridx
+            n0v = sys_.n0v
 
         k += 1
         _, F = sys_.assemble()
@@ -605,18 +660,20 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             todo = []
             for p in range(P):
                 if dv_ok[p] and res[p] < abstol:
-                    sends.append((members[p], (xv[p].copy(), k - start[p], res[p], True, "")))
+                    reply(p, True, "")
                 else:
                     todo.append(p)
             if not todo:
                 continue
-        bad = set()
-        with _lapack():
+        bad, state = set(), _extobj_contextvar.set(_LAPACK_STATE)
+        try:
             for g in groups:
                 try:
                     _SOLVE1(g.J, g.NF, out=g.DX)
                 except LinAlgError:
                     bad.update(_solve_each(g))
+        finally:
+            _extobj_contextvar.reset(state)
         DX = sys_.DX
         absolute(DX, out=ab[:-1])  # NaN and inf propagate through the maxima
         amax, dvm = top(ab, sys_.xidx).tolist(), top(ab, ridx)[::2].tolist()
@@ -625,8 +682,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
         post, clamp = [], False
         for p in todo:
             if p in bad or not isfinite(amax[p]):
-                why = _SINGULAR if p in bad else "non-finite Newton update"
-                sends.append((members[p], (xv[p].copy(), k - start[p], res[p], False, why)))
+                reply(p, False, _SINGULAR if p in bad else "non-finite Newton update")
                 continue
             dv = dvm[p]
             if dv > vclamp:
@@ -647,4 +703,4 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
             X = sys_.xbuf[:-1]
             np.minimum(np.maximum(X, sys_.LO, out=X), sys_.HI, out=X)
         for p, ok, why in post:
-            sends.append((members[p], (xv[p].copy(), k - start[p], res[p], ok, why)))
+            reply(p, ok, why)

@@ -73,7 +73,9 @@ each step's start, halved substeps too.
 The compiled system and the driver that runs the Newton requests of a
 batch in lock-step are in `_mna`.  Every public solve is one `_run` of
 them, over one request generator per member (`_dc_requests`,
-`_transient_requests` with its `_step`, and `measure`'s).
+`_transient_requests` and `measure`'s).  The driver loads, accepts,
+rejects and resets every whole step by its member's `_Steps`; only a
+step that fails goes back to the generator, whose `_step` retries it.
 """
 
 from __future__ import annotations
@@ -243,35 +245,37 @@ def _corner_intervals(waves, t: np.ndarray) -> list:
     return sorted(set(np.concatenate(marks).tolist()))  # np.unique imports numpy.ma
 
 
-def _step(sys_: _System, j: int, bases: dict, x_from, ic_from, t0, t1, use_trap, depth,
-          w=(1.0,) * 3, lev=0, table=0, bdf2=False):
-    """Member j's implicit step t0 -> t1 from x_from as a generator of
-    Newton requests, halving on failure (into BE or trapezoidal halves);
-    `bases` caches the member's base matrices by alpha.  The driver applies
-    the table op `table`, starts at the table's polynomial of level `lev`,
-    then at x_from, forms the rhs and, on convergence, the history, and
-    extends the table over w = t1 - t_i (ones for a first half, whose
-    extension the second half's replaces; see `_mna`).  A BDF2 step's
-    history kappa*C*DD1 comes from the table's DD1 at t0, kappa = h / (t1 -
-    t_p).  Returns (x, ic, worst accepted residual, [max|DD2|, max|DD3|]
-    over the node rows)."""
-    h = t1 - t0
+def _scheme(sys_: _System, j: int, bases: dict, h: float, use_trap, bdf2, w1) -> tuple:
+    """(alpha, kappa, base matrix cached in `bases`) of a step of length h; BDF2 w1 = t1 - t_p."""
     alpha, kappa = 2.0 / h if use_trap else 1.0 / h, 0.0
     if bdf2:
-        alpha, kappa = 1.0 / h + 1.0 / w[1], h / w[1]
-    ic_hist = ic_from if use_trap else None
+        alpha, kappa = 1.0 / h + 1.0 / w1, h / w1
     base = bases.get(alpha)
     if base is None:
         base = bases[alpha] = sys_.base_matrix(j, GMIN_DEFAULT, alpha)
-    for lv in (lev, 1) if lev > 1 else (lev,):
-        y = yield (x_from, base, None, ic_hist, _STEP_ITERS, (*w, lv, alpha, t1, kappa), table)
-        table = 0
+    return alpha, kappa, base
+
+
+def _step(sys_: _System, j: int, bases: dict, x_from, ic_from, t0, t1, use_trap, depth,
+          w=(1.0,) * 3, lev=0, bdf2=False):
+    """Member j's implicit step t0 -> t1 from x_from as a generator of
+    Newton requests, halving on failure (into BE or trapezoidal halves; at
+    once for lev None).  The driver starts it at the table's polynomial of
+    level `lev`, then at x_from, forms the rhs and, on convergence, the
+    history, and extends the table over w = t1 - t_i (ones for a first
+    half, whose extension the second half's replaces; see `_mna`).  A BDF2
+    step's history kappa*C*DD1 comes from the table's DD1 at t0, kappa = h
+    / (t1 - t_p).  Returns (x, ic, worst residual, [max|DD2|, max|DD3|])."""
+    alpha, kappa, base = _scheme(sys_, j, bases, t1 - t0, use_trap, bdf2, w[1])
+    ic_hist = ic_from if use_trap else None
+    for lv in () if lev is None else (lev, 1) if lev > 1 else (lev,):
+        y = yield (x_from, base, None, ic_hist, _STEP_ITERS, (*w, lv, alpha, t1, kappa))
         if y[3]:
             return y[0], y[6], y[2], y[5]
     if depth >= _MAX_HALVINGS:
         raise SolverError(
             f"transient step at t={t1:.6g}s failed to converge after "
-            f"{_MAX_HALVINGS} halvings (min substep {h:.3g}s)"
+            f"{_MAX_HALVINGS} halvings (min substep {t1 - t0:.3g}s)"
         )
     tm = 0.5 * (t0 + t1)
     x_mid, ic_mid, r1, _ = yield from _step(sys_, j, bases, x_from, ic_from, t0, tm,
@@ -281,69 +285,87 @@ def _step(sys_: _System, j: int, bases: dict, x_from, ic_from, t0, t1, use_trap,
     return x_new, ic_new, max(r1, r2), dd
 
 
-def _transient_requests(sys_: _System, j: int, t: np.ndarray):
-    """Member j's transient on the grid t, its DC start included, as one
-    generator of Newton requests: steps over the grid from the DC operating
-    point and returns the member's Waveforms, filled in from its solved
-    points."""
-    op = yield from _dc_requests(sys_, j)
-    n, corners, bases = sys_.n[j], _corner_intervals(sys_.waves[j], t), {}
-    n_steps = len(t) - 1
-    x = op.state.as_vector()
-    # the solved points: one record of grid indices, states and residuals,
-    # its first nb rows written, doubled when full
-    ix, xs, rs = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
-    ix[0], xs[0], rs[0], nb = 0, x, op.residual_max, 1
-    ic_cur = None  # capacitor currents at the current solved point
-    # the driver keeps the Newton divided differences of the solved states
-    # since the last corner, newest first: `lev` rows, at most four, row k
-    # over the newest k+1 points; ts holds their times but the oldest, and
-    # `table` is the next step's op (2 restarts the table at x, 1 commits)
-    ts, lev, table = [0.0], 1, 2
-    i, m, c = 0, 1, 0  # grid index, step multiple, next corner in `corners`
-    bdf2 = False  # the next multi-interval step is BDF2, else BE
-    while i < n_steps:
-        while corners[c] < i:
-            c += 1
-        at_corner = corners[c] == i
-        k = 1 if at_corner else min(m, 1 << ((corners[c] - i).bit_length() - 1))
-        t0, t1 = t.item(i), t.item(i + k)
-        w = [t1 - tk for tk in ts] + [1.0] * (3 - len(ts))
-        used = bdf2 and k > 1  # this step's scheme: BDF2, else BE or trapezoid
-        x_new, ic_new, res, (dd2, dd3) = yield from _step(
-            sys_, j, bases, x, ic_cur, t0, t1, k == 1 and i > 0, 0, w, lev, table, used)
-        table = 0
-        if at_corner:
-            ts, lev, table, m, bdf2 = [t1], 1, 2, 1, False
+class _Steps:
+    """Member j's whole transient steps on the grid t, stepped by the driver
+    (see `_mna`): the solved points (grid indices ix, states xs, residuals
+    rs, nb rows written, doubled when full), the step control, and the next
+    step, k intervals from index i, t0 to t1, by trapezoid (`trap`), BDF2
+    (`used`) or BE, with denominators w, base matrix, spec and table op."""
+
+    def __init__(self, sys_: _System, j: int, t: np.ndarray, x: np.ndarray, res: float):
+        self.sys_, self.j, self.t, self.last, self.n, self.bases = sys_, j, t, len(t) - 1, sys_.n[j], {}
+        self.corners, self.iters = _corner_intervals(sys_.waves[j], t), _STEP_ITERS
+        self.ix, self.xs, self.rs = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
+        self.ix[0], self.xs[0], self.rs[0], self.nb = 0, x, res, 1
+        self.ts, self.lev, self.i, self.m, self.c, self.bdf2 = (0.0,), 1, 0, 1, 0, False
+        self.loaded = self.halved = None  # the base matrix in the driver's rows
+        self._next(2)
+
+    def solved(self, res: float, dd2: float, dd3: float, x) -> bool:
+        """Accept, reject or reset the step just solved (worst residual res,
+        max|DD2|, max|DD3| on the node rows, state x); False at the end."""
+        k, t1, lev = self.k, self.t1, self.lev
+        if self.at:
+            self.ts, self.lev, op, self.m, self.bdf2 = (t1,), 1, 2, 1, False
         else:
             grow = k  # no estimate yet: hold the step
-            if lev > 1 and n:
-                r = (t1 - t0) ** 2 * dd2 / _LTE_TOL
+            if lev > 1 and self.n:
+                w = self.w
+                r = (t1 - self.t0) ** 2 * dd2 / _LTE_TOL
                 r3 = 2.0 / 9.0 * w[0] * w[1] * w[2] * dd3 / _LTE_TOL  # read at lev > 2
-                if (r3 if used else r) > 1.0 and k > 1:
-                    m = k // 2  # reject: retry from the same point, half the step
-                    continue
+                if (r3 if self.used else r) > 1.0 and k > 1:
+                    self.m = k // 2  # reject: retry from the same point, half the step
+                    return self._next(0)
                 # sqrt(0.5/r) >= 2 exactly when r <= 1/8, and the cube
                 # root when r3 <= 1/16: only then is the step doubled,
                 # and 0.5/r never overflows.  Growth of at most 2x also
                 # keeps variable-step BDF2 zero-stable (below 1 + sqrt 2)
                 grow = k * math.sqrt(0.5 / r) if r > 0.125 else 2 * k
-                bdf2 = False  # BDF2 next only where its step is a longer power of two
+                self.bdf2 = False  # BDF2 next only where its step is a longer power of two
                 if k > 1 and lev > 2:
                     g3 = k * (0.5 / r3) ** (1.0 / 3.0) if r3 > 0.0625 else 2 * k
-                    bdf2 = int(g3).bit_length() > int(grow).bit_length()
+                    self.bdf2 = int(g3).bit_length() > int(grow).bit_length()
                     grow = max(grow, g3)
-            ts, lev, table = [t1, *ts[:2]], min(lev + 1, 4), 1
-            m = 1 << max(int(grow).bit_length() - 1, 0)
-        x, ic_cur, i = x_new, ic_new, i + k
-        if nb == len(ix):
-            ix, xs, rs = (np.concatenate((a, np.empty_like(a))) for a in (ix, xs, rs))
-        ix[nb], xs[nb], rs[nb] = i, x, res
-        nb += 1
+            self.ts, self.lev, op = (t1, *self.ts[:2]), lev + 1 if lev < 4 else 4, 1
+            self.m = 1 << max(int(grow).bit_length() - 1, 0)
+        self.i, nb = self.i + k, self.nb
+        if nb == len(self.rs):
+            self.ix, self.xs, self.rs = (np.concatenate((a, np.empty_like(a)))
+                                         for a in (self.ix, self.xs, self.rs))
+        self.ix[nb], self.xs[nb], self.rs[nb], self.nb = self.i, x, res, nb + 1
+        return self._next(op)
+
+    def _next(self, op: int) -> bool:
+        """Set up the step from index i with table op `op`; False at the end."""
+        i = self.i
+        if i == self.last:
+            return False
+        corners, c = self.corners, self.c
+        while corners[c] < i:
+            c += 1
+        self.c, self.op, self.at = c, op, corners[c] == i
+        k = 1 if self.at else min(self.m, 1 << ((corners[c] - i).bit_length() - 1))
+        t0, t1 = self.t.item(i), self.t.item(i + k)
+        w = [t1 - tk for tk in self.ts] + [1.0] * (3 - len(self.ts))
+        self.trap, self.used = trap, used = k == 1 and i > 0, self.bdf2 and k > 1
+        alpha, kappa, self.base = _scheme(self.sys_, self.j, self.bases, t1 - t0, trap, used, w[1])
+        self.k, self.t0, self.t1, self.w, self.spec = k, t0, t1, w, (*w, self.lev, alpha, t1, kappa)
+        return True
+
+
+def _transient_requests(sys_: _System, j: int, t: np.ndarray):
+    """Member j's transient on the grid t as one generator of Newton
+    requests: the DC start, then a `_Steps` for the driver to step, and the
+    retries of its failed steps; returns the member's Waveforms."""
+    op = yield from _dc_requests(sys_, j)
+    st = _Steps(sys_, j, t, op.state.as_vector(), op.residual_max)
+    while (ic := (yield st)) is not None:
+        st.halved = yield from _step(sys_, j, st.bases, st.xs[st.nb - 1], ic, st.t0, st.t1,
+                                     st.trap, 0, st.w, 1 if st.lev > 1 else None, st.used)
     # the step matrices go before the grid is filled: freed after it,
     # they fragment the heap, and repeated sweeps peak 1.1 MB higher
-    bases.clear()
-    return _waveforms(sys_.circuits[j], t, ix[:nb], xs[:nb], rs[:nb])
+    st.bases.clear()
+    return _waveforms(sys_.circuits[j], t, *(a[:st.nb] for a in (st.ix, st.xs, st.rs)))
 
 
 def _waveforms(circuit: Circuit, t: np.ndarray, ix, xs, rs) -> Waveforms:

@@ -354,6 +354,34 @@ def test_singular_jacobian_reported(monkeypatch):
             dc_operating_point(circ)
 
 
+def test_a_lone_transient_resumes_its_generator_only_at_its_ends(monkeypatch):
+    # the driver accepts, rejects and restarts whole steps itself: a lone
+    # default-grid cls transient (1,482 solved steps) resumes its generator
+    # for its DC start's requests, once at the grid's end and once per
+    # request of a retried or halved step, of which it has none
+    circ = elaborate(gen("cls"))
+    resumes, requests, real = [0], [], engine._transient_requests
+
+    def counted(sys_, j, t):
+        gen_, result = real(sys_, j, t), None
+        while True:
+            resumes[0] += 1
+            try:
+                req = gen_.send(result)
+            except StopIteration as e:
+                return e.value
+            requests.append(req)
+            result = yield req
+
+    monkeypatch.setattr(engine, "_transient_requests", counted)
+    waves = transient(circ, circ.tran.tstep, circ.tran.tstop)
+    assert len(waves.solved) - 1 == 1482
+    handoffs = [i for i, r in enumerate(requests) if not isinstance(r, tuple)]
+    dc, retried = handoffs[0], len(requests) - handoffs[0] - len(handoffs)
+    assert (dc, retried) == (1, 0)  # one plain-Newton DC request, no retries
+    assert resumes[0] <= dc + 1 + retried + 1 == 3  # + the hand-off and the end
+
+
 def test_lapack_gufunc_solves_equal_numpy_solve():
     # `_drive` calls np.linalg.solve's vector gufunc without its wrapper on
     # each group whole, one vector or a stack of (L, N) rows, writing with
@@ -371,7 +399,7 @@ def test_lapack_gufunc_solves_equal_numpy_solve():
             want = np.linalg.solve(J, NF[:, :, None])[:, :, 0]
             shape = (lambda a: a[0]) if L == 1 else (lambda a: a)  # as `_Group` holds them
             g = SimpleNamespace(p0=4, L=L, N=N, J=shape(J), NF=shape(NF), DX=shape(DX))
-            with _mna._lapack():
+            with np.errstate(**_mna._LAPACK):
                 _mna._SOLVE1(g.J, g.NF, out=g.DX)
                 assert _same_bits(DX, want), (N, L)
                 DX[:] = 0.0
@@ -752,34 +780,38 @@ def _acceptance_events(monkeypatch) -> dict:
     """Drive iteration -> {(member, event)}, filled as transients run: what
     each converged or failed whole step, or last substep of a halving, led
     to, "accept", "reject" (r > 1, k > 1), "reset" (a corner restarts the
-    table) or "halve"."""
-    events, tick = {}, [0]
-    assemble, run = _System.assemble, engine._transient_requests
+    table) or "halve".  The first three are read from the driver's step
+    pass (`load_steps`, by each step's table op), "halve" from the first
+    half `load` receives after any other step."""
+    events, tick, halving = {}, [0], {}
+    assemble, load, load_steps = _System.assemble, _System.load, _System.load_steps
 
     def counted(s):
         tick[0] += 1
         return assemble(s)
 
-    def logged(sys_, j, t):
-        gen, result, last = run(sys_, j, t), None, None
-        while True:
-            try:
-                req = gen.send(result)
-            except StopIteration as e:
-                return e.value
-            # after a whole step or a halving's last substep: the steps whose
-            # spec holds their table's denominators (a first half's are ones)
-            if last is not None and len(last) > 6 and last[5][0] != 1.0 and result is not None:
-                if result[3]:
-                    what = ("reject", "accept", "reset")[req[6]]
-                else:  # a halving starts with a first half, of level 0
-                    what = "halve" if req[5][3] == 0 else None
-                if what:
-                    events.setdefault(tick[0], set()).add((j, what))
-            last, result = req, (yield req)
+    def log(j, what):
+        events.setdefault(tick[0], set()).add((j, what))
+
+    def stepped(s, steps):
+        for _, st in steps:
+            halving[st.j] = False
+            if st.nb > 1 or st.op != 2:  # not the first step from its DC start
+                log(st.j, ("reject", "accept", "reset")[st.op])
+        return load_steps(s, steps)
+
+    def loaded(s, p, req):
+        j = s.members[p]
+        if req[2] is None:  # a first half (spec ones, level 0) starts a halving
+            first = req[5][0] == 1.0 and req[5][3] == 0
+            if first and not halving.get(j):
+                log(j, "halve")
+            halving[j] = first
+        return load(s, p, req)
 
     monkeypatch.setattr(_System, "assemble", counted)
-    monkeypatch.setattr(engine, "_transient_requests", logged)
+    monkeypatch.setattr(_System, "load_steps", stepped)
+    monkeypatch.setattr(_System, "load", loaded)
     return events
 
 
@@ -813,6 +845,21 @@ def test_transient_many_batched_acceptance_equals_lone_runs(monkeypatch):
         _assert_same_waves(w, transient(c, **run))
 
 
+def test_a_halved_last_step_ends_the_transient(monkeypatch):
+    # the input rises across the grid's last interval: with 3 Newton
+    # iterations per step start that step fails and is halved, and the
+    # driver must end the member from the halving's outcome, alone and
+    # beside a member that ends on its own
+    rc = "rc step\nVIN in 0 PULSE(0 {} 9.99n 10p 1f 2n 40n)\nR1 in out 1k\nC1 out 0 1p\n.end\n"
+    circs = [_circ(rc.format(v)) for v in (1.5, 1.0)]
+    monkeypatch.setattr(engine, "_STEP_ITERS", 3)
+    events = _acceptance_events(monkeypatch)
+    lone = transient(circs[0], 10e-12, 10e-9)
+    assert lone.solved[-1] == 1000 and (0, "halve") in events[max(events)]
+    for c, w in zip(circs, engine._transient_many(circs, 10e-12, 10e-9)):
+        _assert_same_waves(w, transient(c, 10e-12, 10e-9))
+
+
 def test_a_loaded_position_reads_none_of_its_old_rows(monkeypatch):
     # `_drive` solves every group whole and adds every update, also into
     # the rows of members that replied in that iteration: it relies on
@@ -824,14 +871,23 @@ def test_a_loaded_position_reads_none_of_its_old_rows(monkeypatch):
     run = dict(tstep=20e-12, tstop=60e-9)
     monkeypatch.setattr(engine, "_STEP_ITERS", 3)
     want = [transient(c, **run) for c in circs]
-    load = _System.load
+    load, load_steps = _System.load, _System.load_steps
 
-    def poisoned(self, p, req):
+    def poison(self, p):
         for rows in (self.xv, self.rv, self.icv):
             rows[p][:] = np.nan
+
+    def poisoned(self, p, req):
+        poison(self, p)
         load(self, p, req)
 
+    def poisoned_steps(self, steps):  # the driver's step pass loads whole steps
+        for p, _ in steps:
+            poison(self, p)
+        load_steps(self, steps)
+
     monkeypatch.setattr(_System, "load", poisoned)
+    monkeypatch.setattr(_System, "load_steps", poisoned_steps)
     for w, lone in zip(engine._transient_many(circs, **run), want):
         _assert_same_waves(w, lone)
 

@@ -288,15 +288,15 @@ def test_characterize_many_on_two_grids_equals_lone_characterize(monkeypatch):
     # around a member with a full table; both reports equal their lone runs
     short, long_ = (replace(elaborate(gen("cls", TopoParams(vin_hi=v))), tran=TranCard(*g))
                     for v, g in ((1.2, (20e-12, 200e-9)), (1.6, (10e-12, 300e-9))))
-    plans, live, load = [], engine._System.live, engine._System.load
+    plans, live, load_steps = [], engine._System.live, engine._System.load_steps
 
-    def counted(s, p, req):  # steps loaded under each plan
-        plans[-1][1] += req[2] is None
-        return load(s, p, req)
+    def counted(s, steps):  # whole steps the driver loads under each plan
+        plans[-1][1] += len(steps)
+        return load_steps(s, steps)
 
     monkeypatch.setattr(engine._System, "live",
                         lambda s, members: plans.append([list(members), 0]) or live(s, members))
-    monkeypatch.setattr(engine._System, "load", counted)
+    monkeypatch.setattr(engine._System, "load_steps", counted)
     got = list(characterize_many([short, long_]))
     assert [m for m, _ in plans] == [[0, 1], [1]] and plans[1][1] > 100
     assert got == [characterize(short), characterize(long_)]
