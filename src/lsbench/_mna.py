@@ -91,7 +91,6 @@ import math
 from itertools import accumulate
 
 import numpy as np
-from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .devmodel import _core_eval, _eval_consts, cap_lumps, source_value
@@ -340,13 +339,14 @@ class _System:
             self.xfv[p][:], self.spec[p] = x0, req[5]
 
     def load_steps(self, steps: list) -> None:
-        """Load the next whole step of each (position, `engine._Steps`): op 1 or 2
-        starts it at NEW[0], keeping its currents H in I0, and commits NEW or
-        restarts there; IC gets I0 for a trapezoid step."""
+        """Load the next whole step of each (position, `engine._Steps`) from its
+        last solved point into XF (a halving's halves left their own starts
+        there); op 1 or 2 keeps the currents H there in I0, and commits NEW or
+        restarts at NEW[0]; IC gets I0 for a trapezoid step."""
         xfv, n0v, i0v, icv, tv = self.xfv, self.n0v, self.i0v, self.icv, self.tv
         for p, st in steps:
+            xfv[p][...] = st.xs[st.nb - 1]
             if st.op:
-                xfv[p][...] = n0v[p]
                 i0v[p][...] = self.hv[p]
                 tv[p][...] = self.nv[p] if st.op == 1 else n0v[p]
             icv[p][...] = i0v[p] if st.trap else 0.0
@@ -519,18 +519,14 @@ def _raise_singular(err, flag):
 
 
 # the errstate `np.linalg.solve` runs its gufunc in: a singular J, which the
-# gufunc reports by raising the `invalid` flag, raises `LinAlgError`.  `_drive`
-# sets it as numpy keeps it (`_LAPACK_STATE`): an errstate object per
-# iteration cost about as much as the solve
+# gufunc reports by raising the `invalid` flag, raises `LinAlgError`
 _LAPACK = dict(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
-_LAPACK_STATE = _make_extobj(**_LAPACK)
 
 
 def _solve_each(g: _Group) -> list:
     """Solve group g's systems into its DX one at a time, after the stacked
     solve found a singular J, and return the live positions of the singular
-    ones (their rows get what LAPACK leaves).  Runs under the caller's
-    `_LAPACK` state."""
+    ones (their rows get what LAPACK leaves).  Runs under `_LAPACK`."""
     J, NF, DX = g.J.reshape(-1, g.N, g.N), g.NF.reshape(-1, g.N), g.DX.reshape(-1, g.N)
     bad = []
     for q in range(g.L):
@@ -538,6 +534,19 @@ def _solve_each(g: _Group) -> list:
             _SOLVE1(J[q], NF[q], out=DX[q])
         except LinAlgError:
             bad.append(g.p0 + q)
+    return bad
+
+
+@np.errstate(**_LAPACK)  # one errstate object; each call sets it over the caller's state
+def _solve(groups: list) -> set:
+    """Solve each group into its DX, stacked, or one member at a time where
+    that finds a singular J; returns the live positions of the singular ones."""
+    bad = set()
+    for g in groups:
+        try:
+            _SOLVE1(g.J, g.NF, out=g.DX)
+        except LinAlgError:
+            bad.update(_solve_each(g))
     return bad
 
 
@@ -614,7 +623,8 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 if done is None:  # its DC start: no hull, the table restarts there
                     if sys_.tv is None:
                         sys_.tables()
-                    sys_.load(p, (req.xs[0], req.base, None, None, 0, req.spec))
+                    if p in sys_.bounded:
+                        sys_.lov[p][:], sys_.hiv[p][:] = -math.inf, math.inf; sys_.bounded.discard(p)
                     sys_.n0v[p][...] = req.xs[0]
                 elif not req.solved(done[2], *done[3], sys_.n0v[p]):
                     sends.append((j, None))  # a retried step (its last solve extended
@@ -665,16 +675,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                     todo.append(p)
             if not todo:
                 continue
-        bad, state = set(), _extobj_contextvar.set(_LAPACK_STATE)
-        try:
-            for g in groups:
-                try:
-                    _SOLVE1(g.J, g.NF, out=g.DX)
-                except LinAlgError:
-                    bad.update(_solve_each(g))
-        finally:
-            _extobj_contextvar.reset(state)
-        DX = sys_.DX
+        bad, DX = _solve(groups), sys_.DX
         absolute(DX, out=ab[:-1])  # NaN and inf propagate through the maxima
         amax, dvm = top(ab, sys_.xidx).tolist(), top(ab, ridx)[::2].tolist()
         for p in sys_.nodeless:

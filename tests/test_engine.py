@@ -860,6 +860,36 @@ def test_a_halved_last_step_ends_the_transient(monkeypatch):
         _assert_same_waves(w, transient(c, 10e-12, 10e-9))
 
 
+def test_a_step_rejected_after_a_halving_restarts_from_its_solved_point(monkeypatch):
+    # with 2 Newton iterations per step start this ssls member halves a
+    # multi-interval step whose outcome then fails the error test: the
+    # shorter retry, and every whole step `predict` starts, must start from
+    # the member's last solved point, not from its halving's second half
+    wave = SourceWave("pulse", 0.0, 1.2, 1e-9, 1e-9, 1e-9, 20e-9, 45e-9)
+    circ = elaborate(gen_with_stimulus("ssls", wave, TopoParams(vin_hi=1.2)))
+    monkeypatch.setattr(engine, "_STEP_ITERS", 2)
+    events = _acceptance_events(monkeypatch)
+    steps, starts = {}, []
+    load_steps, predict = _System.load_steps, _System.predict
+
+    def stepped(s, loads):
+        steps.update(loads)
+        load_steps(s, loads)
+
+    def predicted(s, ps):
+        for p in ps:
+            if (st := steps.pop(p, None)) is not None:
+                starts.append(np.array_equal(s.xfv[p], st.xs[st.nb - 1]))
+        predict(s, ps)
+
+    monkeypatch.setattr(_System, "load_steps", stepped)
+    monkeypatch.setattr(_System, "predict", predicted)
+    transient(circ, 10e-12, 3e-9)
+    seq = [what for tick in sorted(events) for _, what in events[tick]]
+    assert ("halve", "reject") in set(zip(seq, seq[1:]))
+    assert len(starts) > 100 and all(starts)
+
+
 def test_a_loaded_position_reads_none_of_its_old_rows(monkeypatch):
     # `_drive` solves every group whole and adds every update, also into
     # the rows of members that replied in that iteration: it relies on
