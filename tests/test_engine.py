@@ -1,5 +1,6 @@
 """MNA assembly, DC operating point, and implicit transient integration."""
 
+import hashlib
 import inspect
 import tokenize
 import tracemalloc
@@ -888,6 +889,36 @@ def test_a_step_rejected_after_a_halving_restarts_from_its_solved_point(monkeypa
     seq = [what for tick in sorted(events) for _, what in events[tick]]
     assert ("halve", "reject") in set(zip(seq, seq[1:]))
     assert len(starts) > 100 and all(starts)
+
+
+# (topology, Newton iterations per step start) -> (solved steps, first 16
+# hex digits of the sha256 of `Waveforms.solved` as <i8), or the SolverError
+# text: ssls halves BDF2 steps into BE halves down to 7 deep and trapezoid
+# steps 4 deep, cls_stacked halves trapezoid steps 2 deep, and cls runs out
+# of halvings
+HALVED_RUNS = {
+    ("ssls", 2): (361, "b8d380eef4c54a36"),
+    ("cls_stacked", 3): (964, "c22e65ce1c2a50f3"),
+    ("cls", 2): "transient step at t=3.21766e-09s failed to converge after 8 halvings "
+                "(min substep 3.91e-14s)",
+}
+
+
+def test_retried_and_halved_steps_keep_their_pinned_outcomes(monkeypatch):
+    # batch-equals-lone tests pass a fault that the lone and batch runs
+    # share: these integer pins fix what the retries and halvings of three
+    # members solve, as STEPS does for the shipped step control
+    wave = SourceWave("pulse", 0.0, 1.2, 1e-9, 1e-9, 1e-9, 20e-9, 45e-9)
+    for (topo, iters), want in HALVED_RUNS.items():
+        monkeypatch.setattr(engine, "_STEP_ITERS", iters)
+        circ = elaborate(gen_with_stimulus(topo, wave, TopoParams(vin_hi=1.2)))
+        try:
+            solved = transient(circ, 10e-12, 60e-9).solved
+        except SolverError as e:
+            assert str(e).startswith(want), topo
+            continue
+        digest = hashlib.sha256(solved.astype("<i8").tobytes()).hexdigest()[:16]
+        assert (len(solved) - 1, digest) == want, topo
 
 
 def test_a_loaded_position_reads_none_of_its_old_rows(monkeypatch):
