@@ -5,11 +5,10 @@ points, the six topologies of the bench), one member per circuit: a
 circuit's static-power solves run in its own member at other source
 values.  Each member keeps its own node count n, unknown count N,
 matrices G (N x N) and C (n x n), and MOSFETs.  The solvers are generator
-functions of one member's Newton requests: the DC stages, and a
-transient's retried and halved steps (`engine._step`), yield (start, base
-matrix, constant part of f or None for a step, trapezoidal history,
-iteration limit) and receive (x, iterations, residual, converged,
-reason); its whole steps are the driver's (`engine._Steps`).
+functions of one member's Newton requests: the DC stages yield (start,
+base matrix, constant part of f, iteration limit) and receive (x,
+iterations, residual, converged, reason); a transient yields its
+`engine._Steps` once, and the driver runs all its steps.
 One driver, `_drive`, runs the requests of all live members in lock-step.
 `live` lays them out back to back in flat buffers: over all S live
 unknowns the states, residuals and their negations, constant parts of f,
@@ -22,14 +21,15 @@ for all worst node residuals, one solve per group (stacked over its
 members), one pass for all update norms and one state update over all
 members, then while a DC request is bounded one projection onto per-row
 bounds; only the convergence, damping and iteration-limit checks loop
-over members.  Steps are batched as well: the transient steps, whole or
-halved, that converge in one iteration extend their tables of divided
-differences, held in flat buffers too, and form their error norms and
-capacitor histories in one pass (`extend`); the whole ones are decided and
-their successors loaded in one loop that resumes no generator
-(`load_steps`), and every step loaded next gets its start, constant part
-of f and BDF2 history in one more pass (`predict`).  A group of one keeps
-the vector matvec, cheaper and bitwise equal.
+over members.  Steps are batched as well: the transient steps, whole,
+retried or halved, that converge in one iteration extend their tables of
+divided differences, held in flat buffers too, and form their error norms
+and capacitor histories in one pass (`extend`); every step that converged
+or failed is decided by its `_Steps` and its next attempt loaded in one
+loop that resumes no generator (`load_steps`), and every attempt loaded
+gets its start, constant part of f and BDF2 history in one more pass
+(`predict`).  A group of one keeps the vector matvec, cheaper and bitwise
+equal.
 Sizes are never padded to a common N: an identity block changes the bits
 of the solve.  A member whose request ends gets its result at once and
 joins the next iteration with its next request, so every member keeps its
@@ -322,33 +322,37 @@ class _System:
         self.sp = self.spec.take(self.rowpos, axis=0).T  # the specs by row, as `predict` left them
 
     def load(self, p: int, req: tuple) -> None:
-        """Load a request (see `_drive`) into live position p: zero IC rows
-        for one without a history, which subtract exactly, the node rows'
-        bounds, and for a step its start x0 into XF and its spec."""
-        x0, base, rhs, ic, _ = req[:5]
-        self.bv[p][:], self.icv[p][:] = base, 0.0 if ic is None else ic
-        if len(req) == 6 and rhs is not None:
-            self.lov[p][:], self.hiv[p][:] = req[5]
+        """Load a request (see `_drive`) into live position p: its start,
+        base matrix and constant part of f, zero IC rows, which subtract
+        exactly, and the node rows' bounds."""
+        self.xv[p][:], self.bv[p][:], self.rv[p][:], self.icv[p][:] = *req[:3], 0.0
+        if len(req) == 5:
+            self.lov[p][:], self.hiv[p][:] = req[4]
             self.bounded.add(p)
         elif p in self.bounded:
             self.lov[p][:], self.hiv[p][:] = -math.inf, math.inf
             self.bounded.discard(p)
-        if rhs is not None:  # else `predict` forms the start and rhs
-            self.xv[p][:], self.rv[p][:] = x0, rhs
-        else:
-            self.xfv[p][:], self.spec[p] = x0, req[5]
 
     def load_steps(self, steps: list) -> None:
-        """Load the next whole step of each (position, `engine._Steps`) from its
-        last solved point into XF (a halving's halves left their own starts
-        there); op 1 or 2 keeps the currents H there in I0, and commits NEW or
-        restarts at NEW[0]; IC gets I0 for a trapezoid step."""
-        xfv, n0v, i0v, icv, tv = self.xfv, self.n0v, self.i0v, self.icv, self.tv
+        """Load the attempt each (position, `engine._Steps`) has set up, by
+        its row op: a whole step (op 0 after a reject, 1 after an accept, 2
+        at a corner) starts from its last solved point in XF, and ops 1 and 2
+        keep the currents H there in I0 and commit NEW or restart at NEW[0];
+        a retry or first half (3) keeps the failed attempt's XF and I0; a
+        next half (4) starts from NEW[0], and by trapezoid keeps H in I0.
+        IC gets I0 for a trapezoid attempt."""
+        xfv, n0v, i0v, icv, tv, hv = self.xfv, self.n0v, self.i0v, self.icv, self.tv, self.hv
         for p, st in steps:
-            xfv[p][...] = st.xs[st.nb - 1]
-            if st.op:
-                i0v[p][...] = self.hv[p]
-                tv[p][...] = self.nv[p] if st.op == 1 else n0v[p]
+            op = st.op
+            if op < 3:
+                xfv[p][...] = st.xs[st.nb - 1]
+                if op:
+                    i0v[p][...] = hv[p]
+                    tv[p][...] = self.nv[p] if op == 1 else n0v[p]
+            elif op == 4:
+                xfv[p][...] = n0v[p]
+                if st.trap:
+                    i0v[p][...] = hv[p]
             icv[p][...] = i0v[p] if st.trap else 0.0
             if st.base is not st.loaded:
                 self.bv[p][...] = st.loaded = st.base
@@ -484,28 +488,29 @@ class _System:
         `rhs` and trapezoidal history (or None).  Replaces the live plan; the
         arrays are the plan's own, which no later plan reuses."""
         self.live([j])
-        self.load(0, (x, base, rhs, ic, 1))
+        self.load(0, (x, base, rhs, 1))
+        if ic is not None:
+            self.icv[0][:] = ic
         J, f = self.assemble()
         return J.reshape(base.shape), f
 
 
 # -- Newton ------------------------------------------------------------------
 #
-# Solvers are generators of Newton requests.  A request is the tuple
-# (x0, base, rhs, ic, max_iter): the start, the member's base matrix and
-# `rhs`, its trapezoidal history current (or None) and the iteration limit.
-# The generator receives (x, iterations, residual_max, converged,
-# failure_reason) back, and finally returns its result or raises SolverError.
-# A plain-Newton DC request appends its hull (lo, hi), which its node rows
-# are projected onto after each update.
-# A transient step, retried or halved, has rhs None and appends its spec
-# (t1 - t_i over its table's times t_0..t_2, 1.0 past them and for a first
-# half; level; alpha; t1; kappa, 0 but for BDF2).  `predict` forms its rhs
-# from x0, a BDF2 history ic = kappa*C*DD1 from the table, and starts it at
-# x0 (level 0 or 1) or the table's polynomial; its result gains [max|DD2|,
-# max|DD3|] over the node rows and its history alpha*C*(x - x0) - ic.
-# A transient yields its `engine._Steps` for its whole steps and is resumed
-# with None at its end, or with a failed whole step's start currents.
+# Solvers are generators of Newton requests, all of them DC.  A request is
+# the tuple (x0, base, rhs, max_iter): the start, the member's base matrix
+# and `rhs`, and the iteration limit.  The generator receives (x,
+# iterations, residual_max, converged, failure_reason) back, and finally
+# returns its result or raises SolverError.  A plain-Newton DC request
+# appends its hull (lo, hi), which its node rows are projected onto after
+# each update.
+# A transient yields its `engine._Steps` once and is resumed with None at
+# its end, or when its steps ran out of halvings.  Every attempt at a step
+# runs by its spec (t1 - t_i over its table's times t_0..t_2, 1.0 past them
+# and for a first half; level; alpha; t1; kappa, 0 but for BDF2): `predict`
+# forms its rhs from XF, a BDF2 history IC = kappa*C*DD1 from the table, and
+# starts it at XF (level 0 or 1) or the table's polynomial; `extend` forms
+# [max|DD2|, max|DD3|] over its node rows and its history alpha*C*(x - XF) - IC.
 
 _SINGULAR = "singular Jacobian (check for floating nodes)"
 _VCLAMP = 0.5  # V, the largest node update of one Newton iteration
@@ -564,7 +569,7 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     and the nodes of a request with a hull projected onto it.  A member
     whose request ends gets its result at once and joins the next iteration
     with its next request, so it does the same arithmetic as it would
-    alone; a whole transient step is decided and its successor loaded here.
+    alone; every transient step is decided and its next attempt loaded here.
     The live members are planned again only when one of them ends; the
     others keep their rows."""
     abstol, vntol, vclamp = opts.abstol, opts.vntol, _VCLAMP
@@ -574,34 +579,29 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
     groups, members = sys_.live(reqs), sys_.members
     at = {j: p for p, j in enumerate(members)}  # member -> live position
     start, stop, dv_ok = [0] * len(at), [0] * len(at), [False] * len(at)
-    sends, solved = [(j, None) for j in reqs], []  # (member, reply), (position, residual)
+    sends, stepped = [(j, None) for j in reqs], []  # (member, reply), (position, ok, residual or reason)
     k = 0  # iterations so far
 
-    def reply(p, ok, why):  # a converged whole step goes to the step pass
-        if ok and type(reqs[members[p]]) is not tuple:
-            n0v[p][...] = xv[p]
-            solved.append((p, res[p]))
-        else:
+    def reply(p, ok, why):  # a transient step goes to the step pass
+        if type(reqs[members[p]]) is tuple:
             sends.append((members[p], (xv[p].copy(), k - start[p], res[p], ok, why)))
+        else:
+            if ok:
+                n0v[p][...] = xv[p]
+            stepped.append((p, ok, res[p] if ok else why))
 
     while True:
-        if sends or solved:
-            ext = {j: r[0] for j, r in sends if r and r[3] and reqs[j][2] is None}  # substeps
-            for j, x in ext.items():
-                sys_.n0v[at[j]][...] = x
-            dd = sys_.extend([at[j] for j in ext] + [p for p, _ in solved]) if ext or solved else None
-            gone, pend, loads = False, {}, []
-            for p, r in solved:  # accept, reject or reset each here
+        if sends or stepped:
+            solved = [p for p, ok, _ in stepped if ok]
+            dd = sys_.extend(solved) if solved else None
+            gone, loads = False, []
+            for p, ok, r in stepped:  # each step's next attempt: `engine._Steps`
                 st = reqs[members[p]]
-                if st.solved(r, dd[p], dd[P + p], n0v[p]):
+                if st.solved(r, dd[p], dd[P + p], n0v[p]) if ok else st.failed(r):
                     loads.append((p, st))
-                else:  # the grid's end
+                else:  # the grid's end, or out of halvings: the generator raises `st.error`
                     sends.append((members[p], None))
             for j, result in sends:
-                if result and type(reqs[j]) is not tuple:  # a whole step that failed:
-                    result = sys_.i0v[at[j]].copy()  # its generator retries it
-                elif result and j in ext:
-                    result += ((dd[at[j]], dd[P + at[j]]), sys_.hv[at[j]].copy())
                 try:
                     req = gens[j].send(result)
                 except StopIteration as e:
@@ -615,29 +615,21 @@ def _drive(sys_: _System, gens: list, opts: SolveOptions) -> list:
                 reqs[j], p = req, at[j]
                 if type(req) is tuple:
                     sys_.load(p, req)
-                    if req[2] is None:
-                        pend[p] = req[5]
-                    start[p], stop[p], dv_ok[p] = k, k + req[4], False
+                    start[p], stop[p], dv_ok[p] = k, k + req[3], False
                     continue
-                req.loaded, done, req.halved = None, req.halved, None
-                if done is None:  # its DC start: no hull, the table restarts there
-                    if sys_.tv is None:
-                        sys_.tables()
-                    if p in sys_.bounded:
-                        sys_.lov[p][:], sys_.hiv[p][:] = -math.inf, math.inf; sys_.bounded.discard(p)
-                    sys_.n0v[p][...] = req.xs[0]
-                elif not req.solved(done[2], *done[3], sys_.n0v[p]):
-                    sends.append((j, None))  # a retried step (its last solve extended
-                    continue  # the table over the whole step in this pass) ended it
+                # its DC start: no hull, the table restarts there
+                if sys_.tv is None:
+                    sys_.tables()
+                if p in sys_.bounded:
+                    sys_.lov[p][:], sys_.hiv[p][:] = -math.inf, math.inf; sys_.bounded.discard(p)
+                sys_.n0v[p][...] = req.xs[0]
                 loads.append((p, req))
             if loads:
                 sys_.load_steps(loads)
                 for p, st in loads:
-                    pend[p] = st.spec
                     start[p], stop[p], dv_ok[p] = k, k + st.iters, False
-            sends, solved = [], []
-            if pend:
-                sys_.predict(pend)
+                sys_.predict({p: st.spec for p, st in loads})
+            sends, stepped = [], []
             if gone:  # a new plan, carrying the other members' rows over
                 if not reqs:
                     return out

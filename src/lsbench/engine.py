@@ -64,18 +64,19 @@ alone grows single-interval steps.  Samples between solved points are
 linear interpolations; `Waveforms.solved` lists the solved grid indices,
 and an interpolated sample's `resid_max` is the larger residual of the two
 solves around it.  Steps that fail to converge are retried with halved
-substeps of their own scheme, BE for BDF2, up to 8 halvings deep.  The
-grid is capped at 1,000,000 intervals, checked before anything is
-allocated.  All capacitances here are constant, so companions reduce to a
-fixed matrix alpha*C plus a history current, which the driver forms from
-each step's start, halved substeps too.
+substeps of their own scheme, BE for BDF2, up to 8 halvings deep; the
+error then names the last failure's reason.  The grid is capped at
+1,000,000 intervals, checked before anything is allocated.  All
+capacitances here are constant, so companions reduce to a fixed matrix
+alpha*C plus a history current, which the driver forms from each step's
+start, halved substeps too.
 
 The compiled system and the driver that runs the Newton requests of a
 batch in lock-step are in `_mna`.  Every public solve is one `_run` of
 them, over one request generator per member (`_dc_requests`,
-`_transient_requests` and `measure`'s).  The driver loads, accepts,
-rejects and resets every whole step by its member's `_Steps`; only a
-step that fails goes back to the generator, whose `_step` retries it.
+`_transient_requests` and `measure`'s).  The driver runs every step by
+its member's `_Steps`, which accepts, rejects and resets whole steps and
+retries and halves the steps that fail; the generator yields it once.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions = SolveOptions(),
     if src is None:
         src = [source_value(w, 0.0) for w in sys_.waves[j]]
     base, rhs, hull = sys_.base_matrix(j, GMIN_DEFAULT), sys_.rhs(j, src), sys_.hull(j, src)
-    y, total, res, ok, _ = yield (np.zeros(N) if x0 is None else x0, base, rhs, None,
+    y, total, res, ok, _ = yield (np.zeros(N) if x0 is None else x0, base, rhs,
                                   min(lim, _PLAIN_ITERS), hull)
     if ok:
         return OpPoint(_state_from_vector(n, y), res, total, "none")
@@ -183,10 +184,10 @@ def _dc_requests(sys_: _System, j: int, opts: SolveOptions = SolveOptions(),
     for _ in range(_PTC_STEPS):
         a, v = 1.0 / h, x[:n]
         y, it, res, ok, why = yield (x, sys_.base_matrix(j, GMIN_DEFAULT + a * _PTC_C, a),
-                                     sys_.rhs(j, src, a * (C.dot(v) + _PTC_C * v)), None, lim)
+                                     sys_.rhs(j, src, a * (C.dot(v) + _PTC_C * v)), lim)
         total += it
         if ok and h > 1e-6 and np.abs(y[:n] - v).max() < 1e-9:
-            y, it, res, ok, why = yield (y, base, rhs, None, lim, hull)
+            y, it, res, ok, why = yield (y, base, rhs, lim, hull)
             if ok:
                 return OpPoint(_state_from_vector(n, y), res, total + it, "ptc")
             break
@@ -245,52 +246,15 @@ def _corner_intervals(waves, t: np.ndarray) -> list:
     return sorted(set(np.concatenate(marks).tolist()))  # np.unique imports numpy.ma
 
 
-def _scheme(sys_: _System, j: int, bases: dict, h: float, use_trap, bdf2, w1) -> tuple:
-    """(alpha, kappa, base matrix cached in `bases`) of a step of length h; BDF2 w1 = t1 - t_p."""
-    alpha, kappa = 2.0 / h if use_trap else 1.0 / h, 0.0
-    if bdf2:
-        alpha, kappa = 1.0 / h + 1.0 / w1, h / w1
-    base = bases.get(alpha)
-    if base is None:
-        base = bases[alpha] = sys_.base_matrix(j, GMIN_DEFAULT, alpha)
-    return alpha, kappa, base
-
-
-def _step(sys_: _System, j: int, bases: dict, x_from, ic_from, t0, t1, use_trap, depth,
-          w=(1.0,) * 3, lev=0, bdf2=False):
-    """Member j's implicit step t0 -> t1 from x_from as a generator of
-    Newton requests, halving on failure (into BE or trapezoidal halves; at
-    once for lev None).  The driver starts it at the table's polynomial of
-    level `lev`, then at x_from, forms the rhs and, on convergence, the
-    history, and extends the table over w = t1 - t_i (ones for a first
-    half, whose extension the second half's replaces; see `_mna`).  A BDF2
-    step's history kappa*C*DD1 comes from the table's DD1 at t0, kappa = h
-    / (t1 - t_p).  Returns (x, ic, worst residual, [max|DD2|, max|DD3|])."""
-    alpha, kappa, base = _scheme(sys_, j, bases, t1 - t0, use_trap, bdf2, w[1])
-    ic_hist = ic_from if use_trap else None
-    for lv in () if lev is None else (lev, 1) if lev > 1 else (lev,):
-        y = yield (x_from, base, None, ic_hist, _STEP_ITERS, (*w, lv, alpha, t1, kappa))
-        if y[3]:
-            return y[0], y[6], y[2], y[5]
-    if depth >= _MAX_HALVINGS:
-        raise SolverError(
-            f"transient step at t={t1:.6g}s failed to converge after "
-            f"{_MAX_HALVINGS} halvings (min substep {t1 - t0:.3g}s)"
-        )
-    tm = 0.5 * (t0 + t1)
-    x_mid, ic_mid, r1, _ = yield from _step(sys_, j, bases, x_from, ic_from, t0, tm,
-                                            use_trap, depth + 1)
-    x_new, ic_new, r2, dd = yield from _step(sys_, j, bases, x_mid, ic_mid, tm, t1,
-                                             use_trap, depth + 1, w)
-    return x_new, ic_new, max(r1, r2), dd
-
-
 class _Steps:
-    """Member j's whole transient steps on the grid t, stepped by the driver
-    (see `_mna`): the solved points (grid indices ix, states xs, residuals
-    rs, nb rows written, doubled when full), the step control, and the next
+    """Member j's transient steps on the grid t, stepped by the driver (see
+    `_mna`): the solved points (grid indices ix, states xs, residuals rs, nb
+    rows written, doubled when full), the step control, the next whole
     step, k intervals from index i, t0 to t1, by trapezoid (`trap`), BDF2
-    (`used`) or BE, with denominators w, base matrix, spec and table op."""
+    (`used`) or BE, with denominators w, and the attempt at it the driver
+    loads: its span (t0, t1, halving depth, w), base matrix, spec and row op
+    (see `_System.load_steps`), the halves left, the worst residual rmax of
+    those solved, and the error that ended the member."""
 
     def __init__(self, sys_: _System, j: int, t: np.ndarray, x: np.ndarray, res: float):
         self.sys_, self.j, self.t, self.last, self.n, self.bases = sys_, j, t, len(t) - 1, sys_.n[j], {}
@@ -298,12 +262,19 @@ class _Steps:
         self.ix, self.xs, self.rs = np.empty(_BLOCK, np.intp), np.empty((_BLOCK, len(x))), np.empty(_BLOCK)
         self.ix[0], self.xs[0], self.rs[0], self.nb = 0, x, res, 1
         self.ts, self.lev, self.i, self.m, self.c, self.bdf2 = (0.0,), 1, 0, 1, 0, False
-        self.loaded = self.halved = None  # the base matrix in the driver's rows
+        self.loaded, self.error, self.halves = None, None, []  # loaded: the base matrix in the driver's rows
         self._next(2)
 
     def solved(self, res: float, dd2: float, dd3: float, x) -> bool:
-        """Accept, reject or reset the step just solved (worst residual res,
-        max|DD2|, max|DD3| on the node rows, state x); False at the end."""
+        """Go on to the next half, or accept, reject or reset the whole step
+        just solved (worst residual res, max|DD2|, max|DD3| on the node rows,
+        state x: of a halved step the worst over its halves and its last
+        half's); False at the end."""
+        if self.span[2]:  # a half
+            self.rmax = max(self.rmax, res)
+            if self.halves:
+                return self._half(4)
+            res = self.rmax
         k, t1, lev = self.k, self.t1, self.lev
         if self.at:
             self.ts, self.lev, op, self.m, self.bdf2 = (t1,), 1, 2, 1, False
@@ -335,8 +306,33 @@ class _Steps:
         self.ix[nb], self.xs[nb], self.rs[nb], self.nb = self.i, x, res, nb + 1
         return self._next(op)
 
+    def failed(self, why: str) -> bool:
+        """Retry the attempt that did not converge (for the reason `why`): a
+        whole step that predicted from its table once from its start, then
+        in halves of its own scheme, BE for BDF2; False when a half
+        _MAX_HALVINGS deep fails, with `error` set."""
+        t0, t1, depth, w = self.span
+        if not depth and self.spec[3] > 1:  # it started at the table's polynomial
+            self.op, self.spec = 3, (*w, 1, *self.spec[4:])
+            return True
+        if depth >= _MAX_HALVINGS:
+            self.error = SolverError(
+                f"transient step at t={t1:.6g}s failed to converge after "
+                f"{_MAX_HALVINGS} halvings (min substep {t1 - t0:.3g}s): {why}")
+            return False
+        tm = 0.5 * (t0 + t1)
+        self.halves += (tm, t1, depth + 1, w), (t0, tm, depth + 1, (1.0,) * 3)
+        return self._half(3)
+
+    def _half(self, op: int) -> bool:
+        """Set up the next half, at level 0, with row op `op`."""
+        self.span = t0, t1, _, w = self.halves.pop()
+        alpha, _, self.base = self._scheme(t1 - t0, False, w[1])
+        self.op, self.spec = op, (*w, 0, alpha, t1, 0.0)
+        return True
+
     def _next(self, op: int) -> bool:
-        """Set up the step from index i with table op `op`; False at the end."""
+        """Set up the whole step from index i with table op `op`; False at the end."""
         i = self.i
         if i == self.last:
             return False
@@ -347,21 +343,33 @@ class _Steps:
         k = 1 if self.at else min(self.m, 1 << ((corners[c] - i).bit_length() - 1))
         t0, t1 = self.t.item(i), self.t.item(i + k)
         w = [t1 - tk for tk in self.ts] + [1.0] * (3 - len(self.ts))
-        self.trap, self.used = trap, used = k == 1 and i > 0, self.bdf2 and k > 1
-        alpha, kappa, self.base = _scheme(self.sys_, self.j, self.bases, t1 - t0, trap, used, w[1])
-        self.k, self.t0, self.t1, self.w, self.spec = k, t0, t1, w, (*w, self.lev, alpha, t1, kappa)
+        self.trap, self.used = k == 1 and i > 0, self.bdf2 and k > 1
+        alpha, kappa, self.base = self._scheme(t1 - t0, self.used, w[1])
+        self.k, self.t0, self.t1, self.w, self.span, self.rmax = k, t0, t1, w, (t0, t1, 0, w), 0.0
+        self.spec = (*w, self.lev, alpha, t1, kappa)
         return True
+
+    def _scheme(self, h: float, bdf2: bool, w1: float) -> tuple:
+        """(alpha, kappa, base matrix cached in `bases`) of a step of length h
+        by trapezoid or BE as the whole step, or BDF2, w1 = t1 - t_p."""
+        alpha, kappa = 2.0 / h if self.trap else 1.0 / h, 0.0
+        if bdf2:
+            alpha, kappa = 1.0 / h + 1.0 / w1, h / w1
+        base = self.bases.get(alpha)
+        if base is None:
+            base = self.bases[alpha] = self.sys_.base_matrix(self.j, GMIN_DEFAULT, alpha)
+        return alpha, kappa, base
 
 
 def _transient_requests(sys_: _System, j: int, t: np.ndarray):
     """Member j's transient on the grid t as one generator of Newton
-    requests: the DC start, then a `_Steps` for the driver to step, and the
-    retries of its failed steps; returns the member's Waveforms."""
+    requests: the DC start, then a `_Steps` for the driver to step; returns
+    the member's Waveforms, or raises the error its steps ended with."""
     op = yield from _dc_requests(sys_, j)
     st = _Steps(sys_, j, t, op.state.as_vector(), op.residual_max)
-    while (ic := (yield st)) is not None:
-        st.halved = yield from _step(sys_, j, st.bases, st.xs[st.nb - 1], ic, st.t0, st.t1,
-                                     st.trap, 0, st.w, 1 if st.lev > 1 else None, st.used)
+    yield st
+    if st.error:
+        raise st.error
     # the step matrices go before the grid is filled: freed after it,
     # they fragment the heap, and repeated sweeps peak 1.1 MB higher
     st.bases.clear()

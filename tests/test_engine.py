@@ -131,7 +131,10 @@ def _assemble_live(s, members, xs, alpha, hists):
     s.live(members)
     for p, j in enumerate(s.members):
         i = members.index(j)
-        s.load(p, (xs[i], *_request(s, j, alpha, hists[i]), 1))
+        base, rhs, ic = _request(s, j, alpha, hists[i])
+        s.load(p, (xs[i], base, rhs, 1))
+        if ic is not None:  # a request carries no history: write its row as `assemble_one` does
+            s.icv[p][:] = ic
     J, F = s.assemble()
     out = {}
     for p, j in enumerate(s.members):
@@ -356,12 +359,19 @@ def test_singular_jacobian_reported(monkeypatch):
 
 
 def test_a_lone_transient_resumes_its_generator_only_at_its_ends(monkeypatch):
-    # the driver accepts, rejects and restarts whole steps itself: a lone
-    # default-grid cls transient (1,482 solved steps) resumes its generator
-    # for its DC start's requests, once at the grid's end and once per
-    # request of a retried or halved step, of which it has none
-    circ = elaborate(gen("cls"))
-    resumes, requests, real = [0], [], engine._transient_requests
+    # the driver steps every transient step itself, whole, retried or
+    # halved: a lone transient resumes its generator for its DC start's
+    # requests, once at the hand-off of its `_Steps` and once at the
+    # grid's end.  So does a default-grid cls transient (1,482 solved
+    # steps), and a cls_stacked one whose steps, at 3 Newton iterations per
+    # step start, fail and are halved
+    wave = SourceWave("pulse", 0.0, 1.2, 1e-9, 1e-9, 1e-9, 20e-9, 45e-9)
+    cls = elaborate(gen("cls"))
+    runs = ((cls, (cls.tran.tstep, cls.tran.tstop), engine._STEP_ITERS),
+            (elaborate(gen_with_stimulus("cls_stacked", wave, TopoParams(vin_hi=1.2))),
+             (10e-12, 60e-9), 3))
+    resumes, requests, halves, real = [0], [], [], engine._transient_requests
+    load_steps = _System.load_steps
 
     def counted(sys_, j, t):
         gen_, result = real(sys_, j, t), None
@@ -374,13 +384,25 @@ def test_a_lone_transient_resumes_its_generator_only_at_its_ends(monkeypatch):
             requests.append(req)
             result = yield req
 
+    def stepped(s, steps):
+        halves.extend(st.span[2] for _, st in steps if st.span[2])
+        load_steps(s, steps)
+
     monkeypatch.setattr(engine, "_transient_requests", counted)
-    waves = transient(circ, circ.tran.tstep, circ.tran.tstop)
-    assert len(waves.solved) - 1 == 1482
-    handoffs = [i for i, r in enumerate(requests) if not isinstance(r, tuple)]
-    dc, retried = handoffs[0], len(requests) - handoffs[0] - len(handoffs)
-    assert (dc, retried) == (1, 0)  # one plain-Newton DC request, no retries
-    assert resumes[0] <= dc + 1 + retried + 1 == 3  # + the hand-off and the end
+    monkeypatch.setattr(_System, "load_steps", stepped)
+    for circ, grid, iters in runs:
+        monkeypatch.setattr(engine, "_STEP_ITERS", iters)
+        resumes[0] = 0
+        del requests[:], halves[:]
+        waves = transient(circ, *grid)
+        handoffs = [i for i, r in enumerate(requests) if not isinstance(r, tuple)]
+        dc, retried = handoffs[0], len(requests) - handoffs[0] - len(handoffs)
+        assert (dc, retried) == (1, 0)  # one plain-Newton DC request, no retries
+        assert resumes[0] <= dc + 1 + retried + 1 == 3  # + the hand-off and the end
+        if circ is cls:
+            assert len(waves.solved) - 1 == 1482 and not halves
+        else:  # the premise: steps were halved, 2 deep
+            assert max(halves) == 2
 
 
 def test_lapack_gufunc_solves_equal_numpy_solve():
@@ -551,29 +573,37 @@ def test_failed_guess_retries_from_the_step_start(monkeypatch):
     # a table whose line through the step start reaches 1 kV on every node
     # at t1 predicts a start 2,000 clamped iterations away from the
     # solution, far past the step's iteration limit: the step must fall back
-    # to a start at x_from and return exactly the bits of a step without a
-    # guess
+    # to a start at its last solved point and end with exactly the bits of
+    # a step without a guess
     circ = elaborate(gen("cls"))
     sys_, opts = _System([circ]), engine.SolveOptions()
     t = engine._grid(circ.tran.tstep, circ.tran.tstop)
     x0 = dc_operating_point(circ).state.as_vector()
     n = circ.n_nodes
-    ic0 = np.zeros(n)
     guess = x0.copy()
     guess[:n] = 1e3
-    w = [t[4] - t[0], 1.0, 1.0]
+    load_steps, ends = _System.load_steps, []
 
-    def whole_step(lev):  # a table through x0 and guess, predicting at level lev
-        sys_.tables()
-        sys_.tv[0][:2] = x0, (guess - x0) / w[0]
-        return (yield from engine._step(sys_, 0, {}, x0, ic0, t[0], t[4], False, 0, w, lev))
+    def tabled(s, steps):  # a table through x0 and guess
+        load_steps(s, steps)
+        s.tv[0][:2] = x0, (guess - x0) / steps[0][1].w[0]
 
+    def whole_step(lev):  # one BE step t[0] -> t[4] from x0, predicting at level lev
+        st = engine._Steps(sys_, 0, t, x0, 0.0)
+        st.lev, st.m = lev, 4
+        st._next(0)
+        assert (st.k, st.t1, st.spec[3]) == (4, t[4], lev)
+        # the solved step ends the run: its state, history and residual
+        st.solved = lambda res, dd2, dd3, x: ends.append((x.copy(), sys_.hv[0].copy(), res))
+        yield st
+
+    monkeypatch.setattr(_System, "load_steps", tabled)
     calls = _count_assembles(monkeypatch)
     runs = []
     for lev in (2, 1):
         del calls[:]
-        (out,) = engine._drive(sys_, [whole_step(lev)], opts)
-        runs.append((out, len(calls)))
+        engine._drive(sys_, [whole_step(lev)], opts)
+        runs.append((ends.pop(), len(calls)))
     (got, n_guess), (want, n_plain) = runs
     assert n_guess == engine._STEP_ITERS + n_plain  # the guess used up its limit
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
@@ -581,11 +611,13 @@ def test_failed_guess_retries_from_the_step_start(monkeypatch):
 
 
 def test_halved_substep_takes_start_rhs_and_history_from_its_x0():
-    # a level-0 step request, as a halved substep sends, from an x0 away
-    # from the table's T[0]: `predict` must start it at x0 and form its rhs,
-    # and `extend` its history, with exactly the arithmetic the stepper
-    # itself once did, written out below; a BDF2 request (kappa != 0) also
-    # gets its history kappa*C*T[1] from the table's first divided difference
+    # a level-0 step, as a retry or first half (row op 3) starts from the
+    # failed attempt's XF and I0 and a next half (op 4) from the last half's
+    # state and currents, loaded by `load_steps` at an x0 away from the
+    # table's T[0]: `predict` must start it at x0 and form its rhs, and
+    # `extend` its history, with exactly the arithmetic the stepper itself
+    # once did, written out below; a BDF2 step (kappa != 0) also gets its
+    # history kappa*C*T[1] from the table's first divided difference
     circ = elaborate(gen("cls"))
     s = _System([circ])
     s.live([0])
@@ -595,21 +627,28 @@ def test_halved_substep_takes_start_rhs_and_history_from_its_x0():
     s.tv[0][...] = rng.uniform(-0.5, 3.5, (4, N))
     x0, x_new = rng.uniform(-0.5, 3.5, (2, N))
     t1, alpha = 3.3e-9, 2.0 / 5e-12
-    for ic, kappa in ((None, 0.0), (rng.uniform(-1e-4, 1e-4, n), 0.0), (None, 0.75)):
-        spec = (1.0, 1.0, 1.0, 0, alpha, t1, kappa)
-        s.load(0, (x0, s.base_matrix(0, GMIN, alpha), None, ic, 3, spec, 0))
-        s.predict({0: spec})
-        assert _same_bits(s.xv[0], x0)
-        assert _same_bits(s.rv[0][:n], alpha * C.dot(x0[:n]))
-        assert _same_bits(s.rv[0][n:], np.array([source_value(w, t1) for w in s.waves[0]]))
-        s.nv[0][0] = x_new
-        s.extend([0])
-        want = alpha * C.dot(x_new[:n] - x0[:n])
-        if ic is not None:
-            want -= ic
-        if kappa:
-            want -= kappa * C.dot(s.tv[0][1][:n])
-        assert _same_bits(s.hv[0], want)
+    for op in (3, 4):
+        for ic, kappa in ((None, 0.0), (rng.uniform(-1e-4, 1e-4, n), 0.0), (None, 0.75)):
+            spec = (1.0, 1.0, 1.0, 0, alpha, t1, kappa)
+            if op == 3:
+                s.xfv[0][:], s.i0v[0][:] = x0, 0.0 if ic is None else ic
+            else:
+                s.nv[0][0], s.hv[0][:] = x0, 0.0 if ic is None else ic
+            half = SimpleNamespace(op=op, trap=ic is not None, base=s.base_matrix(0, GMIN, alpha),
+                                   loaded=None, spec=spec)
+            s.load_steps([(0, half)])
+            s.predict({0: spec})
+            assert _same_bits(s.xv[0], x0)
+            assert _same_bits(s.rv[0][:n], alpha * C.dot(x0[:n]))
+            assert _same_bits(s.rv[0][n:], np.array([source_value(w, t1) for w in s.waves[0]]))
+            s.nv[0][0] = x_new
+            s.extend([0])
+            want = alpha * C.dot(x_new[:n] - x0[:n])
+            if ic is not None:
+                want -= ic
+            if kappa:
+                want -= kappa * C.dot(s.tv[0][1][:n])
+            assert _same_bits(s.hv[0], want)
     assert not _same_bits(s.tv[0][0], x0)
 
 
@@ -781,11 +820,11 @@ def _acceptance_events(monkeypatch) -> dict:
     """Drive iteration -> {(member, event)}, filled as transients run: what
     each converged or failed whole step, or last substep of a halving, led
     to, "accept", "reject" (r > 1, k > 1), "reset" (a corner restarts the
-    table) or "halve".  The first three are read from the driver's step
-    pass (`load_steps`, by each step's table op), "halve" from the first
-    half `load` receives after any other step."""
+    table) or "halve", all read from the driver's step pass (`load_steps`,
+    by each attempt's row op): "halve" from a first half loaded after any
+    other attempt."""
     events, tick, halving = {}, [0], {}
-    assemble, load, load_steps = _System.assemble, _System.load, _System.load_steps
+    assemble, load_steps = _System.assemble, _System.load_steps
 
     def counted(s):
         tick[0] += 1
@@ -796,23 +835,16 @@ def _acceptance_events(monkeypatch) -> dict:
 
     def stepped(s, steps):
         for _, st in steps:
-            halving[st.j] = False
-            if st.nb > 1 or st.op != 2:  # not the first step from its DC start
+            first = st.op == 3 and st.span[2] > 0  # a first half starts a halving
+            if first and not halving.get(st.j):
+                log(st.j, "halve")
+            halving[st.j] = first
+            if st.op < 3 and (st.nb > 1 or st.op != 2):  # not the first step from its DC start
                 log(st.j, ("reject", "accept", "reset")[st.op])
         return load_steps(s, steps)
 
-    def loaded(s, p, req):
-        j = s.members[p]
-        if req[2] is None:  # a first half (spec ones, level 0) starts a halving
-            first = req[5][0] == 1.0 and req[5][3] == 0
-            if first and not halving.get(j):
-                log(j, "halve")
-            halving[j] = first
-        return load(s, p, req)
-
     monkeypatch.setattr(_System, "assemble", counted)
     monkeypatch.setattr(_System, "load_steps", stepped)
-    monkeypatch.setattr(_System, "load", loaded)
     return events
 
 
@@ -873,8 +905,8 @@ def test_a_step_rejected_after_a_halving_restarts_from_its_solved_point(monkeypa
     steps, starts = {}, []
     load_steps, predict = _System.load_steps, _System.predict
 
-    def stepped(s, loads):
-        steps.update(loads)
+    def stepped(s, loads):  # whole steps, retried ones too, not their halves
+        steps.update((p, st) for p, st in loads if not st.span[2])
         load_steps(s, loads)
 
     def predicted(s, ps):
@@ -889,6 +921,29 @@ def test_a_step_rejected_after_a_halving_restarts_from_its_solved_point(monkeypa
     seq = [what for tick in sorted(events) for _, what in events[tick]]
     assert ("halve", "reject") in set(zip(seq, seq[1:]))
     assert len(starts) > 100 and all(starts)
+
+
+def test_a_trapezoid_retry_after_a_halving_reads_the_step_start_currents(monkeypatch):
+    # with a 1 mV error target and 2 Newton iterations per step start, this
+    # ssls member halves a two-interval BE step at 1.3 ns that the error
+    # test then rejects: its single-interval trapezoid retry must take the
+    # currents at the member's last solved point from I0, which BE halves
+    # leave alone, as must every whole trapezoid step
+    wave = SourceWave("pulse", 0.0, 1.2, 1e-9, 1e-9, 1e-9, 20e-9, 45e-9)
+    circ = elaborate(gen_with_stimulus("ssls", wave, TopoParams(vin_hi=1.2)))
+    monkeypatch.setattr(engine, "_STEP_ITERS", 2)
+    monkeypatch.setattr(engine, "_LTE_TOL", 1e-3)
+    load_steps, kept, checked = _System.load_steps, {}, []
+
+    def stepped(s, loads):
+        kept.update((p, s.hv[p].copy()) for p, st in loads if st.op in (1, 2))  # I0's next value
+        load_steps(s, loads)
+        checked.extend((st.op, np.array_equal(s.icv[p], kept[p]))
+                       for p, st in loads if st.trap and not st.span[2])
+
+    monkeypatch.setattr(_System, "load_steps", stepped)
+    transient(circ, 100e-12, 3e-9)
+    assert (0, True) in checked and all(ok for _, ok in checked)
 
 
 # (topology, Newton iterations per step start) -> (solved steps, first 16
@@ -1112,6 +1167,8 @@ def test_transient_many_singular_member_fails_alone(monkeypatch):
         with np.errstate(**state):
             with pytest.raises(SolverError, match="halvings") as lone:
                 transient(huge, **run)
+            assert str(lone.value).endswith("halvings (min substep 1.25e-12s): singular "
+                                            "Jacobian (check for floating nodes)")
             got = engine._transient_many([tied[0], huge, tied[1]], **run)
             assert isinstance(got[1], SolverError) and str(got[1]) == str(lone.value)
             for c, w in zip(tied, (got[0], got[2])):
